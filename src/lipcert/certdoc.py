@@ -228,6 +228,9 @@ def verify_document(doc) -> VerifyReport:
     witnesses, wrong verdicts, digest mismatches).  ``ok`` means the document
     is a reproducibly valid certificate.
     """
+    if not isinstance(doc, dict):
+        failure = f"malformed document: expected an object, got {type(doc).__name__}"
+        return VerifyReport("unknown", "missing", "malformed", [failure])
     kind = doc.get("kind")
     claimed = doc.get("verdict", "missing")
     failures: list[str] = []
@@ -264,6 +267,20 @@ def _parse_basis(space, rows):
     )
 
 
+def _witness_pair(space, w, failures):
+    """The witness's pair as two distinct point indices, or None (named)."""
+    pair = w["pair"]
+    if (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(type(p) is int and 0 <= p < space.n for p in pair)
+        and pair[0] != pair[1]
+    ):
+        return tuple(pair)
+    failures.append(f"witness pair {pair!r} is not two distinct point indices")
+    return None
+
+
 def _verify_l1(doc, failures):
     space = _parse_space_checked(doc, failures)
     basis = _parse_basis(space, doc["basis"])
@@ -280,10 +297,21 @@ def _verify_l1(doc, failures):
         failures.append("cube check does not reproduce")
     witnesses = doc["checks"]["signs"]["witnesses"]
     seen = set()
+    pairs = []
     signs_ok = True
     for w in witnesses:
-        eps = tuple(int(e) for e in w["epsilon"])
-        x, y = w["pair"]
+        eps = w["epsilon"]
+        if not (isinstance(eps, list) and all(type(e) is int and e in (1, -1) for e in eps)):
+            failures.append(f"sign witness epsilon {eps!r} is not a vector of integers +-1")
+            signs_ok = False
+            continue
+        eps = tuple(eps)
+        pair = _witness_pair(space, w, failures)
+        if pair is None:
+            signs_ok = False
+            continue
+        pairs.append(pair)
+        x, y = pair
         vec = certify.quotient_vector(basis, x, y)
         if tuple(vec) != tuple(Fraction(e) for e in eps):
             failures.append(f"sign witness {eps} at pair ({x},{y}) does not reproduce")
@@ -297,8 +325,7 @@ def _verify_l1(doc, failures):
     subset = doc.get("subset")
     if subset:
         members = set(subset)
-        for w in witnesses:
-            x, y = w["pair"]
+        for x, y in pairs:
             if x not in members or y not in members:
                 failures.append(f"witness pair ({x},{y}) leaves the recorded subset")
     nested = doc.get("complementation")
@@ -336,7 +363,11 @@ def _verify_linf(doc, failures):
     seen = set()
     for w in doc["checks"]["vertices"]["witnesses"]:
         j = w["coordinate"]
-        x, y = w["pair"]
+        pair = _witness_pair(space, w, failures)
+        if pair is None:
+            vertices_ok = False
+            continue
+        x, y = pair
         vec = certify.quotient_vector(basis, x, y)
         expected = tuple(Fraction(1) if i == j else Fraction(0) for i in range(m))
         if tuple(vec) != expected:

@@ -213,15 +213,11 @@ class FreeL1Report:
     failure: str | None
 
 
-def l1_isometry_free(vectors, precomputed_unit_norms=None) -> FreeL1Report:
+def l1_isometry_free(vectors) -> FreeL1Report:
     """Valid iff every vector has free norm 1 and every sign combination
     (mod global sign) has free norm m.  Sufficiency is the corner argument:
     the triangle inequality gives domination by the l1 norm for free.
     Stops at the first failing combination.
-
-    ``precomputed_unit_norms`` lets a caller that has already computed the
-    individual norms (e.g. a search over molecules, which all have norm 1)
-    skip recomputing them; they are recorded as given.
     """
     from .freespace import free_norm_primal
 
@@ -234,11 +230,8 @@ def l1_isometry_free(vectors, precomputed_unit_norms=None) -> FreeL1Report:
             raise ValueError("vectors live on different spaces")
     m = len(vectors)
     unit_norms = []
-    for idx, u in enumerate(vectors):
-        if precomputed_unit_norms is not None:
-            value = Fraction(precomputed_unit_norms[idx])
-        else:
-            value, _ = free_norm_primal(u)
+    for u in vectors:
+        value, _ = free_norm_primal(u)
         unit_norms.append(value)
         if value != 1:
             return FreeL1Report(

@@ -159,9 +159,7 @@ def cmd_four_point(args):
 def cmd_pipeline(args):
     space = _load_space(args.space)
     try:
-        result = construct.theorem_pipeline(
-            space, args.k, tuple_budget=args.budget, candidates=args.candidates
-        )
+        result = construct.theorem_pipeline(space, args.k, tuple_budget=args.budget)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     except construct.SearchExhausted as exc:
@@ -281,6 +279,8 @@ def cmd_hybrid(args):
 def cmd_verify(args):
     doc = _load_json(args.certificate)
     report = certdoc.verify_document(doc)
+    if report.recomputed == "malformed":
+        raise InputError(f"{args.certificate}: {'; '.join(report.failures)}")
     out = {
         "kind": "verification",
         "tool": certdoc.tool_info(),
@@ -410,12 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("space")
     p.add_argument("-k", type=int, default=2)
     p.add_argument("--budget", type=int, default=None, help="candidate-tuple budget")
-    p.add_argument(
-        "--candidates",
-        choices=("molecules", "grid"),
-        default="molecules",
-        help="complementation search pool; 'grid' is a heuristic fallback",
-    )
     p.set_defaults(handler=cmd_pipeline)
 
     p = sub.add_parser("direct-search", help="independent witness-assignment search")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from . import certify, freespace, linalg, lp
+from . import certify, freespace, linalg, lipschitz, lp
 from .certify import L1IsometryCertificate, LinfIsometryCertificate
 from .lipschitz import LipFunctional, combine, functional, extend_basis
 from .metric import PointedMetricSpace, restrict
@@ -186,18 +186,14 @@ class PipelineResult:
     certificate: L1IsometryCertificate
 
 
-def theorem_pipeline(
-    space: PointedMetricSpace, k: int, tuple_budget=None, candidates="molecules"
-) -> PipelineResult:
+def theorem_pipeline(space: PointedMetricSpace, k: int, tuple_budget=None) -> PipelineResult:
     """Certified l1^k inside SNA of any space with at least 2^k points.
 
     Chain: restrict to a spread-out 2^k-point subset K, find a 1-complemented
     l1^(2^(k-1)) with molecule basis in the free space of K, lift by duality
     to an l-infinity basis, compose with the Rademacher matrix, and extend to
     the whole space with the witnesses kept inside K.  Exhaustion of the
-    complementation search raises SearchExhausted with its statistics;
-    ``candidates='grid'`` retries over a coefficient-grid pool instead of
-    molecules (heuristic fallback).
+    complementation search raises SearchExhausted with its statistics.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -207,9 +203,7 @@ def theorem_pipeline(
         raise ValueError("theorem_pipeline expects the base point at index 0")
     indices = select_subset(space, 2 ** k)
     subset = restrict(space, indices)
-    search = freespace.search_one_complemented(
-        subset, 2 ** (k - 1), tuple_budget, candidates=candidates
-    )
+    search = freespace.search_one_complemented(subset, 2 ** (k - 1), tuple_budget)
     if not search.found:
         raise SearchExhausted(
             f"complementation search exhausted after {search.tuples_tried} tuples "
@@ -256,20 +250,13 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     assignment is handed to the LP, whose witness values give the certified
     basis with the assignment as its sign witnesses.
     """
-    from math import lcm
-
     if k < 1:
         raise ValueError("need k >= 1")
     if space.base != 0:
         raise ValueError("direct_search_l1 expects the base point at index 0")
     reps = certify.sign_class_representatives(k)
     # integer-scaled distances keep the feasibility pruning in int arithmetic
-    denom = 1
-    for i, j in space.pairs():
-        denom = lcm(denom, space.rho(i, j).denominator)
-    dist_int = [
-        [int(space.rho(i, j) * denom) for j in range(space.n)] for i in range(space.n)
-    ]
+    dist_int = lipschitz.integer_distances(space)
     candidates = sorted(
         ((x, y) for x in range(space.n) for y in range(space.n) if x != y),
         key=lambda p: (-dist_int[p[0]][p[1]], p),
@@ -299,32 +286,10 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
         return False
 
     def feasible_coordinate(kappa):
-        # Bellman-Ford on the condensed endpoint graph; the cube edges are
-        # transitively closed (metric shortest path = distance), so direct
-        # metric arcs between witness endpoints suffice.
-        nodes = sorted({p for pair in assignment for p in pair})
-        index = {p: i for i, p in enumerate(nodes)}
-        edges = [
-            (i, j, dist_int[nodes[j]][nodes[i]])
-            for i in range(len(nodes))
-            for j in range(len(nodes))
-            if i != j
-        ]
-        for eps, (x, y) in zip(reps, assignment):
-            c = eps[kappa] * dist_int[x][y]
-            edges.append((index[y], index[x], c))
-            edges.append((index[x], index[y], -c))
-        dist = [0] * len(nodes)
-        for _ in range(len(nodes)):
-            changed = False
-            for b, a, w in edges:
-                alt = dist[b] + w
-                if alt < dist[a]:
-                    dist[a] = alt
-                    changed = True
-            if not changed:
-                return True
-        return not any(dist[b] + w < dist[a] for b, a, w in edges)
+        return lipschitz.differences_feasible(
+            dist_int,
+            [(x, y, eps[kappa] * dist_int[x][y]) for eps, (x, y) in zip(reps, assignment)],
+        )
 
     def dfs():
         nonlocal tried
@@ -368,17 +333,7 @@ def _direct_search_solve(space, k, reps, assignment):
     def col(kappa, p):
         return kappa * nb + (p - 1)
 
-    rows = []
-    for kappa in range(k):
-        for x, y in space.pairs():
-            coeffs = [_ZERO] * width
-            if x != 0:
-                coeffs[col(kappa, x)] += _ONE
-            if y != 0:
-                coeffs[col(kappa, y)] -= _ONE
-            rho = space.rho(x, y)
-            rows.append((list(coeffs), lp.LE, rho))
-            rows.append(([-c for c in coeffs], lp.LE, rho))
+    rows = freespace.lipschitz_ball_rows(space, k)
     for eps, (x, y) in zip(reps, assignment):
         for kappa in range(k):
             coeffs = [_ZERO] * width

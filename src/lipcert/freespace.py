@@ -16,7 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg, lp
-from .lipschitz import LipFunctional
+from .certify import sign_class_representatives
+from .lipschitz import LipFunctional, differences_feasible, integer_distances
 from .metric import PointedMetricSpace
 
 _ZERO = Fraction(0)
@@ -137,13 +138,33 @@ def free_norm_primal(v: FreeVector) -> tuple[Fraction, tuple[TransportArc, ...]]
     objective = [space.rho(x, y) for x, y in pairs]
     program = lp.make_program(objective, rows, bounds=[(_ZERO, None)] * len(pairs))
     out = lp.solve(program, "min")
-    assert out.status == "optimal", "transport LP is always feasible"
+    if out.status != "optimal":
+        raise AssertionError(f"transport LP is always feasible, got {out.status}")
     decomposition = tuple(
         TransportArc(x, y, w)
         for (x, y), w in zip(pairs, out.primal)
         if w != 0
     )
     return out.value, decomposition
+
+
+def lipschitz_ball_rows(space: PointedMetricSpace, blocks: int):
+    """LP rows +-(f(x) - f(y)) <= rho(x, y) over every pair, for each of
+    ``blocks`` functionals; block b holds f_b(1), ..., f_b(n-1) in columns
+    b*(n-1) onward (f_b(0) = 0 is not a variable)."""
+    nb = space.n - 1
+    rows = []
+    for b in range(blocks):
+        for x, y in space.pairs():
+            coeffs = [_ZERO] * (blocks * nb)
+            if x != 0:
+                coeffs[b * nb + x - 1] += _ONE
+            if y != 0:
+                coeffs[b * nb + y - 1] -= _ONE
+            rho = space.rho(x, y)
+            rows.append((coeffs, lp.LE, rho))
+            rows.append(([-c for c in coeffs], lp.LE, rho))
+    return rows
 
 
 def free_norm_dual(v: FreeVector) -> tuple[Fraction, LipFunctional]:
@@ -153,20 +174,10 @@ def free_norm_dual(v: FreeVector) -> tuple[Fraction, LipFunctional]:
     if v.is_zero():
         zero = tuple(_ZERO for _ in range(space.n))
         return _ZERO, LipFunctional(space, zero)
-    nb = space.n - 1  # variables: f(1), ..., f(n-1)
-    rows = []
-    for x, y in space.pairs():
-        coeffs = [_ZERO] * nb
-        if x != 0:
-            coeffs[x - 1] += _ONE
-        if y != 0:
-            coeffs[y - 1] -= _ONE
-        rho = space.rho(x, y)
-        rows.append((list(coeffs), lp.LE, rho))
-        rows.append(([-c for c in coeffs], lp.LE, rho))
-    program = lp.make_program(list(v.coeffs), rows)
+    program = lp.make_program(list(v.coeffs), lipschitz_ball_rows(space, 1))
     out = lp.solve(program, "max")
-    assert out.status == "optimal", "dual LP is bounded by the cube constraints"
+    if out.status != "optimal":
+        raise AssertionError(f"dual LP is bounded by the cube constraints, got {out.status}")
     f = LipFunctional(space, tuple([_ZERO] + list(out.primal)))
     return out.value, f
 
@@ -298,88 +309,58 @@ class ComplementationSearch:
     budget_exhausted: bool
 
 
-def grid_vectors(space, denominator=2, span=1) -> tuple[FreeVector, ...]:
-    """Heuristic candidate pool: free vectors with coefficients on the grid
-    {p/q : |p/q| <= span, q | denominator}, normalized to free norm 1 and
-    deduplicated modulo sign.  Exponential in the dimension; intended only as
-    a fallback when the molecule search exhausts."""
-    from itertools import product as _product
-
-    _require_base_zero(space)
-    nb = space.n - 1
-    grid = sorted(
-        {
-            Fraction(p, q)
-            for q in (1, denominator)
-            for p in range(-span * q, span * q + 1)
-        }
+def molecules_span_l1(dist_int, molecules) -> bool:
+    """Do the molecules m_i = (delta_x_i - delta_y_i)/rho_i span an isometric
+    l1^m?  Each has norm 1, so by the corner argument it suffices that every
+    sign combination sum_i eps_i m_i has norm m.  Under Lip_0 = F(M)* that
+    holds iff some 1-Lipschitz f has f(x_i) - f(y_i) = eps_i rho_i for all i:
+    one difference-constraint check per sign class."""
+    return all(
+        differences_feasible(
+            dist_int,
+            [(mol.x, mol.y, e * dist_int[mol.x][mol.y]) for e, mol in zip(eps, molecules)],
+        )
+        for eps in sign_class_representatives(len(molecules))
     )
-    out = []
-    seen = set()
-    for coeffs in _product(grid, repeat=nb):
-        if all(c == 0 for c in coeffs):
-            continue
-        v = FreeVector(space, coeffs)
-        norm, _ = free_norm_primal(v)
-        u = v.scale(1 / norm)
-        if u.coeffs in seen:
-            continue
-        seen.add(u.coeffs)
-        seen.add(u.scale(-1).coeffs)
-        out.append(u)
-    return tuple(out)
 
 
-def search_one_complemented(
-    space, m, tuple_budget=None, candidates="molecules"
-) -> ComplementationSearch:
-    """Search candidate m-tuples (lexicographic order) for a 1-complemented
-    isometric l1^m subspace.
+def search_one_complemented(space, m, tuple_budget=None) -> ComplementationSearch:
+    """Search canonical-molecule m-tuples (lexicographic order) for a
+    1-complemented isometric l1^m subspace.
 
-    Candidates default to the canonical molecules (the extreme-point
-    candidates of the free ball); ``candidates='grid'`` falls back to a
-    normalized coefficient-grid pool, a documented heuristic for spaces where
-    no molecule tuple works.  For each tuple passing the free l1 isometry
-    check, an exact feasibility LP looks for biorthogonal functionals g_j
-    with ||sum_j g_j(mol) u_j|| <= 1 for every molecule.  Success returns
+    Molecules are the extreme points of the free ball.  Tuples whose span
+    is not an isometric l1^m are dropped by difference-constraint feasibility
+    (``molecules_span_l1``).  For each surviving tuple an exact feasibility
+    LP looks for biorthogonal functionals g_j with
+    ||sum_j g_j(mol) u_j|| <= 1 for every molecule.  Success returns
     P(v) = sum_j g_j(v) u_j, verified; otherwise the search reports
     exhaustion with counts.
     """
-    from .certify import l1_isometry_free
-
     _require_base_zero(space)
     if m < 1:
         raise ValueError("need m >= 1")
     if space.n < 2 * m:
         raise ValueError(f"need at least {2 * m} points for m = {m}, got {space.n}")
-    if candidates == "molecules":
-        pool = [mol.as_free_vector() for mol in canonical_molecules(space)]
-        # molecule norms are 1; verify once instead of once per tuple
-        for mol, vec in zip(canonical_molecules(space), pool):
-            value, _ = free_norm_primal(vec)
-            assert value == 1, f"molecule {(mol.x, mol.y)} has free norm {value}"
-    elif candidates == "grid":
-        pool = list(grid_vectors(space))
-    else:
-        raise ValueError(f"candidates must be 'molecules' or 'grid', got {candidates!r}")
-    unit = (_ONE,) * m
+    dist_int = integer_distances(space)
     tried = 0
     l1_valid = 0
-    for vectors in combinations(pool, m):
+    for molecules in combinations(canonical_molecules(space), m):
         if tuple_budget is not None and tried >= tuple_budget:
             return ComplementationSearch(
                 space, m, False, None, None, None, tried, l1_valid, True
             )
         tried += 1
-        if not l1_isometry_free(vectors, precomputed_unit_norms=unit).valid:
+        if not molecules_span_l1(dist_int, molecules):
             continue
         l1_valid += 1
+        vectors = tuple(mol.as_free_vector() for mol in molecules)
         g = _biorthogonal_functionals(space, vectors)
         if g is None:
             continue
         projection = _projection_from(space, vectors, g)
         certificate = verify_one_complemented(space, vectors, projection)
-        assert certificate.valid, "feasible biorthogonal system must verify"
+        if not certificate.valid:
+            raise AssertionError("feasible biorthogonal system must verify")
         return ComplementationSearch(
             space, m, True, vectors, projection, certificate, tried, l1_valid, False
         )
@@ -433,16 +414,7 @@ def _biorthogonal_functionals(space, basis):
                 if c:
                     coeffs[g_col(j, p)] = c
             rows.append((coeffs, lp.EQ, _ONE if i == j else _ZERO))
-    for j in range(m):
-        for x, y in space.pairs():
-            coeffs = [_ZERO] * n_g
-            if x != 0:
-                coeffs[g_col(j, x)] += _ONE
-            if y != 0:
-                coeffs[g_col(j, y)] -= _ONE
-            rho = space.rho(x, y)
-            rows.append((list(coeffs), lp.LE, rho))
-            rows.append(([-c for c in coeffs], lp.LE, rho))
+    rows.extend(lipschitz_ball_rows(space, m))
 
     while True:
         outcome = lp.feasible(rows, n_vars=n_g)

@@ -1,13 +1,15 @@
 """Lipschitz functionals on finite pointed spaces.
 
 Norm with complete strong-attainment witness sets, rebasing, McShane
-extension, and norm-preserving extension of certified l1 bases.
+extension, norm-preserving extension of certified l1 bases, and exact
+feasibility of prescribed differences of a 1-Lipschitz function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .metric import PointedMetricSpace
 
@@ -177,3 +179,46 @@ def extend_basis(basis, certificate, parent: PointedMetricSpace):
     if not parent_cert.valid:
         raise AssertionError("extension lemma failed: extended basis lost its certificate")
     return extended, parent_cert
+
+
+def integer_distances(space: PointedMetricSpace) -> list[list[int]]:
+    """The distance matrix scaled by the lcm of its denominators, as ints."""
+    denom = 1
+    for i, j in space.pairs():
+        denom = lcm(denom, space.rho(i, j).denominator)
+    return [[int(space.rho(i, j) * denom) for j in range(space.n)] for i in range(space.n)]
+
+
+def differences_feasible(dist_int, equalities) -> bool:
+    """Is there a 1-Lipschitz f with f(x) - f(y) = c for every (x, y, c)?
+
+    ``dist_int`` comes from ``integer_distances`` and every c is an integer
+    on the same scale.  The system is one of difference constraints:
+    f(x) <= f(y) + c and f(y) <= f(x) - c per equality, f(a) <= f(b) + rho
+    per pair.  It is feasible iff its constraint graph has no negative
+    cycle, decided by integer Bellman-Ford.  Only the endpoints need nodes:
+    McShane extends a 1-Lipschitz f from them, and the metric arcs between
+    them are already shortest paths.
+    """
+    nodes = sorted({p for x, y, _ in equalities for p in (x, y)})
+    index = {p: i for i, p in enumerate(nodes)}
+    edges = [
+        (i, j, dist_int[nodes[j]][nodes[i]])
+        for i in range(len(nodes))
+        for j in range(len(nodes))
+        if i != j
+    ]
+    for x, y, c in equalities:
+        edges.append((index[y], index[x], c))
+        edges.append((index[x], index[y], -c))
+    dist = [0] * len(nodes)
+    for _ in range(len(nodes)):
+        changed = False
+        for b, a, w in edges:
+            alt = dist[b] + w
+            if alt < dist[a]:
+                dist[a] = alt
+                changed = True
+        if not changed:
+            return True
+    return not any(dist[b] + w < dist[a] for b, a, w in edges)

@@ -333,7 +333,8 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
             if art_col[i] >= 0:
                 phase1_cost[art_col[i]] = _ONE
         status1 = kern.optimize(phase1_cost)
-        assert status1[0] == "optimal", "phase 1 cannot be unbounded"
+        if status1[0] != "optimal":
+            raise AssertionError("phase 1 cannot be unbounded")
         art_vals = sum(
             kern.rhs[i]
             for i in range(n_rows)

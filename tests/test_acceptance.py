@@ -94,10 +94,13 @@ def test_criterion_02_pipeline_k2_100_spaces(pipeline_k2_results):
                 certdoc.complementation_document(result.complementation.certificate),
             )
         )
-    ok = not failures and elapsed < 60
+    tried = sum(r.complementation.tuples_tried for r in results)
+    l1_valid = sum(r.complementation.tuples_l1_valid for r in results)
+    ok = not failures and elapsed < 60 and (tried, l1_valid) == (744, 100)
     report(2, ok, "theorem pipeline k=2 on 100 spaces, witnesses in K", elapsed)
     assert not failures, failures[:5]
     assert elapsed < 60, f"budget exceeded: {elapsed:.1f}s"
+    assert (tried, l1_valid) == (744, 100)
 
 
 def test_criterion_03_k3_direct_search_and_pipeline(pipeline_k3_equilateral):
@@ -119,7 +122,12 @@ def test_criterion_03_k3_direct_search_and_pipeline(pipeline_k3_equilateral):
             )
     direct_elapsed = time.monotonic() - start
     k3, k3_elapsed = pipeline_k3_equilateral
-    pipeline_ok = k3.certificate.valid and k3_elapsed < 600
+    search = k3.complementation
+    pipeline_ok = (
+        k3.certificate.valid
+        and k3_elapsed < 600
+        and (search.tuples_tried, search.tuples_l1_valid) == (2551, 1)
+    )
     DOCUMENTS.append(("pipeline", certdoc.pipeline_document(k3)))
     DOCUMENTS.append(
         ("complementation", certdoc.complementation_document(k3.complementation.certificate))
@@ -135,6 +143,7 @@ def test_criterion_03_k3_direct_search_and_pipeline(pipeline_k3_equilateral):
     assert not failures, failures
     assert direct_elapsed < 300, f"direct-search budget exceeded: {direct_elapsed:.1f}s"
     assert k3.certificate.valid
+    assert (search.tuples_tried, search.tuples_l1_valid) == (2551, 1)
     assert k3_elapsed < 600, f"pipeline budget exceeded: {k3_elapsed:.1f}s"
 
 

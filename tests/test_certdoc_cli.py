@@ -112,6 +112,38 @@ def test_unknown_kind_rejected():
     assert not report.ok
 
 
+def test_verify_names_non_object_document(tmp_path):
+    report = certdoc.verify_document([1, 2])
+    assert not report.ok and report.recomputed == "malformed"
+    assert any("expected an object" in msg for msg in report.failures)
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, out, err = run_cli("verify", str(path))
+    assert code == 2
+    assert out == "" and "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [1.9, True])
+def test_verify_names_non_integer_epsilon(bad):
+    _, _, cert = construct.four_point_basis(equilateral(4))
+    doc = certdoc.l1_document(cert)
+    witness = next(w for w in doc["checks"]["signs"]["witnesses"] if w["epsilon"] == [1, 1])
+    witness["epsilon"] = [bad, 1]
+    report = certdoc.verify_document(doc)
+    assert not report.ok and report.recomputed == "invalid"
+    assert any("epsilon" in msg for msg in report.failures)
+
+
+@pytest.mark.parametrize("bad", [[1, 1], [-1, 2]])
+def test_verify_names_bad_witness_pair(bad):
+    _, _, cert = construct.four_point_basis(equilateral(4))
+    doc = certdoc.l1_document(cert)
+    doc["checks"]["signs"]["witnesses"][0]["pair"] = bad
+    report = certdoc.verify_document(doc)
+    assert not report.ok and report.recomputed == "invalid"
+    assert any("not two distinct point indices" in msg for msg in report.failures)
+
+
 def test_cli_validate_exit_codes(tmp_path, eq4_file):
     code, out, _ = run_cli("validate", eq4_file)
     assert code == 0

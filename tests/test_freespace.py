@@ -1,11 +1,12 @@
 """Free-space norms, molecules, operators, and 1-complementation."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from lipcert import freespace
-from lipcert.lipschitz import lip_norm
+from lipcert import certify, freespace
+from lipcert.lipschitz import integer_distances, lip_norm
 from lipcert.metric import random_space
 
 from helpers import equilateral, free_norm_vertex_oracle, random_coeffs, random_functional
@@ -223,9 +224,30 @@ def test_search_m4_eight_points_budget_or_exhaustion():
         assert search.budget_exhausted
 
 
-def test_grid_fallback_equilateral():
-    search = freespace.search_one_complemented(equilateral(4), 2, candidates="grid")
-    assert search.found
-    assert search.certificate.valid
-    with pytest.raises(ValueError):
-        freespace.search_one_complemented(equilateral(4), 2, candidates="everything")
+def test_molecule_l1_filter_matches_lp_oracle():
+    # difference-constraint filter against the transport-LP isometry check
+    cases = [
+        (random_space(4, seed, method), 2)
+        for method in ("range", "euclidean")
+        for seed in range(20)
+    ]
+    cases.append((equilateral(6), 3))
+    verdicts = set()
+    for space, m in cases:
+        dist_int = integer_distances(space)
+        for molecules in combinations(freespace.canonical_molecules(space), m):
+            fast = freespace.molecules_span_l1(dist_int, molecules)
+            oracle = certify.l1_isometry_free([mol.as_free_vector() for mol in molecules])
+            assert fast == oracle.valid, (space.dist, [(mol.x, mol.y) for mol in molecules])
+            verdicts.add(fast)
+    assert verdicts == {True, False}
+
+
+def test_lipschitz_ball_rows_layout():
+    rows = freespace.lipschitz_ball_rows(equilateral(3), 2)
+    # block, then pairs (0,1), (0,2), (1,2), the + row before the - row
+    assert [coeffs for coeffs, _, _ in rows] == [
+        [-1, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0], [0, 1, 0, 0], [1, -1, 0, 0], [-1, 1, 0, 0],
+        [0, 0, -1, 0], [0, 0, 1, 0], [0, 0, 0, -1], [0, 0, 0, 1], [0, 0, 1, -1], [0, 0, -1, 1],
+    ]
+    assert all(rel == "<=" and rhs == 1 for _, rel, rhs in rows)
