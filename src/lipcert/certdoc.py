@@ -281,6 +281,27 @@ def _witness_pair(space, w, failures):
     return None
 
 
+def _check_pipeline_fields(doc, space, n, failures):
+    """Name the faults of a pipeline document's own fields: ``k`` must be the
+    basis length, ``subset`` 2^k distinct point indices, and the nested
+    complementation present.  Returns the subset, or None when it is bad."""
+    k = doc.get("k")
+    if type(k) is not int or k != n:
+        failures.append(f"pipeline k {k!r} is not the basis length {n}")
+    subset = doc.get("subset")
+    if not (
+        isinstance(subset, list)
+        and len(subset) == 2 ** n
+        and all(type(p) is int and 0 <= p < space.n for p in subset)
+        and len(set(subset)) == len(subset)
+    ):
+        failures.append(f"pipeline subset {subset!r} is not {2 ** n} distinct point indices")
+        subset = None
+    if doc.get("complementation") is None:
+        failures.append("pipeline complementation is missing")
+    return subset
+
+
 def _verify_l1(doc, failures):
     space = _parse_space_checked(doc, failures)
     basis = _parse_basis(space, doc["basis"])
@@ -322,14 +343,15 @@ def _verify_l1(doc, failures):
     for eps in certify.sign_class_representatives(n):
         if eps not in seen:
             signs_ok = False
-    subset = doc.get("subset")
+    pipeline = doc["kind"] == "pipeline"
+    subset = _check_pipeline_fields(doc, space, n, failures) if pipeline else doc.get("subset")
     if subset:
         members = set(subset)
         for x, y in pairs:
             if x not in members or y not in members:
                 failures.append(f"witness pair ({x},{y}) leaves the recorded subset")
     nested = doc.get("complementation")
-    nested_ok = True
+    nested_ok = nested is not None or not pipeline
     if nested is not None:
         if subset:
             from .metric import restrict

@@ -112,21 +112,18 @@ def l1_isometry_lip(basis, pinned_pairs=None) -> L1IsometryCertificate:
 
     cube_violation = None
     sign_pairs: dict[tuple, tuple[int, int]] = {}
-    for x in range(space.n):
-        for y in range(space.n):
-            if x == y:
-                continue
-            w = quotient_vector(basis, x, y)
-            for k, q in enumerate(w):
-                if abs(q) > 1:
-                    if cube_violation is None:
-                        cube_violation = CubeViolation(x, y, k, q)
-                    break
-            else:
-                if all(abs(q) == 1 for q in w):
-                    key = tuple(int(q) for q in w)
-                    if key not in sign_pairs:
-                        sign_pairs[key] = (x, y)
+    for x, y in space.ordered_pairs():
+        w = quotient_vector(basis, x, y)
+        for k, q in enumerate(w):
+            if abs(q) > 1:
+                if cube_violation is None:
+                    cube_violation = CubeViolation(x, y, k, q)
+                break
+        else:
+            if all(abs(q) == 1 for q in w):
+                key = tuple(int(q) for q in w)
+                if key not in sign_pairs:
+                    sign_pairs[key] = (x, y)
     cube_ok = cube_violation is None
 
     reps = sign_class_representatives(n)
@@ -299,19 +296,16 @@ def linf_isometry_lip(basis) -> LinfIsometryCertificate:
     basis = tuple(basis)
     ball_violation = None
     vertex_pair: dict[int, tuple[int, int]] = {}
-    for x in range(space.n):
-        for y in range(space.n):
-            if x == y:
-                continue
-            w = quotient_vector(basis, x, y)
-            total = sum(abs(q) for q in w)
-            if total > 1:
-                if ball_violation is None:
-                    ball_violation = BallViolation(x, y, total)
-                continue
-            for j, q in enumerate(w):
-                if q == 1 and j not in vertex_pair:
-                    vertex_pair[j] = (x, y)
+    for x, y in space.ordered_pairs():
+        w = quotient_vector(basis, x, y)
+        total = sum(abs(q) for q in w)
+        if total > 1:
+            if ball_violation is None:
+                ball_violation = BallViolation(x, y, total)
+            continue
+        for j, q in enumerate(w):
+            if q == 1 and j not in vertex_pair:
+                vertex_pair[j] = (x, y)
     ball_ok = ball_violation is None
     witnesses = []
     missing = None

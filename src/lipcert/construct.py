@@ -258,7 +258,7 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     # integer-scaled distances keep the feasibility pruning in int arithmetic
     dist_int = lipschitz.integer_distances(space)
     candidates = sorted(
-        ((x, y) for x in range(space.n) for y in range(space.n) if x != y),
+        space.ordered_pairs(),
         key=lambda p: (-dist_int[p[0]][p[1]], p),
     )
     # The all-ones class may fix its pair orientation: negating the basis

@@ -111,10 +111,6 @@ class TransportArc:
     weight: Fraction
 
 
-def _ordered_pairs(space):
-    return [(x, y) for x in range(space.n) for y in range(space.n) if x != y]
-
-
 def free_norm_primal(v: FreeVector) -> tuple[Fraction, tuple[TransportArc, ...]]:
     """Transportation-cost norm with an optimal decomposition.
 
@@ -125,7 +121,7 @@ def free_norm_primal(v: FreeVector) -> tuple[Fraction, tuple[TransportArc, ...]]
     space = v.space
     if v.is_zero():
         return _ZERO, ()
-    pairs = _ordered_pairs(space)
+    pairs = list(space.ordered_pairs())
     rows = []
     for p in range(1, space.n):
         coeffs = [_ZERO] * len(pairs)
@@ -386,14 +382,15 @@ def _biorthogonal_functionals(space, basis):
     """Feasibility for biorthogonal g_j's with ||P mol|| <= 1 for every
     molecule; returns point-indexed g value lists, or None if infeasible.
 
-    The basis passed in is already certified isometric l1^m, so
-    ||sum_j c_j u_j|| = sum_j |c_j| exactly and the molecule constraints are
-    the facets sum_j s_j g_j(mol) <= 1 of per-molecule l1 coefficient balls.
-    The master starts from the biorthogonality equalities plus the implied
-    1-Lipschitz cube rows of each g_j; violated facets are separated lazily
-    against the exact transport norm of the candidate projection.  Each cut
-    removes the current candidate and the facet family is finite, so the
-    loop terminates.
+    The basis passed the l1 filter, so ||sum_j c_j u_j|| = sum_j |c_j|
+    exactly, and ||P mol|| <= 1 are the facets sum_j s_j g_j(mol) <= 1 of
+    per-molecule l1 coefficient balls.  The master starts from the
+    biorthogonality equalities plus the 1-Lipschitz cube rows of each g_j;
+    a molecule with sum_j |g_j(mol)| > 1 adds the facet s_j = sign(g_j(mol))
+    as a cut.  Each cut removes the current candidate and the facet family is
+    finite, so the loop terminates.  Separation uses this l1 identity; the
+    final projection is still checked by transport LPs in
+    ``verify_one_complemented``.
     """
     n = space.n
     nb = n - 1
@@ -424,17 +421,15 @@ def _biorthogonal_functionals(space, basis):
             [_ZERO] + [outcome.primal[g_col(j, p)] for p in range(1, n)]
             for j in range(m)
         ]
-        projection = _projection_from(space, basis, g_values)
         cuts = []
         for mol in mols:
-            value, _ = free_norm_primal(projection.apply(mol.as_free_vector()))
-            if value <= 1:
-                continue
             rho_m = space.rho(mol.x, mol.y)
+            c = [(g[mol.x] - g[mol.y]) / rho_m for g in g_values]
+            if sum(abs(cj) for cj in c) <= 1:
+                continue
             coeffs = [_ZERO] * n_g
-            for j in range(m):
-                gj_mol = (g_values[j][mol.x] - g_values[j][mol.y]) / rho_m
-                sj = _ONE if gj_mol >= 0 else -_ONE
+            for j, cj in enumerate(c):
+                sj = _ONE if cj >= 0 else -_ONE
                 if mol.x != 0:
                     coeffs[g_col(j, mol.x)] += sj / rho_m
                 if mol.y != 0:

@@ -262,7 +262,6 @@ class _Lowering:
 
         self.n_struct = len(self.columns)
         self.n_rows = n_orig_rows + len(bound_rows)
-        self.has_bound_rows = bool(bound_rows)
         self.rel = [c.rel for c in lp.constraints] + [LE] * len(bound_rows)
         self.rhs0 = [c.rhs - rhs_shift[i] for i, c in enumerate(lp.constraints)]
         self.rhs0 += [ub for _, ub in bound_rows]
@@ -335,25 +334,17 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
         status1 = kern.optimize(phase1_cost)
         if status1[0] != "optimal":
             raise AssertionError("phase 1 cannot be unbounded")
-        art_vals = sum(
-            kern.rhs[i]
-            for i in range(n_rows)
-            if art_col[i] >= 0 and kern.basis[i] == art_col[i]
-        )
+        # an artificial may sit basic in another row than its own after pivots
+        art_set = {c for c in art_col if c >= 0}
+        art_vals = sum(kern.rhs[i] for i in range(n_rows) if kern.basis[i] in art_set)
         if art_vals > 0:
             y = _recover_duals(kern, status1[1], phase1_cost, sign, slack_col, art_col, n_rows)
             farkas = [y[i] for i in range(len(lp.constraints))]
             out = LpOutcome(status="infeasible", farkas=farkas, pivots=kern.pivots)
-            if certificate_violations(lp, sense, out):
-                if low.has_bound_rows:
-                    out.farkas = None  # bound-row multipliers not expressible per-row
-                else:
-                    _assert_certificate(lp, sense, out)
+            _assert_certificate(lp, sense, out)
             return out
-        _drive_out_artificials(kern, art_col)
-        for i in range(n_rows):
-            if art_col[i] >= 0:
-                kern.banned.add(art_col[i])
+        _drive_out_artificials(kern, art_set)
+        kern.banned |= art_set
 
     phase2_cost = [_ZERO] * n_total
     for j in range(low.n_struct):
@@ -410,14 +401,13 @@ def feasible(constraints, n_vars=None, bounds=None) -> LpOutcome:
     return solve(lp, "min")
 
 
-def _drive_out_artificials(kern, art_col):
+def _drive_out_artificials(kern, art_set):
     """Pivot zero-valued basic artificials onto real columns.
 
     Rows whose tableau row is zero on every real column are redundant; their
     artificial stays basic at zero and is banned from re-entering, which keeps
     it harmless (no real entering column can change it).
     """
-    art_set = {c for c in art_col if c >= 0}
     for i in range(len(kern.rows)):
         if kern.basis[i] in art_set:
             row = kern.rows[i]

@@ -20,11 +20,11 @@ def parse_rational(value) -> Fraction:
     """Parse 'p/q' or integer strings into a Fraction; ints pass through.
 
     Decimal notation is deliberately rejected: the file formats carry exact
-    rationals only.
+    rationals only.  JSON booleans are not integers, though Python's bool is.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()

@@ -96,6 +96,55 @@ def test_pipeline_document_verify_and_subset():
     assert any("subset" in msg for msg in report.failures)
 
 
+@pytest.fixture(scope="module")
+def pipeline_k2_doc():
+    return certdoc.pipeline_document(construct.theorem_pipeline(equilateral(6), 2))
+
+
+_DELETED = object()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("k", "x"),
+        ("k", 7),
+        ("k", True),
+        ("k", None),
+        ("k", _DELETED),
+        ("subset", _DELETED),
+        ("subset", []),
+        ("complementation", _DELETED),
+    ],
+    ids=["k-str", "k-int", "k-bool", "k-null", "k-deleted", "subset-deleted", "subset-empty",
+         "complementation-deleted"],
+)
+def test_verify_names_pipeline_field_faults(pipeline_k2_doc, field, value):
+    doc = json.loads(certdoc.dumps(pipeline_k2_doc))
+    assert certdoc.verify_document(doc).ok
+    if value is _DELETED:
+        del doc[field]
+    else:
+        doc[field] = value
+    report = certdoc.verify_document(doc)
+    assert not report.ok
+    assert any(msg.startswith(f"pipeline {field} ") for msg in report.failures), report.failures
+
+
+def test_verify_rejects_boolean_basis_entry(tmp_path):
+    _, _, cert = construct.four_point_basis(equilateral(4))
+    doc = certdoc.l1_document(cert)
+    row = doc["basis"][0]
+    row[row.index("1")] = True
+    report = certdoc.verify_document(doc)
+    assert not report.ok and report.recomputed == "malformed"
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", str(path))
+    assert code == 2
+    assert out == "" and "error" in err and "Traceback" not in err
+
+
 def test_hybrid_document_verify():
     h = random_hybrid(3)
     f = random_pwl(5)

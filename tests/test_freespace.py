@@ -251,3 +251,30 @@ def test_lipschitz_ball_rows_layout():
         [0, 0, -1, 0], [0, 0, 1, 0], [0, 0, 0, -1], [0, 0, 0, 1], [0, 0, 1, -1], [0, 0, -1, 1],
     ]
     assert all(rel == "<=" and rhs == 1 for _, rel, rhs in rows)
+
+
+def test_filtered_molecules_norm_is_l1_of_coefficients():
+    # the identity the complementation cuts rely on, against the transport LP
+    cases = [
+        (random_space(4, seed, method), 2)
+        for method in ("range", "euclidean")
+        for seed in range(20)
+    ]
+    cases.append((equilateral(6), 3))
+    accepted = 0
+    for space, m in cases:
+        dist_int = integer_distances(space)
+        for molecules in combinations(freespace.canonical_molecules(space), m):
+            if not freespace.molecules_span_l1(dist_int, molecules):
+                continue
+            accepted += 1
+            basis = [mol.as_free_vector() for mol in molecules]
+            for trial in range(3):
+                c = random_coeffs(f"l1:{accepted}:{trial}", m)
+                v = basis[0].scale(c[0])
+                for cj, u in zip(c[1:], basis[1:]):
+                    v = v + u.scale(cj)
+                value, _ = freespace.free_norm_primal(v)
+                pairs = [(mol.x, mol.y) for mol in molecules]
+                assert value == sum(abs(cj) for cj in c), (space.dist, pairs, c)
+    assert accepted == 63

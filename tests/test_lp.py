@@ -137,20 +137,44 @@ def test_beale_cycling_instance_terminates():
     check(program, "min", out)
 
 
+def test_phase1_counts_artificial_basic_in_another_row():
+    # after phase-1 pivots an artificial can be basic outside its own row;
+    # the program is infeasible and must say so with a checked Farkas vector
+    rows = [([-3, 3], lp.EQ, -4), ([-1, -3], lp.EQ, -3), ([-3, 2], lp.GE, 1)]
+    bounds = [(0, None)] * 2
+    out = lp.feasible(rows, n_vars=2, bounds=bounds)
+    assert out.status == "infeasible"
+    assert out.farkas is not None
+    check(lp.make_program([0, 0], rows, bounds=bounds), "min", out)
+
+
+def _random_bound(rng):
+    # free, lower-bounded, upper-bounded or boxed, drawn evenly
+    kind = rng.randrange(4)
+    a = F(rng.randint(-3, 3))
+    if kind == 0:
+        return None, None
+    if kind == 1:
+        return a, None
+    if kind == 2:
+        return None, a
+    return a, a + rng.randint(0, 4)
+
+
 def test_degenerate_random_programs_certified():
     # many tied rows force degenerate pivots; every outcome must self-certify
     import random
 
     rng = random.Random(7)
-    for trial in range(60):
+    for trial in range(2000):
         n = rng.randint(1, 4)
         m = rng.randint(1, 6)
         rows = []
         for _ in range(m):
             coeffs = [F(rng.randint(-3, 3)) for _ in range(n)]
             rel = rng.choice([lp.LE, lp.GE, lp.EQ])
-            rows.append((coeffs, rel, F(rng.randint(-2, 2))))
-        bounds = [(F(0), None) if rng.random() < 0.5 else (None, None) for _ in range(n)]
+            rows.append((coeffs, rel, F(rng.randint(-4, 4))))
+        bounds = [_random_bound(rng) for _ in range(n)]
         objective = [F(rng.randint(-3, 3)) for _ in range(n)]
         program = lp.make_program(objective, rows, bounds=bounds)
         # solve() re-checks its own certificate and raises on any violation

@@ -16,7 +16,7 @@ def test_parse_integers_and_fractions():
 
 
 def test_parse_rejects_decimals_and_junk():
-    for bad in ("1.5", "1/0", "a/b", "", "1/-2", "2 / 3", None, 1.5):
+    for bad in ("1.5", "1/0", "a/b", "", "1/-2", "2 / 3", None, 1.5, True, False):
         with pytest.raises(RationalFormatError):
             parse_rational(bad)
 
