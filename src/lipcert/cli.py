@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from . import certdoc, construct, freespace, interval, lipschitz, lp, metric
+from . import certdoc, construct, freespace, interval, lipschitz, metric
 from .rationals import RationalFormatError, format_rational, parse_rational
 
 EXIT_OK = 0
@@ -385,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact certificates for isometric l1/linf subspaces of "
         "strongly norm-attaining Lipschitz functionals.",
     )
-    parser.add_argument("--lp-debug", action="store_true", help="dump LP pivot summaries to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a metric-space file")
@@ -454,8 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.lp_debug:
-        lp.DEBUG_DUMP = True
     if args.command == "trials" and args.k is None:
         args.k = 2
     try:

@@ -41,9 +41,6 @@ class FreeVector:
         if len(self.coeffs) != self.space.n - 1:
             raise ValueError(f"{len(self.coeffs)} coefficients for {self.space.n - 1} dimensions")
 
-    def point_coeff(self, p: int) -> Fraction:
-        return _ZERO if p == 0 else self.coeffs[p - 1]
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

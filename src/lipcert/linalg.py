@@ -20,36 +20,10 @@ def identity(n):
     return [[Fraction(1) if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
-def rank(matrix) -> int:
-    """Rank via fraction-exact Gaussian elimination."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    m, n = len(rows), len(rows[0])
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        inv = Fraction(1) / prow[c]
-        rows[r] = prow = [x * inv for x in prow]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        r += 1
-        if r == m:
-            break
-    return r
+def _eliminate(matrix, rhs):
+    """Fraction-exact Gauss-Jordan elimination of ``[A | rhs]``.
 
-
-def solve_exact(matrix, rhs):
-    """One exact solution of A x = rhs (A may be rectangular), or None.
-
-    Free variables are set to zero; returns None when the system is
-    inconsistent.
+    Returns the reduced augmented rows and the pivot columns of ``A``.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
@@ -72,7 +46,24 @@ def solve_exact(matrix, rhs):
         r += 1
         if r == m:
             break
-    for i in range(r, m):
+    return aug, pivot_cols
+
+
+def rank(matrix) -> int:
+    """Rank: the number of pivot columns of the exact elimination."""
+    return len(_eliminate(matrix, [_ZERO] * len(matrix))[1])
+
+
+def solve_exact(matrix, rhs):
+    """One exact solution of A x = rhs (A may be rectangular), or None.
+
+    Free variables are set to zero; returns None when the system is
+    inconsistent.
+    """
+    n = len(matrix[0]) if matrix else 0
+    aug, pivot_cols = _eliminate(matrix, rhs)
+    r = len(pivot_cols)
+    for i in range(r, len(aug)):
         if aug[i][n] != 0:
             return None
     x = [_ZERO] * n

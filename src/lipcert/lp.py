@@ -3,15 +3,14 @@
 Two-phase dense simplex over ``Fraction``.  Pricing is Dantzig's rule until a
 run of degenerate pivots is detected, after which the solve switches to
 Bland's rule permanently, which guarantees termination on every input.  Every
-optimal outcome carries a dual vector and reduced costs forming an exact
+optimal outcome carries the pair (primal, dual) as an exact
 complementary-slackness certificate; infeasible outcomes carry a Farkas
 certificate.  Both are re-checked against the original program before being
-returned.
+returned; the re-check derives the reduced costs ``c - A^T y`` itself.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,9 +23,6 @@ _ONE = Fraction(1)
 
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
 _STALL_LIMIT = 40
-
-# Flipped by the CLI --lp-debug flag; dumps per-solve pivot summaries to stderr.
-DEBUG_DUMP = False
 
 
 class LpFormatError(ValueError):
@@ -85,8 +81,9 @@ def make_program(objective, constraints, bounds=None) -> LinearProgram:
 class LpOutcome:
     """Solver result with exact certificates.
 
-    optimal:    value, primal, dual (one multiplier per constraint) and
-                reduced_costs (one per variable) form a zero-gap certificate.
+    optimal:    value, primal and dual (one multiplier per constraint) form a
+                zero-gap certificate; the reduced costs ``c - A^T dual`` are
+                derived by ``certificate_violations``, not stored.
     infeasible: farkas holds multipliers per constraint certifying emptiness.
     unbounded:  primal is a feasible point, ray an improving direction.
     """
@@ -95,7 +92,6 @@ class LpOutcome:
     value: Fraction | None = None
     primal: list[Fraction] | None = None
     dual: list[Fraction] | None = None
-    reduced_costs: list[Fraction] | None = None
     farkas: list[Fraction] | None = None
     ray: list[Fraction] | None = None
     pivots: int = 0
@@ -185,13 +181,8 @@ class _Kernel:
             reduced[t] = _ZERO
             if degenerate:
                 stall += 1
-                if stall > _STALL_LIMIT and not bland:
+                if stall > _STALL_LIMIT:
                     bland = True
-                    if DEBUG_DUMP:
-                        print(
-                            f"[lp] stall after {self.pivots} pivots; Bland mode on",
-                            file=sys.stderr,
-                        )
             else:
                 stall = 0
 
@@ -203,79 +194,65 @@ class _BoundConflict(Exception):
 
 
 class _Lowering:
-    """Original program -> standard form, with maps for pulling answers back."""
+    """Original program -> standard form, with maps for pulling answers back.
+
+    The tableau rows are built variable by variable: a free variable becomes
+    the column pair ``(a, -a)``, a lower-bounded one the column ``a`` shifted
+    by its bound, an upper-bounded one the column ``-a`` reflected at it.  A
+    boxed variable is shifted and adds a row ``x <= hi - lo`` after the
+    original rows.
+    """
 
     def __init__(self, lp: LinearProgram, minimize_obj):
-        self.lp = lp
-        n_orig_rows = len(lp.constraints)
-        # var_map[j]: ('shift', col, lb) | ('negshift', col, ub) | ('split', p, m)
-        self.var_map: list[tuple] = []
+        cons = lp.constraints
+        # var_map[j] = (plus, minus, offset): x_j = offset + std[plus] - std[minus],
+        # where -1 marks an absent column
+        self.var_map: list[tuple[int, int, Fraction]] = []
         self.cost: list[Fraction] = []
-        # columns[c][i]: coefficient of structural std var c in original row i
-        self.columns: list[list[Fraction]] = []
-        self.const = _ZERO
-        rhs_shift = [_ZERO] * n_orig_rows
-        bound_rows: list[tuple[int, Fraction]] = []  # (std col, ub - lb)
+        rows: list[list[Fraction]] = [[] for _ in cons]
+        rhs = [c.rhs for c in cons]
+        box_rows: list[tuple[int, Fraction]] = []  # (std col, hi - lo)
 
-        def col_of(j, sign):
-            return [sign * c.coeffs[j] for c in lp.constraints]
-
-        for j in range(lp.n_vars):
-            lo, hi = lp.bounds[j]
+        for j, (lo, hi) in enumerate(lp.bounds):
             cj = minimize_obj[j]
+            col = len(self.cost)
             if lo is None and hi is None:
-                p = len(self.columns)
-                self.columns.append(col_of(j, _ONE))
-                self.cost.append(cj)
-                self.columns.append(col_of(j, -_ONE))
-                self.cost.append(-cj)
-                self.var_map.append(("split", p, p + 1))
-            elif hi is None:
-                col = len(self.columns)
-                self.columns.append(col_of(j, _ONE))
-                self.cost.append(cj)
-                self.var_map.append(("shift", col, lo))
-                if lo:
-                    self.const += cj * lo
-                    for i, c in enumerate(lp.constraints):
-                        rhs_shift[i] += c.coeffs[j] * lo
-            elif lo is None:
-                col = len(self.columns)
-                self.columns.append(col_of(j, -_ONE))
-                self.cost.append(-cj)
-                self.var_map.append(("negshift", col, hi))
-                self.const += cj * hi
-                for i, c in enumerate(lp.constraints):
-                    rhs_shift[i] += c.coeffs[j] * hi
+                for row, c in zip(rows, cons):
+                    row += (c.coeffs[j], -c.coeffs[j])
+                self.cost += (cj, -cj)
+                self.var_map.append((col, col + 1, _ZERO))
+                continue
+            if lo is None:
+                sign, offset = -_ONE, hi
+                self.var_map.append((-1, col, hi))
             else:
-                if lo > hi:
-                    raise _BoundConflict(j, lo, hi)
-                col = len(self.columns)
-                self.columns.append(col_of(j, _ONE))
-                self.cost.append(cj)
-                self.var_map.append(("shift", col, lo))
-                if lo:
-                    self.const += cj * lo
-                    for i, c in enumerate(lp.constraints):
-                        rhs_shift[i] += c.coeffs[j] * lo
-                bound_rows.append((col, hi - lo))
+                if hi is not None:
+                    if lo > hi:
+                        raise _BoundConflict(j, lo, hi)
+                    box_rows.append((col, hi - lo))
+                sign, offset = _ONE, lo
+                self.var_map.append((col, -1, lo))
+            self.cost.append(sign * cj)
+            for i, c in enumerate(cons):
+                a = c.coeffs[j]
+                rows[i].append(sign * a)
+                if offset:
+                    rhs[i] -= a * offset
 
-        self.n_struct = len(self.columns)
-        self.n_rows = n_orig_rows + len(bound_rows)
-        self.rel = [c.rel for c in lp.constraints] + [LE] * len(bound_rows)
-        self.rhs0 = [c.rhs - rhs_shift[i] for i, c in enumerate(lp.constraints)]
-        self.rhs0 += [ub for _, ub in bound_rows]
-        # extend columns over the appended bound rows
-        for c, column in enumerate(self.columns):
-            column.extend(_ZERO for _ in bound_rows)
-        for k, (col, _) in enumerate(bound_rows):
-            self.columns[col][n_orig_rows + k] = _ONE
+        self.n_struct = len(self.cost)
+        for col, width in box_rows:
+            rows.append([_ONE if k == col else _ZERO for k in range(self.n_struct)])
+            rhs.append(width)
+        self.rows = rows
+        self.rhs0 = rhs
+        self.n_rows = len(rows)
+        self.rel = [c.rel for c in cons] + [LE] * len(box_rows)
 
     def build_kernel(self):
         """Assemble the phase-1 tableau: (kernel, row signs, slack/art columns)."""
         n_rows = self.n_rows
         sign = [_ONE] * n_rows
-        rows = [[self.columns[j][i] for j in range(self.n_struct)] for i in range(n_rows)]
+        rows = self.rows
         rhs = list(self.rhs0)
         slack_col = [-1] * n_rows
         for i in range(n_rows):
@@ -346,9 +323,7 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
         _drive_out_artificials(kern, art_set)
         kern.banned |= art_set
 
-    phase2_cost = [_ZERO] * n_total
-    for j in range(low.n_struct):
-        phase2_cost[j] = low.cost[j]
+    phase2_cost = low.cost + [_ZERO] * (n_total - low.n_struct)
     result = kern.optimize(phase2_cost)
 
     if result[0] == "unbounded":
@@ -368,25 +343,8 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
     if flip:
         dual = [-v for v in dual]
     value = sum(c * x for c, x in zip(lp.objective, primal))
-    reduced = [
-        cj - sum(dual[i] * lp.constraints[i].coeffs[j] for i in range(len(lp.constraints)))
-        for j, cj in enumerate(lp.objective)
-    ]
-    out = LpOutcome(
-        status="optimal",
-        value=value,
-        primal=primal,
-        dual=dual,
-        reduced_costs=reduced,
-        pivots=kern.pivots,
-    )
+    out = LpOutcome(status="optimal", value=value, primal=primal, dual=dual, pivots=kern.pivots)
     _assert_certificate(lp, sense, out)
-    if DEBUG_DUMP:
-        print(
-            f"[lp] optimal {value} after {kern.pivots} pivots "
-            f"({n_rows} rows x {n_total} cols)",
-            file=sys.stderr,
-        )
     return out
 
 
@@ -433,19 +391,25 @@ def _recover_duals(kern, reduced, cost, sign, slack_col, art_col, n_rows):
     return y
 
 
+def _pull_back(low, v_std, offsets):
+    """Original-variable vector of a standard-form vector: a point when
+    ``offsets`` adds each variable's bound shift, a direction when not."""
+    out = []
+    for plus, minus, offset in low.var_map:
+        v = offset if offsets else _ZERO
+        if plus >= 0:
+            v += v_std[plus]
+        if minus >= 0:
+            v -= v_std[minus]
+        out.append(v)
+    return out
+
+
 def _extract_primal(low, kern):
     x_std = [_ZERO] * kern.n_cols
     for i, b in enumerate(kern.basis):
         x_std[b] = kern.rhs[i]
-    out = []
-    for tag in low.var_map:
-        if tag[0] == "split":
-            out.append(x_std[tag[1]] - x_std[tag[2]])
-        elif tag[0] == "shift":
-            out.append(x_std[tag[1]] + (tag[2] or _ZERO))
-        else:  # negshift
-            out.append(tag[2] - x_std[tag[1]])
-    return out
+    return _pull_back(low, x_std, offsets=True)
 
 
 def _extract_ray(low, kern, t):
@@ -455,14 +419,23 @@ def _extract_ray(low, kern, t):
         a = kern.rows[i][t]
         if a:
             d_std[b] = -a
-    out = []
-    for tag in low.var_map:
-        if tag[0] == "split":
-            out.append(d_std[tag[1]] - d_std[tag[2]])
-        elif tag[0] == "shift":
-            out.append(d_std[tag[1]])
-        else:
-            out.append(-d_std[tag[1]])
+    return _pull_back(low, d_std, offsets=False)
+
+
+def _dot(coeffs, x):
+    """Exact dot product, skipping zero terms."""
+    return sum(a * b for a, b in zip(coeffs, x) if a and b)
+
+
+def _transpose_times(rows, y, n_vars):
+    """``A^T y`` over the constraint rows, skipping zero multipliers and
+    zero coefficients."""
+    out = [_ZERO] * n_vars
+    for con, yi in zip(rows, y):
+        if yi:
+            for j, a in enumerate(con.coeffs):
+                if a:
+                    out[j] += yi * a
     return out
 
 
@@ -471,20 +444,20 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
 
     Empty list iff the outcome's certificates all hold.  For 'optimal' this
     verifies primal feasibility, dual sign feasibility, complementary
-    slackness, and the zero duality gap, all as rational equalities.
+    slackness on rows and on bounds (through the reduced costs ``c - A^T y``
+    derived here), the stored value and the zero duality gap, all as
+    rational equalities.
     """
     bad: list[str] = []
     rows = lp.constraints
     if out.status == "optimal":
         x = out.primal
         y = out.dual
-        r = out.reduced_costs
-        if x is None or y is None or r is None:
-            return ["optimal outcome missing primal/dual/reduced data"]
+        if x is None or y is None or out.value is None:
+            return ["optimal outcome missing primal/dual/value"]
         # orient everything as a minimization
         c = list(lp.objective) if sense == "min" else [-v for v in lp.objective]
         yy = list(y) if sense == "min" else [-v for v in y]
-        rr = list(r) if sense == "min" else [-v for v in r]
         value = out.value if sense == "min" else -out.value
         for j, (lo, hi) in enumerate(lp.bounds):
             if lo is not None and x[j] < lo:
@@ -492,7 +465,7 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
             if hi is not None and x[j] > hi:
                 bad.append(f"x[{j}] = {x[j]} above upper bound {hi}")
         for i, con in enumerate(rows):
-            lhs = sum(a * b for a, b in zip(con.coeffs, x))
+            lhs = _dot(con.coeffs, x)
             if con.rel == LE and lhs > con.rhs:
                 bad.append(f"row {i}: {lhs} > {con.rhs}")
             if con.rel == GE and lhs < con.rhs:
@@ -505,27 +478,25 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
                 bad.append(f"dual[{i}] = {yy[i]} < 0 on a >= row")
             if yy[i] * (lhs - con.rhs) != 0:
                 bad.append(f"complementary slackness fails on row {i}")
-        dual_obj = sum(yy[i] * rows[i].rhs for i in range(len(rows)))
-        for j in range(lp.n_vars):
-            expect = c[j] - sum(yy[i] * rows[i].coeffs[j] for i in range(len(rows)))
-            if rr[j] != expect:
-                bad.append(f"reduced cost {j}: stored {rr[j]} != {expect}")
-            lo, hi = lp.bounds[j]
-            if rr[j] > 0:
+        dual_obj = _dot(yy, [con.rhs for con in rows])
+        aty = _transpose_times(rows, yy, lp.n_vars)
+        for j, (lo, hi) in enumerate(lp.bounds):
+            r = c[j] - aty[j]
+            if r > 0:
                 if lo is None:
                     bad.append(f"reduced cost {j} > 0 with no lower bound")
                 elif x[j] != lo:
                     bad.append(f"reduced cost {j} > 0 but x[{j}] not at lower bound")
                 else:
-                    dual_obj += rr[j] * lo
-            elif rr[j] < 0:
+                    dual_obj += r * lo
+            elif r < 0:
                 if hi is None:
                     bad.append(f"reduced cost {j} < 0 with no upper bound")
                 elif x[j] != hi:
                     bad.append(f"reduced cost {j} < 0 but x[{j}] not at upper bound")
                 else:
-                    dual_obj += rr[j] * hi
-        obj = sum(a * b for a, b in zip(c, x))
+                    dual_obj += r * hi
+        obj = _dot(c, x)
         if value != obj:
             bad.append(f"stored value {value} != objective {obj}")
         if not bad and obj != dual_obj:
@@ -534,19 +505,15 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
         if out.farkas is None:
             return []  # bound-conflict infeasibility carries no row certificate
         lam = out.farkas
-        q = [
-            sum(lam[i] * rows[i].coeffs[j] for i in range(len(rows)))
-            for j in range(lp.n_vars)
-        ]
-        beta = sum(lam[i] * rows[i].rhs for i in range(len(rows)))
+        q = _transpose_times(rows, lam, lp.n_vars)
+        beta = _dot(lam, [con.rhs for con in rows])
         for i, con in enumerate(rows):
             if con.rel == LE and lam[i] > 0:
                 bad.append(f"farkas[{i}] > 0 on a <= row")
             if con.rel == GE and lam[i] < 0:
                 bad.append(f"farkas[{i}] < 0 on a >= row")
         best = _ZERO
-        for j in range(lp.n_vars):
-            lo, hi = lp.bounds[j]
+        for j, (lo, hi) in enumerate(lp.bounds):
             if q[j] > 0:
                 if hi is None:
                     bad.append(f"farkas combination needs upper bound on x[{j}]")
@@ -565,8 +532,8 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
         if x is None or d is None:
             return ["unbounded outcome missing feasible point or ray"]
         for i, con in enumerate(rows):
-            lhs = sum(a * b for a, b in zip(con.coeffs, x))
-            step = sum(a * b for a, b in zip(con.coeffs, d))
+            lhs = _dot(con.coeffs, x)
+            step = _dot(con.coeffs, d)
             if con.rel == LE and (lhs > con.rhs or step > 0):
                 bad.append(f"row {i} not maintained along ray")
             if con.rel == GE and (lhs < con.rhs or step < 0):
@@ -578,7 +545,7 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
                 bad.append(f"lower bound on x[{j}] not maintained along ray")
             if hi is not None and (x[j] > hi or d[j] > 0):
                 bad.append(f"upper bound on x[{j}] not maintained along ray")
-        drift = sum(a * b for a, b in zip(lp.objective, d))
+        drift = _dot(lp.objective, d)
         if sense == "min" and drift >= 0:
             bad.append(f"ray is not improving: c.d = {drift} >= 0 for min")
         if sense == "max" and drift <= 0:

@@ -114,12 +114,6 @@ class PointedMetricSpace:
     def rho(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
 
-    def points(self):
-        return range(len(self.dist))
-
-    def nonbase_points(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self.dist)) if i != self.base)
-
     def pairs(self):
         """Unordered pairs (i, j), i < j."""
         n = len(self.dist)
@@ -177,7 +171,7 @@ def load_space_document(text: str):
         raise SpaceFormatError(str(exc)) from exc
     labels = doc.get("points")
     base = doc.get("base", 0)
-    if not isinstance(base, int):
+    if type(base) is not int:
         raise SpaceFormatError('"base" must be an integer index')
     return rows, labels, base
 

@@ -5,6 +5,7 @@ live).  Certificates produced along the way are collected and re-verified in
 criterion 13.  Budgets are the stated wall-clock targets.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -145,6 +146,23 @@ def test_criterion_03_k3_direct_search_and_pipeline(pipeline_k3_equilateral):
     assert k3.certificate.valid
     assert (search.tuples_tried, search.tuples_l1_valid) == (2551, 1)
     assert k3_elapsed < 600, f"pipeline budget exceeded: {k3_elapsed:.1f}s"
+
+
+# SHA-256 over the criterion 02 pipeline documents, then the criterion 03
+# direct-search documents, each rendered by certdoc.dumps plus a newline.
+# Certificates are the product, so their bytes must not move between commits.
+PINNED_DOCUMENT_DIGEST = "42038b0d2c765289cd87cd78a9c1d06833ba5c5c5c8e0464bf7182f7b2deb411"
+
+
+def test_documents_byte_identical_to_pinned_digest():
+    pipelines = [doc for tag, doc in DOCUMENTS if tag == "pipeline" and doc["k"] == 2]
+    direct = [doc for tag, doc in DOCUMENTS if tag == "direct-search"]
+    if (len(pipelines), len(direct)) != (100, 20):
+        pytest.skip("criteria 02 and 03 did not run; run the full acceptance module")
+    digest = hashlib.sha256()
+    for doc in pipelines + direct:
+        digest.update(certdoc.dumps(doc).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_DOCUMENT_DIGEST
 
 
 def test_criterion_04_dimension_boundary():

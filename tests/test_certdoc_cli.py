@@ -208,6 +208,11 @@ def test_cli_validate_exit_codes(tmp_path, eq4_file):
     code, _, err = run_cli("validate", str(garbled))
     assert code == 2
     assert "error" in err
+    boolean_base = tmp_path / "boolean_base.json"
+    boolean_base.write_text('{"dist": [["0","1"],["1","0"]], "base": true}')
+    code, out, err = run_cli("validate", str(boolean_base))
+    assert code == 2 and out == ""
+    assert '"base" must be an integer index' in err
 
 
 def test_cli_norm_and_free_norm(tmp_path, eq4_file):

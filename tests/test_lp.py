@@ -1,5 +1,6 @@
 """Exact LP solver: examples, certificates, termination."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,39 @@ def test_infeasible_certificate():
     assert out.farkas is not None
     program = lp.make_program([0], [([1], lp.GE, 2), ([1], lp.LE, 1)])
     check(program, "min", out)
+
+
+def _tamperings(out, fields):
+    """Copies of ``out`` with one entry of one field moved by +-1."""
+    for field in fields:
+        stored = getattr(out, field)
+        for delta in (1, -1):
+            if isinstance(stored, list):
+                for i in range(len(stored)):
+                    vec = list(stored)
+                    vec[i] += delta
+                    yield field, i, replace(out, **{field: vec})
+            else:
+                yield field, None, replace(out, **{field: stored + delta})
+
+
+def test_recheck_rejects_tampered_certificates():
+    # x0 ends at its upper bound, so the bound side of the re-check is live too
+    program = lp.make_program(
+        [1, 1], [([1, 2], lp.LE, 4), ([3, 1], lp.LE, 6)], bounds=[(0, 1), (0, None)]
+    )
+    out = lp.solve(program, "max")
+    assert (out.value, out.primal, out.dual) == (F(5, 2), [F(1), F(3, 2)], [F(1, 2), F(0)])
+    check(program, "max", out)
+    for field, i, bad in _tamperings(out, ("value", "primal", "dual")):
+        assert lp.certificate_violations(program, "max", bad), (field, i)
+
+    program = lp.make_program([0, 0], [([1, 1], lp.LE, 1), ([1, -1], lp.EQ, 0), ([1, 1], lp.GE, 3)])
+    out = lp.solve(program, "min")
+    assert out.status == "infeasible"
+    check(program, "min", out)
+    for field, i, bad in _tamperings(out, ("farkas",)):
+        assert lp.certificate_violations(program, "min", bad), (field, i)
 
 
 def test_unbounded_with_ray():

@@ -57,6 +57,12 @@ def test_parse_rejects_malformed_rational():
         parse_space('{"dist": [["0", "1.5"], ["1.5", "0"]]}')
 
 
+@pytest.mark.parametrize("base", ["true", "false"])
+def test_parse_rejects_non_integer_base(base):
+    with pytest.raises(SpaceFormatError):
+        parse_space('{"dist": [["0", "1"], ["1", "0"]], "base": %s}' % base)
+
+
 def test_parse_rejects_ragged_matrix():
     with pytest.raises(MetricViolationError):
         parse_space('{"dist": [["0", "1"], ["1", "0", "2"]]}')
