@@ -141,10 +141,7 @@ def complementation_document(cert: freespace.ComplementationCertificate, config=
             "l1_isometry": {
                 "ok": cert.l1_report.valid,
                 "unit_norms": _values(cert.l1_report.unit_norms),
-                "combo_norms": [
-                    {"epsilon": list(eps), "value": format_rational(v)}
-                    for eps, v in cert.l1_report.combo_norms
-                ],
+                "combo_norms": _combo_norms(cert.l1_report),
             },
         },
         "verdict": cert.status,
@@ -152,6 +149,10 @@ def complementation_document(cert: freespace.ComplementationCertificate, config=
     if config:
         doc["config"] = config
     return doc
+
+
+def _combo_norms(report: certify.FreeL1Report) -> list[dict]:
+    return [{"epsilon": list(eps), "value": format_rational(v)} for eps, v in report.combo_norms]
 
 
 def pipeline_document(result, config=None) -> dict:
@@ -343,6 +344,8 @@ def _verify_l1(doc, failures):
     for eps in certify.sign_class_representatives(n):
         if eps not in seen:
             signs_ok = False
+    if not _same_json(doc["checks"]["signs"]["ok"], signs_ok):
+        failures.append("sign check does not reproduce")
     pipeline = doc["kind"] == "pipeline"
     subset = _check_pipeline_fields(doc, space, n, failures) if pipeline else doc.get("subset")
     if subset:
@@ -422,9 +425,26 @@ def _verify_complementation(doc, failures):
         failures.append("operator norm check does not reproduce")
     elif format_rational(cert.operator_norm_value) != checks["operator_norm"]["value"]:
         failures.append("operator norm value does not reproduce")
+    if not _same_json(checks["range"]["rank"], cert.rank):
+        failures.append("projection rank does not reproduce")
+    witness = cert.norm_witness
+    if not _same_json(
+        checks["operator_norm"]["witness_molecule"],
+        None if witness is None else [witness.x, witness.y],
+    ):
+        failures.append("operator norm witness molecule does not reproduce")
     if cert.l1_report.valid != checks["l1_isometry"]["ok"]:
         failures.append("l1 isometry check does not reproduce")
+    if not _same_json(checks["l1_isometry"]["unit_norms"], _values(cert.l1_report.unit_norms)):
+        failures.append("l1 unit norms do not reproduce")
+    if not _same_json(checks["l1_isometry"]["combo_norms"], _combo_norms(cert.l1_report)):
+        failures.append("l1 combination norms do not reproduce")
     return cert.status
+
+
+def _same_json(recorded, expected) -> bool:
+    """Equal as JSON values: unlike ==, true is not 1 and 1.0 is not 1."""
+    return json.dumps(recorded, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def _verify_hybrid(doc, failures):

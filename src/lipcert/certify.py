@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .lipschitz import LipFunctional
+from .lipschitz import LipFunctional, integer_distances
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -216,7 +216,7 @@ def l1_isometry_free(vectors) -> FreeL1Report:
     the triangle inequality gives domination by the l1 norm for free.
     Stops at the first failing combination.
     """
-    from .freespace import free_norm_primal
+    from .freespace import free_norm
 
     vectors = tuple(vectors)
     if not vectors:
@@ -225,10 +225,11 @@ def l1_isometry_free(vectors) -> FreeL1Report:
     for u in vectors[1:]:
         if u.space != space:
             raise ValueError("vectors live on different spaces")
+    dist_int = integer_distances(space)
     m = len(vectors)
     unit_norms = []
     for u in vectors:
-        value, _ = free_norm_primal(u)
+        value = free_norm(u, dist_int)
         unit_norms.append(value)
         if value != 1:
             return FreeL1Report(
@@ -242,7 +243,7 @@ def l1_isometry_free(vectors) -> FreeL1Report:
         w = vectors[0].scale(eps[0])
         for e, u in zip(eps[1:], vectors[1:]):
             w = w + u.scale(e)
-        value, _ = free_norm_primal(w)
+        value = free_norm(w, dist_int)
         combos.append((eps, value))
         if value != m:
             return FreeL1Report(

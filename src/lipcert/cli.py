@@ -333,7 +333,7 @@ def run_trial(op: str, seed: int, index: int, params: dict) -> dict:
             rng = random.Random(f"vector:{trial_seed}")
             coeffs = [Fraction(rng.randint(-32, 32), rng.randint(1, 8)) for _ in range(n - 1)]
             v = freespace.FreeVector(space, tuple(coeffs))
-            primal, _ = freespace.free_norm_primal(v)
+            primal = freespace.free_norm(v, lipschitz.integer_distances(space))
             dual, _ = freespace.free_norm_dual(v)
             record["ok"] = primal == dual
         else:

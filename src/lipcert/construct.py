@@ -286,10 +286,11 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
         return False
 
     def feasible_coordinate(kappa):
-        return lipschitz.differences_feasible(
+        feasible, _ = lipschitz.differences_feasible(
             dist_int,
             [(x, y, eps[kappa] * dist_int[x][y]) for eps, (x, y) in zip(reps, assignment)],
         )
+        return feasible
 
     def dfs():
         nonlocal tried

@@ -1,12 +1,17 @@
 """Lipschitz-free space over a finite pointed metric space.
 
 The free norm is the transportation cost: the minimum of
-sum |a_xy| rho(x,y) over representations v = sum a_xy (delta_x - delta_y),
-computed by an exact flow LP; the dual route maximizes <v, f> over the
-1-Lipschitz ball and must agree exactly.  Operator norms reduce to molecule
-enumeration because the unit ball is the absolutely convex hull of the
-molecules.  ``search_one_complemented`` looks for 1-complemented isometric
-l1^m subspaces with molecule bases.
+sum |a_xy| rho(x,y) over representations v = sum a_xy (delta_x - delta_y).
+``free_norm`` computes it as an exact integer transport, by cycle canceling
+until a 1-Lipschitz potential is tight on every arc that carries flow; the
+flow and the potential are re-checked as a full optimality certificate.
+The flow LP ``free_norm_primal`` serves ``lipcert free-norm``, which prints
+its decomposition, and the tests as a cross-oracle; the dual route
+``free_norm_dual`` maximizes <v, f> over the 1-Lipschitz ball and must
+agree exactly.  Operator norms reduce to molecule enumeration because the
+unit ball is the absolutely convex hull of the molecules.
+``search_one_complemented`` looks for 1-complemented isometric l1^m
+subspaces with molecule bases.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from itertools import combinations
 
 from . import linalg, lp
 from .certify import sign_class_representatives
-from .lipschitz import LipFunctional, differences_feasible, integer_distances
+from .lipschitz import LipFunctional, differences_feasible, integer_distances, lcm_scale
 from .metric import PointedMetricSpace
 
 _ZERO = Fraction(0)
@@ -108,12 +113,121 @@ class TransportArc:
     weight: Fraction
 
 
+def free_norm(v: FreeVector, dist_int) -> Fraction:
+    """Transportation-cost norm by exact integer transport.
+
+    ``dist_int`` is ``integer_distances(v.space)``.  The coefficients are
+    scaled to integer masses by the lcm of their denominators, the base
+    takes the balance -sum v, and ``integer_transport`` finds an optimal
+    flow with its potential; ``check_transport`` re-checks both before the
+    cost is returned in the space's own units.
+    """
+    scale, coeffs = lcm_scale(v.coeffs)
+    mass = [-sum(coeffs)] + coeffs
+    flow, potential = integer_transport(mass, dist_int)
+    check_transport(mass, dist_int, flow, potential)
+    return sum((a * v.space.rho(x, y) for (x, y), a in flow.items()), _ZERO) / scale
+
+
+def integer_transport(mass, dist_int):
+    """Min-cost flow that moves the integer point masses ``mass`` (summing to
+    0) from positive to negative points, at arc costs ``dist_int``.
+
+    Starts from the greedy flow that serves the cheapest positive-negative
+    pairs first.  Then asks ``differences_feasible`` for a 1-Lipschitz f with
+    f(x) - f(y) = rho(x, y) on every arc (x, y) that carries flow: such an f
+    is an optimal dual (Kantorovich-Rubinstein), and a negative cycle of the
+    constraint graph is a cost-lowering cycle of the residual flow.  Each
+    push lowers the integer cost by at least 1, so the loop ends.  Returns
+    ``(flow, f)``: a dict of positive arc flows and the point-indexed
+    potential.
+    """
+    left = list(mass)
+    flow = {}
+    pairs = sorted(
+        (dist_int[p][q], p, q)
+        for p in range(len(mass))
+        if mass[p] > 0
+        for q in range(len(mass))
+        if mass[q] < 0
+    )
+    for _, p, q in pairs:
+        a = min(left[p], -left[q])
+        if a > 0:
+            flow[p, q] = a
+            left[p] -= a
+            left[q] += a
+    while True:
+        feasible, witness = differences_feasible(
+            dist_int, [(x, y, dist_int[x][y]) for x, y in flow]
+        )
+        if feasible:
+            return flow, witness
+        _push_around(flow, witness)
+
+
+def _push_around(flow, cycle):
+    """Push flow around the residual cycle of a negative constraint cycle.
+
+    An edge (b, a, w) with w < 0 is the tightness constraint of the flow arc
+    (b, a): that arc loses flow.  An edge with w > 0 is the Lipschitz
+    constraint f(a) - f(b) <= rho(a, b): the arc (a, b) gains flow.  The
+    amount is the least flow on a losing arc, so the cost falls by that
+    amount times -sum(w).
+    """
+    if sum(w for _, _, w in cycle) >= 0:
+        raise AssertionError(f"constraint cycle {cycle} is not negative")
+    delta = min(flow[b, a] for b, a, w in cycle if w < 0)
+    for b, a, w in cycle:
+        if w < 0:
+            flow[b, a] -= delta
+            if not flow[b, a]:
+                del flow[b, a]
+        else:
+            flow[a, b] = flow.get((a, b), 0) + delta
+
+
+def check_transport(mass, dist_int, flow, potential):
+    """Exact optimality certificate of a transport flow; raises on any fault.
+
+    The flow is nonnegative on every arc and balances ``mass`` at every
+    point; the potential is 1-Lipschitz on every pair of points that an arc
+    with flow touches and tight on every such arc; and there is no gap:
+    sum_p mass_p f(p) equals the flow's cost.  These are primal and dual
+    feasibility plus complementary slackness of the flow LP.
+    """
+    balance = [0] * len(mass)
+    cost = 0
+    for (x, y), a in flow.items():
+        if a < 0:
+            raise AssertionError(f"transport arc ({x},{y}) carries negative flow {a}")
+        balance[x] += a
+        balance[y] -= a
+        cost += a * dist_int[x][y]
+    if balance != list(mass):
+        raise AssertionError(f"transport flow moves {balance}, not the masses {list(mass)}")
+    nodes = {p for (x, y), a in flow.items() if a for p in (x, y)}
+    for x in nodes:
+        for y in nodes:
+            if x != y and potential[x] - potential[y] > dist_int[x][y]:
+                raise AssertionError(f"transport potential is not 1-Lipschitz on ({x},{y})")
+    for (x, y), a in flow.items():
+        if a and potential[x] - potential[y] != dist_int[x][y]:
+            raise AssertionError(f"transport potential is not tight on arc ({x},{y})")
+    if sum(m * potential[p] for p, m in enumerate(mass) if m) != cost:
+        raise AssertionError("transport potential leaves a duality gap")
+
+
 def free_norm_primal(v: FreeVector) -> tuple[Fraction, tuple[TransportArc, ...]]:
     """Transportation-cost norm with an optimal decomposition.
 
     Flow-balance LP over all ordered pairs (the base included): minimize
     sum a_xy rho(x,y) subject to, at every non-base point p,
-    sum_y (a_py - a_yp) = v_p, a >= 0.
+    sum_y (a_py - a_yp) = v_p, a >= 0.  ``free_norm`` computes the same
+    value faster; this LP stays because ``lipcert free-norm`` prints its
+    decomposition, which must not change (an optimal transport need not be
+    unique, and the two routes can pick different ones), and because the
+    tests use it as an independent cross-oracle.
     """
     space = v.space
     if v.is_zero():
@@ -217,10 +331,11 @@ def operator_norm(op: FreeOperator) -> tuple[Fraction, Molecule | None]:
     The free-space unit ball is the absolutely convex hull of the molecules,
     so the max over one sign representative per pair is the operator norm.
     """
+    dist_int = integer_distances(op.space)
     best = None
     witness = None
     for mol in canonical_molecules(op.space):
-        value, _ = free_norm_primal(op.apply(mol.as_free_vector()))
+        value = free_norm(op.apply(mol.as_free_vector()), dist_int)
         if best is None or value > best:
             best = value
             witness = mol
@@ -312,7 +427,7 @@ def molecules_span_l1(dist_int, molecules) -> bool:
         differences_feasible(
             dist_int,
             [(mol.x, mol.y, e * dist_int[mol.x][mol.y]) for e, mol in zip(eps, molecules)],
-        )
+        )[0]
         for eps in sign_class_representatives(len(molecules))
     )
 
@@ -386,7 +501,7 @@ def _biorthogonal_functionals(space, basis):
     a molecule with sum_j |g_j(mol)| > 1 adds the facet s_j = sign(g_j(mol))
     as a cut.  Each cut removes the current candidate and the facet family is
     finite, so the loop terminates.  Separation uses this l1 identity; the
-    final projection is still checked by transport LPs in
+    final projection is still checked by exact transport norms in
     ``verify_one_complemented``.
     """
     n = space.n

@@ -181,15 +181,23 @@ def extend_basis(basis, certificate, parent: PointedMetricSpace):
     return extended, parent_cert
 
 
+def lcm_scale(values) -> tuple[int, list[int]]:
+    """The lcm of the denominators of rational ``values`` and the values
+    times it, as ints."""
+    denom = 1
+    for v in values:
+        denom = lcm(denom, v.denominator)
+    return denom, [v.numerator * (denom // v.denominator) for v in values]
+
+
 def integer_distances(space: PointedMetricSpace) -> list[list[int]]:
     """The distance matrix scaled by the lcm of its denominators, as ints."""
-    denom = 1
-    for i, j in space.pairs():
-        denom = lcm(denom, space.rho(i, j).denominator)
-    return [[int(space.rho(i, j) * denom) for j in range(space.n)] for i in range(space.n)]
+    n = space.n
+    _, flat = lcm_scale([space.rho(i, j) for i in range(n) for j in range(n)])
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
-def differences_feasible(dist_int, equalities) -> bool:
+def differences_feasible(dist_int, equalities):
     """Is there a 1-Lipschitz f with f(x) - f(y) = c for every (x, y, c)?
 
     ``dist_int`` comes from ``integer_distances`` and every c is an integer
@@ -199,26 +207,53 @@ def differences_feasible(dist_int, equalities) -> bool:
     cycle, decided by integer Bellman-Ford.  Only the endpoints need nodes:
     McShane extends a 1-Lipschitz f from them, and the metric arcs between
     them are already shortest paths.
+
+    Returns ``(True, f)`` with f a point-indexed list of integers that
+    solves the system on the endpoints (other entries are 0 and mean
+    nothing), or ``(False, cycle)`` with a negative cycle of the constraint
+    graph as a list of its edges ``(b, a, w)``, each the constraint
+    f(a) <= f(b) + w, in walking order.
     """
     nodes = sorted({p for x, y, _ in equalities for p in (x, y)})
-    index = {p: i for i, p in enumerate(nodes)}
-    edges = [
-        (i, j, dist_int[nodes[j]][nodes[i]])
-        for i in range(len(nodes))
-        for j in range(len(nodes))
-        if i != j
-    ]
+    edges = [(p, q, dist_int[q][p]) for p in nodes for q in nodes if p != q]
     for x, y, c in equalities:
-        edges.append((index[y], index[x], c))
-        edges.append((index[x], index[y], -c))
-    dist = [0] * len(nodes)
-    for _ in range(len(nodes)):
-        changed = False
-        for b, a, w in edges:
+        edges.append((y, x, c))
+        edges.append((x, y, -c))
+    rounds = len(nodes)
+    dist = [0] * len(dist_int)
+    if _relax(edges, dist, rounds, None) is None:
+        return True, dist
+    # The same relaxations again, now keeping predecessor links: the last
+    # point relaxed in the final round has a predecessor chain that runs
+    # into a cycle within ``rounds`` steps, and that cycle is negative.
+    dist = [0] * len(dist_int)
+    pred = [None] * len(dist_int)
+    point = _relax(edges, dist, rounds, pred)
+    for _ in range(rounds):
+        point = pred[point][0]
+    cycle = [pred[point]]
+    while cycle[-1][0] != point:
+        cycle.append(pred[cycle[-1][0]])
+    cycle.reverse()
+    return False, cycle
+
+
+def _relax(edges, dist, rounds, pred):
+    """Bellman-Ford rounds over ``edges`` from ``dist`` (every point at
+    distance 0 from a virtual source).  Returns None once a round changes
+    nothing, else the last point relaxed in the final round; records each
+    relaxing edge in ``pred`` unless it is None."""
+    last = None
+    for _ in range(rounds):
+        last = None
+        for edge in edges:
+            b, a, w = edge
             alt = dist[b] + w
             if alt < dist[a]:
                 dist[a] = alt
-                changed = True
-        if not changed:
-            return True
-    return not any(dist[b] + w < dist[a] for b, a, w in edges)
+                last = a
+                if pred is not None:
+                    pred[a] = edge
+        if last is None:
+            return None
+    return last

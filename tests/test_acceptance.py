@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from lipcert import certdoc, certify, construct, freespace, interval, linalg, metric
-from lipcert.lipschitz import lip_norm
+from lipcert.lipschitz import integer_distances, lip_norm
 from lipcert.metric import random_space
 
 from helpers import (
@@ -201,6 +201,8 @@ def test_criterion_05_free_space_duality_500():
         dual, _ = freespace.free_norm_dual(v)
         if primal != dual:
             failures.append((i, "gap"))
+        if freespace.free_norm(v, integer_distances(space)) != primal:
+            failures.append((i, "transport"))
         key = (n, i % 25)
         if key not in molecule_checked:
             molecule_checked.add(key)
@@ -210,7 +212,7 @@ def test_criterion_05_free_space_duality_500():
                     failures.append((i, "molecule", mol.x, mol.y))
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 60
-    report(5, ok, "primal = dual free norm on 500 instances; molecules norm 1", elapsed)
+    report(5, ok, "primal = dual = transport free norm on 500 instances; molecules norm 1", elapsed)
     assert not failures, failures[:5]
     assert elapsed < 60, f"budget exceeded: {elapsed:.1f}s"
 

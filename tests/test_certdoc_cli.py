@@ -131,6 +131,52 @@ def test_verify_names_pipeline_field_faults(pipeline_k2_doc, field, value):
     assert any(msg.startswith(f"pipeline {field} ") for msg in report.failures), report.failures
 
 
+@pytest.mark.parametrize("value", [False, 1, _DELETED], ids=["false", "one", "deleted"])
+def test_verify_names_sign_check_fault(value):
+    _, _, cert = construct.four_point_basis(equilateral(4))
+    doc = json.loads(certdoc.dumps(certdoc.l1_document(cert)))
+    assert certdoc.verify_document(doc).ok
+    if value is _DELETED:
+        del doc["checks"]["signs"]["ok"]
+    else:
+        doc["checks"]["signs"]["ok"] = value
+    report = certdoc.verify_document(doc)
+    assert not report.ok
+    if value is _DELETED:
+        assert report.recomputed == "malformed"
+        assert any(msg.startswith("malformed document") for msg in report.failures)
+    else:
+        assert "sign check does not reproduce" in report.failures
+
+
+@pytest.fixture(scope="module")
+def complementation_doc():
+    result = construct.theorem_pipeline(metric.random_space(6, 1, "range"), 2)
+    return certdoc.complementation_document(result.complementation.certificate)
+
+
+@pytest.mark.parametrize(
+    "section, field, value, name",
+    [
+        ("range", "rank", 7, "projection rank does not reproduce"),
+        ("range", "rank", True, "projection rank does not reproduce"),
+        ("operator_norm", "witness_molecule", [2, 1], "operator norm witness molecule does not reproduce"),
+        ("operator_norm", "witness_molecule", None, "operator norm witness molecule does not reproduce"),
+        ("operator_norm", "value", "2", "operator norm value does not reproduce"),
+        ("l1_isometry", "unit_norms", ["5", "5"], "l1 unit norms do not reproduce"),
+        ("l1_isometry", "combo_norms", [], "l1 combination norms do not reproduce"),
+    ],
+    ids=["rank", "rank-bool", "witness", "witness-null", "norm-value", "unit-norms", "combo-norms"],
+)
+def test_verify_names_complementation_figure_faults(complementation_doc, section, field, value, name):
+    doc = json.loads(certdoc.dumps(complementation_doc))
+    assert certdoc.verify_document(doc).ok
+    doc["checks"][section][field] = value
+    report = certdoc.verify_document(doc)
+    assert not report.ok
+    assert name in report.failures, report.failures
+
+
 def test_verify_rejects_boolean_basis_entry(tmp_path):
     _, _, cert = construct.four_point_basis(equilateral(4))
     doc = certdoc.l1_document(cert)

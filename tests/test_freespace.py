@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from lipcert import certify, freespace
-from lipcert.lipschitz import integer_distances, lip_norm
+from lipcert.lipschitz import differences_feasible, integer_distances, lcm_scale, lip_norm
 from lipcert.metric import random_space
 
 from helpers import equilateral, free_norm_vertex_oracle, random_coeffs, random_functional
@@ -224,23 +224,125 @@ def test_search_m4_eight_points_budget_or_exhaustion():
         assert search.budget_exhausted
 
 
-def test_molecule_l1_filter_matches_lp_oracle():
-    # difference-constraint filter against the transport-LP isometry check
+def _filter_cases():
+    """Every molecule pair of 40 seeded 4-point spaces, every triple of
+    equilateral(6)."""
     cases = [
         (random_space(4, seed, method), 2)
         for method in ("range", "euclidean")
         for seed in range(20)
     ]
     cases.append((equilateral(6), 3))
+    return cases
+
+
+def _sign_combination(vectors, eps):
+    w = vectors[0].scale(eps[0])
+    for e, u in zip(eps[1:], vectors[1:]):
+        w = w + u.scale(e)
+    return w
+
+
+def test_molecule_l1_filter_matches_lp_oracle():
+    # difference-constraint filter against the corner criterion by transport
+    # LP: molecules have norm 1, so the span is l1^m iff every sign
+    # combination has norm m
     verdicts = set()
-    for space, m in cases:
+    for space, m in _filter_cases():
         dist_int = integer_distances(space)
         for molecules in combinations(freespace.canonical_molecules(space), m):
             fast = freespace.molecules_span_l1(dist_int, molecules)
-            oracle = certify.l1_isometry_free([mol.as_free_vector() for mol in molecules])
-            assert fast == oracle.valid, (space.dist, [(mol.x, mol.y) for mol in molecules])
+            vectors = [mol.as_free_vector() for mol in molecules]
+            oracle = all(
+                freespace.free_norm_primal(_sign_combination(vectors, eps))[0] == m
+                for eps in certify.sign_class_representatives(m)
+            )
+            assert fast == oracle, (space.dist, [(mol.x, mol.y) for mol in molecules])
             verdicts.add(fast)
     assert verdicts == {True, False}
+
+
+def test_differences_feasible_witnesses():
+    # the filter's systems: a feasible answer carries a solution, an
+    # infeasible one a negative cycle of the system's own constraint graph
+    verdicts = set()
+    for space, m in _filter_cases():
+        dist_int = integer_distances(space)
+        for molecules in combinations(freespace.canonical_molecules(space), m):
+            for eps in certify.sign_class_representatives(m):
+                equalities = [
+                    (mol.x, mol.y, e * dist_int[mol.x][mol.y]) for e, mol in zip(eps, molecules)
+                ]
+                nodes = {p for x, y, _ in equalities for p in (x, y)}
+                feasible, witness = differences_feasible(dist_int, equalities)
+                verdicts.add(feasible)
+                if feasible:
+                    assert all(witness[x] - witness[y] == c for x, y, c in equalities)
+                    assert all(
+                        witness[a] - witness[b] <= dist_int[a][b]
+                        for a in nodes
+                        for b in nodes
+                        if a != b
+                    )
+                    continue
+                edges = {(b, a, dist_int[a][b]) for a in nodes for b in nodes if a != b}
+                edges |= {(y, x, c) for x, y, c in equalities}
+                edges |= {(x, y, -c) for x, y, c in equalities}
+                assert witness and all(edge in edges for edge in witness), witness
+                assert all(
+                    witness[i][1] == witness[(i + 1) % len(witness)][0]
+                    for i in range(len(witness))
+                ), witness
+                assert sum(w for _, _, w in witness) < 0, witness
+    assert verdicts == {True, False}
+
+
+def _transport_cases():
+    vectors = []
+    for i in range(60):
+        n = 4 + i % 5
+        space = random_space(n, i, "range" if i % 2 else "euclidean")
+        vectors.append(freespace.FreeVector(space, tuple(random_coeffs(f"transport:{i}", n - 1))))
+        vectors.append(freespace.delta(space, 1 + i % (n - 1)))
+    for n in range(2, 8):
+        space = equilateral(n)
+        vectors.append(freespace.free_vector(space, [0] * (n - 1)))
+        vectors.extend(freespace.delta(space, x) for x in range(1, n))
+        vectors.append(freespace.FreeVector(space, tuple(random_coeffs(f"eq:{n}", n - 1))))
+    return vectors
+
+
+def test_free_norm_matches_both_lp_routes():
+    for v in _transport_cases():
+        value = freespace.free_norm(v, integer_distances(v.space))
+        primal, _ = freespace.free_norm_primal(v)
+        dual, _ = freespace.free_norm_dual(v)
+        assert value == primal == dual, (v.space.dist, v.coeffs)
+
+
+def test_transport_recheck_rejects_tampering():
+    tampered = 0
+    for v in _transport_cases()[:40]:
+        dist_int = integer_distances(v.space)
+        _, coeffs = lcm_scale(v.coeffs)
+        mass = [-sum(coeffs)] + coeffs
+        flow, potential = freespace.integer_transport(mass, dist_int)
+        freespace.check_transport(mass, dist_int, flow, potential)
+        nodes = {p for arc in flow for p in arc}
+        for step in (1, -1):
+            for arc in flow:
+                bad = dict(flow)
+                bad[arc] += step
+                with pytest.raises(AssertionError):
+                    freespace.check_transport(mass, dist_int, bad, potential)
+                tampered += 1
+            for p in nodes:
+                bad = list(potential)
+                bad[p] += step
+                with pytest.raises(AssertionError):
+                    freespace.check_transport(mass, dist_int, flow, bad)
+                tampered += 1
+    assert tampered > 100
 
 
 def test_lipschitz_ball_rows_layout():
@@ -255,14 +357,8 @@ def test_lipschitz_ball_rows_layout():
 
 def test_filtered_molecules_norm_is_l1_of_coefficients():
     # the identity the complementation cuts rely on, against the transport LP
-    cases = [
-        (random_space(4, seed, method), 2)
-        for method in ("range", "euclidean")
-        for seed in range(20)
-    ]
-    cases.append((equilateral(6), 3))
     accepted = 0
-    for space, m in cases:
+    for space, m in _filter_cases():
         dist_int = integer_distances(space)
         for molecules in combinations(freespace.canonical_molecules(space), m):
             if not freespace.molecules_span_l1(dist_int, molecules):

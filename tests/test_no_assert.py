@@ -23,7 +23,7 @@ def test_library_has_no_assert_statements():
 
 
 _OPTIMIZED_RUN = """
-import json, sys
+import copy, json, sys
 from lipcert import certdoc, construct
 from lipcert.metric import random_space
 from lipcert.rationals import format_rational, parse_rational
@@ -35,6 +35,19 @@ doc = json.loads(certdoc.dumps(doc))
 report = certdoc.verify_document(doc)
 if not report.ok or report.recomputed != "valid":
     raise SystemExit(f"valid document rejected: {report.failures}")
+nested = copy.deepcopy(doc["complementation"])
+report = certdoc.verify_document(nested)
+if not report.ok or report.recomputed != "valid":
+    raise SystemExit(f"valid complementation document rejected: {report.failures}")
+for section, field, value, name in [
+    ("operator_norm", "value", "2", "operator norm value does not reproduce"),
+    ("l1_isometry", "unit_norms", ["1", "2"], "l1 unit norms do not reproduce"),
+]:
+    bad = copy.deepcopy(nested)
+    bad["checks"][section][field] = value
+    report = certdoc.verify_document(bad)
+    if report.ok or name not in report.failures:
+        raise SystemExit(f"tampered {field} went unnamed: {report.failures}")
 x, y = doc["checks"]["signs"]["witnesses"][0]["pair"]
 point = x or y
 doc["basis"][0][point] = format_rational(parse_rational(doc["basis"][0][point]) + 1)
