@@ -2,8 +2,11 @@
 
 A document embeds the space, the basis, every witness, and the verdict, so a
 third party can re-verify without the original run.  ``verify_document``
-re-derives every check from the document data alone; it never trusts the
-recorded verdict and never calls the construction code paths.
+reads only a document's inputs, recomputes its certificate with the exact
+checks that produced it (never the searches), renders the expected document
+with the same writer, and diffs the two as JSON values: every field is
+checked, and each difference is named by its path.  ``tool`` and ``config``
+are provenance, copied from the document rather than re-derived.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__, certify, freespace, interval
 from .lipschitz import LipFunctional
-from .metric import PointedMetricSpace, serialize_space, parse_space
+from .metric import PointedMetricSpace, parse_space, restrict, serialize_space
 from .rationals import format_rational, parse_rational
 
 CERTIFICATE_KINDS = ("l1-isometry", "linf-isometry", "complementation", "pipeline", "hybrid-embed")
@@ -223,11 +226,14 @@ class VerifyReport:
 
 
 def verify_document(doc) -> VerifyReport:
-    """Re-derive every check of a certificate document from its own data.
+    """Re-derive a certificate document from its own inputs.
 
-    Returns the recomputed verdict plus a list of discrepancies (tampered
-    witnesses, wrong verdicts, digest mismatches).  ``ok`` means the document
-    is a reproducibly valid certificate.
+    The inputs (space, basis, pinned witness pairs, projection, hybrid space
+    and functional) are parsed, the certificate is recomputed, and the
+    expected document is rendered by the writer of that kind.  Returns the
+    recomputed verdict plus one failure per semantic fault and per JSON path
+    where the document differs from the re-rendering.  ``ok`` means the
+    document is a reproducibly valid certificate.
     """
     if not isinstance(doc, dict):
         failure = f"malformed document: expected an object, got {type(doc).__name__}"
@@ -239,19 +245,87 @@ def verify_document(doc) -> VerifyReport:
         return VerifyReport(str(kind), claimed, "unknown", [f"unknown certificate kind {kind!r}"])
     try:
         if kind in ("l1-isometry", "pipeline"):
-            recomputed = _verify_l1(doc, failures)
+            expected = _expect_l1(doc, failures)
         elif kind == "linf-isometry":
-            recomputed = _verify_linf(doc, failures)
+            space = _parse_space_checked(doc, failures)
+            expected = linf_document(certify.linf_isometry_lip(_parse_basis(space, doc["basis"])))
         elif kind == "complementation":
-            recomputed = _verify_complementation(doc, failures)
+            expected = _expect_complementation(doc, failures)[0]
         else:
-            recomputed = _verify_hybrid(doc, failures)
+            expected = _expect_hybrid(doc, failures)
+        differences = _diff(doc, _with_provenance(expected, doc))
     except (KeyError, ValueError, IndexError, TypeError) as exc:
         failures.append(f"malformed document: {exc}")
         return VerifyReport(kind, claimed, "malformed", failures)
-    if claimed != recomputed:
+    recomputed = expected["verdict"]
+    if claimed == recomputed and any(problem == "is missing" for _, problem in differences):
+        recomputed = "malformed"
+    for path, problem in differences:
+        if problem == "is missing" and recomputed == "malformed":
+            failures.append(f"malformed document: {path} is missing")
+        elif problem == "does not reproduce" and path in _NAMED_PATHS:
+            failures.append(_NAMED_PATHS[path])
+        else:
+            failures.append(f"{path} {problem}")
+    if claimed != recomputed and recomputed != "malformed":
         failures.append(f"verdict mismatch: document says {claimed!r}, recomputed {recomputed!r}")
     return VerifyReport(kind, claimed, recomputed, failures)
+
+
+# Fields whose differing value is named in words instead of by its path.
+_NAMED_PATHS = {
+    "checks.signs.ok": "sign check does not reproduce",
+    "checks.range.rank": "projection rank does not reproduce",
+    "checks.operator_norm.value": "operator norm value does not reproduce",
+    "checks.operator_norm.witness_molecule": "operator norm witness molecule does not reproduce",
+    "checks.l1_isometry.unit_norms": "l1 unit norms do not reproduce",
+    "checks.l1_isometry.combo_norms": "l1 combination norms do not reproduce",
+}
+
+
+def _diff(recorded, expected, path=""):
+    """The places where two JSON values differ, as (path, problem) pairs.
+
+    Leaves compare type-strictly, so ``true`` is not ``1`` and ``"2/4"`` is
+    not ``"1/2"``.  A path of ``_NAMED_PATHS`` is reported whole.
+    """
+    if json.dumps(recorded, sort_keys=True) == json.dumps(expected, sort_keys=True):
+        return []
+    if (
+        path in _NAMED_PATHS
+        or type(recorded) is not type(expected)
+        or not isinstance(recorded, (dict, list))
+    ):
+        return [(path, "does not reproduce")]
+    if isinstance(recorded, dict):
+        where = [
+            (key, f"{path}.{key}" if path else key, key in recorded, key in expected)
+            for key in sorted(recorded.keys() | expected.keys())
+        ]
+    else:
+        where = [
+            (i, f"{path}[{i}]", i < len(recorded), i < len(expected))
+            for i in range(max(len(recorded), len(expected)))
+        ]
+    out = []
+    for key, sub, in_recorded, in_expected in where:
+        if not in_expected:
+            out.append((sub, "is not part of the certificate"))
+        elif not in_recorded:
+            out.append((sub, "is missing"))
+        else:
+            out += _diff(recorded[key], expected[key], sub)
+    return out
+
+
+def _with_provenance(expected, doc):
+    """``tool`` and ``config`` say who wrote a document and how; they are
+    copied from it, not re-derived, so another version's output verifies."""
+    for key in ("tool", "config"):
+        expected.pop(key, None)
+        if key in doc:
+            expected[key] = doc[key]
+    return expected
 
 
 def _parse_space_checked(doc, failures):
@@ -263,9 +337,11 @@ def _parse_space_checked(doc, failures):
 
 
 def _parse_basis(space, rows):
-    return tuple(
-        LipFunctional(space, tuple(parse_rational(v) for v in row)) for row in rows
-    )
+    return tuple(LipFunctional(space, _rationals(row)) for row in rows)
+
+
+def _rationals(row) -> tuple[Fraction, ...]:
+    return tuple(parse_rational(v) for v in row)
 
 
 def _witness_pair(space, w, failures):
@@ -303,169 +379,61 @@ def _check_pipeline_fields(doc, space, n, failures):
     return subset
 
 
-def _verify_l1(doc, failures):
+def _expect_l1(doc, failures):
+    """The cube + sign certificate with the document's own witness pairs
+    pinned, one per sign class; a class with no usable witness is missing."""
     space = _parse_space_checked(doc, failures)
     basis = _parse_basis(space, doc["basis"])
-    n = len(basis)
-    cube_ok = True
-    for x in range(space.n):
-        for y in range(space.n):
-            if x != y and any(abs(q) > 1 for q in certify.quotient_vector(basis, x, y)):
-                cube_ok = False
-                break
-        if not cube_ok:
-            break
-    if cube_ok != doc["checks"]["cube"]["ok"]:
-        failures.append("cube check does not reproduce")
-    witnesses = doc["checks"]["signs"]["witnesses"]
-    seen = set()
-    pairs = []
-    signs_ok = True
-    for w in witnesses:
+    pinned = {}
+    for w in doc["checks"]["signs"]["witnesses"]:
         eps = w["epsilon"]
         if not (isinstance(eps, list) and all(type(e) is int and e in (1, -1) for e in eps)):
             failures.append(f"sign witness epsilon {eps!r} is not a vector of integers +-1")
-            signs_ok = False
             continue
-        eps = tuple(eps)
         pair = _witness_pair(space, w, failures)
-        if pair is None:
-            signs_ok = False
-            continue
-        pairs.append(pair)
-        x, y = pair
-        vec = certify.quotient_vector(basis, x, y)
-        if tuple(vec) != tuple(Fraction(e) for e in eps):
-            failures.append(f"sign witness {eps} at pair ({x},{y}) does not reproduce")
-            signs_ok = False
-        if "quotients" in w and [format_rational(q) for q in vec] != w["quotients"]:
-            failures.append(f"recorded quotients at pair ({x},{y}) do not reproduce")
-        seen.add(eps)
-    for eps in certify.sign_class_representatives(n):
-        if eps not in seen:
-            signs_ok = False
-    if not _same_json(doc["checks"]["signs"]["ok"], signs_ok):
-        failures.append("sign check does not reproduce")
-    pipeline = doc["kind"] == "pipeline"
-    subset = _check_pipeline_fields(doc, space, n, failures) if pipeline else doc.get("subset")
+        if pair is not None:
+            pinned.setdefault(tuple(eps), pair)
+    n = len(basis)
+    reps = certify.sign_class_representatives(n)
+    cert = certify.l1_isometry_lip(basis, pinned_pairs=[pinned.get(eps) for eps in reps])
+    if doc["kind"] != "pipeline":
+        return l1_document(cert)
+    subset = _check_pipeline_fields(doc, space, n, failures)
     if subset:
-        members = set(subset)
-        for x, y in pairs:
-            if x not in members or y not in members:
+        for x, y in pinned.values():
+            if x not in subset or y not in subset:
                 failures.append(f"witness pair ({x},{y}) leaves the recorded subset")
     nested = doc.get("complementation")
-    nested_ok = nested is not None or not pipeline
+    nested_expected = None
     if nested is not None:
-        if subset:
-            from .metric import restrict
-
-            expected = restrict(space, subset)
-            recorded = space_from_doc(nested["space"])
-            if recorded.dist != expected.dist:
-                failures.append("nested complementation space is not the recorded subset")
-        nested_verdict = _verify_complementation(nested, failures)
-        nested_ok = nested_verdict == "valid"
-        if nested_verdict != nested.get("verdict"):
-            failures.append("nested complementation verdict does not reproduce")
-    return "valid" if cube_ok and signs_ok and nested_ok else "invalid"
-
-
-def _verify_linf(doc, failures):
-    space = _parse_space_checked(doc, failures)
-    basis = _parse_basis(space, doc["basis"])
-    m = len(basis)
-    ball_ok = True
-    for x in range(space.n):
-        for y in range(space.n):
-            if x != y and sum(abs(q) for q in certify.quotient_vector(basis, x, y)) > 1:
-                ball_ok = False
-                break
-        if not ball_ok:
-            break
-    if ball_ok != doc["checks"]["ball"]["ok"]:
-        failures.append("ball check does not reproduce")
-    vertices_ok = True
-    seen = set()
-    for w in doc["checks"]["vertices"]["witnesses"]:
-        j = w["coordinate"]
-        pair = _witness_pair(space, w, failures)
-        if pair is None:
-            vertices_ok = False
-            continue
-        x, y = pair
-        vec = certify.quotient_vector(basis, x, y)
-        expected = tuple(Fraction(1) if i == j else Fraction(0) for i in range(m))
-        if tuple(vec) != expected:
-            failures.append(f"vertex witness e_{j} at pair ({x},{y}) does not reproduce")
-            vertices_ok = False
-        if "quotients" in w and [format_rational(q) for q in vec] != w["quotients"]:
-            failures.append(f"recorded quotients at pair ({x},{y}) do not reproduce")
-        seen.add(j)
-    if seen != set(range(m)):
-        vertices_ok = False
-    return "valid" if ball_ok and vertices_ok else "invalid"
-
-
-def _verify_complementation(doc, failures):
-    space = _parse_space_checked(doc, failures)
-    basis = tuple(
-        freespace.FreeVector(space, tuple(parse_rational(v) for v in row))
-        for row in doc["basis"]
+        nested_expected, nested_space = _expect_complementation(nested, failures)
+        _with_provenance(nested_expected, nested)
+        if subset and nested_space.dist != restrict(space, subset).dist:
+            failures.append("nested complementation space is not the recorded subset")
+    expected = l1_document(
+        cert,
+        kind="pipeline",
+        extra={"k": n, "subset": doc.get("subset"), "complementation": nested_expected},
     )
-    projection = freespace.FreeOperator(
-        space, tuple(tuple(parse_rational(v) for v in row) for row in doc["projection"])
-    )
+    if nested_expected is None or nested_expected["verdict"] != "valid":
+        expected["verdict"] = "invalid"
+    return expected
+
+
+def _expect_complementation(doc, failures):
+    """The re-rendered complementation document and its parsed space."""
+    space = _parse_space_checked(doc, failures)
+    basis = tuple(freespace.FreeVector(space, _rationals(row)) for row in doc["basis"])
+    projection = freespace.FreeOperator(space, tuple(_rationals(row) for row in doc["projection"]))
     cert = freespace.verify_one_complemented(space, basis, projection)
-    checks = doc["checks"]
-    if cert.idempotent_ok != checks["idempotent"]["ok"]:
-        failures.append("idempotency check does not reproduce")
-    if (cert.fixes_basis and cert.rank_ok) != checks["range"]["ok"]:
-        failures.append("range check does not reproduce")
-    if cert.norm_ok != checks["operator_norm"]["ok"]:
-        failures.append("operator norm check does not reproduce")
-    elif format_rational(cert.operator_norm_value) != checks["operator_norm"]["value"]:
-        failures.append("operator norm value does not reproduce")
-    if not _same_json(checks["range"]["rank"], cert.rank):
-        failures.append("projection rank does not reproduce")
-    witness = cert.norm_witness
-    if not _same_json(
-        checks["operator_norm"]["witness_molecule"],
-        None if witness is None else [witness.x, witness.y],
-    ):
-        failures.append("operator norm witness molecule does not reproduce")
-    if cert.l1_report.valid != checks["l1_isometry"]["ok"]:
-        failures.append("l1 isometry check does not reproduce")
-    if not _same_json(checks["l1_isometry"]["unit_norms"], _values(cert.l1_report.unit_norms)):
-        failures.append("l1 unit norms do not reproduce")
-    if not _same_json(checks["l1_isometry"]["combo_norms"], _combo_norms(cert.l1_report)):
-        failures.append("l1 combination norms do not reproduce")
-    return cert.status
+    return complementation_document(cert), space
 
 
-def _same_json(recorded, expected) -> bool:
-    """Equal as JSON values: unlike ==, true is not 1 and 1.0 is not 1."""
-    return json.dumps(recorded, sort_keys=True) == json.dumps(expected, sort_keys=True)
-
-
-def _verify_hybrid(doc, failures):
-    profiles = [
-        interval.profile(p["breakpoints"], p["values"]) for p in doc["hybrid"]["extras"]
-    ]
-    extra_dist = [[parse_rational(v) for v in row] for row in doc["hybrid"]["extra_dist"]]
-    h = interval.hybrid_space(profiles, extra_dist)
+def _expect_hybrid(doc, failures):
+    h = interval.hybrid_from_doc(doc["hybrid"])
     f = interval.pwl(doc["pwl"]["breakpoints"], doc["pwl"]["values"])
-    u = interval.HybridFunctional(f, tuple(parse_rational(v) for v in doc["extra_values"]))
-    retraction_values = interval.retraction(h)
-    if _values(retraction_values) != doc["retraction"]:
-        failures.append("retraction values do not reproduce")
-    expected_extras = _values([f.evaluate(t) for t in retraction_values])
-    if expected_extras != doc["extra_values"]:
+    u = interval.HybridFunctional(f, _rationals(doc["extra_values"]))
+    expected = hybrid_document(h, f, u)
+    if u.extra_values != tuple(f.evaluate(parse_rational(t)) for t in expected["retraction"]):
         failures.append("extra values are not f(F(z))")
-    interval_norm, _ = interval.pwl_norm(f)
-    hybrid_value, witness = interval.hybrid_norm(u, h)
-    if format_rational(interval_norm) != doc["interval_norm"]:
-        failures.append("interval norm does not reproduce")
-    if format_rational(hybrid_value) != doc["hybrid_norm"]:
-        failures.append("hybrid norm does not reproduce")
-    ok = hybrid_value == interval_norm and (witness is None or witness.kind == "interval")
-    return "valid" if ok else "invalid"
+    return expected

@@ -103,8 +103,9 @@ def l1_isometry_lip(basis, pinned_pairs=None) -> L1IsometryCertificate:
 
     ``pinned_pairs`` optionally supplies one ordered pair per sign class (in
     class order); they are verified instead of searched, which lets a caller
-    pin witnesses inside a subspace.  Without pinning, each class gets the
-    lexicographically smallest ordered pair realizing it.
+    pin witnesses inside a subspace.  A class pinned to ``None`` is missing.
+    Without pinning, each class gets the lexicographically smallest ordered
+    pair realizing it.
     """
     space = _check_common_space(basis)
     n = len(basis)
@@ -120,7 +121,7 @@ def l1_isometry_lip(basis, pinned_pairs=None) -> L1IsometryCertificate:
                     cube_violation = CubeViolation(x, y, k, q)
                 break
         else:
-            if all(abs(q) == 1 for q in w):
+            if pinned_pairs is None and all(abs(q) == 1 for q in w):
                 key = tuple(int(q) for q in w)
                 if key not in sign_pairs:
                     sign_pairs[key] = (x, y)
@@ -132,10 +133,9 @@ def l1_isometry_lip(basis, pinned_pairs=None) -> L1IsometryCertificate:
     if pinned_pairs is not None:
         if len(pinned_pairs) != len(reps):
             raise ValueError(f"{len(pinned_pairs)} pinned pairs for {len(reps)} sign classes")
-        for eps, (x, y) in zip(reps, pinned_pairs):
-            w = quotient_vector(basis, x, y)
-            if tuple(w) == tuple(Fraction(e) for e in eps):
-                witnesses.append(SignWitness(eps, x, y))
+        for eps, pair in zip(reps, pinned_pairs):
+            if pair is not None and quotient_vector(basis, *pair) == tuple(Fraction(e) for e in eps):
+                witnesses.append(SignWitness(eps, *pair))
             elif missing is None:
                 missing = eps
     else:

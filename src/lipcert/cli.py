@@ -74,14 +74,8 @@ def _load_hybrid(path: str) -> interval.HybridSpace:
     if not isinstance(doc, dict) or "extras" not in doc:
         raise InputError(f'{path}: expected an object with an "extras" array')
     try:
-        profiles = [
-            interval.profile(p["breakpoints"], p["values"]) for p in doc["extras"]
-        ]
-        extra_dist = doc.get("extra_dist")
-        if extra_dist is not None:
-            extra_dist = [[parse_rational(x) for x in row] for row in extra_dist]
-        return interval.hybrid_space(profiles, extra_dist)
-    except (KeyError, TypeError, ValueError, RationalFormatError) as exc:
+        return interval.hybrid_from_doc(doc)
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 

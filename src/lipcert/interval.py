@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .rationals import parse_rational
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -86,7 +88,7 @@ class PwlFunctional:
 
 def pwl(breakpoints, values) -> PwlFunctional:
     return PwlFunctional(
-        tuple(Fraction(b) for b in breakpoints), tuple(Fraction(v) for v in values)
+        tuple(parse_rational(b) for b in breakpoints), tuple(parse_rational(v) for v in values)
     )
 
 
@@ -243,7 +245,7 @@ class DistanceProfile:
 
 def profile(breakpoints, values) -> DistanceProfile:
     return DistanceProfile(
-        tuple(Fraction(b) for b in breakpoints), tuple(Fraction(v) for v in values)
+        tuple(parse_rational(b) for b in breakpoints), tuple(parse_rational(v) for v in values)
     )
 
 
@@ -272,8 +274,17 @@ def hybrid_space(profiles, extra_dist=None) -> HybridSpace:
     profiles = tuple(profiles)
     if extra_dist is None:
         extra_dist = [[_ZERO] * len(profiles) for _ in profiles]
-    matrix = tuple(tuple(Fraction(x) for x in row) for row in extra_dist)
+    matrix = tuple(tuple(parse_rational(x) for x in row) for row in extra_dist)
     return HybridSpace(profiles, matrix)
+
+
+def hybrid_from_doc(doc) -> HybridSpace:
+    """The hybrid space of a ``{"extras": [{"breakpoints", "values"}, ...],
+    "extra_dist": [[...]]}`` document (``extra_dist`` defaults to zeros).
+    Raises ``KeyError``, ``TypeError`` or ``ValueError`` on a bad shape or on
+    an entry that ``parse_rational`` rejects."""
+    profiles = [profile(p["breakpoints"], p["values"]) for p in doc["extras"]]
+    return hybrid_space(profiles, doc.get("extra_dist"))
 
 
 @dataclass(frozen=True)

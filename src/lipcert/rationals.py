@@ -36,4 +36,4 @@ def parse_rational(value) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Canonical string form: 'p' when integral, else 'p/q' reduced."""
-    return str(Fraction(q))
+    return str(q if type(q) is Fraction else Fraction(q))

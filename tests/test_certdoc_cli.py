@@ -165,8 +165,10 @@ def complementation_doc():
         ("operator_norm", "value", "2", "operator norm value does not reproduce"),
         ("l1_isometry", "unit_norms", ["5", "5"], "l1 unit norms do not reproduce"),
         ("l1_isometry", "combo_norms", [], "l1 combination norms do not reproduce"),
+        ("idempotent", "ok", 1, "checks.idempotent.ok does not reproduce"),
     ],
-    ids=["rank", "rank-bool", "witness", "witness-null", "norm-value", "unit-norms", "combo-norms"],
+    ids=["rank", "rank-bool", "witness", "witness-null", "norm-value", "unit-norms", "combo-norms",
+         "idempotent-one"],
 )
 def test_verify_names_complementation_figure_faults(complementation_doc, section, field, value, name):
     doc = json.loads(certdoc.dumps(complementation_doc))
@@ -175,6 +177,47 @@ def test_verify_names_complementation_figure_faults(complementation_doc, section
     report = certdoc.verify_document(doc)
     assert not report.ok
     assert name in report.failures, report.failures
+
+
+@pytest.fixture(scope="module")
+def tamper_targets(pipeline_k2_doc):
+    h = random_hybrid(3)
+    f = random_pwl(5)
+    return {
+        "linf": certdoc.linf_document(construct.evaluation_embedding("linf", 2).certificate),
+        "hybrid": certdoc.hybrid_document(h, f, interval.compose_embed(f, h)),
+        "pipeline": pipeline_k2_doc,
+    }
+
+
+@pytest.mark.parametrize(
+    "target, path, value, name",
+    [
+        ("linf", "checks.vertices.ok", False, "checks.vertices.ok does not reproduce"),
+        ("linf", "checks.vertices.ok", _DELETED, "malformed document: checks.vertices.ok is missing"),
+        ("linf", "checks.ball.ok", 1, "checks.ball.ok does not reproduce"),
+        ("hybrid", "attaining_pieces", [], "malformed document: attaining_pieces[0] is missing"),
+        ("hybrid", "witness.kind", "extra-extra", "witness.kind does not reproduce"),
+        ("pipeline", "complementation.kind", "l1-isometry", "complementation.kind does not reproduce"),
+    ],
+    ids=["vertices-false", "vertices-deleted", "ball-one", "pieces-empty", "witness-kind",
+         "nested-kind"],
+)
+def test_verify_names_tampered_field(tamper_targets, target, path, value, name):
+    doc = json.loads(certdoc.dumps(tamper_targets[target]))
+    assert certdoc.verify_document(doc).ok
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DELETED:
+        del node[last]
+    else:
+        node[last] = value
+    report = certdoc.verify_document(doc)
+    assert not report.ok
+    assert name in report.failures, report.failures
+    assert (report.recomputed == "malformed") == name.startswith("malformed document")
 
 
 def test_verify_rejects_boolean_basis_entry(tmp_path):
@@ -200,6 +243,22 @@ def test_hybrid_document_verify():
     assert certdoc.verify_document(doc).ok
     doc["extra_values"][0] = "100"
     assert not certdoc.verify_document(doc).ok
+
+
+@pytest.mark.parametrize("bad", ["1/0", True], ids=["zero-denominator", "bool"])
+def test_hybrid_rationals_go_through_parse_rational(tmp_path, tamper_targets, bad):
+    hybrid = {"extras": [{"breakpoints": ["0", "1/4", "1"], "values": ["3/4", "1/2", "5/4"]}]}
+    hybrid["extras"][0]["breakpoints"][1] = bad
+    hybrid_path = tmp_path / "h.json"
+    hybrid_path.write_text(json.dumps(hybrid))
+    code, out, err = run_cli("hybrid", str(hybrid_path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+    doc = json.loads(certdoc.dumps(tamper_targets["hybrid"]))
+    doc["hybrid"]["extras"][0]["breakpoints"][-1] = bad
+    report = certdoc.verify_document(doc)
+    assert report.recomputed == "malformed"
+    assert any(msg.startswith("malformed document") for msg in report.failures)
 
 
 def test_unknown_kind_rejected():

@@ -24,30 +24,46 @@ def test_library_has_no_assert_statements():
 
 _OPTIMIZED_RUN = """
 import copy, json, sys
-from lipcert import certdoc, construct
+from lipcert import certdoc, construct, interval
 from lipcert.metric import random_space
 from lipcert.rationals import format_rational, parse_rational
 
 if sys.flags.optimize < 1:
     raise SystemExit("not running under -O")
-doc = certdoc.pipeline_document(construct.theorem_pipeline(random_space(6, 1, "range"), 2))
-doc = json.loads(certdoc.dumps(doc))
-report = certdoc.verify_document(doc)
-if not report.ok or report.recomputed != "valid":
-    raise SystemExit(f"valid document rejected: {report.failures}")
-nested = copy.deepcopy(doc["complementation"])
-report = certdoc.verify_document(nested)
-if not report.ok or report.recomputed != "valid":
-    raise SystemExit(f"valid complementation document rejected: {report.failures}")
-for section, field, value, name in [
-    ("operator_norm", "value", "2", "operator norm value does not reproduce"),
-    ("l1_isometry", "unit_norms", ["1", "2"], "l1 unit norms do not reproduce"),
+pipeline = construct.theorem_pipeline(random_space(6, 1, "range"), 2)
+_, _, four_point = construct.four_point_basis(random_space(4, 1, "range"))
+h = interval.hybrid_space([interval.profile(["0", "1/4", "1"], ["3/4", "1/2", "5/4"])])
+f = interval.pwl(["0", "1/2", "1"], ["0", "1/2", "1/4"])
+docs = {
+    "pipeline": certdoc.pipeline_document(pipeline),
+    "complementation": certdoc.complementation_document(pipeline.complementation.certificate),
+    "l1-isometry": certdoc.l1_document(four_point),
+    "linf-isometry": certdoc.linf_document(construct.evaluation_embedding("linf", 2).certificate),
+    "hybrid-embed": certdoc.hybrid_document(h, f, interval.compose_embed(f, h)),
+}
+for kind in docs:
+    docs[kind] = json.loads(certdoc.dumps(docs[kind]))
+    report = certdoc.verify_document(docs[kind])
+    if not report.ok or report.recomputed != "valid" or report.kind != kind:
+        raise SystemExit(f"valid {kind} document rejected: {report.failures}")
+for kind, path, value, name in [
+    ("complementation", "checks.operator_norm.value", "2", "operator norm value does not reproduce"),
+    ("complementation", "checks.l1_isometry.unit_norms", ["1", "2"], "l1 unit norms do not reproduce"),
+    ("pipeline", "complementation.kind", "x", "complementation.kind does not reproduce"),
+    ("l1-isometry", "checks.signs.ok", 1, "sign check does not reproduce"),
+    ("linf-isometry", "checks.vertices.ok", False, "checks.vertices.ok does not reproduce"),
+    ("hybrid-embed", "witness.kind", "extra-extra", "witness.kind does not reproduce"),
 ]:
-    bad = copy.deepcopy(nested)
-    bad["checks"][section][field] = value
+    bad = copy.deepcopy(docs[kind])
+    *parents, last = path.split(".")
+    node = bad
+    for key in parents:
+        node = node[key]
+    node[last] = value
     report = certdoc.verify_document(bad)
     if report.ok or name not in report.failures:
-        raise SystemExit(f"tampered {field} went unnamed: {report.failures}")
+        raise SystemExit(f"tampered {kind} {path} went unnamed: {report.failures}")
+doc = docs["pipeline"]
 x, y = doc["checks"]["signs"]["witnesses"][0]["pair"]
 point = x or y
 doc["basis"][0][point] = format_rational(parse_rational(doc["basis"][0][point]) + 1)
