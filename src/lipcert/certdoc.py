@@ -177,10 +177,14 @@ def pipeline_document(result, config=None) -> dict:
 
 
 def hybrid_document(h, f, u, config=None) -> dict:
-    """Certificate that T(f) = f o F preserves the norm on a hybrid space."""
-    retraction_values = interval.retraction(h)
+    """Certificate that T(f) = f o F preserves the norm on a hybrid space.
+
+    Raises ``interval.HybridInvalidError`` when ``h`` is not a metric space;
+    it is validated once here for both the retraction and the norm."""
+    interval._require_valid(h)
+    retraction_values = interval._retraction(h)
     interval_norm, pieces = interval.pwl_norm(f)
-    hybrid_value, witness = interval.hybrid_norm(u, h)
+    hybrid_value, witness = interval._hybrid_norm(u, h)
     verdict = "valid" if (hybrid_value == interval_norm and (witness is None or witness.kind == "interval")) else "invalid"
     doc = {
         "kind": "hybrid-embed",
@@ -385,17 +389,26 @@ def _expect_l1(doc, failures):
     space = _parse_space_checked(doc, failures)
     basis = _parse_basis(space, doc["basis"])
     pinned = {}
-    for w in doc["checks"]["signs"]["witnesses"]:
+    where = {}  # sign class -> index of its pinned witness in the document
+    for i, w in enumerate(doc["checks"]["signs"]["witnesses"]):
         eps = w["epsilon"]
         if not (isinstance(eps, list) and all(type(e) is int and e in (1, -1) for e in eps)):
             failures.append(f"sign witness epsilon {eps!r} is not a vector of integers +-1")
             continue
         pair = _witness_pair(space, w, failures)
-        if pair is not None:
-            pinned.setdefault(tuple(eps), pair)
+        if pair is not None and tuple(eps) not in pinned:
+            pinned[tuple(eps)] = pair
+            where[tuple(eps)] = i
     n = len(basis)
     reps = certify.sign_class_representatives(n)
     cert = certify.l1_isometry_lip(basis, pinned_pairs=[pinned.get(eps) for eps in reps])
+    realized = {w.epsilon for w in cert.sign_witnesses}
+    for eps in reps:
+        if eps in pinned and eps not in realized:
+            failures.append(
+                f"checks.signs.witnesses[{where[eps]}] pair {list(pinned[eps])} "
+                f"does not realize its epsilon {list(eps)}"
+            )
     if doc["kind"] != "pipeline":
         return l1_document(cert)
     subset = _check_pipeline_fields(doc, space, n, failures)

@@ -384,9 +384,15 @@ def retraction(h: HybridSpace) -> tuple[Fraction, ...]:
     F(z) clamps min_t (t + d_z(t)) to [0,1]: the McShane extension of the
     identity composed with the 1-Lipschitz clamp.  The minimum is attained at
     a profile breakpoint since the expression is PWL in t.  The retraction
-    inequalities are re-verified exactly before returning.
+    inequalities are re-verified exactly before returning.  Raises
+    ``HybridInvalidError`` when ``h`` is not a metric space.
     """
     _require_valid(h)
+    return _retraction(h)
+
+
+def _retraction(h: HybridSpace) -> tuple[Fraction, ...]:
+    """``retraction`` of an already validated hybrid space."""
     out = []
     for prof in h.profiles:
         raw = min(t + v for t, v in zip(prof.breakpoints, prof.values))
@@ -435,11 +441,17 @@ def hybrid_norm(u: HybridFunctional, h: HybridSpace):
     Three finite families cover the supremum: interval piece slopes;
     extra-extra quotients; and, per extra z, |u(z) - f(t)| / d_z(t) over the
     common refinement of breakpoints (on each piece the ratio of two linear
-    functions is monotone, so its sup sits at an endpoint).
+    functions is monotone, so its sup sits at an endpoint).  Raises
+    ``HybridInvalidError`` when ``h`` is not a metric space.
     """
+    _require_valid(h)
+    return _hybrid_norm(u, h)
+
+
+def _hybrid_norm(u: HybridFunctional, h: HybridSpace):
+    """``hybrid_norm`` on an already validated hybrid space."""
     if len(u.extra_values) != h.extras:
         raise ValueError(f"{len(u.extra_values)} extra values for {h.extras} extras")
-    _require_valid(h)
     best = _ZERO
     witness = None
     norm, pieces = pwl_norm(u.pwl)

@@ -1,18 +1,25 @@
 """Exact rational linear programming with primal and dual certificates.
 
-Two-phase dense simplex over ``Fraction``.  Pricing is Dantzig's rule until a
-run of degenerate pivots is detected, after which the solve switches to
-Bland's rule permanently, which guarantees termination on every input.  Every
-optimal outcome carries the pair (primal, dual) as an exact
-complementary-slackness certificate; infeasible outcomes carry a Farkas
-certificate.  Both are re-checked against the original program before being
-returned; the re-check derives the reduced costs ``c - A^T y`` itself.
+Two-phase simplex on an integer tableau: each row is Python ints over one
+positive denominator, reduced by their gcd after every update (the integer
+pivoting of Bareiss and of Avis's ``lrs``, with a denominator per row).  The
+simplex path is fixed by the pivot rule, not by the storage, so it is the
+path exact rational arithmetic takes.  Pricing is Dantzig's rule until a run
+of degenerate pivots is detected, after which the solve switches to Bland's
+rule permanently, which guarantees termination on every input.  Rationals
+(``Fraction``) appear only at the boundary: the program, and the primal, ray
+and dual values read back from the final tableau.  Every optimal outcome
+carries the pair (primal, dual) as an exact complementary-slackness
+certificate; infeasible outcomes carry a Farkas certificate.  Both are
+re-checked against the original program before being returned; the re-check
+derives the reduced costs ``c - A^T y`` itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 LE = "<="
 EQ = "="
@@ -97,89 +104,122 @@ class LpOutcome:
     pivots: int = 0
 
 
-class _Kernel:
-    """Standard-form simplex state: min cost.x, rows.x = rhs, x >= 0, rhs >= 0."""
+def _eliminate(row, den, f, p, nz):
+    """``row/den - (f/den) * prow/p`` in lowest terms, as ``(row, den)``.
 
-    def __init__(self, rows, rhs, n_cols):
-        self.rows = rows          # list of row lists, mutated in place
-        self.rhs = rhs
+    ``nz`` lists the nonzero ``(column, entry)`` pairs of the integer row
+    ``prow``; ``den`` and ``p`` are positive.  ``row`` is updated in place
+    when ``p`` divides ``f``.
+    """
+    g = gcd(p, f)
+    pg, fg = p // g, f // g
+    if pg != 1:
+        row = [a * pg for a in row]
+    for j, b in nz:
+        row[j] -= fg * b
+    den *= pg
+    g = gcd(den, *row)
+    if g > 1:
+        row = [a // g for a in row]
+        den //= g
+    return row, den
+
+
+class _Kernel:
+    """Standard-form simplex state: min cost.x, A x = b, x >= 0, b >= 0.
+
+    Row ``i`` of the tableau is ``rows[i] / den[i]``: Python ints over one
+    positive denominator, the ``n_cols`` column entries followed by the rhs,
+    in lowest terms.  The basic column of a row holds ``den[i]``.  The
+    reduced-cost row is kept the same way, as ``reduced / reduced_den``.
+    Every comparison the pivot rule makes reads numerators over a positive
+    denominator, so the path is the one exact rational arithmetic takes.
+    Only columns below ``n_enter`` may enter the basis.
+    """
+
+    def __init__(self, rows, den, basis, n_cols):
+        self.rows = rows          # list of int row lists, mutated in place
+        self.den = den
+        self.basis = basis
         self.n_cols = n_cols
-        self.basis: list[int] = []
-        self.banned: set[int] = set()
+        self.n_enter = n_cols
         self.pivots = 0
+        self.reduced: list[int] = []
+        self.reduced_den = 1
 
     def _pivot(self, r, t):
-        rows, rhs = self.rows, self.rhs
+        """Pivot on row ``r``, column ``t``; returns the nonzero
+        ``(column, entry)`` pairs of the pivot row."""
+        rows, den = self.rows, self.den
         prow = rows[r]
-        piv = prow[t]
-        if piv != 1:
-            inv = _ONE / piv
-            rows[r] = prow = [x * inv for x in prow]
-            rhs[r] = rhs[r] * inv
-        rr = rhs[r]
+        p = prow[t]
+        if p < 0:
+            rows[r] = prow = [-x for x in prow]
+            p = -p
+        # the row keeps its numerators; the pivot entry becomes its denominator
+        den[r] = p
+        nz = [(j, b) for j, b in enumerate(prow) if b]
         for i, row in enumerate(rows):
-            if i == r:
-                continue
-            factor = row[t]
-            if factor:
-                rows[i] = [a - factor * b if b else a for a, b in zip(row, prow)]
-                if rr:
-                    rhs[i] -= factor * rr
+            f = row[t]
+            if f and i != r:
+                rows[i], den[i] = _eliminate(row, den[i], f, p, nz)
         self.basis[r] = t
         self.pivots += 1
+        return nz
 
-    def optimize(self, cost):
-        """Run simplex for ``cost`` from the current basis.
+    def optimize(self, cost, cost_den):
+        """Run simplex for ``cost / cost_den`` from the current basis.
 
-        Returns ('optimal', reduced) or ('unbounded', entering_col, reduced),
-        where ``reduced`` is the reduced-cost row against the original columns.
+        Returns -1 at an optimum, else the entering column of an improving
+        ray.  Either way ``reduced / reduced_den`` is left as the
+        reduced-cost row against the original columns.
         """
-        rows, rhs, basis = self.rows, self.rhs, self.basis
-        m = len(rows)
-        reduced = list(cost)
-        for i in range(m):
+        rows, den, basis = self.rows, self.den, self.basis
+        red, rd = cost + [0], cost_den
+        for i, row in enumerate(rows):
             cb = cost[basis[i]]
             if cb:
-                row = rows[i]
-                reduced = [d - cb * a if a else d for d, a in zip(reduced, row)]
-        banned = self.banned
+                # red/rd - (cb/cost_den) * row/den[i]
+                u, v = cb * rd, cost_den * den[i]
+                red = [d * v - u * a for d, a in zip(red, row)]
+                rd *= v
+                g = gcd(rd, *red)
+                if g > 1:
+                    red = [d // g for d in red]
+                    rd //= g
+        n_enter = self.n_enter
         bland = False
         stall = 0
         while True:
+            priced = red[:n_enter]
             t = -1
             if bland:
-                for j, d in enumerate(reduced):
-                    if d < 0 and j not in banned:
-                        t = j
-                        break
+                t = next((j for j, d in enumerate(priced) if d < 0), -1)
             else:
-                best = _ZERO
-                for j, d in enumerate(reduced):
-                    if d < best and j not in banned:
-                        best = d
-                        t = j
+                best = min(priced, default=0)
+                if best < 0:
+                    t = priced.index(best)
             if t < 0:
-                return "optimal", reduced
+                self.reduced, self.reduced_den = red, rd
+                return -1
+            # ratio rhs_i / a_it: the row denominator cancels
             leave = -1
-            theta = None
-            for i in range(m):
-                a = rows[i][t]
+            num = quo = 0
+            for i, row in enumerate(rows):
+                a = row[t]
                 if a > 0:
-                    ratio = rhs[i] / a
-                    if theta is None or ratio < theta or (
-                        ratio == theta and basis[i] < basis[leave]
+                    b = row[-1]
+                    if leave < 0 or b * quo < num * a or (
+                        b * quo == num * a and basis[i] < basis[leave]
                     ):
-                        theta = ratio
+                        num, quo = b, a
                         leave = i
             if leave < 0:
-                return "unbounded", t, reduced
-            degenerate = theta == 0
-            rt = reduced[t]
-            self._pivot(leave, t)
-            prow = rows[leave]
-            reduced = [d - rt * a if a else d for d, a in zip(reduced, prow)]
-            reduced[t] = _ZERO
-            if degenerate:
+                self.reduced, self.reduced_den = red, rd
+                return t
+            nz = self._pivot(leave, t)
+            red, rd = _eliminate(red, rd, red[t], den[leave], nz)
+            if num == 0:  # degenerate pivot
                 stall += 1
                 if stall > _STALL_LIMIT:
                     bland = True
@@ -193,97 +233,108 @@ class _BoundConflict(Exception):
         super().__init__(f"variable {var} has lower bound {lo} > upper bound {hi}")
 
 
+def _scaled(values):
+    """Integer numerators of rationals ``values`` over their lcm denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = lcm(*(q for _, q in ratios))
+    return [p * (d // q) for p, q in ratios], d
+
+
 class _Lowering:
     """Original program -> standard form, with maps for pulling answers back.
 
-    The tableau rows are built variable by variable: a free variable becomes
-    the column pair ``(a, -a)``, a lower-bounded one the column ``a`` shifted
-    by its bound, an upper-bounded one the column ``-a`` reflected at it.  A
-    boxed variable is shifted and adds a row ``x <= hi - lo`` after the
-    original rows.
+    A free variable becomes the column pair ``(a, -a)``, a lower-bounded one
+    the column ``a`` shifted by its bound, an upper-bounded one the column
+    ``-a`` reflected at it.  A boxed variable is shifted and adds a row
+    ``x <= hi - lo`` after the original rows.  Each row is kept as integers
+    scaled by the lcm ``d`` of its denominators: ``(numerators, rhs, d)``.
     """
 
     def __init__(self, lp: LinearProgram, minimize_obj):
-        cons = lp.constraints
         # var_map[j] = (plus, minus, offset): x_j = offset + std[plus] - std[minus],
         # where -1 marks an absent column
         self.var_map: list[tuple[int, int, Fraction]] = []
         self.cost: list[Fraction] = []
-        rows: list[list[Fraction]] = [[] for _ in cons]
-        rhs = [c.rhs for c in cons]
+        columns: list[tuple[int, int]] = []  # (original variable, sign) per std column
+        shifts: list[tuple[int, Fraction]] = []  # (variable, nonzero offset)
         box_rows: list[tuple[int, Fraction]] = []  # (std col, hi - lo)
 
         for j, (lo, hi) in enumerate(lp.bounds):
             cj = minimize_obj[j]
             col = len(self.cost)
             if lo is None and hi is None:
-                for row, c in zip(rows, cons):
-                    row += (c.coeffs[j], -c.coeffs[j])
+                columns += ((j, 1), (j, -1))
                 self.cost += (cj, -cj)
                 self.var_map.append((col, col + 1, _ZERO))
                 continue
             if lo is None:
-                sign, offset = -_ONE, hi
+                sign, offset = -1, hi
                 self.var_map.append((-1, col, hi))
             else:
                 if hi is not None:
                     if lo > hi:
                         raise _BoundConflict(j, lo, hi)
                     box_rows.append((col, hi - lo))
-                sign, offset = _ONE, lo
+                sign, offset = 1, lo
                 self.var_map.append((col, -1, lo))
-            self.cost.append(sign * cj)
-            for i, c in enumerate(cons):
-                a = c.coeffs[j]
-                rows[i].append(sign * a)
-                if offset:
-                    rhs[i] -= a * offset
+            columns.append((j, sign))
+            self.cost.append(cj if sign > 0 else -cj)
+            if offset:
+                shifts.append((j, offset))
 
-        self.n_struct = len(self.cost)
+        self.n_struct = n_struct = len(self.cost)
+        self.rows: list[tuple[list[int], int, int]] = []
+        for c in lp.constraints:
+            rhs = c.rhs - sum(c.coeffs[j] * offset for j, offset in shifts)
+            nums, d = _scaled(c.coeffs + (rhs,))
+            self.rows.append(([sign * nums[j] for j, sign in columns], nums[-1], d))
         for col, width in box_rows:
-            rows.append([_ONE if k == col else _ZERO for k in range(self.n_struct)])
-            rhs.append(width)
-        self.rows = rows
-        self.rhs0 = rhs
-        self.n_rows = len(rows)
-        self.rel = [c.rel for c in cons] + [LE] * len(box_rows)
+            row = [0] * n_struct
+            row[col] = width.denominator
+            self.rows.append((row, width.numerator, width.denominator))
+        self.n_rows = len(self.rows)
+        self.rel = [c.rel for c in lp.constraints] + [LE] * len(box_rows)
 
     def build_kernel(self):
-        """Assemble the phase-1 tableau: (kernel, row signs, slack/art columns)."""
-        n_rows = self.n_rows
-        sign = [_ONE] * n_rows
-        rows = self.rows
-        rhs = list(self.rhs0)
+        """Assemble the phase-1 tableau: (kernel, row signs, slack/art columns).
+
+        Row ``i`` has denominator ``d``, its lcm scale, so its slack and
+        artificial entries are ``±d``.  A row with a negative rhs is negated;
+        it keeps a slack as its initial basic column only if that slack's
+        entry is then ``+d``.
+        """
+        n_rows, n_struct = self.n_rows, self.n_struct
+        sign = [-1 if rhs < 0 else 1 for _, rhs, _ in self.rows]
         slack_col = [-1] * n_rows
-        for i in range(n_rows):
-            if self.rel[i] == LE:
-                for k in range(n_rows):
-                    rows[k].append(_ONE if k == i else _ZERO)
-                slack_col[i] = len(rows[0]) - 1
-            elif self.rel[i] == GE:
-                for k in range(n_rows):
-                    rows[k].append(-_ONE if k == i else _ZERO)
-                slack_col[i] = len(rows[0]) - 1
-        for i in range(n_rows):
-            if rhs[i] < 0:
-                sign[i] = -_ONE
-                rows[i] = [-x for x in rows[i]]
-                rhs[i] = -rhs[i]
         art_col = [-1] * n_rows
-        basis = []
+        slack_sign = [0] * n_rows
+        n_slack = 0
         for i in range(n_rows):
-            sc = slack_col[i]
-            if sc >= 0 and rows[i][sc] == 1:
-                basis.append(sc)
-            else:
-                for k in range(n_rows):
-                    rows[k].append(_ONE if k == i else _ZERO)
-                art_col[i] = len(rows[0]) - 1
+            if self.rel[i] != EQ:
+                slack_sign[i] = 1 if self.rel[i] == LE else -1
+                slack_col[i] = n_struct + n_slack
+                n_slack += 1
+        n_art = 0
+        for i in range(n_rows):
+            if slack_sign[i] * sign[i] != 1:
+                art_col[i] = n_struct + n_slack + n_art
+                n_art += 1
+        n_cols = n_struct + n_slack + n_art
+        rows, den, basis = [], [], []
+        for i, (struct, b, d) in enumerate(self.rows):
+            row = struct + [0] * (n_cols - n_struct) + [b]
+            if sign[i] < 0:
+                row = [-a for a in row]
+            if slack_col[i] >= 0:
+                row[slack_col[i]] = slack_sign[i] * sign[i] * d
+            if art_col[i] >= 0:
+                row[art_col[i]] = d
                 basis.append(art_col[i])
-        n_cols = len(rows[0]) if rows else self.n_struct
-        kern = _Kernel(rows, rhs, n_cols)
-        kern.basis = basis
-        return kern, sign, slack_col, art_col
+            else:
+                basis.append(slack_col[i])
+            rows.append(row)
+            den.append(d)
+        return _Kernel(rows, den, basis, n_cols), sign, slack_col, art_col
 
 
 def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
@@ -299,35 +350,30 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
         return LpOutcome(status="infeasible")
 
     kern, sign, slack_col, art_col = low.build_kernel()
-    n_rows = low.n_rows
     n_total = kern.n_cols
+    # artificial columns come last, from n_real on
+    n_real = n_total - sum(c >= 0 for c in art_col)
 
     # Phase 1: minimize the artificial sum.
-    if any(c >= 0 for c in art_col):
-        phase1_cost = [_ZERO] * n_total
-        for i in range(n_rows):
-            if art_col[i] >= 0:
-                phase1_cost[art_col[i]] = _ONE
-        status1 = kern.optimize(phase1_cost)
-        if status1[0] != "optimal":
+    if n_real < n_total:
+        phase1_cost = [0] * n_real + [1] * (n_total - n_real)
+        if kern.optimize(phase1_cost, 1) >= 0:
             raise AssertionError("phase 1 cannot be unbounded")
         # an artificial may sit basic in another row than its own after pivots
-        art_set = {c for c in art_col if c >= 0}
-        art_vals = sum(kern.rhs[i] for i in range(n_rows) if kern.basis[i] in art_set)
-        if art_vals > 0:
-            y = _recover_duals(kern, status1[1], phase1_cost, sign, slack_col, art_col, n_rows)
-            farkas = [y[i] for i in range(len(lp.constraints))]
+        if any(row[-1] > 0 for row, b in zip(kern.rows, kern.basis) if b >= n_real):
+            y = _recover_duals(kern, phase1_cost, 1, sign, slack_col, art_col)
+            farkas = y[: len(lp.constraints)]
             out = LpOutcome(status="infeasible", farkas=farkas, pivots=kern.pivots)
             _assert_certificate(lp, sense, out)
             return out
-        _drive_out_artificials(kern, art_set)
-        kern.banned |= art_set
+        _drive_out_artificials(kern, n_real)
+        kern.n_enter = n_real
 
-    phase2_cost = low.cost + [_ZERO] * (n_total - low.n_struct)
-    result = kern.optimize(phase2_cost)
+    struct_cost, cost_den = _scaled(low.cost)
+    phase2_cost = struct_cost + [0] * (n_total - low.n_struct)
+    t = kern.optimize(phase2_cost, cost_den)
 
-    if result[0] == "unbounded":
-        t = result[1]
+    if t >= 0:
         out = LpOutcome(
             status="unbounded",
             primal=_extract_primal(low, kern),
@@ -338,8 +384,8 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
         return out
 
     primal = _extract_primal(low, kern)
-    y = _recover_duals(kern, result[1], phase2_cost, sign, slack_col, art_col, n_rows)
-    dual = [y[i] for i in range(len(lp.constraints))]
+    y = _recover_duals(kern, phase2_cost, cost_den, sign, slack_col, art_col)
+    dual = y[: len(lp.constraints)]
     if flip:
         dual = [-v for v in dual]
     value = sum(c * x for c, x in zip(lp.objective, primal))
@@ -359,35 +405,36 @@ def feasible(constraints, n_vars=None, bounds=None) -> LpOutcome:
     return solve(lp, "min")
 
 
-def _drive_out_artificials(kern, art_set):
-    """Pivot zero-valued basic artificials onto real columns.
+def _drive_out_artificials(kern, n_real):
+    """Pivot zero-valued basic artificials onto real columns (below ``n_real``).
 
     Rows whose tableau row is zero on every real column are redundant; their
-    artificial stays basic at zero and is banned from re-entering, which keeps
+    artificial stays basic at zero and is barred from re-entering, which keeps
     it harmless (no real entering column can change it).
     """
-    for i in range(len(kern.rows)):
-        if kern.basis[i] in art_set:
+    for i, b in enumerate(kern.basis):
+        if b >= n_real:
             row = kern.rows[i]
-            for j in range(kern.n_cols):
-                if j not in art_set and row[j] != 0:
+            for j in range(n_real):
+                if row[j]:
                     kern._pivot(i, j)
                     break
 
 
-def _recover_duals(kern, reduced, cost, sign, slack_col, art_col, n_rows):
+def _recover_duals(kern, cost, cost_den, sign, slack_col, art_col):
     """Duals of the original-orientation rows.
 
     Each row keeps a single-entry recovery column (its artificial, else its
     slack chosen as initial basis), which is +e_i in the sign-normalized
     system; reduced[col] = cost[col] - yhat_i then yields yhat, and the
-    row-flip sign maps back.
+    row-flip sign maps back.  Only these columns become Fractions.
     """
+    red, rd = kern.reduced, kern.reduced_den
     y = []
-    for i in range(n_rows):
+    for i, s in enumerate(sign):
         col = art_col[i] if art_col[i] >= 0 else slack_col[i]
-        yhat = cost[col] - reduced[col]
-        y.append(sign[i] * yhat)
+        # s * (cost[col] / cost_den - red[col] / rd)
+        y.append(Fraction(s * (cost[col] * rd - red[col] * cost_den), cost_den * rd))
     return y
 
 
@@ -408,7 +455,7 @@ def _pull_back(low, v_std, offsets):
 def _extract_primal(low, kern):
     x_std = [_ZERO] * kern.n_cols
     for i, b in enumerate(kern.basis):
-        x_std[b] = kern.rhs[i]
+        x_std[b] = Fraction(kern.rows[i][-1], kern.den[i])
     return _pull_back(low, x_std, offsets=True)
 
 
@@ -418,7 +465,7 @@ def _extract_ray(low, kern, t):
     for i, b in enumerate(kern.basis):
         a = kern.rows[i][t]
         if a:
-            d_std[b] = -a
+            d_std[b] = Fraction(-a, kern.den[i])
     return _pull_back(low, d_std, offsets=False)
 
 

@@ -42,7 +42,11 @@ def test_verify_detects_tampered_witness():
     doc["checks"]["signs"]["witnesses"][0]["pair"] = [2, 0]
     report = certdoc.verify_document(doc)
     assert not report.ok
-    assert any("witness" in msg for msg in report.failures)
+    # the failing witness is named first, then the paths that differ
+    assert report.failures[0] == (
+        "checks.signs.witnesses[0] pair [2, 0] does not realize its epsilon [1, 1]"
+    )
+    assert "sign check does not reproduce" in report.failures[1:]
 
 
 def test_verify_detects_tampered_basis_and_digest():

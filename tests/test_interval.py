@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lipcert import certdoc
 from lipcert import interval as iv
 
 from helpers import random_coeffs, random_hybrid, random_pwl
@@ -224,7 +225,15 @@ def test_compose_embed_is_isometry_random():
 
 
 def test_compose_embed_rejects_invalid_hybrid():
+    # every entry point that takes a hybrid space validates it
     bad = iv.hybrid_space([iv.profile([0, F(1, 2), 1], [F(1), F(3), F(3)])])
     assert iv.hybrid_validate(bad)
+    u = iv.HybridFunctional(identity(), (F(1),))
     with pytest.raises(iv.HybridInvalidError):
         iv.compose_embed(identity(), bad)
+    with pytest.raises(iv.HybridInvalidError):
+        iv.retraction(bad)
+    with pytest.raises(iv.HybridInvalidError):
+        iv.hybrid_norm(u, bad)
+    with pytest.raises(iv.HybridInvalidError):
+        certdoc.hybrid_document(bad, identity(), u)

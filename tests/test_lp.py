@@ -1,5 +1,8 @@
 """Exact LP solver: examples, certificates, termination."""
 
+import hashlib
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -156,30 +159,37 @@ def test_upper_bound_only_variable():
     check(program, "min", out)
 
 
-def test_beale_cycling_instance_terminates():
-    # classic degenerate instance that cycles under naive Dantzig pricing
-    rows = [
+# classic degenerate instance that cycles under naive Dantzig pricing
+BEALE = lp.make_program(
+    [F(-3, 4), 150, F(-1, 50), 6],
+    [
         ([F(1, 4), -60, F(-1, 25), 9], lp.LE, 0),
         ([F(1, 2), -90, F(-1, 50), 3], lp.LE, 0),
         ([0, 0, 1, 0], lp.LE, 1),
-    ]
-    objective = [F(-3, 4), 150, F(-1, 50), 6]
-    program = lp.make_program(objective, rows, bounds=[(0, None)] * 4)
-    out = lp.solve(program, "min")
+    ],
+    bounds=[(0, None)] * 4,
+)
+
+# after phase-1 pivots an artificial is basic outside its own row
+PHASE1_ROWS = [([-3, 3], lp.EQ, -4), ([-1, -3], lp.EQ, -3), ([-3, 2], lp.GE, 1)]
+PHASE1 = lp.make_program([0, 0], PHASE1_ROWS, bounds=[(0, None)] * 2)
+
+
+def test_beale_cycling_instance_terminates():
+    out = lp.solve(BEALE, "min")
     assert out.status == "optimal"
     assert out.value == F(-1, 20)
-    check(program, "min", out)
+    # Dantzig stalls past the limit after 41 pivots; Bland's rule ends it in 2
+    assert out.pivots == 43
+    check(BEALE, "min", out)
 
 
 def test_phase1_counts_artificial_basic_in_another_row():
-    # after phase-1 pivots an artificial can be basic outside its own row;
     # the program is infeasible and must say so with a checked Farkas vector
-    rows = [([-3, 3], lp.EQ, -4), ([-1, -3], lp.EQ, -3), ([-3, 2], lp.GE, 1)]
-    bounds = [(0, None)] * 2
-    out = lp.feasible(rows, n_vars=2, bounds=bounds)
+    out = lp.feasible(PHASE1_ROWS, n_vars=2, bounds=PHASE1.bounds)
     assert out.status == "infeasible"
     assert out.farkas is not None
-    check(lp.make_program([0, 0], rows, bounds=bounds), "min", out)
+    check(PHASE1, "min", out)
 
 
 def _random_bound(rng):
@@ -195,12 +205,10 @@ def _random_bound(rng):
     return a, a + rng.randint(0, 4)
 
 
-def test_degenerate_random_programs_certified():
-    # many tied rows force degenerate pivots; every outcome must self-certify
-    import random
-
-    rng = random.Random(7)
-    for trial in range(2000):
+def _random_programs(seed, count):
+    """(program, sense) pairs with many tied rows, so many degenerate pivots."""
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.randint(1, 4)
         m = rng.randint(1, 6)
         rows = []
@@ -210,10 +218,33 @@ def test_degenerate_random_programs_certified():
             rows.append((coeffs, rel, F(rng.randint(-4, 4))))
         bounds = [_random_bound(rng) for _ in range(n)]
         objective = [F(rng.randint(-3, 3)) for _ in range(n)]
-        program = lp.make_program(objective, rows, bounds=bounds)
+        yield lp.make_program(objective, rows, bounds=bounds), rng.choice(["min", "max"])
+
+
+def test_degenerate_random_programs_certified():
+    for program, sense in _random_programs(7, 2000):
         # solve() re-checks its own certificate and raises on any violation
-        out = lp.solve(program, rng.choice(["min", "max"]))
+        out = lp.solve(program, sense)
         assert out.status in ("optimal", "infeasible", "unbounded")
+
+
+def test_pivot_path_pinned():
+    # The simplex path (entering column, leaving row, ties, the Bland switch)
+    # is fixed by the pivot rule, not by how the tableau stores its numbers.
+    # Any change of representation must return these outcomes field for
+    # field, pivot counts included.
+    batch = [(BEALE, "min"), (PHASE1, "min"), (PHASE1, "max")]
+    batch += _random_programs(13, 2000)
+    digest = hashlib.sha256()
+    statuses = Counter()
+    for program, sense in batch:
+        out = lp.solve(program, sense)
+        statuses[out.status] += 1
+        digest.update(repr(out).encode())
+    assert statuses == {"optimal": 462, "infeasible": 1219, "unbounded": 322}
+    assert digest.hexdigest() == (
+        "bc7513f0cbb465dbbb2c43634c9c057b68dbc5da4ebf492da16abfed28166baf"
+    )
 
 
 def test_make_program_rejects_bad_shapes():
