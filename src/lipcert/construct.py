@@ -6,7 +6,9 @@
   l-infinity^m of Lipschitz functionals,
 * the end-to-end pipeline: subset selection, complementation search,
   duality lift, Rademacher composition, norm-preserving extension,
-* an independent direct LP search for certified l1^k bases,
+* an independent direct search for certified l1^k bases: witness-pair
+  assignments pruned by incremental shortest-path closures, then one LP per
+  basis coordinate,
 * evaluation embeddings of l1^d / l-infinity^d over their dual balls.
 """
 
@@ -244,11 +246,14 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     the functional values by LP feasibility.
 
     Depth-first over assignments of ordered pairs (sorted by decreasing
-    distance, then lexicographically) to the 2^(k-1) sign classes.  Partial
-    assignments are pruned by an exact shortest-path feasibility test of the
-    difference-constraint system of each basis coordinate; a surviving full
-    assignment is handed to the LP, whose witness values give the certified
-    basis with the assignment as its sign witnesses.
+    distance, then lexicographically) to the 2^(k-1) sign classes.  Each
+    basis coordinate's assigned pairs form a system of difference
+    constraints; the search keeps its all-pairs shortest-path closure on the
+    stack (``lipschitz.closure_add``), so a candidate pair is accepted by k
+    exact interval checks (``lipschitz.closure_admits``) and backtracking
+    drops the child's closures.  A full assignment goes to one LP per basis
+    coordinate, whose solutions give the certified basis with the
+    assignment as its sign witnesses.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -266,57 +271,38 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     first_candidates = [p for p in candidates if p[0] < p[1]]
     tried = 0
     assignment: list[tuple[int, int]] = []
-    used_pairs: set[frozenset] = set()
+    used = [[False] * space.n for _ in range(space.n)]  # pairs either way round
 
-    def quick_conflict(x, y, depth):
-        # negative 2-cycles through the new equality edge and one earlier one
-        c_new = dist_int[x][y]
-        for level in range(depth):
-            px, py = assignment[level]
-            c_old = dist_int[px][py]
-            for kappa in range(k):
-                a = reps[depth][kappa] * c_new
-                b = reps[level][kappa] * c_old
-                for sa in (a, -a):
-                    ha, ta = (x, y) if sa == a else (y, x)
-                    for sb in (b, -b):
-                        hb, tb = (px, py) if sb == b else (py, px)
-                        if sa + dist_int[ha][tb] + sb + dist_int[hb][ta] < 0:
-                            return True
-        return False
-
-    def feasible_coordinate(kappa):
-        feasible, _ = lipschitz.differences_feasible(
-            dist_int,
-            [(x, y, eps[kappa] * dist_int[x][y]) for eps, (x, y) in zip(reps, assignment)],
-        )
-        return feasible
-
-    def dfs():
+    def dfs(closures):
         nonlocal tried
         depth = len(assignment)
         if depth == len(reps):
             return _direct_search_solve(space, k, reps, assignment)
-        for pair in first_candidates if depth == 0 else candidates:
-            key = frozenset(pair)
-            if key in used_pairs:
+        eps = reps[depth]
+        for x, y in first_candidates if depth == 0 else candidates:
+            if used[x][y]:
                 continue
             if node_budget is not None and tried >= node_budget:
                 return "budget"
             tried += 1
-            if quick_conflict(pair[0], pair[1], depth):
-                continue
-            assignment.append(pair)
-            used_pairs.add(key)
-            if all(feasible_coordinate(kappa) for kappa in range(k)):
-                outcome = dfs()
+            rho = dist_int[x][y]
+            for e, closure in zip(eps, closures):
+                if not lipschitz.closure_admits(closure, x, y, e * rho):
+                    break
+            else:
+                assignment.append((x, y))
+                used[x][y] = used[y][x] = True
+                outcome = dfs([
+                    lipschitz.closure_add(closure, x, y, e * rho)
+                    for e, closure in zip(eps, closures)
+                ])
                 if outcome is not None:
                     return outcome
-            assignment.pop()
-            used_pairs.discard(key)
+                assignment.pop()
+                used[x][y] = used[y][x] = False
         return None
 
-    outcome = dfs()
+    outcome = dfs([dist_int] * k)
     if outcome == "budget":
         return DirectSearchResult(space, k, False, None, None, tried, True)
     if outcome is None:
@@ -326,33 +312,25 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
 
 
 def _direct_search_solve(space, k, reps, assignment):
-    """Joint LP for the functional values of a fully assigned witness map."""
+    """Functional values of a fully assigned witness map: one LP per basis
+    coordinate, the 1-Lipschitz ball plus that coordinate's equalities."""
     n = space.n
-    nb = n - 1
-    width = k * nb
-
-    def col(kappa, p):
-        return kappa * nb + (p - 1)
-
-    rows = freespace.lipschitz_ball_rows(space, k)
-    for eps, (x, y) in zip(reps, assignment):
-        for kappa in range(k):
-            coeffs = [_ZERO] * width
+    ball = freespace.lipschitz_ball_rows(space, 1)
+    basis = []
+    for kappa in range(k):
+        rows = list(ball)
+        for eps, (x, y) in zip(reps, assignment):
+            coeffs = [_ZERO] * (n - 1)
             if x != 0:
-                coeffs[col(kappa, x)] += _ONE
+                coeffs[x - 1] = _ONE
             if y != 0:
-                coeffs[col(kappa, y)] -= _ONE
-            rows.append((coeffs, lp.EQ, Fraction(eps[kappa]) * space.rho(x, y)))
-    outcome = lp.feasible(rows, n_vars=width)
-    if outcome.status != "optimal":
-        return None
-    basis = tuple(
-        LipFunctional(
-            space,
-            tuple([_ZERO] + [outcome.primal[col(kappa, p)] for p in range(1, n)]),
-        )
-        for kappa in range(k)
-    )
+                coeffs[y - 1] = -_ONE
+            rows.append((coeffs, lp.EQ, eps[kappa] * space.rho(x, y)))
+        outcome = lp.feasible(rows, n_vars=n - 1)
+        if outcome.status != "optimal":
+            return None
+        basis.append(LipFunctional(space, tuple([_ZERO] + outcome.primal)))
+    basis = tuple(basis)
     cert = certify.l1_isometry_lip(basis, pinned_pairs=list(assignment))
     if not cert.valid:
         raise AssertionError("feasible witness assignment must certify")

@@ -2,7 +2,8 @@
 
 Norm with complete strong-attainment witness sets, rebasing, McShane
 extension, norm-preserving extension of certified l1 bases, and exact
-feasibility of prescribed differences of a 1-Lipschitz function.
+feasibility of prescribed differences of a 1-Lipschitz function, from
+scratch or one equality at a time on a shortest-path closure.
 """
 
 from __future__ import annotations
@@ -236,6 +237,50 @@ def differences_feasible(dist_int, equalities):
         cycle.append(pred[cycle[-1][0]])
     cycle.reverse()
     return False, cycle
+
+
+def closure_admits(closure, x, y, c) -> bool:
+    """Does the system with shortest-path ``closure`` admit f(x) - f(y) = c?
+
+    ``closure[a][b]`` is the tightest upper bound on f(b) - f(a) that a
+    feasible system of difference constraints implies; ``integer_distances``
+    itself is the closure of the bare 1-Lipschitz condition, since a metric is
+    its own shortest-path closure.  Over the solutions of the system,
+    f(x) - f(y) takes exactly the values in [-closure[x][y], closure[y][x]],
+    so the answer is that of ``differences_feasible`` on the system plus
+    the equality.
+    """
+    return -closure[x][y] <= c <= closure[y][x]
+
+
+def closure_add(closure, x, y, c):
+    """The shortest-path closure after adding f(x) - f(y) = c, as a new
+    matrix (``closure`` is left as it is, so a search can backtrack to it).
+
+    The equality is the arcs y -> x of weight c and x -> y of weight -c, so
+    a shortest path uses at most one of them: D'[a][b] = min(D[a][b],
+    D[a][y] + c + D[x][b], D[a][x] - c + D[y][b]).  Only for a closure that
+    ``closure_admits`` the equality; O(n^2) integer operations.
+    """
+    row_x = closure[x]
+    row_y = closure[y]
+    new = []
+    for row in closure:
+        via_yx = row[y] + c
+        via_xy = row[x] - c
+        # plain comparisons: this loop is the direct search's inner cost,
+        # and three-argument min() makes it about 2.5x slower on 8 points
+        tightened = []
+        for d, bx, by in zip(row, row_x, row_y):
+            t = via_yx + bx
+            if t < d:
+                d = t
+            t = via_xy + by
+            if t < d:
+                d = t
+            tightened.append(d)
+        new.append(tightened)
+    return new
 
 
 def _relax(edges, dist, rounds, pred):

@@ -62,26 +62,32 @@ class LinearProgram:
 
 def make_program(objective, constraints, bounds=None) -> LinearProgram:
     """Normalize raw lists into a validated LinearProgram."""
-    obj = tuple(Fraction(c) for c in objective)
+    obj = tuple(_rational(c) for c in objective)
     n = len(obj)
     rows = []
     for k, (coeffs, rel, rhs) in enumerate(constraints):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(_rational(c) for c in coeffs)
         if len(coeffs) != n:
             raise LpFormatError(f"constraint {k} has {len(coeffs)} coefficients, expected {n}")
         if rel not in (LE, EQ, GE):
             raise LpFormatError(f"constraint {k} has unknown relation {rel!r}")
-        rows.append(Constraint(coeffs, rel, Fraction(rhs)))
+        rows.append(Constraint(coeffs, rel, _rational(rhs)))
     if bounds is None:
         bnds = tuple((None, None) for _ in range(n))
     else:
         if len(bounds) != n:
             raise LpFormatError(f"{len(bounds)} bounds for {n} variables")
         bnds = tuple(
-            (None if lo is None else Fraction(lo), None if hi is None else Fraction(hi))
+            (None if lo is None else _rational(lo), None if hi is None else _rational(hi))
             for lo, hi in bounds
         )
     return LinearProgram(obj, tuple(rows), bnds)
+
+
+def _rational(c) -> Fraction:
+    # Fraction(c) would copy a Fraction; callers building large programs
+    # already pass Fractions
+    return c if type(c) is Fraction else Fraction(c)
 
 
 @dataclass

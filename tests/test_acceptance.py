@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from lipcert import certdoc, certify, construct, freespace, interval, linalg, metric
+from lipcert import certdoc, certify, construct, freespace, interval, linalg, lp, metric
 from lipcert.lipschitz import integer_distances, lip_norm
 from lipcert.metric import random_space
 
@@ -104,12 +104,23 @@ def test_criterion_02_pipeline_k2_100_spaces(pipeline_k2_results):
     assert (tried, l1_valid) == (744, 100)
 
 
-def test_criterion_03_k3_direct_search_and_pipeline(pipeline_k3_equilateral):
+def test_criterion_03_k3_direct_search_and_pipeline(pipeline_k3_equilateral, monkeypatch):
+    pivots = []
+    solve = lp.solve
+
+    def counting_solve(program, sense="min"):
+        outcome = solve(program, sense)
+        pivots.append(outcome.pivots)
+        return outcome
+
+    monkeypatch.setattr(lp, "solve", counting_solve)
     start = time.monotonic()
     failures = []
+    tried = 0
     for seed in range(20):
         space = random_space(8, seed, "range")
         result = construct.direct_search_l1(space, 3)
+        tried += result.assignments_tried
         if not (result.found and result.certificate.valid):
             failures.append(seed)
         else:
@@ -122,6 +133,7 @@ def test_criterion_03_k3_direct_search_and_pipeline(pipeline_k3_equilateral):
                 )
             )
     direct_elapsed = time.monotonic() - start
+    monkeypatch.undo()
     k3, k3_elapsed = pipeline_k3_equilateral
     search = k3.complementation
     pipeline_ok = (
@@ -134,7 +146,10 @@ def test_criterion_03_k3_direct_search_and_pipeline(pipeline_k3_equilateral):
         ("complementation", certdoc.complementation_document(k3.complementation.certificate))
     )
     DOCUMENTS.append(("linf", certdoc.linf_document(k3.linf_certificate)))
-    ok = not failures and direct_elapsed < 300 and pipeline_ok
+    # the search's counters: the same nodes in the same order, and the same
+    # simplex path through the per-coordinate LPs
+    counters_ok = (tried, sum(pivots)) == (250124, 778)
+    ok = not failures and direct_elapsed < 300 and pipeline_ok and counters_ok
     report(
         3,
         ok,
@@ -143,6 +158,7 @@ def test_criterion_03_k3_direct_search_and_pipeline(pipeline_k3_equilateral):
     )
     assert not failures, failures
     assert direct_elapsed < 300, f"direct-search budget exceeded: {direct_elapsed:.1f}s"
+    assert (tried, sum(pivots)) == (250124, 778)
     assert k3.certificate.valid
     assert (search.tuples_tried, search.tuples_l1_valid) == (2551, 1)
     assert k3_elapsed < 600, f"pipeline budget exceeded: {k3_elapsed:.1f}s"

@@ -1,12 +1,20 @@
 """Free-space norms, molecules, operators, and 1-complementation."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from lipcert import certify, freespace
-from lipcert.lipschitz import differences_feasible, integer_distances, lcm_scale, lip_norm
+from lipcert.lipschitz import (
+    closure_add,
+    closure_admits,
+    differences_feasible,
+    integer_distances,
+    lcm_scale,
+    lip_norm,
+)
 from lipcert.metric import random_space
 
 from helpers import equilateral, free_norm_vertex_oracle, random_coeffs, random_functional
@@ -294,6 +302,53 @@ def test_differences_feasible_witnesses():
                     for i in range(len(witness))
                 ), witness
                 assert sum(w for _, _, w in witness) < 0, witness
+    assert verdicts == {True, False}
+
+
+def _shortest_paths(dist_int, equalities):
+    """Floyd-Warshall over every point: metric arcs a -> b of weight
+    rho(a, b), and arcs y -> x of weight c and x -> y of weight -c per
+    equality f(x) - f(y) = c."""
+    n = len(dist_int)
+    d = [list(row) for row in dist_int]
+    for x, y, c in equalities:
+        d[y][x] = min(d[y][x], c)
+        d[x][y] = min(d[x][y], -c)
+    for via in range(n):
+        for a in range(n):
+            for b in range(n):
+                d[a][b] = min(d[a][b], d[a][via] + d[via][b])
+    return d
+
+
+def test_incremental_closure_matches_bellman_ford_and_floyd_warshall():
+    # random equality sequences, the rejected ones skipped as the direct
+    # search skips them: every verdict against Bellman-Ford on the
+    # accumulated system, every accepted closure against a from-scratch one
+    spaces = [space for space, _ in _filter_cases()]
+    spaces += [
+        random_space(n, seed, method)
+        for method in ("range", "euclidean")
+        for n in range(5, 9)
+        for seed in range(5)
+    ]
+    verdicts = set()
+    for i, space in enumerate(spaces):
+        rng = random.Random(f"closure:{i}")
+        dist_int = integer_distances(space)
+        closure = dist_int
+        equalities = []
+        for _ in range(12):
+            x, y = rng.sample(range(space.n), 2)
+            rho = dist_int[x][y]
+            c = rng.choice([rho, -rho, rng.randint(-rho, rho)])
+            verdict = closure_admits(closure, x, y, c)
+            assert verdict == differences_feasible(dist_int, equalities + [(x, y, c)])[0]
+            verdicts.add(verdict)
+            if verdict:
+                equalities.append((x, y, c))
+                closure = closure_add(closure, x, y, c)
+                assert closure == _shortest_paths(dist_int, equalities), (space.dist, equalities)
     assert verdicts == {True, False}
 
 

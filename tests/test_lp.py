@@ -254,3 +254,15 @@ def test_make_program_rejects_bad_shapes():
         lp.make_program([1], [([1], "<", 0)])
     with pytest.raises(lp.LpFormatError):
         lp.solve(lp.make_program([1], []), "maximize")
+
+
+def test_make_program_passes_fractions_through():
+    c = F(3, 7)
+    program = lp.make_program([c, 2], [([c, "1/2"], lp.LE, c)], bounds=[(c, None), (None, "5")])
+    assert program.objective[0] is c
+    assert program.constraints[0].coeffs[0] is c
+    assert program.constraints[0].rhs is c
+    assert program.bounds[0][0] is c
+    converted = [program.objective[1], program.constraints[0].coeffs[1], program.bounds[1][1]]
+    assert converted == [F(2), F(1, 2), F(5)]
+    assert all(type(v) is Fraction for v in converted)

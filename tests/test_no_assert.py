@@ -63,6 +63,20 @@ for kind, path, value, name in [
     report = certdoc.verify_document(bad)
     if report.ok or name not in report.failures:
         raise SystemExit(f"tampered {kind} {path} went unnamed: {report.failures}")
+search = construct.direct_search_l1(random_space(5, 2, "range"), 2)
+if not search.found:
+    raise SystemExit("direct search found no l1^2 basis")
+config = {"construction": "direct-search", "k": 2}
+doc = json.loads(certdoc.dumps(certdoc.l1_document(search.certificate, config=config)))
+report = certdoc.verify_document(doc)
+if not report.ok or report.recomputed != "valid" or report.kind != "l1-isometry":
+    raise SystemExit(f"valid direct-search document rejected: {report.failures}")
+x, y = doc["checks"]["signs"]["witnesses"][0]["pair"]
+doc["basis"][1][x or y] = format_rational(parse_rational(doc["basis"][1][x or y]) + 1)
+report = certdoc.verify_document(doc)
+name = f"checks.signs.witnesses[0] pair [{x}, {y}] does not realize its epsilon"
+if report.ok or not report.failures[0].startswith(name):
+    raise SystemExit(f"tampered direct-search basis value went unnamed: {report.failures}")
 doc = docs["pipeline"]
 x, y = doc["checks"]["signs"]["witnesses"][0]["pair"]
 point = x or y
