@@ -12,7 +12,6 @@ from lipcert.freespace import (
     operator_norm,
     pairing,
 )
-from lipcert.lipschitz import integer_distances
 from lipcert.metric import PointedMetricSpace, random_space
 
 eq4 = PointedMetricSpace.from_matrix([[int(i != j) for j in range(4)] for i in range(4)])
@@ -30,13 +29,12 @@ assert pairing(witness, v) == value
 
 # The same norm as an exact integer transport: cycle canceling stops at a
 # 1-Lipschitz potential tight on every arc with flow.
-dist_int = integer_distances(eq4)
-print("  integer transport:", free_norm(v, dist_int))
-assert free_norm(v, dist_int) == value
+print("  integer transport:", free_norm(v))
+assert free_norm(v) == value
 
 # Molecules (delta_x - delta_y)/rho(x,y) are exactly the norm-one candidates.
 for mol in canonical_molecules(eq4)[:3]:
-    norm = free_norm(mol.as_free_vector(), dist_int)
+    norm = free_norm(mol.as_free_vector())
     print(f"molecule ({mol.x},{mol.y}): norm = {norm}")
 
 # Operator norms reduce to molecule enumeration: the free ball is the
@@ -48,7 +46,7 @@ print("projection onto span(delta_1): operator norm =", norm, "at molecule", (ar
 # Duality holds on random spaces too.
 space = random_space(6, seed=42, method="euclidean")
 w = free_vector(space, [1, -2, 3, 0, -1])
-p = free_norm(w, integer_distances(space))
+p = free_norm(w)
 d, _ = free_norm_dual(w)
 print(f"random 6-point space: transport = dual = {p}")
 assert p == d

@@ -179,12 +179,10 @@ def pipeline_document(result, config=None) -> dict:
 def hybrid_document(h, f, u, config=None) -> dict:
     """Certificate that T(f) = f o F preserves the norm on a hybrid space.
 
-    Raises ``interval.HybridInvalidError`` when ``h`` is not a metric space;
-    it is validated once here for both the retraction and the norm."""
-    interval._require_valid(h)
-    retraction_values = interval._retraction(h)
+    Raises ``interval.HybridInvalidError`` when ``h`` is not a metric space."""
+    retraction_values = interval.retraction(h)
     interval_norm, pieces = interval.pwl_norm(f)
-    hybrid_value, witness = interval._hybrid_norm(u, h)
+    hybrid_value, witness = interval.hybrid_norm(u, h)
     verdict = "valid" if (hybrid_value == interval_norm and (witness is None or witness.kind == "interval")) else "invalid"
     doc = {
         "kind": "hybrid-embed",

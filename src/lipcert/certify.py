@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .lipschitz import LipFunctional, integer_distances
+from .lipschitz import LipFunctional
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -225,11 +225,10 @@ def l1_isometry_free(vectors) -> FreeL1Report:
     for u in vectors[1:]:
         if u.space != space:
             raise ValueError("vectors live on different spaces")
-    dist_int = integer_distances(space)
     m = len(vectors)
     unit_norms = []
     for u in vectors:
-        value = free_norm(u, dist_int)
+        value = free_norm(u)
         unit_norms.append(value)
         if value != 1:
             return FreeL1Report(
@@ -243,7 +242,7 @@ def l1_isometry_free(vectors) -> FreeL1Report:
         w = vectors[0].scale(eps[0])
         for e, u in zip(eps[1:], vectors[1:]):
             w = w + u.scale(e)
-        value = free_norm(w, dist_int)
+        value = free_norm(w)
         combos.append((eps, value))
         if value != m:
             return FreeL1Report(

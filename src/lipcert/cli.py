@@ -48,10 +48,12 @@ def _load_json(path: str):
         return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
 def _load_rationals(doc, key, path):
-    if not isinstance(doc, dict) or key not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
         raise InputError(f'{path}: expected an object with a "{key}" array')
     try:
         return [parse_rational(x) for x in doc[key]]
@@ -249,15 +251,14 @@ def cmd_c0_demo(args):
 
 def cmd_hybrid(args):
     h = _load_hybrid(args.hybrid)
-    violations = interval.hybrid_validate(h)
-    if violations:
+    if h.violations:
         doc = {
             "kind": "validation",
             "tool": certdoc.tool_info(),
             "valid": False,
             "violations": [
                 {"kind": v.kind, "where": [str(x) for x in v.where], "detail": v.detail}
-                for v in violations
+                for v in h.violations
             ],
         }
         return EXIT_INVALID, doc
@@ -294,7 +295,7 @@ def run_trial(op: str, seed: int, index: int, params: dict) -> dict:
     """One deterministic trial; a top-level function so worker processes can
     import it."""
     trial_seed = seed + index
-    method = params.get("method", "range")
+    method = params["method"]
     record = {"index": index, "seed": trial_seed, "ok": False}
     try:
         if op == "four-point":
@@ -302,32 +303,32 @@ def run_trial(op: str, seed: int, index: int, params: dict) -> dict:
             _, _, cert = construct.four_point_basis(space)
             record["ok"] = cert.valid
         elif op == "pipeline":
-            n = params.get("n") or 2 ** params.get("k", 2)
+            n = params["n"] or 2 ** params["k"]
             space = metric.random_space(n, trial_seed, method)
             try:
                 result = construct.theorem_pipeline(
-                    space, params.get("k", 2), tuple_budget=params.get("budget")
+                    space, params["k"], tuple_budget=params["budget"]
                 )
                 record["ok"] = result.certificate.valid
             except construct.SearchExhausted:
                 record["exhausted"] = True
         elif op == "direct-search":
-            n = params.get("n") or (params.get("k", 2) + 1)
+            n = params["n"] or params["k"] + 1
             space = metric.random_space(n, trial_seed, method)
             result = construct.direct_search_l1(
-                space, params.get("k", 2), node_budget=params.get("budget")
+                space, params["k"], node_budget=params["budget"]
             )
             if result.found:
                 record["ok"] = result.certificate.valid
             else:
                 record["exhausted"] = True
         elif op == "free-duality":
-            n = params.get("n", 5)
+            n = params["n"] or 5
             space = metric.random_space(n, trial_seed, method)
             rng = random.Random(f"vector:{trial_seed}")
             coeffs = [Fraction(rng.randint(-32, 32), rng.randint(1, 8)) for _ in range(n - 1)]
             v = freespace.FreeVector(space, tuple(coeffs))
-            primal = freespace.free_norm(v, lipschitz.integer_distances(space))
+            primal = freespace.free_norm(v)
             dual, _ = freespace.free_norm_dual(v)
             record["ok"] = primal == dual
         else:
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--method", choices=("range", "euclidean"), default="range")
-    p.add_argument("-k", type=int, default=None)
+    p.add_argument("-k", type=int, default=2)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(handler=cmd_trials)
@@ -447,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "trials" and args.k is None:
-        args.k = 2
     try:
         code, doc = args.handler(args)
     except InputError as exc:

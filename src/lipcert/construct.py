@@ -98,7 +98,7 @@ def rademacher_embedding(n: int):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return tuple((1,) + bits for bits in product((1, -1), repeat=n - 1))
+    return tuple(certify.sign_class_representatives(n))
 
 
 def duality_lift(certificate: freespace.ComplementationCertificate):
@@ -261,7 +261,7 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
         raise ValueError("direct_search_l1 expects the base point at index 0")
     reps = certify.sign_class_representatives(k)
     # integer-scaled distances keep the feasibility pruning in int arithmetic
-    dist_int = lipschitz.integer_distances(space)
+    dist_int = space.integer_dist
     candidates = sorted(
         space.ordered_pairs(),
         key=lambda p: (-dist_int[p[0]][p[1]], p),

@@ -22,8 +22,9 @@ from itertools import combinations
 
 from . import linalg, lp
 from .certify import sign_class_representatives
-from .lipschitz import LipFunctional, differences_feasible, integer_distances, lcm_scale
+from .lipschitz import LipFunctional, differences_feasible
 from .metric import PointedMetricSpace
+from .rationals import lcm_scale
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -113,17 +114,18 @@ class TransportArc:
     weight: Fraction
 
 
-def free_norm(v: FreeVector, dist_int) -> Fraction:
+def free_norm(v: FreeVector) -> Fraction:
     """Transportation-cost norm by exact integer transport.
 
-    ``dist_int`` is ``integer_distances(v.space)``.  The coefficients are
-    scaled to integer masses by the lcm of their denominators, the base
-    takes the balance -sum v, and ``integer_transport`` finds an optimal
-    flow with its potential; ``check_transport`` re-checks both before the
-    cost is returned in the space's own units.
+    The coefficients are scaled to integer masses by the lcm of their
+    denominators, the base takes the balance -sum v, and
+    ``integer_transport`` finds an optimal flow with its potential at the
+    arc costs of the space's ``integer_dist``; ``check_transport`` re-checks
+    both before the cost is returned in the space's own units.
     """
-    scale, coeffs = lcm_scale(v.coeffs)
+    coeffs, scale = lcm_scale(v.coeffs)
     mass = [-sum(coeffs)] + coeffs
+    dist_int = v.space.integer_dist
     flow, potential = integer_transport(mass, dist_int)
     check_transport(mass, dist_int, flow, potential)
     return sum((a * v.space.rho(x, y) for (x, y), a in flow.items()), _ZERO) / scale
@@ -331,11 +333,10 @@ def operator_norm(op: FreeOperator) -> tuple[Fraction, Molecule | None]:
     The free-space unit ball is the absolutely convex hull of the molecules,
     so the max over one sign representative per pair is the operator norm.
     """
-    dist_int = integer_distances(op.space)
     best = None
     witness = None
     for mol in canonical_molecules(op.space):
-        value = free_norm(op.apply(mol.as_free_vector()), dist_int)
+        value = free_norm(op.apply(mol.as_free_vector()))
         if best is None or value > best:
             best = value
             witness = mol
@@ -417,12 +418,13 @@ class ComplementationSearch:
     budget_exhausted: bool
 
 
-def molecules_span_l1(dist_int, molecules) -> bool:
+def molecules_span_l1(molecules) -> bool:
     """Do the molecules m_i = (delta_x_i - delta_y_i)/rho_i span an isometric
     l1^m?  Each has norm 1, so by the corner argument it suffices that every
     sign combination sum_i eps_i m_i has norm m.  Under Lip_0 = F(M)* that
     holds iff some 1-Lipschitz f has f(x_i) - f(y_i) = eps_i rho_i for all i:
     one difference-constraint check per sign class."""
+    dist_int = molecules[0].space.integer_dist
     return all(
         differences_feasible(
             dist_int,
@@ -449,7 +451,6 @@ def search_one_complemented(space, m, tuple_budget=None) -> ComplementationSearc
         raise ValueError("need m >= 1")
     if space.n < 2 * m:
         raise ValueError(f"need at least {2 * m} points for m = {m}, got {space.n}")
-    dist_int = integer_distances(space)
     tried = 0
     l1_valid = 0
     for molecules in combinations(canonical_molecules(space), m):
@@ -458,7 +459,7 @@ def search_one_complemented(space, m, tuple_budget=None) -> ComplementationSearc
                 space, m, False, None, None, None, tried, l1_valid, True
             )
         tried += 1
-        if not molecules_span_l1(dist_int, molecules):
+        if not molecules_span_l1(molecules):
             continue
         l1_valid += 1
         vectors = tuple(mol.as_free_vector() for mol in molecules)

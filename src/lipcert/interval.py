@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .rationals import parse_rational
 
@@ -269,6 +270,11 @@ class HybridSpace:
     def extras(self) -> int:
         return len(self.profiles)
 
+    @cached_property
+    def violations(self) -> tuple[HybridViolation, ...]:
+        """``hybrid_validate`` of this space, computed once."""
+        return tuple(hybrid_validate(self))
+
 
 def hybrid_space(profiles, extra_dist=None) -> HybridSpace:
     profiles = tuple(profiles)
@@ -297,8 +303,8 @@ class HybridViolation:
 def hybrid_validate(h: HybridSpace) -> list[HybridViolation]:
     """All metric axioms of the hybrid description, checked finitely.
 
-    Profile positivity and the interval pair inequality reduce to breakpoint
-    evaluations; slopes in [-1,1] are exactly 1-Lipschitzness in t; mixed
+    Profile positivity and the interval pair inequality reduce to the
+    breakpoint values; slopes in [-1,1] are exactly 1-Lipschitzness in t; mixed
     and pure extra triangle inequalities are checked on common refinements
     and on the explicit matrix.
     """
@@ -313,9 +319,10 @@ def hybrid_validate(h: HybridSpace) -> list[HybridViolation]:
                 out.append(
                     HybridViolation("profile-slope", (z,) + piece, f"slope {s} outside [-1,1]")
                 )
-        for s in prof.breakpoints:
-            for t in prof.breakpoints:
-                if s < t and prof.evaluate(s) + prof.evaluate(t) < t - s:
+        points = tuple(zip(prof.breakpoints, prof.values))
+        for i, (s, ds) in enumerate(points):
+            for t, dt in points[i + 1:]:
+                if ds + dt < t - s:
                     out.append(
                         HybridViolation(
                             "interval-pair",
@@ -373,9 +380,8 @@ class HybridInvalidError(ValueError):
 
 
 def _require_valid(h: HybridSpace):
-    violations = hybrid_validate(h)
-    if violations:
-        raise HybridInvalidError(violations)
+    if h.violations:
+        raise HybridInvalidError(h.violations)
 
 
 def retraction(h: HybridSpace) -> tuple[Fraction, ...]:
@@ -388,11 +394,6 @@ def retraction(h: HybridSpace) -> tuple[Fraction, ...]:
     ``HybridInvalidError`` when ``h`` is not a metric space.
     """
     _require_valid(h)
-    return _retraction(h)
-
-
-def _retraction(h: HybridSpace) -> tuple[Fraction, ...]:
-    """``retraction`` of an already validated hybrid space."""
     out = []
     for prof in h.profiles:
         raw = min(t + v for t, v in zip(prof.breakpoints, prof.values))
@@ -445,11 +446,6 @@ def hybrid_norm(u: HybridFunctional, h: HybridSpace):
     ``HybridInvalidError`` when ``h`` is not a metric space.
     """
     _require_valid(h)
-    return _hybrid_norm(u, h)
-
-
-def _hybrid_norm(u: HybridFunctional, h: HybridSpace):
-    """``hybrid_norm`` on an already validated hybrid space."""
     if len(u.extra_values) != h.extras:
         raise ValueError(f"{len(u.extra_values)} extra values for {h.extras} extras")
     best = _ZERO

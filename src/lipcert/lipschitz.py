@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 
 from .metric import PointedMetricSpace
 
@@ -182,27 +181,11 @@ def extend_basis(basis, certificate, parent: PointedMetricSpace):
     return extended, parent_cert
 
 
-def lcm_scale(values) -> tuple[int, list[int]]:
-    """The lcm of the denominators of rational ``values`` and the values
-    times it, as ints."""
-    denom = 1
-    for v in values:
-        denom = lcm(denom, v.denominator)
-    return denom, [v.numerator * (denom // v.denominator) for v in values]
-
-
-def integer_distances(space: PointedMetricSpace) -> list[list[int]]:
-    """The distance matrix scaled by the lcm of its denominators, as ints."""
-    n = space.n
-    _, flat = lcm_scale([space.rho(i, j) for i in range(n) for j in range(n)])
-    return [flat[i * n:(i + 1) * n] for i in range(n)]
-
-
 def differences_feasible(dist_int, equalities):
     """Is there a 1-Lipschitz f with f(x) - f(y) = c for every (x, y, c)?
 
-    ``dist_int`` comes from ``integer_distances`` and every c is an integer
-    on the same scale.  The system is one of difference constraints:
+    ``dist_int`` is a space's ``integer_dist`` and every c is an integer on
+    the same scale.  The system is one of difference constraints:
     f(x) <= f(y) + c and f(y) <= f(x) - c per equality, f(a) <= f(b) + rho
     per pair.  It is feasible iff its constraint graph has no negative
     cycle, decided by integer Bellman-Ford.  Only the endpoints need nodes:
@@ -243,9 +226,9 @@ def closure_admits(closure, x, y, c) -> bool:
     """Does the system with shortest-path ``closure`` admit f(x) - f(y) = c?
 
     ``closure[a][b]`` is the tightest upper bound on f(b) - f(a) that a
-    feasible system of difference constraints implies; ``integer_distances``
-    itself is the closure of the bare 1-Lipschitz condition, since a metric is
-    its own shortest-path closure.  Over the solutions of the system,
+    feasible system of difference constraints implies; a space's
+    ``integer_dist`` is the closure of the bare 1-Lipschitz condition, since a
+    metric is its own shortest-path closure.  Over the solutions of the system,
     f(x) - f(y) takes exactly the values in [-closure[x][y], closure[y][x]],
     so the answer is that of ``differences_feasible`` on the system plus
     the equality.

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .rationals import lcm_scale
 
 LE = "<="
 EQ = "="
@@ -239,13 +241,6 @@ class _BoundConflict(Exception):
         super().__init__(f"variable {var} has lower bound {lo} > upper bound {hi}")
 
 
-def _scaled(values):
-    """Integer numerators of rationals ``values`` over their lcm denominator."""
-    ratios = [v.as_integer_ratio() for v in values]
-    d = lcm(*(q for _, q in ratios))
-    return [p * (d // q) for p, q in ratios], d
-
-
 class _Lowering:
     """Original program -> standard form, with maps for pulling answers back.
 
@@ -292,7 +287,7 @@ class _Lowering:
         self.rows: list[tuple[list[int], int, int]] = []
         for c in lp.constraints:
             rhs = c.rhs - sum(c.coeffs[j] * offset for j, offset in shifts)
-            nums, d = _scaled(c.coeffs + (rhs,))
+            nums, d = lcm_scale(c.coeffs + (rhs,))
             self.rows.append(([sign * nums[j] for j, sign in columns], nums[-1], d))
         for col, width in box_rows:
             row = [0] * n_struct
@@ -375,7 +370,7 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
         _drive_out_artificials(kern, n_real)
         kern.n_enter = n_real
 
-    struct_cost, cost_den = _scaled(low.cost)
+    struct_cost, cost_den = lcm_scale(low.cost)
     phase2_cost = struct_cost + [0] * (n_total - low.n_struct)
     t = kern.optimize(phase2_cost, cost_den)
 

@@ -11,8 +11,9 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .rationals import RationalFormatError, format_rational, parse_rational
+from .rationals import RationalFormatError, format_rational, lcm_scale, parse_rational
 
 # Grid used by the `range` generator: multiples of 1/64 inside [1, 2], so the
 # triangle inequality is automatic (2 <= 1 + 1) and LP coefficients stay small.
@@ -114,6 +115,14 @@ class PointedMetricSpace:
     def rho(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
 
+    @cached_property
+    def integer_dist(self) -> tuple[tuple[int, ...], ...]:
+        """The distance matrix scaled by the lcm of its denominators, as
+        ints; computed once per space."""
+        n = len(self.dist)
+        flat, _ = lcm_scale([x for row in self.dist for x in row])
+        return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+
     def pairs(self):
         """Unordered pairs (i, j), i < j."""
         n = len(self.dist)
@@ -160,6 +169,8 @@ def load_space_document(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpaceFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpaceFormatError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict) or "dist" not in doc:
         raise SpaceFormatError('document must be an object with a "dist" matrix')
     raw = doc["dist"]
@@ -170,6 +181,8 @@ def load_space_document(text: str):
     except RationalFormatError as exc:
         raise SpaceFormatError(str(exc)) from exc
     labels = doc.get("points")
+    if labels is not None and not isinstance(labels, list):
+        raise SpaceFormatError('"points" must be a list of labels')
     base = doc.get("base", 0)
     if type(base) is not int:
         raise SpaceFormatError('"base" must be an integer index')

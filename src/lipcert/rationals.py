@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -37,3 +38,11 @@ def parse_rational(value) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Canonical string form: 'p' when integral, else 'p/q' reduced."""
     return str(q if type(q) is Fraction else Fraction(q))
+
+
+def lcm_scale(values) -> tuple[list[int], int]:
+    """Rationals ``values`` over their lcm denominator ``d``: the integer
+    numerators and ``d``."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = lcm(*(q for _, q in ratios))
+    return [p * (d // q) for p, q in ratios], d

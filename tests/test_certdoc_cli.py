@@ -422,6 +422,49 @@ def test_cli_trials_deterministic_and_parallel():
     assert doc["ok"] == 12
 
 
+def test_cli_trials_free_duality_default_points():
+    code, out, _ = run_cli("trials", "--op", "free-duality", "--count", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] == 3
+    assert doc["params"] == {"k": 2, "method": "range"}
+
+
+_MALFORMED_INPUTS = {
+    "functional.json": json.dumps({"values": 5}),
+    "vector.json": json.dumps({"coeffs": None}),
+    "pwl.json": json.dumps({"breakpoints": 3, "values": ["0", "1"]}),
+    "hybrid.json": json.dumps({"extras": [{"breakpoints": ["0", "1"], "values": ["1", "1"]}]}),
+    "points.json": json.dumps({"points": 5, "dist": [[int(i != j) for j in range(4)] for i in range(4)]}),
+    "deep.json": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("norm", "eq4", "functional.json"),
+        ("free-norm", "eq4", "vector.json"),
+        ("hybrid", "hybrid.json", "--embed", "pwl.json"),
+        ("four-point", "points.json"),
+        ("pipeline", "points.json"),
+        ("verify", "deep.json"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_malformed_input_exits_2_without_traceback(tmp_path, eq4_file, argv):
+    for name, text in _MALFORMED_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    args = [
+        eq4_file if a == "eq4" else str(tmp_path / a) if a.endswith(".json") else a for a in argv
+    ]
+    code, out, err = run_cli(*args)
+    assert code == 2, err
+    assert err.startswith("error: "), err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_cli_determinism_byte_identical(eq4_file):
     _, out1, _ = run_cli("four-point", eq4_file)
     _, out2, _ = run_cli("four-point", eq4_file)

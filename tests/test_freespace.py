@@ -11,11 +11,10 @@ from lipcert.lipschitz import (
     closure_add,
     closure_admits,
     differences_feasible,
-    integer_distances,
-    lcm_scale,
     lip_norm,
 )
 from lipcert.metric import random_space
+from lipcert.rationals import lcm_scale
 
 from helpers import equilateral, free_norm_vertex_oracle, random_coeffs, random_functional
 
@@ -257,9 +256,8 @@ def test_molecule_l1_filter_matches_lp_oracle():
     # combination has norm m
     verdicts = set()
     for space, m in _filter_cases():
-        dist_int = integer_distances(space)
         for molecules in combinations(freespace.canonical_molecules(space), m):
-            fast = freespace.molecules_span_l1(dist_int, molecules)
+            fast = freespace.molecules_span_l1(molecules)
             vectors = [mol.as_free_vector() for mol in molecules]
             oracle = all(
                 freespace.free_norm_primal(_sign_combination(vectors, eps))[0] == m
@@ -275,7 +273,7 @@ def test_differences_feasible_witnesses():
     # infeasible one a negative cycle of the system's own constraint graph
     verdicts = set()
     for space, m in _filter_cases():
-        dist_int = integer_distances(space)
+        dist_int = space.integer_dist
         for molecules in combinations(freespace.canonical_molecules(space), m):
             for eps in certify.sign_class_representatives(m):
                 equalities = [
@@ -335,7 +333,7 @@ def test_incremental_closure_matches_bellman_ford_and_floyd_warshall():
     verdicts = set()
     for i, space in enumerate(spaces):
         rng = random.Random(f"closure:{i}")
-        dist_int = integer_distances(space)
+        dist_int = space.integer_dist
         closure = dist_int
         equalities = []
         for _ in range(12):
@@ -369,7 +367,7 @@ def _transport_cases():
 
 def test_free_norm_matches_both_lp_routes():
     for v in _transport_cases():
-        value = freespace.free_norm(v, integer_distances(v.space))
+        value = freespace.free_norm(v)
         primal, _ = freespace.free_norm_primal(v)
         dual, _ = freespace.free_norm_dual(v)
         assert value == primal == dual, (v.space.dist, v.coeffs)
@@ -378,8 +376,8 @@ def test_free_norm_matches_both_lp_routes():
 def test_transport_recheck_rejects_tampering():
     tampered = 0
     for v in _transport_cases()[:40]:
-        dist_int = integer_distances(v.space)
-        _, coeffs = lcm_scale(v.coeffs)
+        dist_int = v.space.integer_dist
+        coeffs, _ = lcm_scale(v.coeffs)
         mass = [-sum(coeffs)] + coeffs
         flow, potential = freespace.integer_transport(mass, dist_int)
         freespace.check_transport(mass, dist_int, flow, potential)
@@ -414,9 +412,8 @@ def test_filtered_molecules_norm_is_l1_of_coefficients():
     # the identity the complementation cuts rely on, against the transport LP
     accepted = 0
     for space, m in _filter_cases():
-        dist_int = integer_distances(space)
         for molecules in combinations(freespace.canonical_molecules(space), m):
-            if not freespace.molecules_span_l1(dist_int, molecules):
+            if not freespace.molecules_span_l1(molecules):
                 continue
             accepted += 1
             basis = [mol.as_free_vector() for mol in molecules]

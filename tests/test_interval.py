@@ -237,3 +237,46 @@ def test_compose_embed_rejects_invalid_hybrid():
         iv.hybrid_norm(u, bad)
     with pytest.raises(iv.HybridInvalidError):
         certdoc.hybrid_document(bad, identity(), u)
+
+
+def test_hybrid_space_validates_once(monkeypatch):
+    calls = []
+    real = iv.hybrid_validate
+    monkeypatch.setattr(iv, "hybrid_validate", lambda h: calls.append(h) or real(h))
+    h = iv.hybrid_space([iv.profile(["0", "1/4", "1"], ["3/4", "1/2", "5/4"])])
+    f = random_pwl("once")
+    u = iv.compose_embed(f, h)
+    doc = certdoc.hybrid_document(h, f, u)
+    assert iv.hybrid_norm(u, h)[0] == iv.pwl_norm(f)[0]
+    assert doc["verdict"] == "valid"
+    assert calls == [h]
+    assert h.violations == ()
+
+
+def _interval_pair_oracle(h):
+    return [
+        (z, s, t)
+        for z, prof in enumerate(h.profiles)
+        for s in prof.breakpoints
+        for t in prof.breakpoints
+        if s < t and prof.evaluate(s) + prof.evaluate(t) < t - s
+    ]
+
+
+def test_interval_pair_check_matches_evaluate_oracle():
+    broken = 0
+    for seed in range(60):
+        h = random_hybrid(seed)
+        shrunk = iv.HybridSpace(
+            tuple(
+                iv.DistanceProfile(p.breakpoints, tuple(v * F(1, 2 + (seed + z) % 4) for v in p.values))
+                for z, p in enumerate(h.profiles)
+            ),
+            h.extra_dist,
+        )
+        for space in (h, shrunk):
+            found = [v.where for v in iv.hybrid_validate(space) if v.kind == "interval-pair"]
+            assert found == _interval_pair_oracle(space), seed
+            broken += bool(found)
+    assert _interval_pair_oracle(random_hybrid(0)) == []
+    assert broken > 20

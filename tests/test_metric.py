@@ -1,10 +1,13 @@
 """Metric-space parsing, validation, generation, restriction."""
 
 import json
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from lipcert import freespace, metric
 from lipcert.metric import (
     MetricViolationError,
     PointedMetricSpace,
@@ -170,3 +173,22 @@ def test_restrict_commutes_with_label_permutation():
     b = restrict(space, indices)
     assert a.dist == b.dist
     assert a.labels == ("x0", "x3", "x1")
+
+
+def test_integer_dist_is_lcm_scaled_and_computed_once(monkeypatch):
+    calls = []
+    real = metric.lcm_scale
+    monkeypatch.setattr(metric, "lcm_scale", lambda values: calls.append(1) or real(values))
+    space = random_space(6, 3, "euclidean")
+    scale = lcm(*(x.denominator for row in space.dist for x in row))
+    assert scale > 1
+    ints = space.integer_dist
+    assert ints == tuple(tuple(x * scale for x in row) for row in space.dist)
+    assert all(type(x) is int for row in ints for x in row)
+    for x in range(1, space.n):
+        freespace.free_norm(freespace.delta(space, x))
+    assert space.integer_dist is ints
+    assert len(calls) == 1
+    assert isinstance(ints, tuple) and all(isinstance(row, tuple) for row in ints)
+    with pytest.raises(FrozenInstanceError):
+        space.integer_dist = ()

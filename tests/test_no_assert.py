@@ -98,3 +98,20 @@ def test_pipeline_verifies_and_rejects_tampering_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ok ")
+
+
+def test_test_modules_pass_under_optimize():
+    # pytest still rewrites the test modules' own asserts under -O; the
+    # library code they exercise runs optimized
+    root = Path(__file__).parent.parent
+    proc = subprocess.run(
+        [
+            sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "tests/test_lp.py", "tests/test_verify_fuzz.py", "tests/test_interval.py",
+        ],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(Path(lipcert.__file__).parent.parent)},
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
