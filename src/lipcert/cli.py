@@ -84,6 +84,7 @@ def _load_hybrid(path: str) -> interval.HybridSpace:
 def cmd_validate(args):
     try:
         rows, labels, base = metric.load_space_document(_read(args.space))
+        metric.point_labels(len(rows), labels, base)
     except metric.SpaceFormatError as exc:
         raise InputError(f"{args.space}: {exc}") from exc
     violations = metric.validate(rows)

@@ -273,11 +273,14 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     assignment: list[tuple[int, int]] = []
     used = [[False] * space.n for _ in range(space.n)]  # pairs either way round
 
+    # shared by every coordinate LP of every full assignment
+    ball = freespace.lipschitz_ball_rows(space, 1)
+
     def dfs(closures):
         nonlocal tried
         depth = len(assignment)
         if depth == len(reps):
-            return _direct_search_solve(space, k, reps, assignment)
+            return _direct_search_solve(space, k, reps, assignment, ball)
         eps = reps[depth]
         for x, y in first_candidates if depth == 0 else candidates:
             if used[x][y]:
@@ -311,11 +314,11 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     return DirectSearchResult(space, k, True, basis, cert, tried, False)
 
 
-def _direct_search_solve(space, k, reps, assignment):
+def _direct_search_solve(space, k, reps, assignment, ball):
     """Functional values of a fully assigned witness map: one LP per basis
-    coordinate, the 1-Lipschitz ball plus that coordinate's equalities."""
+    coordinate, the 1-Lipschitz ball rows ``ball`` plus that coordinate's
+    equalities."""
     n = space.n
-    ball = freespace.lipschitz_ball_rows(space, 1)
     basis = []
     for kappa in range(k):
         rows = list(ball)
@@ -325,7 +328,7 @@ def _direct_search_solve(space, k, reps, assignment):
                 coeffs[x - 1] = _ONE
             if y != 0:
                 coeffs[y - 1] = -_ONE
-            rows.append((coeffs, lp.EQ, eps[kappa] * space.rho(x, y)))
+            rows.append(lp.Constraint(tuple(coeffs), lp.EQ, eps[kappa] * space.rho(x, y)))
         outcome = lp.feasible(rows, n_vars=n - 1)
         if outcome.status != "optimal":
             return None

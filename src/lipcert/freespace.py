@@ -257,10 +257,11 @@ def free_norm_primal(v: FreeVector) -> tuple[Fraction, tuple[TransportArc, ...]]
     return out.value, decomposition
 
 
-def lipschitz_ball_rows(space: PointedMetricSpace, blocks: int):
+def lipschitz_ball_rows(space: PointedMetricSpace, blocks: int) -> list[lp.Constraint]:
     """LP rows +-(f(x) - f(y)) <= rho(x, y) over every pair, for each of
     ``blocks`` functionals; block b holds f_b(1), ..., f_b(n-1) in columns
-    b*(n-1) onward (f_b(0) = 0 is not a variable)."""
+    b*(n-1) onward (f_b(0) = 0 is not a variable).  Programs that reuse the
+    returned constraints share their scaled integer rows."""
     nb = space.n - 1
     rows = []
     for b in range(blocks):
@@ -271,8 +272,8 @@ def lipschitz_ball_rows(space: PointedMetricSpace, blocks: int):
             if y != 0:
                 coeffs[b * nb + y - 1] -= _ONE
             rho = space.rho(x, y)
-            rows.append((coeffs, lp.LE, rho))
-            rows.append(([-c for c in coeffs], lp.LE, rho))
+            rows.append(lp.Constraint(tuple(coeffs), lp.LE, rho))
+            rows.append(lp.Constraint(tuple(-c for c in coeffs), lp.LE, rho))
     return rows
 
 
@@ -501,9 +502,10 @@ def _biorthogonal_functionals(space, basis):
     biorthogonality equalities plus the 1-Lipschitz cube rows of each g_j;
     a molecule with sum_j |g_j(mol)| > 1 adds the facet s_j = sign(g_j(mol))
     as a cut.  Each cut removes the current candidate and the facet family is
-    finite, so the loop terminates.  Separation uses this l1 identity; the
-    final projection is still checked by exact transport norms in
-    ``verify_one_complemented``.
+    finite, so the loop terminates.  The rows are ``lp.Constraint``s kept
+    across rounds, so each is scaled to integers once.  Separation uses this
+    l1 identity; the final projection is still checked by exact transport
+    norms in ``verify_one_complemented``.
     """
     n = space.n
     nb = n - 1
@@ -523,7 +525,7 @@ def _biorthogonal_functionals(space, basis):
                 c = basis[i].coeffs[p - 1]
                 if c:
                     coeffs[g_col(j, p)] = c
-            rows.append((coeffs, lp.EQ, _ONE if i == j else _ZERO))
+            rows.append(lp.Constraint(tuple(coeffs), lp.EQ, _ONE if i == j else _ZERO))
     rows.extend(lipschitz_ball_rows(space, m))
 
     while True:
@@ -547,7 +549,7 @@ def _biorthogonal_functionals(space, basis):
                     coeffs[g_col(j, mol.x)] += sj / rho_m
                 if mol.y != 0:
                     coeffs[g_col(j, mol.y)] -= sj / rho_m
-            cuts.append((coeffs, lp.LE, _ONE))
+            cuts.append(lp.Constraint(tuple(coeffs), lp.LE, _ONE))
         if not cuts:
             return g_values
         rows.extend(cuts)

@@ -6,20 +6,27 @@ pivoting of Bareiss and of Avis's ``lrs``, with a denominator per row).  The
 simplex path is fixed by the pivot rule, not by the storage, so it is the
 path exact rational arithmetic takes.  Pricing is Dantzig's rule until a run
 of degenerate pivots is detected, after which the solve switches to Bland's
-rule permanently, which guarantees termination on every input.  Rationals
-(``Fraction``) appear only at the boundary: the program, and the primal, ray
-and dual values read back from the final tableau.  Every optimal outcome
-carries the pair (primal, dual) as an exact complementary-slackness
-certificate; infeasible outcomes carry a Farkas certificate.  Both are
-re-checked against the original program before being returned; the re-check
-derives the reduced costs ``c - A^T y`` itself.
+rule permanently, which guarantees termination on every input.  Each
+``Constraint`` scales its row (coefficients and rhs) to integers over the lcm
+of its denominators once, on first use, and every program that shares the
+row reads those integers.  Rationals (``Fraction``) appear only at the
+boundary: the program, and the primal, ray and dual values read back from
+the final tableau.  Every optimal outcome carries the pair (primal, dual) as
+an exact complementary-slackness certificate; infeasible outcomes carry a
+Farkas certificate.  Both are re-checked against the original program's rows
+before being returned.  The re-check scales each certificate vector to
+integers over its lcm once and decides every condition in integers,
+deriving the reduced costs ``c - A^T y`` itself; a ``Fraction`` is built only
+to word a violation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 
 from .rationals import lcm_scale
 
@@ -44,6 +51,13 @@ class Constraint:
     rel: str
     rhs: Fraction
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """``coeffs`` then ``rhs`` over the lcm ``d`` of their denominators:
+        the integer numerators and ``d``; computed once per row."""
+        nums, d = lcm_scale(self.coeffs + (self.rhs,))
+        return tuple(nums), d
+
 
 @dataclass(frozen=True)
 class LinearProgram:
@@ -63,17 +77,24 @@ class LinearProgram:
 
 
 def make_program(objective, constraints, bounds=None) -> LinearProgram:
-    """Normalize raw lists into a validated LinearProgram."""
+    """Normalize raw lists into a validated LinearProgram.
+
+    A row is a ``(coeffs, rel, rhs)`` triple or a ``Constraint``, which is
+    kept as it is, so programs that share a ``Constraint`` share its scaled
+    integers.
+    """
     obj = tuple(_rational(c) for c in objective)
     n = len(obj)
     rows = []
-    for k, (coeffs, rel, rhs) in enumerate(constraints):
-        coeffs = tuple(_rational(c) for c in coeffs)
-        if len(coeffs) != n:
-            raise LpFormatError(f"constraint {k} has {len(coeffs)} coefficients, expected {n}")
-        if rel not in (LE, EQ, GE):
-            raise LpFormatError(f"constraint {k} has unknown relation {rel!r}")
-        rows.append(Constraint(coeffs, rel, _rational(rhs)))
+    for k, con in enumerate(constraints):
+        if type(con) is not Constraint:
+            coeffs, rel, rhs = con
+            con = Constraint(tuple(_rational(c) for c in coeffs), rel, _rational(rhs))
+        if len(con.coeffs) != n:
+            raise LpFormatError(f"constraint {k} has {len(con.coeffs)} coefficients, expected {n}")
+        if con.rel not in (LE, EQ, GE):
+            raise LpFormatError(f"constraint {k} has unknown relation {con.rel!r}")
+        rows.append(con)
     if bounds is None:
         bnds = tuple((None, None) for _ in range(n))
     else:
@@ -248,7 +269,9 @@ class _Lowering:
     the column ``a`` shifted by its bound, an upper-bounded one the column
     ``-a`` reflected at it.  A boxed variable is shifted and adds a row
     ``x <= hi - lo`` after the original rows.  Each row is kept as integers
-    scaled by the lcm ``d`` of its denominators: ``(numerators, rhs, d)``.
+    over one denominator ``d``, ``(numerators, rhs, d)``, read from the
+    constraint's scaled row; the bound shifts are subtracted from the rhs in
+    integers, over the lcm of the shifts' denominators.
     """
 
     def __init__(self, lp: LinearProgram, minimize_obj):
@@ -285,10 +308,18 @@ class _Lowering:
 
         self.n_struct = n_struct = len(self.cost)
         self.rows: list[tuple[list[int], int, int]] = []
+        shift_nums, shift_den = lcm_scale([offset for _, offset in shifts])
         for c in lp.constraints:
-            rhs = c.rhs - sum(c.coeffs[j] * offset for j, offset in shifts)
-            nums, d = lcm_scale(c.coeffs + (rhs,))
-            self.rows.append(([sign * nums[j] for j, sign in columns], nums[-1], d))
+            nums, d = c.scaled
+            struct = [sign * nums[j] for j, sign in columns]
+            b = nums[-1]
+            if shifts:
+                # d * (rhs - sum_j coeffs[j] * offset_j), times shift_den
+                b = b * shift_den - sum(nums[j] * o for (j, _), o in zip(shifts, shift_nums))
+                if shift_den != 1:
+                    struct = [a * shift_den for a in struct]
+                    d *= shift_den
+            self.rows.append((struct, b, d))
         for col, width in box_rows:
             row = [0] * n_struct
             row[col] = width.denominator
@@ -401,7 +432,8 @@ def feasible(constraints, n_vars=None, bounds=None) -> LpOutcome:
     if n_vars is None:
         if not rows:
             raise LpFormatError("cannot infer variable count from zero constraints")
-        n_vars = len(rows[0][0])
+        first = rows[0]
+        n_vars = len(first.coeffs if type(first) is Constraint else first[0])
     lp = make_program([_ZERO] * n_vars, rows, bounds)
     return solve(lp, "min")
 
@@ -435,7 +467,8 @@ def _recover_duals(kern, cost, cost_den, sign, slack_col, art_col):
     for i, s in enumerate(sign):
         col = art_col[i] if art_col[i] >= 0 else slack_col[i]
         # s * (cost[col] / cost_den - red[col] / rd)
-        y.append(Fraction(s * (cost[col] * rd - red[col] * cost_den), cost_den * rd))
+        num = s * (cost[col] * rd - red[col] * cost_den)
+        y.append(Fraction(num, cost_den * rd) if num else _ZERO)
     return y
 
 
@@ -445,18 +478,20 @@ def _pull_back(low, v_std, offsets):
     out = []
     for plus, minus, offset in low.var_map:
         v = offset if offsets else _ZERO
-        if plus >= 0:
+        if plus >= 0 and v_std[plus]:
             v += v_std[plus]
-        if minus >= 0:
+        if minus >= 0 and v_std[minus]:
             v -= v_std[minus]
         out.append(v)
     return out
 
 
 def _extract_primal(low, kern):
-    x_std = [_ZERO] * kern.n_cols
+    # only structural columns are pulled back; nonbasic and zero ones stay 0
+    x_std = [_ZERO] * low.n_struct
     for i, b in enumerate(kern.basis):
-        x_std[b] = Fraction(kern.rows[i][-1], kern.den[i])
+        if b < low.n_struct and kern.rows[i][-1]:
+            x_std[b] = Fraction(kern.rows[i][-1], kern.den[i])
     return _pull_back(low, x_std, offsets=True)
 
 
@@ -470,21 +505,32 @@ def _extract_ray(low, kern, t):
     return _pull_back(low, d_std, offsets=False)
 
 
-def _dot(coeffs, x):
-    """Exact dot product, skipping zero terms."""
-    return sum(a * b for a, b in zip(coeffs, x) if a and b)
+def _dot(nums, xs):
+    """Integer dot product; ``zip`` stops at the shorter, so a scaled row's
+    trailing rhs is left out against a vector of the variables."""
+    return sum(map(mul, nums, xs))
 
 
-def _transpose_times(rows, y, n_vars):
-    """``A^T y`` over the constraint rows, skipping zero multipliers and
-    zero coefficients."""
-    out = [_ZERO] * n_vars
-    for con, yi in zip(rows, y):
-        if yi:
-            for j, a in enumerate(con.coeffs):
-                if a:
-                    out[j] += yi * a
-    return out
+def _minus(num, den, q) -> int:
+    """Numerator of ``num/den - q`` over ``den * q.denominator`` (``den > 0``):
+    its sign is the comparison of the two rationals."""
+    return num * q.denominator - q.numerator * den
+
+
+def _transpose_times(rows, mult, n_vars):
+    """``A^T m`` and ``m . b`` for integer multipliers ``m``, one per row, as
+    ``(t, L)``: ``(A^T m)_j = t[j] / L`` and ``m . b = t[n_vars] / L``, where
+    ``L`` is the lcm of the denominators of the rows with ``m_i != 0``.
+    Zero multipliers and coefficients are skipped."""
+    live = [(yi, con.scaled) for con, yi in zip(rows, mult) if yi]
+    common = lcm(*(d for _, (_, d) in live))
+    out = [0] * (n_vars + 1)
+    for yi, (nums, d) in live:
+        f = yi * (common // d)
+        for j, a in enumerate(nums):
+            if a:
+                out[j] += f * a
+    return out, common
 
 
 def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> list[str]:
@@ -494,7 +540,9 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
     verifies primal feasibility, dual sign feasibility, complementary
     slackness on rows and on bounds (through the reduced costs ``c - A^T y``
     derived here), the stored value and the zero duality gap, all as
-    rational equalities.
+    rational equalities.  Each vector is scaled to integers over its lcm
+    once, each row is read as the constraint's scaled integers, and every
+    comparison is made between integers over positive denominators.
     """
     bad: list[str] = []
     rows = lp.constraints
@@ -503,101 +551,130 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
         y = out.dual
         if x is None or y is None or out.value is None:
             return ["optimal outcome missing primal/dual/value"]
+        xs, dx = lcm_scale(x)
+        ys, dy = lcm_scale(y)
+        cs, dc = lcm_scale(lp.objective)
+        value = out.value
         # orient everything as a minimization
-        c = list(lp.objective) if sense == "min" else [-v for v in lp.objective]
-        yy = list(y) if sense == "min" else [-v for v in y]
-        value = out.value if sense == "min" else -out.value
+        if sense != "min":
+            ys = [-v for v in ys]
+            cs = [-v for v in cs]
+            value = -value
         for j, (lo, hi) in enumerate(lp.bounds):
-            if lo is not None and x[j] < lo:
+            if lo is not None and _minus(xs[j], dx, lo) < 0:
                 bad.append(f"x[{j}] = {x[j]} below lower bound {lo}")
-            if hi is not None and x[j] > hi:
+            if hi is not None and _minus(xs[j], dx, hi) > 0:
                 bad.append(f"x[{j}] = {x[j]} above upper bound {hi}")
         for i, con in enumerate(rows):
-            lhs = _dot(con.coeffs, x)
-            if con.rel == LE and lhs > con.rhs:
-                bad.append(f"row {i}: {lhs} > {con.rhs}")
-            if con.rel == GE and lhs < con.rhs:
-                bad.append(f"row {i}: {lhs} < {con.rhs}")
-            if con.rel == EQ and lhs != con.rhs:
-                bad.append(f"row {i}: {lhs} != {con.rhs}")
-            if con.rel == LE and yy[i] > 0:
-                bad.append(f"dual[{i}] = {yy[i]} > 0 on a <= row")
-            if con.rel == GE and yy[i] < 0:
-                bad.append(f"dual[{i}] = {yy[i]} < 0 on a >= row")
-            if yy[i] * (lhs - con.rhs) != 0:
+            nums, d = con.scaled
+            ax = _dot(nums, xs)
+            # d * dx * (lhs - rhs)
+            slack = ax - nums[-1] * dx
+            if con.rel == LE and slack > 0:
+                bad.append(f"row {i}: {Fraction(ax, d * dx)} > {con.rhs}")
+            if con.rel == GE and slack < 0:
+                bad.append(f"row {i}: {Fraction(ax, d * dx)} < {con.rhs}")
+            if con.rel == EQ and slack:
+                bad.append(f"row {i}: {Fraction(ax, d * dx)} != {con.rhs}")
+            yi = ys[i]
+            if con.rel == LE and yi > 0:
+                bad.append(f"dual[{i}] = {Fraction(yi, dy)} > 0 on a <= row")
+            if con.rel == GE and yi < 0:
+                bad.append(f"dual[{i}] = {Fraction(yi, dy)} < 0 on a >= row")
+            if yi and slack:
                 bad.append(f"complementary slackness fails on row {i}")
-        dual_obj = _dot(yy, [con.rhs for con in rows])
-        aty = _transpose_times(rows, yy, lp.n_vars)
+        # A^T y = aty[j] / (dy * da); y . b = aty[-1] / (dy * da)
+        aty, da = _transpose_times(rows, ys, lp.n_vars)
+        # reduced costs r_j = red / (dc * dy * da); where r_j != 0 the checks
+        # below pin x_j to the bound that enters the dual objective, so that
+        # term is r_j * x_j, kept over dc * dy * da * dx
+        bound_terms = 0
         for j, (lo, hi) in enumerate(lp.bounds):
-            r = c[j] - aty[j]
-            if r > 0:
+            red = cs[j] * dy * da - aty[j] * dc
+            if red > 0:
                 if lo is None:
                     bad.append(f"reduced cost {j} > 0 with no lower bound")
-                elif x[j] != lo:
+                elif _minus(xs[j], dx, lo):
                     bad.append(f"reduced cost {j} > 0 but x[{j}] not at lower bound")
                 else:
-                    dual_obj += r * lo
-            elif r < 0:
+                    bound_terms += red * xs[j]
+            elif red < 0:
                 if hi is None:
                     bad.append(f"reduced cost {j} < 0 with no upper bound")
-                elif x[j] != hi:
+                elif _minus(xs[j], dx, hi):
                     bad.append(f"reduced cost {j} < 0 but x[{j}] not at upper bound")
                 else:
-                    dual_obj += r * hi
-        obj = _dot(c, x)
-        if value != obj:
-            bad.append(f"stored value {value} != objective {obj}")
-        if not bad and obj != dual_obj:
-            bad.append(f"duality gap: primal {obj} != dual {dual_obj}")
+                    bound_terms += red * xs[j]
+        obj = _dot(cs, xs)  # c . x = obj / (dc * dx)
+        if _minus(obj, dc * dx, value):
+            bad.append(f"stored value {value} != objective {Fraction(obj, dc * dx)}")
+        if not bad:
+            dual_obj = aty[-1] * dc * dx + bound_terms  # over dc * dy * da * dx
+            if obj * dy * da != dual_obj:
+                primal, dual = Fraction(obj, dc * dx), Fraction(dual_obj, dc * dy * da * dx)
+                bad.append(f"duality gap: primal {primal} != dual {dual}")
     elif out.status == "infeasible":
         if out.farkas is None:
             return []  # bound-conflict infeasibility carries no row certificate
-        lam = out.farkas
-        q = _transpose_times(rows, lam, lp.n_vars)
-        beta = _dot(lam, [con.rhs for con in rows])
+        lam, dl = lcm_scale(out.farkas)
+        # (A^T lam)_j = q[j] / den and lam . b = q[-1] / den
+        q, den = _transpose_times(rows, lam, lp.n_vars)
+        den *= dl
+        beta = q[-1]
         for i, con in enumerate(rows):
             if con.rel == LE and lam[i] > 0:
                 bad.append(f"farkas[{i}] > 0 on a <= row")
             if con.rel == GE and lam[i] < 0:
                 bad.append(f"farkas[{i}] < 0 on a >= row")
-        best = _ZERO
+        terms = []  # (q_j, the bound x_j meets the combination at)
         for j, (lo, hi) in enumerate(lp.bounds):
             if q[j] > 0:
                 if hi is None:
                     bad.append(f"farkas combination needs upper bound on x[{j}]")
                 else:
-                    best += q[j] * hi
+                    terms.append((q[j], hi))
             elif q[j] < 0:
                 if lo is None:
                     bad.append(f"farkas combination needs lower bound on x[{j}]")
                 else:
-                    best += q[j] * lo
-        if not bad and best >= beta:
-            bad.append(f"farkas bound {best} >= rhs combination {beta}")
+                    terms.append((q[j], lo))
+        if not bad:
+            # best = sum_j q_j * bound_j, over the bounds' lcm denominator
+            db = lcm(*(b.denominator for _, b in terms))
+            best = sum(qj * b.numerator * (db // b.denominator) for qj, b in terms)
+            if best >= beta * db:
+                bad.append(
+                    f"farkas bound {Fraction(best, db * den)} >= rhs combination "
+                    f"{Fraction(beta, den)}"
+                )
     elif out.status == "unbounded":
         x = out.primal
         d = out.ray
         if x is None or d is None:
             return ["unbounded outcome missing feasible point or ray"]
+        xs, dx = lcm_scale(x)
+        ds, dd = lcm_scale(d)
         for i, con in enumerate(rows):
-            lhs = _dot(con.coeffs, x)
-            step = _dot(con.coeffs, d)
-            if con.rel == LE and (lhs > con.rhs or step > 0):
+            nums, _ = con.scaled
+            slack = _dot(nums, xs) - nums[-1] * dx  # sign of lhs - rhs
+            step = _dot(nums, ds)  # sign of the row along the ray
+            if con.rel == LE and (slack > 0 or step > 0):
                 bad.append(f"row {i} not maintained along ray")
-            if con.rel == GE and (lhs < con.rhs or step < 0):
+            if con.rel == GE and (slack < 0 or step < 0):
                 bad.append(f"row {i} not maintained along ray")
-            if con.rel == EQ and (lhs != con.rhs or step != 0):
+            if con.rel == EQ and (slack or step):
                 bad.append(f"row {i} not maintained along ray")
         for j, (lo, hi) in enumerate(lp.bounds):
-            if lo is not None and (x[j] < lo or d[j] < 0):
+            if lo is not None and (_minus(xs[j], dx, lo) < 0 or ds[j] < 0):
                 bad.append(f"lower bound on x[{j}] not maintained along ray")
-            if hi is not None and (x[j] > hi or d[j] > 0):
+            if hi is not None and (_minus(xs[j], dx, hi) > 0 or ds[j] > 0):
                 bad.append(f"upper bound on x[{j}] not maintained along ray")
-        drift = _dot(lp.objective, d)
+        cs, dc = lcm_scale(lp.objective)
+        drift = _dot(cs, ds)  # c . d = drift / (dc * dd)
         if sense == "min" and drift >= 0:
-            bad.append(f"ray is not improving: c.d = {drift} >= 0 for min")
+            bad.append(f"ray is not improving: c.d = {Fraction(drift, dc * dd)} >= 0 for min")
         if sense == "max" and drift <= 0:
-            bad.append(f"ray is not improving: c.d = {drift} <= 0 for max")
+            bad.append(f"ray is not improving: c.d = {Fraction(drift, dc * dd)} <= 0 for max")
     else:
         bad.append(f"unknown status {out.status!r}")
     return bad

@@ -145,25 +145,33 @@ class PointedMetricSpace:
         violations = validate(dist)
         if violations:
             raise MetricViolationError(violations)
-        n = len(dist)
-        if labels is None:
-            labels = tuple(f"p{i}" for i in range(n))
-        else:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise SpaceFormatError(f"{len(labels)} labels for {n} points")
-        if not 0 <= base < n:
-            raise SpaceFormatError(f"base index {base} out of range")
+        labels = point_labels(len(dist), labels, base)
         if parent_map is not None:
             parent_map = tuple(parent_map)
         return PointedMetricSpace(dist, labels, base, parent_map)
 
 
+def point_labels(n: int, labels, base: int) -> tuple[str, ...]:
+    """Labels of an ``n``-point space (``p0``, ``p1``, ... when ``labels`` is
+    None), after checking that there is one per point and that ``base``
+    indexes a point; raises SpaceFormatError."""
+    if labels is None:
+        labels = tuple(f"p{i}" for i in range(n))
+    else:
+        labels = tuple(str(x) for x in labels)
+        if len(labels) != n:
+            raise SpaceFormatError(f"{len(labels)} labels for {n} points")
+    if not 0 <= base < n:
+        raise SpaceFormatError(f"base index {base} out of range")
+    return labels
+
+
 def load_space_document(text: str):
     """Syntax-only parse of the metric-space format: (rows, labels, base).
 
-    Metric axioms are not checked here; ``validate`` or ``from_matrix`` do
-    that separately, so callers can report violations as data.
+    Metric axioms, the label count and the base index are not checked here;
+    ``validate`` and ``point_labels``, or ``from_matrix``, do that
+    separately, so callers can report violations as data.
     """
     try:
         doc = json.loads(text)

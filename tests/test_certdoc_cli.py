@@ -437,6 +437,8 @@ _MALFORMED_INPUTS = {
     "hybrid.json": json.dumps({"extras": [{"breakpoints": ["0", "1"], "values": ["1", "1"]}]}),
     "points.json": json.dumps({"points": 5, "dist": [[int(i != j) for j in range(4)] for i in range(4)]}),
     "deep.json": "[" * 100_000 + "]" * 100_000,
+    "base.json": json.dumps({"dist": [[0, 1], [1, 0]], "points": ["a", "b"], "base": 5}),
+    "labels.json": json.dumps({"dist": [[0, 1], [1, 0]], "points": ["a"]}),
 }
 
 
@@ -449,6 +451,8 @@ _MALFORMED_INPUTS = {
         ("four-point", "points.json"),
         ("pipeline", "points.json"),
         ("verify", "deep.json"),
+        pytest.param(("validate", "base.json"), id="validate-base"),
+        pytest.param(("validate", "labels.json"), id="validate-labels"),
     ],
     ids=lambda argv: argv[0],
 )
@@ -463,6 +467,16 @@ def test_cli_malformed_input_exits_2_without_traceback(tmp_path, eq4_file, argv)
     assert err.startswith("error: "), err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("name", ["base.json", "labels.json"])
+def test_cli_validate_names_the_fault_four_point_names(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(_MALFORMED_INPUTS[name])
+    validate = run_cli("validate", str(path))
+    four_point = run_cli("four-point", str(path))
+    assert validate == four_point
+    assert validate[0] == 2
 
 
 def test_cli_determinism_byte_identical(eq4_file):

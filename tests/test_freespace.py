@@ -401,11 +401,11 @@ def test_transport_recheck_rejects_tampering():
 def test_lipschitz_ball_rows_layout():
     rows = freespace.lipschitz_ball_rows(equilateral(3), 2)
     # block, then pairs (0,1), (0,2), (1,2), the + row before the - row
-    assert [coeffs for coeffs, _, _ in rows] == [
+    assert [list(con.coeffs) for con in rows] == [
         [-1, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0], [0, 1, 0, 0], [1, -1, 0, 0], [-1, 1, 0, 0],
         [0, 0, -1, 0], [0, 0, 1, 0], [0, 0, 0, -1], [0, 0, 0, 1], [0, 0, 1, -1], [0, 0, -1, 1],
     ]
-    assert all(rel == "<=" and rhs == 1 for _, rel, rhs in rows)
+    assert all(con.rel == "<=" and con.rhs == 1 for con in rows)
 
 
 def test_filtered_molecules_norm_is_l1_of_coefficients():

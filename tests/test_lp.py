@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from lipcert import lp
+from lipcert import construct, freespace, lp
+from lipcert.metric import random_space
 
 F = Fraction
 
@@ -73,10 +74,11 @@ def test_infeasible_certificate():
 
 
 def _tamperings(out, fields):
-    """Copies of ``out`` with one entry of one field moved by +-1."""
+    """Copies of ``out`` with one entry of one field moved by +-1 or +-1/7;
+    the sevenths give the tampered vector a new lcm denominator."""
     for field in fields:
         stored = getattr(out, field)
-        for delta in (1, -1):
+        for delta in (1, -1, F(1, 7), F(-1, 7)):
             if isinstance(stored, list):
                 for i in range(len(stored)):
                     vec = list(stored)
@@ -96,12 +98,23 @@ def test_recheck_rejects_tampered_certificates():
     check(program, "max", out)
     for field, i, bad in _tamperings(out, ("value", "primal", "dual")):
         assert lp.certificate_violations(program, "max", bad), (field, i)
+    # row 1 is slack: a dual moved the sign-feasible way breaks complementary slackness
+    bad = replace(out, dual=[out.dual[0], F(1, 7)])
+    assert "complementary slackness fails on row 1" in lp.certificate_violations(program, "max", bad)
 
     program = lp.make_program([0, 0], [([1, 1], lp.LE, 1), ([1, -1], lp.EQ, 0), ([1, 1], lp.GE, 3)])
     out = lp.solve(program, "min")
     assert out.status == "infeasible"
     check(program, "min", out)
     for field, i, bad in _tamperings(out, ("farkas",)):
+        assert lp.certificate_violations(program, "min", bad), (field, i)
+
+    # x1 = 2 x0 pins both the point and the ray to the row
+    program = lp.make_program([-1, 0], [([2, -1], lp.EQ, 0)], bounds=[(0, None), (None, None)])
+    out = lp.solve(program, "min")
+    assert (out.status, out.primal, out.ray) == ("unbounded", [F(0), F(0)], [F(1, 2), F(1)])
+    check(program, "min", out)
+    for field, i, bad in _tamperings(out, ("primal", "ray")):
         assert lp.certificate_violations(program, "min", bad), (field, i)
 
 
@@ -245,6 +258,164 @@ def test_pivot_path_pinned():
     assert digest.hexdigest() == (
         "bc7513f0cbb465dbbb2c43634c9c057b68dbc5da4ebf492da16abfed28166baf"
     )
+
+
+def _fraction_oracle_holds(program, sense, out):
+    """Independent re-substitution in Fractions: does the outcome's
+    certificate hold?  Optimality is read through weak duality: a feasible
+    primal, a sign-feasible dual whose reduced costs are paid by bounds, and
+    a dual objective equal to the primal one."""
+    rows, bounds = program.constraints, program.bounds
+
+    def along(con, v):
+        return sum(a * x for a, x in zip(con.coeffs, v))
+
+    def sign_ok(con, value):  # value <= 0 on <= rows, >= 0 on >= rows, 0 on = rows
+        return value == 0 or con.rel == (lp.GE if value > 0 else lp.LE)
+
+    def multipliers_ok(mult):  # a multiplier has the sign of its row's slack, free on = rows
+        return all(con.rel == lp.EQ or sign_ok(con, v) for con, v in zip(rows, mult))
+
+    def feasible_point(x):
+        return all(sign_ok(con, along(con, x) - con.rhs) for con in rows) and all(
+            (lo is None or xj >= lo) and (hi is None or xj <= hi) for xj, (lo, hi) in zip(x, bounds)
+        )
+
+    def box_max(weights):  # max of weights . x over the bounds, None if unbounded
+        total = 0
+        for w, (lo, hi) in zip(weights, bounds):
+            if w:
+                side = hi if w > 0 else lo
+                if side is None:
+                    return None
+                total += w * side
+        return total
+
+    def combination(mult):  # (A^T mult, mult . b)
+        return (
+            [sum(m * con.coeffs[j] for m, con in zip(mult, rows)) for j in range(program.n_vars)],
+            sum(m * con.rhs for m, con in zip(mult, rows)),
+        )
+
+    if out.status == "optimal":
+        if None in (out.primal, out.dual, out.value):
+            return False
+        flip = 1 if sense == "min" else -1
+        x, y = out.primal, [flip * v for v in out.dual]
+        if not feasible_point(x) or not multipliers_ok(y):
+            return False
+        aty, yb = combination(y)
+        # the minimum of r . x over the bounds, r = c - A^T y
+        low = box_max([aty_j - flip * c for c, aty_j in zip(program.objective, aty)])
+        objective = sum(c * xj for c, xj in zip(program.objective, x))
+        return low is not None and flip * objective == yb - low and out.value == objective
+    if out.status == "infeasible":
+        if out.farkas is None:
+            return True
+        lam = out.farkas
+        if not multipliers_ok(lam):
+            return False
+        q, beta = combination(lam)
+        best = box_max(q)
+        return best is not None and best < beta
+    if out.status == "unbounded":
+        x, d = out.primal, out.ray
+        if x is None or d is None or not feasible_point(x):
+            return False
+        # d is a direction of the feasible set: rows and bounds hold along it
+        if not all(sign_ok(con, along(con, d)) for con in rows):
+            return False
+        if any((lo is not None and dj < 0) or (hi is not None and dj > 0)
+               for dj, (lo, hi) in zip(d, bounds)):
+            return False
+        drift = sum(c * dj for c, dj in zip(program.objective, d))
+        return drift < 0 if sense == "min" else drift > 0
+    return False
+
+
+def test_integer_recheck_agrees_with_fraction_oracle():
+    rng = random.Random(29)
+    batch = [(BEALE, "min"), (PHASE1, "min"), (PHASE1, "max")]
+    batch += _random_programs(13, 2000)
+    held = rejected = 0
+    for program, sense in batch:
+        out = lp.solve(program, sense)
+        assert _fraction_oracle_holds(program, sense, out)
+        fields = [f for f in ("value", "primal", "dual", "farkas", "ray") if getattr(out, f) is not None]
+        if not fields:
+            continue
+        field = rng.choice(fields)
+        stored = getattr(out, field)
+        delta = rng.choice([1, -1, F(1, 7), F(-1, 7), F(2, 3)])
+        if isinstance(stored, list):
+            vec = list(stored)
+            vec[rng.randrange(len(vec))] += delta
+            bad = replace(out, **{field: vec})
+        else:
+            bad = replace(out, **{field: stored + delta})
+        holds = _fraction_oracle_holds(program, sense, bad)
+        assert holds == (not lp.certificate_violations(program, sense, bad)), (field, bad)
+        held += holds
+        rejected += not holds
+    # some tamperings keep a valid certificate (a slack row's zero dual moved
+    # the allowed way, say); most break it
+    assert rejected > 1000 and held > 10, (held, rejected)
+
+
+def test_constraint_rows_scaled_once(monkeypatch):
+    scaled = Counter()
+    programs = []
+    real_scale, real_solve = lp.lcm_scale, lp.solve
+
+    def counting_scale(values):
+        values = tuple(values)
+        scaled[values] += 1
+        return real_scale(values)
+
+    def recording_solve(program, sense="min"):
+        programs.append(program)
+        return real_solve(program, sense)
+
+    monkeypatch.setattr(lp, "lcm_scale", counting_scale)
+    monkeypatch.setattr(lp, "solve", recording_solve)
+
+    def row_counts():
+        rows = {con.coeffs + (con.rhs,) for program in programs for con in program.constraints}
+        return [scaled[row] for row in rows]
+
+    # one complementation search whose LP takes three cut rounds
+    search = freespace.search_one_complemented(random_space(4, 0, "range"), 2)
+    assert search.found and search.tuples_l1_valid == 1
+    assert len(programs) == 3
+    assert set(row_counts()) == {1}
+
+    # one k=3 direct search: each coordinate LP shares the same ball rows
+    scaled.clear()
+    programs.clear()
+    space = random_space(8, 0, "range")
+    result = construct.direct_search_l1(space, 3)
+    assert result.found and len(programs) >= 3
+    # a coordinate's equality row can repeat a ball row's numbers; it is a
+    # row of its own, scaled on its own
+    equalities = {
+        con.coeffs + (con.rhs,) for program in programs for con in program.constraints
+        if con.rel == lp.EQ
+    }
+    ball = [con.coeffs + (con.rhs,) for con in freespace.lipschitz_ball_rows(space, 1)]
+    ball = [row for row in ball if row not in equalities]
+    assert len(ball) > 40
+    assert [scaled[row] for row in ball] == [1] * len(ball)
+
+
+def test_make_program_keeps_a_constraint():
+    con = lp.Constraint((F(1, 2), F(-3)), lp.LE, F(5, 6))
+    assert con.scaled == ((3, -18, 5), 6)
+    program = lp.make_program([1, 1], [con, ([1, 1], lp.GE, 0)])
+    assert program.constraints[0] is con
+    with pytest.raises(lp.LpFormatError):
+        lp.make_program([1], [con])
+    with pytest.raises(lp.LpFormatError):
+        lp.make_program([1, 1], [lp.Constraint((F(1), F(1)), "<", F(0))])
 
 
 def test_make_program_rejects_bad_shapes():
