@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import product
 
 from .lipschitz import LipFunctional
+from .rationals import lcm_scale
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -37,6 +38,23 @@ def quotient_vector(basis, x: int, y: int) -> tuple[Fraction, ...]:
     """w_{xy} = ((f_k(x) - f_k(y)) / rho(x, y))_k."""
     rho = basis[0].space.rho(x, y)
     return tuple((f.values[x] - f.values[y]) / rho for f in basis)
+
+
+def _scaled_quotients(basis):
+    """The basis values over one lcm ``L``, times the space's distance scale
+    ``s``: point-indexed integer tuples ``num`` with, for D the space's
+    ``integer_dist``,
+
+        q_k(x, y) = (num[x][k] - num[y][k]) / (L * D[x][y]).
+
+    Returns ``(num, L, D)``.  Every quotient comparison of a certificate is
+    an integer comparison against ``L * D[x][y]`` on these."""
+    space = basis[0].space
+    n = space.n
+    flat, den = lcm_scale([v for f in basis for v in f.values])
+    s = space.dist_scale
+    num = [tuple(s * flat[k * n + x] for k in range(len(basis))) for x in range(n)]
+    return num, den, space.integer_dist
 
 
 def _check_common_space(basis):
@@ -110,21 +128,30 @@ def l1_isometry_lip(basis, pinned_pairs=None) -> L1IsometryCertificate:
     space = _check_common_space(basis)
     n = len(basis)
     basis = tuple(basis)
+    num, den, dist = _scaled_quotients(basis)
 
+    # Each unordered pair is walked once: (y, x) has the negated quotients of
+    # (x, y), the same cube verdict, and the negated sign vector.
     cube_violation = None
     sign_pairs: dict[tuple, tuple[int, int]] = {}
-    for x, y in space.ordered_pairs():
-        w = quotient_vector(basis, x, y)
-        for k, q in enumerate(w):
-            if abs(q) > 1:
+    for x, y in space.pairs():
+        t = den * dist[x][y]
+        w = [a - b for a, b in zip(num[x], num[y])]
+        for k, a in enumerate(w):
+            if a > t or a < -t:
+                # (x, y) with x < y is the first violating ordered pair
                 if cube_violation is None:
-                    cube_violation = CubeViolation(x, y, k, q)
+                    cube_violation = CubeViolation(x, y, k, Fraction(a, t))
                 break
         else:
-            if pinned_pairs is None and all(abs(q) == 1 for q in w):
-                key = tuple(int(q) for q in w)
-                if key not in sign_pairs:
-                    sign_pairs[key] = (x, y)
+            if pinned_pairs is None and all(a == t or a == -t for a in w):
+                # the class representative has first coordinate +1
+                if w[0] > 0:
+                    key, pair = tuple(1 if a > 0 else -1 for a in w), (x, y)
+                else:
+                    key, pair = tuple(-1 if a > 0 else 1 for a in w), (y, x)
+                if key not in sign_pairs or pair < sign_pairs[key]:
+                    sign_pairs[key] = pair
     cube_ok = cube_violation is None
 
     reps = sign_class_representatives(n)
@@ -134,7 +161,7 @@ def l1_isometry_lip(basis, pinned_pairs=None) -> L1IsometryCertificate:
         if len(pinned_pairs) != len(reps):
             raise ValueError(f"{len(pinned_pairs)} pinned pairs for {len(reps)} sign classes")
         for eps, pair in zip(reps, pinned_pairs):
-            if pair is not None and quotient_vector(basis, *pair) == tuple(Fraction(e) for e in eps):
+            if pair is not None and _realizes(num, den, dist, pair, eps):
                 witnesses.append(SignWitness(eps, *pair))
             elif missing is None:
                 missing = eps
@@ -155,6 +182,16 @@ def l1_isometry_lip(basis, pinned_pairs=None) -> L1IsometryCertificate:
         sign_witnesses=tuple(witnesses),
         missing_epsilon=missing,
     )
+
+
+def _realizes(num, den, dist, pair, eps) -> bool:
+    """Is the quotient vector of the ordered pair exactly ``eps``?"""
+    x, y = pair
+    if not (0 <= x < len(num) and 0 <= y < len(num)) or x == y:
+        # a diagonal pair would pass as 0 == 0 * eps
+        raise ValueError(f"pinned pair {pair} is not two distinct point indices")
+    t = den * dist[x][y]
+    return all(a - b == e * t for a, b, e in zip(num[x], num[y], eps))
 
 
 @dataclass(frozen=True)
@@ -294,18 +331,27 @@ def linf_isometry_lip(basis) -> LinfIsometryCertificate:
     space = _check_common_space(basis)
     m = len(basis)
     basis = tuple(basis)
+    num, den, dist = _scaled_quotients(basis)
     ball_violation = None
     vertex_pair: dict[int, tuple[int, int]] = {}
-    for x, y in space.ordered_pairs():
-        w = quotient_vector(basis, x, y)
-        total = sum(abs(q) for q in w)
-        if total > 1:
+    for x, y in space.pairs():
+        t = den * dist[x][y]
+        w = [a - b for a, b in zip(num[x], num[y])]
+        total = sum(abs(a) for a in w)
+        if total > t:
+            # (x, y) with x < y is the first violating ordered pair
             if ball_violation is None:
-                ball_violation = BallViolation(x, y, total)
+                ball_violation = BallViolation(x, y, Fraction(total, t))
             continue
-        for j, q in enumerate(w):
-            if q == 1 and j not in vertex_pair:
-                vertex_pair[j] = (x, y)
+        for j, a in enumerate(w):
+            if a == t:
+                pair = (x, y)
+            elif a == -t:
+                pair = (y, x)
+            else:
+                continue
+            if j not in vertex_pair or pair < vertex_pair[j]:
+                vertex_pair[j] = pair
     ball_ok = ball_violation is None
     witnesses = []
     missing = None

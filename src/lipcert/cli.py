@@ -375,8 +375,37 @@ def cmd_trials(args):
     return (EXIT_OK if not failures else EXIT_INVALID), doc
 
 
+def _int_at_least(low: int):
+    """argparse type of an integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_non_negative = _int_at_least(0)  # budgets
+_positive = _int_at_least(1)  # counts and sizes
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with an ``error:`` line, like every other input
+    error, then the usage."""
+
+    def error(self, message):
+        sys.stderr.write(f"error: {self.prog}: {message}\n")
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lipcert",
         description="Exact certificates for isometric l1/linf subspaces of "
         "strongly norm-attaining Lipschitz functionals.",
@@ -404,13 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="certified l1^k via complementation and duality")
     p.add_argument("space")
     p.add_argument("-k", type=int, default=2)
-    p.add_argument("--budget", type=int, default=None, help="candidate-tuple budget")
+    p.add_argument("--budget", type=_non_negative, default=None, help="candidate-tuple budget")
     p.set_defaults(handler=cmd_pipeline)
 
     p = sub.add_parser("direct-search", help="independent witness-assignment search")
     p.add_argument("space")
     p.add_argument("-k", type=int, default=2)
-    p.add_argument("--budget", type=int, default=None, help="assignment budget")
+    p.add_argument("--budget", type=_non_negative, default=None, help="assignment budget")
     p.set_defaults(handler=cmd_direct_search)
 
     p = sub.add_parser("eval-embed", help="evaluation embedding over a dual ball")
@@ -420,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("c0-demo", help="truncated c0 block basis on [0,1]")
     p.add_argument("-N", "--blocks", type=int, required=True)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_positive, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_c0_demo)
 
@@ -431,13 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trials", help="seeded property harness")
     p.add_argument("--op", required=True, choices=TRIAL_OPS)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_positive, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--method", choices=("range", "euclidean"), default="range")
     p.add_argument("-k", type=int, default=2)
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("-n", type=_positive, default=None)
+    p.add_argument("--budget", type=_non_negative, default=None)
     p.set_defaults(handler=cmd_trials)
 
     p = sub.add_parser("verify", help="re-verify a certificate document")

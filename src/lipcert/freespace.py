@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from . import linalg, lp
@@ -124,11 +125,18 @@ def free_norm(v: FreeVector) -> Fraction:
     both before the cost is returned in the space's own units.
     """
     coeffs, scale = lcm_scale(v.coeffs)
-    mass = [-sum(coeffs)] + coeffs
-    dist_int = v.space.integer_dist
+    return Fraction(transport_cost(v.space, coeffs), scale * v.space.dist_scale)
+
+
+def transport_cost(space: PointedMetricSpace, coeffs) -> int:
+    """Optimal transport cost, in ``integer_dist`` units, of the integer free
+    vector ``coeffs`` (delta coordinates; the base takes the balance
+    -sum coeffs), run by ``integer_transport`` and re-checked by
+    ``check_transport``."""
+    mass = [-sum(coeffs), *coeffs]
+    dist_int = space.integer_dist
     flow, potential = integer_transport(mass, dist_int)
-    check_transport(mass, dist_int, flow, potential)
-    return sum((a * v.space.rho(x, y) for (x, y), a in flow.items()), _ZERO) / scale
+    return check_transport(mass, dist_int, flow, potential)
 
 
 def integer_transport(mass, dist_int):
@@ -190,7 +198,8 @@ def _push_around(flow, cycle):
 
 
 def check_transport(mass, dist_int, flow, potential):
-    """Exact optimality certificate of a transport flow; raises on any fault.
+    """Exact optimality certificate of a transport flow: returns the flow's
+    cost and raises on any fault.
 
     The flow is nonnegative on every arc and balances ``mass`` at every
     point; the potential is 1-Lipschitz on every pair of points that an arc
@@ -218,6 +227,7 @@ def check_transport(mass, dist_int, flow, potential):
             raise AssertionError(f"transport potential is not tight on arc ({x},{y})")
     if sum(m * potential[p] for p, m in enumerate(mass) if m) != cost:
         raise AssertionError("transport potential leaves a duality gap")
+    return cost
 
 
 def free_norm_primal(v: FreeVector) -> tuple[Fraction, tuple[TransportArc, ...]]:
@@ -305,16 +315,39 @@ class FreeOperator:
         if len(self.matrix) != nb or any(len(r) != nb for r in self.matrix):
             raise ValueError(f"projection matrix must be {nb}x{nb}")
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The matrix over the lcm ``L`` of its denominators: integer rows and
+        ``L``; computed once per operator."""
+        nb = len(self.matrix)
+        flat, den = lcm_scale([x for row in self.matrix for x in row])
+        return tuple(tuple(flat[r * nb:(r + 1) * nb]) for r in range(nb)), den
+
     def apply(self, v: FreeVector) -> FreeVector:
         if v.space != self.space:
             raise ValueError("vector lives on a different space")
-        return FreeVector(self.space, tuple(linalg.mat_vec(self.matrix, list(v.coeffs))))
+        rows, den = self.scaled
+        coeffs, scale = lcm_scale(v.coeffs)
+        den *= scale
+        return FreeVector(
+            self.space,
+            tuple(Fraction(sum(a * c for a, c in zip(row, coeffs)), den) for row in rows),
+        )
 
     def compose(self, other: "FreeOperator") -> "FreeOperator":
         if other.space != self.space:
             raise ValueError("operators live on different spaces")
-        prod = linalg.mat_mul(self.matrix, other.matrix)
-        return FreeOperator(self.space, tuple(tuple(r) for r in prod))
+        rows, den = self.scaled
+        other_rows, other_den = other.scaled
+        cols = list(zip(*other_rows))
+        den *= other_den
+        return FreeOperator(
+            self.space,
+            tuple(
+                tuple(Fraction(sum(a * b for a, b in zip(row, col)), den) for col in cols)
+                for row in rows
+            ),
+        )
 
     def rank(self) -> int:
         return linalg.rank(self.matrix)
@@ -333,15 +366,26 @@ def operator_norm(op: FreeOperator) -> tuple[Fraction, Molecule | None]:
 
     The free-space unit ball is the absolutely convex hull of the molecules,
     so the max over one sign representative per pair is the operator norm.
+    With P = M / L over integers and D the space's ``integer_dist``,
+    P m = (M col_x - M col_y) / (L rho(x, y)) for m = (delta_x - delta_y) /
+    rho(x, y), so ||P m|| is the transport cost of that integer column
+    difference over L * D[x][y].
     """
-    best = None
+    rows, den = op.scaled
+    dist = op.space.integer_dist
+    cols = [(0,) * len(rows)] + list(zip(*rows))  # point-indexed; delta_0 = 0
+    best_cost, best_t = None, 1
     witness = None
     for mol in canonical_molecules(op.space):
-        value = free_norm(op.apply(mol.as_free_vector()))
-        if best is None or value > best:
-            best = value
+        x, y = mol.x, mol.y
+        cost = transport_cost(op.space, [a - b for a, b in zip(cols[x], cols[y])])
+        t = den * dist[x][y]
+        if best_cost is None or cost * best_t > best_cost * t:
+            best_cost, best_t = cost, t
             witness = mol
-    return best, witness
+    if best_cost is None:
+        return None, None
+    return Fraction(best_cost, best_t), witness
 
 
 @dataclass(frozen=True)
@@ -512,6 +556,8 @@ def _biorthogonal_functionals(space, basis):
     m = len(basis)
     mols = canonical_molecules(space)
     n_g = m * nb
+    s = space.dist_scale
+    dist = space.integer_dist
 
     def g_col(j, p):
         # column of variable g_j(p); p is a non-base point index
@@ -536,19 +582,24 @@ def _biorthogonal_functionals(space, basis):
             [_ZERO] + [outcome.primal[g_col(j, p)] for p in range(1, n)]
             for j in range(m)
         ]
+        # g_j(mol) = s (G_j[x] - G_j[y]) / (L D[x][y]) with G = g * L over
+        # integers and D the integer_dist over its scale s
+        flat, g_den = lcm_scale([v for g in g_values for v in g])
+        g_int = [flat[j * n:(j + 1) * n] for j in range(m)]
         cuts = []
         for mol in mols:
-            rho_m = space.rho(mol.x, mol.y)
-            c = [(g[mol.x] - g[mol.y]) / rho_m for g in g_values]
-            if sum(abs(cj) for cj in c) <= 1:
+            x, y = mol.x, mol.y
+            c = [g[x] - g[y] for g in g_int]
+            if s * sum(abs(cj) for cj in c) <= g_den * dist[x][y]:
                 continue
+            inv_rho = 1 / space.rho(x, y)
             coeffs = [_ZERO] * n_g
             for j, cj in enumerate(c):
-                sj = _ONE if cj >= 0 else -_ONE
-                if mol.x != 0:
-                    coeffs[g_col(j, mol.x)] += sj / rho_m
-                if mol.y != 0:
-                    coeffs[g_col(j, mol.y)] -= sj / rho_m
+                sj = inv_rho if cj >= 0 else -inv_rho
+                if x != 0:
+                    coeffs[g_col(j, x)] += sj
+                if y != 0:
+                    coeffs[g_col(j, y)] -= sj
             cuts.append(lp.Constraint(tuple(coeffs), lp.LE, _ONE))
         if not cuts:
             return g_values

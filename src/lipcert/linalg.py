@@ -1,19 +1,10 @@
-"""Dense exact linear algebra over Fractions: rank, solve, products."""
+"""Dense exact linear algebra over Fractions: rank and solve."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 _ZERO = Fraction(0)
-
-
-def mat_vec(matrix, vec):
-    return [sum(a * b for a, b in zip(row, vec)) for row in matrix]
-
-
-def mat_mul(a, b):
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def identity(n):

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .metric import PointedMetricSpace
+from .rationals import lcm_scale
 
 _ZERO = Fraction(0)
 
@@ -91,21 +92,27 @@ def lip_norm(f: LipFunctional) -> tuple[Fraction, tuple[WitnessPair, ...]]:
     lexicographically.
     """
     space = f.space
-    norm = _ZERO
-    quotients = []
+    # q(i, j) = s * (nums[i] - nums[j]) / (den * D[i][j]) with D the
+    # integer_dist over its scale s, so |q| is ordered as |a| / t below.
+    nums, den = lcm_scale(f.values)
+    dist = space.integer_dist
+    best_a, best_t = 0, 1
+    diffs = []
     for i, j in space.pairs():
-        q = (f.values[i] - f.values[j]) / space.rho(i, j)
-        quotients.append((i, j, q))
-        if abs(q) > norm:
-            norm = abs(q)
-    if norm == 0:
+        a = nums[i] - nums[j]
+        t = dist[i][j]
+        diffs.append((i, j, a, t))
+        if abs(a) * best_t > best_a * t:
+            best_a, best_t = abs(a), t
+    if best_a == 0:
         return _ZERO, ()
+    norm = Fraction(space.dist_scale * best_a, den * best_t)
     witnesses = []
-    for i, j, q in quotients:
-        if q == norm:
-            witnesses.append(WitnessPair(i, j, q))
-        elif -q == norm:
-            witnesses.append(WitnessPair(j, i, -q))
+    for i, j, a, t in diffs:
+        if a * best_t == best_a * t:
+            witnesses.append(WitnessPair(i, j, norm))
+        elif -a * best_t == best_a * t:
+            witnesses.append(WitnessPair(j, i, norm))
     witnesses.sort(key=lambda w: (w.x, w.y))
     return norm, tuple(witnesses)
 
@@ -147,12 +154,21 @@ def mcshane_extend(
     norm, _ = lip_norm(f)
     if lip_bound < norm:
         raise ValueError(f"extension bound {lip_bound} below the Lipschitz norm {norm}")
+    # f(y) + (p/q) rho(x, y) = (nums[y] q s + p den D[x][y]) / (den q s) with
+    # f = nums / den and D the parent's integer_dist over its scale s
+    nums, den = lcm_scale(f.values)
+    p, q = lip_bound.as_integer_ratio()
+    s = parent.dist_scale
+    dist = parent.integer_dist
+    base_terms = [v * q * s for v in nums]
+    slope = p * den
     raw = [
-        min(f.values[k] + lip_bound * parent.rho(x, idx[k]) for k in range(space.n))
+        min(base_terms[k] + slope * dist[x][idx[k]] for k in range(space.n))
         for x in range(parent.n)
     ]
     shift = raw[parent.base]
-    return LipFunctional(parent, tuple(v - shift for v in raw))
+    common = den * q * s
+    return LipFunctional(parent, tuple(Fraction(v - shift, common) for v in raw))
 
 
 def extend_basis(basis, certificate, parent: PointedMetricSpace):

@@ -116,12 +116,21 @@ class PointedMetricSpace:
         return self.dist[i][j]
 
     @cached_property
+    def _integer_scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        n = len(self.dist)
+        flat, scale = lcm_scale([x for row in self.dist for x in row])
+        return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)), scale
+
+    @property
     def integer_dist(self) -> tuple[tuple[int, ...], ...]:
         """The distance matrix scaled by the lcm of its denominators, as
         ints; computed once per space."""
-        n = len(self.dist)
-        flat, _ = lcm_scale([x for row in self.dist for x in row])
-        return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+        return self._integer_scaled[0]
+
+    @property
+    def dist_scale(self) -> int:
+        """That lcm ``s``: rho(x, y) = integer_dist[x][y] / s."""
+        return self._integer_scaled[1]
 
     def pairs(self):
         """Unordered pairs (i, j), i < j."""

@@ -453,6 +453,11 @@ _MALFORMED_INPUTS = {
         ("verify", "deep.json"),
         pytest.param(("validate", "base.json"), id="validate-base"),
         pytest.param(("validate", "labels.json"), id="validate-labels"),
+        pytest.param(("pipeline", "eq4", "--budget", "-1"), id="pipeline-budget"),
+        pytest.param(("direct-search", "eq4", "--budget", "-1"), id="direct-search-budget"),
+        pytest.param(("trials", "--op", "four-point", "--count", "-2"), id="trials-count"),
+        pytest.param(("trials", "--op", "pipeline", "--count", "1", "-n", "0"), id="trials-n"),
+        pytest.param(("c0-demo", "-N", "2", "--count", "0"), id="c0-demo-count"),
     ],
     ids=lambda argv: argv[0],
 )

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from lipcert import certify, freespace
 from lipcert.lipschitz import combine, functional
-from lipcert.metric import random_space
+from lipcert.metric import PointedMetricSpace, random_space, restrict
 
 from helpers import equilateral, random_coeffs
 
@@ -156,3 +157,211 @@ def test_sign_witnesses_are_strong_attainment_pairs():
         norm, attaining = lip_norm(combo)
         assert norm == 2
         assert (w.x, w.y) in {(a.x, a.y) for a in attaining}
+
+
+def test_pinned_diagonal_pair_raises():
+    from lipcert import certdoc
+    from lipcert.construct import four_point_basis
+
+    f1, f2 = eq4_basis()
+    with pytest.raises(ValueError, match="not two distinct point indices"):
+        certify.l1_isometry_lip([f1, f2], pinned_pairs=[(1, 1), (3, 2)])
+    # the verifier names the witness before it reaches the certificate
+    _, _, cert = four_point_basis(equilateral(4))
+    doc = certdoc.l1_document(cert)
+    doc["checks"]["signs"]["witnesses"][0]["pair"] = [2, 2]
+    report = certdoc.verify_document(doc)
+    assert not report.ok and report.recomputed == "invalid"
+    assert "witness pair [2, 2] is not two distinct point indices" in report.failures
+
+
+# Fraction oracles: the certificate checks read straight from their
+# definitions, one quotient Fraction per ordered pair and no integer scaling.
+
+
+def _oracle_l1(basis, pinned_pairs=None):
+    space = basis[0].space
+    n = len(basis)
+    cube_violation = None
+    sign_pairs = {}
+    for x, y in space.ordered_pairs():
+        w = certify.quotient_vector(basis, x, y)
+        for k, q in enumerate(w):
+            if abs(q) > 1:
+                if cube_violation is None:
+                    cube_violation = certify.CubeViolation(x, y, k, q)
+                break
+        else:
+            if pinned_pairs is None and all(abs(q) == 1 for q in w):
+                key = tuple(int(q) for q in w)
+                if key not in sign_pairs:
+                    sign_pairs[key] = (x, y)
+    reps = certify.sign_class_representatives(n)
+    witnesses = []
+    missing = None
+    for i, eps in enumerate(reps):
+        if pinned_pairs is not None:
+            pair = pinned_pairs[i]
+            if pair is not None and certify.quotient_vector(basis, *pair) != tuple(map(F, eps)):
+                pair = None
+        else:
+            pair = sign_pairs.get(eps)
+        if pair is None:
+            if missing is None:
+                missing = eps
+        else:
+            witnesses.append(certify.SignWitness(eps, *pair))
+    return certify.L1IsometryCertificate(
+        basis=tuple(basis),
+        valid=cube_violation is None and missing is None,
+        cube_ok=cube_violation is None,
+        cube_violation=cube_violation,
+        sign_witnesses=tuple(witnesses),
+        missing_epsilon=missing,
+    )
+
+
+def _oracle_linf(basis):
+    space = basis[0].space
+    ball_violation = None
+    vertex_pair = {}
+    for x, y in space.ordered_pairs():
+        w = certify.quotient_vector(basis, x, y)
+        total = sum(abs(q) for q in w)
+        if total > 1:
+            if ball_violation is None:
+                ball_violation = certify.BallViolation(x, y, total)
+            continue
+        for j, q in enumerate(w):
+            if q == 1 and j not in vertex_pair:
+                vertex_pair[j] = (x, y)
+    witnesses = tuple(certify.VertexWitness(j, *vertex_pair[j]) for j in sorted(vertex_pair))
+    missing = next((j for j in range(len(basis)) if j not in vertex_pair), None)
+    return certify.LinfIsometryCertificate(
+        basis=tuple(basis),
+        valid=ball_violation is None and missing is None,
+        ball_ok=ball_violation is None,
+        ball_violation=ball_violation,
+        vertex_witnesses=witnesses,
+        missing_coordinate=missing,
+    )
+
+
+def _oracle_lip_norm(f):
+    from lipcert.lipschitz import WitnessPair
+
+    quotients = [(i, j, (f.values[i] - f.values[j]) / f.space.rho(i, j)) for i, j in f.space.pairs()]
+    norm = max((abs(q) for _, _, q in quotients), default=F(0))
+    if norm == 0:
+        return F(0), ()
+    witnesses = [WitnessPair(i, j, q) if q > 0 else WitnessPair(j, i, -q)
+                 for i, j, q in quotients if abs(q) == norm]
+    return norm, tuple(sorted(witnesses, key=lambda w: (w.x, w.y)))
+
+
+def _oracle_mcshane(f, parent, lip_bound):
+    idx = f.space.parent_map
+    raw = [
+        min(f.values[k] + lip_bound * parent.rho(x, idx[k]) for k in range(f.space.n))
+        for x in range(parent.n)
+    ]
+    return tuple(v - raw[parent.base] for v in raw)
+
+
+def _oracle_operator_norm(op):
+    best = witness = None
+    for mol in freespace.canonical_molecules(op.space):
+        u = mol.as_free_vector().coeffs
+        image = [sum(a * b for a, b in zip(row, u)) for row in op.matrix]
+        value = freespace.free_norm(freespace.free_vector(op.space, image))
+        if best is None or value > best:
+            best, witness = value, mol
+    return best, witness
+
+
+def _oracle_spaces(rng):
+    """Random range/euclidean spaces and scaled equilateral ones, where
+    quotients of +-1 and tied norms are common."""
+    spaces = []
+    for i in range(48):
+        n = 3 + i % 3
+        if i % 2:
+            spaces.append(random_space(n, rng.randrange(10**6), rng.choice(["range", "euclidean"])))
+        else:
+            c = F(rng.randint(1, 9), rng.randint(1, 4))
+            spaces.append(PointedMetricSpace.from_matrix([[c * (i != j) for j in range(n)] for i in range(n)]))
+    return spaces
+
+
+def _oracle_basis(rng, space):
+    """k functionals, each on its own denominator; on a scaled equilateral
+    space half of them take values in {0, +-c} so sign classes have several
+    realizing pairs in both orientations."""
+    k = rng.randint(1, 3)
+    c = space.rho(0, 1)
+    basis = []
+    for _ in range(k):
+        if rng.random() < 0.5 and len(set(x for row in space.dist for x in row)) == 2:
+            values = [F(0)] + [c * rng.choice([0, 1, -1]) for _ in range(space.n - 1)]
+        else:
+            d = rng.choice([1, 2, 3, 5, 7, 8])
+            span = rng.choice([1, 2, 8])
+            values = [F(0)] + [F(rng.randint(-span * d, span * d), d) * c for _ in range(space.n - 1)]
+        basis.append(functional(space, values))
+    return basis
+
+
+def test_integer_checks_agree_with_fraction_oracles():
+    from lipcert.construct import four_point_basis
+    from lipcert.lipschitz import lip_norm, mcshane_extend
+
+    rng = random.Random("integer-oracle")
+    spaces = _oracle_spaces(rng)
+    seen = {"cube": 0, "ball": 0, "valid_l1": 0, "valid_linf": 0, "forward": 0, "reverse": 0,
+            "unequal_den": 0, "pinned_missing": 0}
+    for case in range(2000):
+        if case % 4 == 0:
+            # a certified l1^2 basis, and the linf^2 basis (f1 + f2)/2, (f1 - f2)/2
+            space = random_space(4, case, rng.choice(["range", "euclidean"]))
+            f1, f2, _ = four_point_basis(space)
+            basis = [f1.scale(rng.choice([1, -1])), f2.scale(rng.choice([1, -1]))]
+            linf = [(f1 + f2).scale(F(1, 2)), (f1 - f2).scale(F(1, 2))]
+        else:
+            space = rng.choice(spaces)
+            basis = _oracle_basis(rng, space)
+            linf = basis
+        if len({lcm(*(v.denominator for v in f.values)) for f in basis}) > 1:
+            seen["unequal_den"] += 1
+        cert = certify.l1_isometry_lip(basis)
+        assert cert == _oracle_l1(basis)
+        seen["cube"] += not cert.cube_ok
+        seen["valid_l1"] += cert.valid
+        for w in cert.sign_witnesses:
+            seen["forward" if w.x < w.y else "reverse"] += 1
+        pinned = [(w.x, w.y) for w in cert.sign_witnesses]
+        pinned += [None] * (len(certify.sign_class_representatives(len(basis))) - len(pinned))
+        pinned = [p if rng.random() < 0.8 else tuple(rng.sample(range(space.n), 2)) for p in pinned]
+        pinned_cert = certify.l1_isometry_lip(basis, pinned_pairs=pinned)
+        assert pinned_cert == _oracle_l1(basis, pinned)
+        seen["pinned_missing"] += pinned_cert.missing_epsilon is not None
+        linf_cert = certify.linf_isometry_lip(linf)
+        assert linf_cert == _oracle_linf(linf)
+        seen["ball"] += not linf_cert.ball_ok
+        seen["valid_linf"] += linf_cert.valid
+        for f in basis:
+            assert lip_norm(f) == _oracle_lip_norm(f)
+        if case % 10 == 0 and space.n > 3:
+            sub = restrict(space, [0] + sorted(rng.sample(range(1, space.n), 2)))
+            g = functional(sub, [0] + [rng.choice(basis).values[p] for p in sub.parent_map[1:]])
+            bound = lip_norm(g)[0] + F(rng.randint(0, 3), rng.randint(1, 3))
+            assert mcshane_extend(g, space, bound).values == _oracle_mcshane(g, space, bound)
+    assert min(seen.values()) > 20, seen
+
+    for case in range(300):
+        space = rng.choice(spaces)
+        nb = space.n - 1
+        d = rng.choice([1, 2, 3, 4, 6])
+        rows = [[F(rng.choice([0, 0, 1, -1, rng.randint(-4, 4)]), d) for _ in range(nb)]
+                for _ in range(nb)]
+        op = freespace.FreeOperator.from_matrix(space, rows)
+        assert freespace.operator_norm(op) == _oracle_operator_norm(op)
