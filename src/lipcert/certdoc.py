@@ -398,11 +398,12 @@ def _expect_l1(doc, failures):
             pinned[tuple(eps)] = pair
             where[tuple(eps)] = i
     n = len(basis)
-    reps = certify.sign_class_representatives(n)
-    cert = certify.l1_isometry_lip(basis, pinned_pairs=[pinned.get(eps) for eps in reps])
+    # an epsilon that is no class representative pins nothing
+    classes = sorted((eps for eps in pinned if certify.is_sign_class(eps, n)), reverse=True)
+    cert = certify.l1_isometry_lip(basis, pinned_pairs={eps: pinned[eps] for eps in classes})
     realized = {w.epsilon for w in cert.sign_witnesses}
-    for eps in reps:
-        if eps in pinned and eps not in realized:
+    for eps in classes:
+        if eps not in realized:
             failures.append(
                 f"checks.signs.witnesses[{where[eps]}] pair {list(pinned[eps])} "
                 f"does not realize its epsilon {list(eps)}"

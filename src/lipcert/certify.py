@@ -30,8 +30,23 @@ _ONE = Fraction(1)
 
 
 def sign_class_representatives(n: int):
-    """All epsilon in {-1,1}^n modulo global sign: first coordinate fixed +1."""
-    return [(1,) + bits for bits in product((1, -1), repeat=n - 1)]
+    """All epsilon in {-1,1}^n modulo global sign, first coordinate fixed +1,
+    generated lazily in class order: there are 2^(n-1) of them, so a check
+    that stops early builds only the classes it reaches."""
+    return ((1,) + bits for bits in product((1, -1), repeat=n - 1))
+
+
+def sign_class(n: int, index: int) -> tuple[int, ...]:
+    """The ``index``-th class of ``sign_class_representatives(n)``: the bits
+    of ``index`` from the highest, 0 for +1 and 1 for -1, after the leading
+    +1."""
+    return (1,) + tuple(-1 if index >> j & 1 else 1 for j in range(n - 2, -1, -1))
+
+
+def is_sign_class(eps, n: int) -> bool:
+    """Is the tuple ``eps`` one of ``sign_class_representatives(n)``?  Class
+    order is then descending tuple order, since +1 comes before -1."""
+    return len(eps) == n and eps[:1] == (1,) and all(e in (1, -1) for e in eps)
 
 
 def quotient_vector(basis, x: int, y: int) -> tuple[Fraction, ...]:
@@ -119,11 +134,11 @@ class L1IsometryCertificate:
 def l1_isometry_lip(basis, pinned_pairs=None) -> L1IsometryCertificate:
     """Cube + sign certificate for an l1^n isometry.
 
-    ``pinned_pairs`` optionally supplies one ordered pair per sign class (in
-    class order); they are verified instead of searched, which lets a caller
-    pin witnesses inside a subspace.  A class pinned to ``None`` is missing.
-    Without pinning, each class gets the lexicographically smallest ordered
-    pair realizing it.
+    ``pinned_pairs`` optionally maps sign classes to ordered pairs; those
+    pairs are verified instead of searched, which lets a caller pin
+    witnesses inside a subspace, and an unpinned class is missing.  Without
+    pinning, each class gets the lexicographically smallest ordered pair
+    realizing it.  The missing class reported is the first in class order.
     """
     space = _check_common_space(basis)
     n = len(basis)
@@ -154,32 +169,22 @@ def l1_isometry_lip(basis, pinned_pairs=None) -> L1IsometryCertificate:
                     sign_pairs[key] = pair
     cube_ok = cube_violation is None
 
-    reps = sign_class_representatives(n)
-    witnesses = []
-    missing = None
     if pinned_pairs is not None:
-        if len(pinned_pairs) != len(reps):
-            raise ValueError(f"{len(pinned_pairs)} pinned pairs for {len(reps)} sign classes")
-        for eps, pair in zip(reps, pinned_pairs):
-            if pair is not None and _realizes(num, den, dist, pair, eps):
-                witnesses.append(SignWitness(eps, *pair))
-            elif missing is None:
-                missing = eps
-    else:
-        for eps in reps:
-            pair = sign_pairs.get(eps)
-            if pair is None:
-                if missing is None:
-                    missing = eps
-            else:
-                witnesses.append(SignWitness(eps, *pair))
-    valid = cube_ok and missing is None
+        for eps, pair in pinned_pairs.items():
+            if not is_sign_class(eps, n):
+                raise ValueError(f"pinned key {eps} is not a sign class of l1^{n}")
+            if _realizes(num, den, dist, pair, eps):
+                sign_pairs[eps] = pair
+    witnesses = tuple(
+        SignWitness(eps, *sign_pairs[eps]) for eps in sorted(sign_pairs, reverse=True)
+    )
+    missing = next((eps for eps in sign_class_representatives(n) if eps not in sign_pairs), None)
     return L1IsometryCertificate(
         basis=basis,
-        valid=valid,
+        valid=cube_ok and missing is None,
         cube_ok=cube_ok,
         cube_violation=cube_violation,
-        sign_witnesses=tuple(witnesses),
+        sign_witnesses=witnesses,
         missing_epsilon=missing,
     )
 

@@ -213,8 +213,6 @@ def cmd_eval_embed(args):
 
 def cmd_c0_demo(args):
     n = args.blocks
-    if n < 1:
-        raise InputError("need at least one block")
     basis = [interval.c0_block([Fraction(i == k) for i in range(n)]) for k in range(n)]
     rng = random.Random(f"c0:{n}:{args.seed}")
     trials = []
@@ -432,13 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="certified l1^k via complementation and duality")
     p.add_argument("space")
-    p.add_argument("-k", type=int, default=2)
+    p.add_argument("-k", type=_positive, default=2)
     p.add_argument("--budget", type=_non_negative, default=None, help="candidate-tuple budget")
     p.set_defaults(handler=cmd_pipeline)
 
     p = sub.add_parser("direct-search", help="independent witness-assignment search")
     p.add_argument("space")
-    p.add_argument("-k", type=int, default=2)
+    p.add_argument("-k", type=_positive, default=2)
     p.add_argument("--budget", type=_non_negative, default=None, help="assignment budget")
     p.set_defaults(handler=cmd_direct_search)
 
@@ -448,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_eval_embed)
 
     p = sub.add_parser("c0-demo", help="truncated c0 block basis on [0,1]")
-    p.add_argument("-N", "--blocks", type=int, required=True)
+    p.add_argument("-N", "--blocks", type=_positive, required=True)
     p.add_argument("--count", type=_positive, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_c0_demo)
@@ -462,9 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True, choices=TRIAL_OPS)
     p.add_argument("--count", type=_positive, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--method", choices=("range", "euclidean"), default="range")
-    p.add_argument("-k", type=int, default=2)
+    p.add_argument("-k", type=_positive, default=2)
     p.add_argument("-n", type=_positive, default=None)
     p.add_argument("--budget", type=_non_negative, default=None)
     p.set_defaults(handler=cmd_trials)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from . import certify, freespace, linalg, lipschitz, lp
+from . import certify, freespace, lipschitz, lp
 from .certify import L1IsometryCertificate, LinfIsometryCertificate
 from .lipschitz import LipFunctional, combine, functional, extend_basis
 from .metric import PointedMetricSpace, restrict
@@ -107,24 +107,19 @@ def duality_lift(certificate: freespace.ComplementationCertificate):
     g_j(x) is the j-th coefficient of P(delta_x) in the basis (u_1..u_m);
     this is the coordinate functional composed with the projection, so it is
     biorthogonal to the basis and the span is an isometric l-infinity^m.
+    P(delta_x) is column x - 1 of P, so one exact solve of U C = P gives
+    every g_j(x) = C[j][x - 1].
     """
     if not certificate.valid:
         raise ValueError("input complementation certificate is invalid")
     space = certificate.space
     basis = certificate.basis
-    projection = certificate.projection
     m = len(basis)
-    nb = space.n - 1
-    u_matrix = [[basis[j].coeffs[p] for j in range(m)] for p in range(nb)]
-    g_values = [[_ZERO] for _ in range(m)]  # value at the base point
-    for x in range(1, space.n):
-        image = projection.apply(freespace.delta(space, x))
-        coeffs = linalg.solve_exact(u_matrix, list(image.coeffs))
-        if coeffs is None:
-            raise AssertionError("projection image left the basis span")
-        for j in range(m):
-            g_values[j].append(coeffs[j])
-    g = tuple(LipFunctional(space, tuple(vals)) for vals in g_values)
+    u_matrix = [[u.coeffs[p] for u in basis] for p in range(space.n - 1)]
+    coeffs = lp.solve_linear(u_matrix, certificate.projection.matrix)
+    if coeffs is None:
+        raise AssertionError("projection image left the basis span")
+    g = tuple(LipFunctional(space, (_ZERO, *row)) for row in coeffs)
     for i in range(m):
         for j in range(m):
             expected = _ONE if i == j else _ZERO
@@ -259,7 +254,7 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
         raise ValueError("need k >= 1")
     if space.base != 0:
         raise ValueError("direct_search_l1 expects the base point at index 0")
-    reps = certify.sign_class_representatives(k)
+    n_classes = 1 << (k - 1)  # class d of the search is sign_class(k, d)
     # integer-scaled distances keep the feasibility pruning in int arithmetic
     dist_int = space.integer_dist
     candidates = sorted(
@@ -279,9 +274,9 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     def dfs(closures):
         nonlocal tried
         depth = len(assignment)
-        if depth == len(reps):
-            return _direct_search_solve(space, k, reps, assignment, ball)
-        eps = reps[depth]
+        if depth == n_classes:
+            return _direct_search_solve(space, k, assignment, ball)
+        eps = certify.sign_class(k, depth)
         for x, y in first_candidates if depth == 0 else candidates:
             if used[x][y]:
                 continue
@@ -314,15 +309,16 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     return DirectSearchResult(space, k, True, basis, cert, tried, False)
 
 
-def _direct_search_solve(space, k, reps, assignment, ball):
+def _direct_search_solve(space, k, assignment, ball):
     """Functional values of a fully assigned witness map: one LP per basis
     coordinate, the 1-Lipschitz ball rows ``ball`` plus that coordinate's
     equalities."""
     n = space.n
+    pinned = {certify.sign_class(k, d): pair for d, pair in enumerate(assignment)}
     basis = []
     for kappa in range(k):
         rows = list(ball)
-        for eps, (x, y) in zip(reps, assignment):
+        for eps, (x, y) in pinned.items():
             coeffs = [_ZERO] * (n - 1)
             if x != 0:
                 coeffs[x - 1] = _ONE
@@ -334,7 +330,7 @@ def _direct_search_solve(space, k, reps, assignment, ball):
             return None
         basis.append(LipFunctional(space, tuple([_ZERO] + outcome.primal)))
     basis = tuple(basis)
-    cert = certify.l1_isometry_lip(basis, pinned_pairs=list(assignment))
+    cert = certify.l1_isometry_lip(basis, pinned_pairs=pinned)
     if not cert.valid:
         raise AssertionError("feasible witness assignment must certify")
     return basis, cert

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from . import linalg, lp
+from . import lp
 from .certify import sign_class_representatives
 from .lipschitz import LipFunctional, differences_feasible
 from .metric import PointedMetricSpace
@@ -350,11 +350,14 @@ class FreeOperator:
         )
 
     def rank(self) -> int:
-        return linalg.rank(self.matrix)
+        return lp.rank(self.scaled[0])
 
     @staticmethod
     def identity(space: PointedMetricSpace) -> "FreeOperator":
-        return FreeOperator(space, tuple(tuple(r) for r in linalg.identity(space.n - 1)))
+        nb = space.n - 1
+        return FreeOperator(
+            space, tuple(tuple(_ONE if i == j else _ZERO for j in range(nb)) for i in range(nb))
+        )
 
     @staticmethod
     def from_matrix(space: PointedMetricSpace, rows) -> "FreeOperator":

@@ -190,7 +190,7 @@ def extend_basis(basis, certificate, parent: PointedMetricSpace):
         raise ValueError("basis space does not record a parent index map")
     idx = space.parent_map
     extended = tuple(mcshane_extend(f, parent, 1) for f in basis)
-    witness_pairs = [(idx[w.x], idx[w.y]) for w in certificate.sign_witnesses]
+    witness_pairs = {w.epsilon: (idx[w.x], idx[w.y]) for w in certificate.sign_witnesses}
     parent_cert = certify.l1_isometry_lip(extended, pinned_pairs=witness_pairs)
     if not parent_cert.valid:
         raise AssertionError("extension lemma failed: extended basis lost its certificate")

@@ -17,7 +17,10 @@ Farkas certificate.  Both are re-checked against the original program's rows
 before being returned.  The re-check scales each certificate vector to
 integers over its lcm once and decides every condition in integers,
 deriving the reduced costs ``c - A^T y`` itself; a ``Fraction`` is built only
-to word a violation.
+to word a violation.  The same integer pivot also gives exact rank and
+linear solves (``rank``, ``solve_linear``): one Gauss-Jordan elimination of
+``[A | B]`` with the simplex's row operation, so the library has one exact
+elimination.
 """
 
 from __future__ import annotations
@@ -436,6 +439,52 @@ def feasible(constraints, n_vars=None, bounds=None) -> LpOutcome:
         n_vars = len(first.coeffs if type(first) is Constraint else first[0])
     lp = make_program([_ZERO] * n_vars, rows, bounds)
     return solve(lp, "min")
+
+
+def _gauss_jordan(matrix, rhs):
+    """Gauss-Jordan elimination of ``[A | B]`` on the simplex's integer pivot.
+
+    Each row is scaled to integers over its lcm, and each column of ``A`` is
+    pivoted on the first not-yet-pivoted row that is nonzero there.  The
+    kernel's ``basis`` then maps each pivot row to its column (-1 for the
+    other rows, which are zero on every column of ``A``), and ``pivots`` is
+    the rank.  Which columns get pivots does not depend on the row order.
+    """
+    rows, den = [], []
+    for a, b in zip(matrix, rhs, strict=True):
+        nums, d = lcm_scale([*a, *b])
+        rows.append(nums)
+        den.append(d)
+    n = len(matrix[0]) if matrix else 0
+    kern = _Kernel(rows, den, [-1] * len(rows), n)
+    for c in range(n):
+        r = next((i for i, row in enumerate(rows) if row[c] and kern.basis[i] < 0), -1)
+        if r >= 0:
+            kern._pivot(r, c)
+    return kern
+
+
+def rank(matrix) -> int:
+    """Exact rank of a matrix of rationals or ints: the number of pivots."""
+    return _gauss_jordan(matrix, [()] * len(matrix)).pivots
+
+
+def solve_linear(matrix, rhs):
+    """One exact solution ``X`` of ``A X = B`` (``A`` may be rectangular), or
+    None when any column of ``B`` is inconsistent.
+
+    ``rhs`` holds the rows of ``B``; every column is solved by the same
+    elimination, with the free variables set to zero.
+    """
+    kern = _gauss_jordan(matrix, rhs)
+    n = kern.n_cols
+    x = [[_ZERO] * (len(rhs[0]) if rhs else 0) for _ in range(n)]
+    for row, d, c in zip(kern.rows, kern.den, kern.basis):
+        if c >= 0:
+            x[c] = [Fraction(v, d) if v else _ZERO for v in row[n:]]
+        elif any(row[n:]):
+            return None
+    return x
 
 
 def _drive_out_artificials(kern, n_real):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from lipcert import certdoc, certify, construct, freespace, interval, linalg, lp, metric
+from lipcert import certdoc, certify, construct, freespace, interval, lp, metric
 from lipcert.lipschitz import lip_norm
 from lipcert.metric import random_space
 
@@ -189,7 +189,7 @@ def test_criterion_04_dimension_boundary():
         coordinate_basis = [
             [F(1) if p == q else F(0) for p in range(1, n)] for q in range(1, n)
         ]
-        if linalg.rank(coordinate_basis) != n - 1:
+        if lp.rank(coordinate_basis) != n - 1:
             failures.append((n, "coordinate rank"))
         # any n functionals are dependent: no n-dimensional subspace exists
         for trial in range(20):
@@ -197,7 +197,7 @@ def test_criterion_04_dimension_boundary():
                 list(random_functional(space, f"{n}:{trial}:{j}").values)
                 for j in range(n)
             ]
-            if linalg.rank(rows) > n - 1:
+            if lp.rank(rows) > n - 1:
                 failures.append((n, trial))
     ok = not failures
     report(4, ok, "Lip_0 dimension is n-1: no n-dim subspace on n points (n=2..6)")

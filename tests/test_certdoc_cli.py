@@ -458,6 +458,12 @@ _MALFORMED_INPUTS = {
         pytest.param(("trials", "--op", "four-point", "--count", "-2"), id="trials-count"),
         pytest.param(("trials", "--op", "pipeline", "--count", "1", "-n", "0"), id="trials-n"),
         pytest.param(("c0-demo", "-N", "2", "--count", "0"), id="c0-demo-count"),
+        pytest.param(("c0-demo", "-N", "0"), id="c0-demo-blocks"),
+        pytest.param(("pipeline", "eq4", "-k", "0"), id="pipeline-k"),
+        pytest.param(("direct-search", "eq4", "-k", "0"), id="direct-search-k"),
+        pytest.param(("trials", "--op", "pipeline", "--count", "2", "-k", "0"), id="trials-k"),
+        pytest.param(("trials", "--op", "four-point", "--count", "2", "--jobs", "0"), id="trials-jobs-0"),
+        pytest.param(("trials", "--op", "four-point", "--count", "2", "--jobs", "-3"), id="trials-jobs-negative"),
     ],
     ids=lambda argv: argv[0],
 )
@@ -472,6 +478,36 @@ def test_cli_malformed_input_exits_2_without_traceback(tmp_path, eq4_file, argv)
     assert err.startswith("error: "), err
     assert "Traceback" not in err
     assert out == ""
+
+
+def _limited_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+
+def test_cli_builds_sign_classes_only_as_far_as_a_check_reaches(tmp_path, eq4_file):
+    # 2^40 sign classes do not fit in memory; each command needs a handful
+    _, _, cert = construct.four_point_basis(equilateral(4))
+    four_point = json.loads(certdoc.dumps(certdoc.l1_document(cert, config={"construction": "four-point"})))
+    four_point["basis"] = [four_point["basis"][0]] * 41
+    (tmp_path / "four_point.json").write_text(json.dumps(four_point))
+    pipeline = construct.theorem_pipeline(equilateral(4), 2)
+    complementation = json.loads(certdoc.dumps(certdoc.pipeline_document(pipeline)))["complementation"]
+    complementation["basis"] = [complementation["basis"][0]] * 41
+    (tmp_path / "complementation.json").write_text(json.dumps(complementation))
+    for argv, expected in [
+        (("direct-search", eq4_file, "-k", "40"), 3),
+        (("verify", str(tmp_path / "four_point.json")), 1),
+        (("verify", str(tmp_path / "complementation.json")), 1),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lipcert.cli", *argv],
+            capture_output=True, text=True, timeout=60, preexec_fn=_limited_memory,
+        )
+        assert proc.returncode == expected, (argv, proc.stderr[-2000:])
+        assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["verdict_recomputed"] == "invalid"
 
 
 @pytest.mark.parametrize("name", ["base.json", "labels.json"])

@@ -82,10 +82,26 @@ def test_corner_agreement_on_examples():
 
 def test_pinned_pairs_checked_exactly():
     f1, f2 = eq4_basis()
-    pinned = certify.l1_isometry_lip([f1, f2], pinned_pairs=[(1, 0), (3, 2)])
+    pinned = certify.l1_isometry_lip([f1, f2], pinned_pairs={(1, 1): (1, 0), (1, -1): (3, 2)})
     assert pinned.valid
-    wrong = certify.l1_isometry_lip([f1, f2], pinned_pairs=[(1, 0), (2, 3)])
+    wrong = certify.l1_isometry_lip([f1, f2], pinned_pairs={(1, 1): (1, 0), (1, -1): (2, 3)})
     assert not wrong.valid
+
+
+def test_sign_class_by_index_matches_class_order():
+    for n in range(1, 7):
+        classes = list(certify.sign_class_representatives(n))
+        assert len(classes) == 2 ** (n - 1) == len(set(classes))
+        assert classes == sorted(classes, reverse=True)
+        for i, eps in enumerate(classes):
+            assert certify.sign_class(n, i) == eps
+            assert certify.is_sign_class(eps, n)
+            assert not certify.is_sign_class(tuple(-e for e in eps), n)
+            assert not certify.is_sign_class(eps, n + 1)
+    assert certify.sign_class(40, 2 ** 39 - 1) == (1,) + (-1,) * 39
+    f1, f2 = eq4_basis()
+    with pytest.raises(ValueError, match="not a sign class"):
+        certify.l1_isometry_lip([f1, f2], pinned_pairs={(-1, 1): (1, 0)})
 
 
 def test_cross_oracle_agreement_random_bases():
@@ -165,7 +181,7 @@ def test_pinned_diagonal_pair_raises():
 
     f1, f2 = eq4_basis()
     with pytest.raises(ValueError, match="not two distinct point indices"):
-        certify.l1_isometry_lip([f1, f2], pinned_pairs=[(1, 1), (3, 2)])
+        certify.l1_isometry_lip([f1, f2], pinned_pairs={(1, 1): (1, 1), (1, -1): (3, 2)})
     # the verifier names the witness before it reaches the certificate
     _, _, cert = four_point_basis(equilateral(4))
     doc = certdoc.l1_document(cert)
@@ -339,9 +355,12 @@ def test_integer_checks_agree_with_fraction_oracles():
         for w in cert.sign_witnesses:
             seen["forward" if w.x < w.y else "reverse"] += 1
         pinned = [(w.x, w.y) for w in cert.sign_witnesses]
-        pinned += [None] * (len(certify.sign_class_representatives(len(basis))) - len(pinned))
+        pinned += [None] * (2 ** (len(basis) - 1) - len(pinned))
         pinned = [p if rng.random() < 0.8 else tuple(rng.sample(range(space.n), 2)) for p in pinned]
-        pinned_cert = certify.l1_isometry_lip(basis, pinned_pairs=pinned)
+        classes = certify.sign_class_representatives(len(basis))
+        pinned_cert = certify.l1_isometry_lip(
+            basis, pinned_pairs={eps: p for eps, p in zip(classes, pinned) if p is not None}
+        )
         assert pinned_cert == _oracle_l1(basis, pinned)
         seen["pinned_missing"] += pinned_cert.missing_epsilon is not None
         linf_cert = certify.linf_isometry_lip(linf)

@@ -437,3 +437,143 @@ def test_make_program_passes_fractions_through():
     converted = [program.objective[1], program.constraints[0].coeffs[1], program.bounds[1][1]]
     assert converted == [F(2), F(1, 2), F(5)]
     assert all(type(v) is Fraction for v in converted)
+
+
+# Fraction oracle for the exact elimination: Gauss-Jordan over Fractions,
+# row swaps and all, as a reference for ``lp.rank`` and ``lp.solve_linear``.
+
+
+def _oracle_eliminate(matrix, rhs):
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    pivot_cols = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        prow = aug[r]
+        inv = F(1) / prow[c]
+        aug[r] = prow = [x * inv for x in prow]
+        for i in range(m):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
+        pivot_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    return aug, pivot_cols
+
+
+def _oracle_rank(matrix):
+    return len(_oracle_eliminate(matrix, [F(0)] * len(matrix))[1])
+
+
+def _oracle_solve(matrix, rhs):
+    n = len(matrix[0]) if matrix else 0
+    aug, pivot_cols = _oracle_eliminate(matrix, rhs)
+    if any(aug[i][n] != 0 for i in range(len(pivot_cols), len(aug))):
+        return None
+    x = [F(0)] * n
+    for i, c in enumerate(pivot_cols):
+        x[c] = aug[i][n]
+    return x
+
+
+def _random_entry(rng, integer):
+    if rng.random() < 0.3:
+        return 0 if integer else F(0)
+    if integer:
+        return rng.randint(-5, 5)
+    return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _random_system(rng, case):
+    """An m x n matrix of rank at most r (a product of m x r and r x n
+    factors, so often rank-deficient), maybe with a zeroed row or column,
+    and 1-3 right-hand sides, each consistent (A x) or drawn at random."""
+    if case % 10 == 0:
+        m = n = 1
+    else:
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+    integer = case % 5 == 1
+    r = rng.randint(0, min(m, n))
+    left = [[_random_entry(rng, integer) for _ in range(r)] for _ in range(m)]
+    right = [[_random_entry(rng, integer) for _ in range(n)] for _ in range(r)]
+    zero = 0 if integer else F(0)
+    a = [[sum((left[i][k] * right[k][j] for k in range(r)), zero) for j in range(n)]
+         for i in range(m)]
+    if rng.random() < 0.2:
+        a[rng.randrange(m)] = [zero] * n
+    if rng.random() < 0.2:
+        j = rng.randrange(n)
+        for row in a:
+            row[j] = zero
+    columns = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            x = [_random_entry(rng, integer) for _ in range(n)]
+            columns.append([sum((aij * xj for aij, xj in zip(row, x)), zero) for row in a])
+        else:
+            columns.append([_random_entry(rng, integer) for _ in range(m)])
+    return a, [list(row) for row in zip(*columns)]
+
+
+def test_elimination_agrees_with_fraction_oracle():
+    rng = random.Random("gauss-jordan")
+    seen = Counter()
+    for case in range(3000):
+        a, b = _random_system(rng, case)
+        m, n = len(a), len(a[0])
+        rank = _oracle_rank(a)
+        assert lp.rank(a) == rank
+        solutions = [_oracle_solve(a, list(col)) for col in zip(*b)]
+        got = lp.solve_linear(a, b)
+        if any(x is None for x in solutions):
+            assert got is None
+            seen["inconsistent"] += 1
+        else:
+            assert got == [list(row) for row in zip(*solutions)]
+        seen["tall" if m > n else "wide" if m < n else "square"] += 1
+        seen["1x1"] += m == n == 1
+        seen["deficient"] += rank < min(m, n)
+        seen["zero_row"] += any(not any(row) for row in a)
+        seen["zero_col"] += any(not any(col) for col in zip(*a))
+        seen["many_rhs"] += len(b[0]) > 1
+        seen["integer"] += type(a[0][0]) is int
+    assert seen["inconsistent"] >= 1000, seen
+    assert min(seen.values()) > 100, seen
+
+
+def test_elimination_edge_shapes():
+    assert lp.rank([]) == 0
+    assert lp.solve_linear([], []) == []
+    assert lp.rank([[0, 0], [0, 0]]) == 0
+    assert lp.solve_linear([[0, 0]], [[0, 0]]) == [[0, 0], [0, 0]]
+    assert lp.solve_linear([[0, 0]], [[0, 1]]) is None
+    # the free variable is set to zero; the pivot column reads rhs / den
+    assert lp.solve_linear([[F(2, 3), 1]], [[F(1, 2)]]) == [[F(3, 4)], [0]]
+
+
+def test_duality_lift_eliminates_once(monkeypatch):
+    calls = []
+    real = lp._gauss_jordan
+
+    def counting(matrix, rhs):
+        calls.append(len(matrix))
+        return real(matrix, rhs)
+
+    def forbidden(*args):
+        raise AssertionError("the lift solves U C = P in one elimination")
+
+    search = freespace.search_one_complemented(random_space(6, 1, "range"), 2)
+    assert search.found
+    monkeypatch.setattr(lp, "_gauss_jordan", counting)
+    monkeypatch.setattr(freespace.FreeOperator, "apply", forbidden)
+    monkeypatch.setattr(freespace, "delta", forbidden)
+    g, cert = construct.duality_lift(search.certificate)
+    assert cert.valid and len(g) == 2
+    assert calls == [5]
