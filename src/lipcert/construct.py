@@ -244,11 +244,14 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     distance, then lexicographically) to the 2^(k-1) sign classes.  Each
     basis coordinate's assigned pairs form a system of difference
     constraints; the search keeps its all-pairs shortest-path closure on the
-    stack (``lipschitz.closure_add``), so a candidate pair is accepted by k
-    exact interval checks (``lipschitz.closure_admits``) and backtracking
-    drops the child's closures.  A full assignment goes to one LP per basis
-    coordinate, whose solutions give the certified basis with the
-    assignment as its sign witnesses.
+    stack (``lipschitz.closure_add``), and backtracking drops the child's
+    closures.  A candidate pair is accepted by one integer comparison per
+    coordinate: for c = e * rho(x, y) the interval check
+    ``lipschitz.closure_admits`` reduces to C[y][x] == rho when e = +1 and
+    to C[x][y] == rho when e = -1, since a closure never exceeds the metric
+    and C[x][y] + C[y][x] >= 0 on a feasible system.  A full assignment goes
+    to one LP per basis coordinate, whose solutions give the certified basis
+    with the assignment as its sign witnesses.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -285,7 +288,7 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
             tried += 1
             rho = dist_int[x][y]
             for e, closure in zip(eps, closures):
-                if not lipschitz.closure_admits(closure, x, y, e * rho):
+                if (closure[y][x] if e > 0 else closure[x][y]) != rho:
                     break
             else:
                 assignment.append((x, y))

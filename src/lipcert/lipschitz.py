@@ -258,27 +258,31 @@ def closure_add(closure, x, y, c):
 
     The equality is the arcs y -> x of weight c and x -> y of weight -c, so
     a shortest path uses at most one of them: D'[a][b] = min(D[a][b],
-    D[a][y] + c + D[x][b], D[a][x] - c + D[y][b]).  Only for a closure that
-    ``closure_admits`` the equality; O(n^2) integer operations.
+    D[a][y] + c + D[x][b], D[a][x] - c + D[y][b]).  A closure satisfies
+    D[a][b] <= D[a][x] + D[x][b], so the first term can lower row ``a``
+    only if D[a][y] + c < D[a][x], and likewise the second only if
+    D[a][x] - c < D[a][y]; the two conditions exclude each other.  Each row
+    thus takes at most one term, one comparison per entry, and a row that
+    neither condition admits is shared with ``closure``, not copied (a
+    search never changes a closure; it backtracks by dropping it).  Rows are
+    lists; the tuple rows of a space's ``integer_dist`` are copied once.
+    Only for a closure that ``closure_admits`` the equality; O(n^2) integer
+    operations.
     """
+    if type(closure) is tuple:
+        closure = [list(row) for row in closure]
     row_x = closure[x]
     row_y = closure[y]
     new = []
     for row in closure:
         via_yx = row[y] + c
         via_xy = row[x] - c
-        # plain comparisons: this loop is the direct search's inner cost,
-        # and three-argument min() makes it about 2.5x slower on 8 points
-        tightened = []
-        for d, bx, by in zip(row, row_x, row_y):
-            t = via_yx + bx
-            if t < d:
-                d = t
-            t = via_xy + by
-            if t < d:
-                d = t
-            tightened.append(d)
-        new.append(tightened)
+        if via_yx < row[x]:
+            new.append([t if (t := via_yx + b) < d else d for d, b in zip(row, row_x)])
+        elif via_xy < row[y]:
+            new.append([t if (t := via_xy + b) < d else d for d, b in zip(row, row_y)])
+        else:
+            new.append(row)
     return new
 
 

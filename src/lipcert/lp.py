@@ -1,8 +1,11 @@
 """Exact rational linear programming with primal and dual certificates.
 
-Two-phase simplex on an integer tableau: each row is Python ints over one
-positive denominator, reduced by their gcd after every update (the integer
-pivoting of Bareiss and of Avis's ``lrs``, with a denominator per row).  The
+Two-phase simplex on a sparse integer tableau: each row is a
+``{column: int}`` dict of its nonzero numerators, the rhs under the key -1,
+over one positive denominator, reduced by their gcd after every update (the
+integer pivoting of Bareiss and of Avis's ``lrs``, with a denominator per
+row), so a pivot does arithmetic on stored nonzeros only.  The reduced-cost
+row alone is a dense list, since pricing reads every column of it.  The
 simplex path is fixed by the pivot rule, not by the storage, so it is the
 path exact rational arithmetic takes.  Pricing is Dantzig's rule until a run
 of degenerate pivots is detected, after which the solve switches to Bland's
@@ -136,41 +139,66 @@ class LpOutcome:
     pivots: int = 0
 
 
-def _eliminate(row, den, f, p, nz):
-    """``row/den - (f/den) * prow/p`` in lowest terms, as ``(row, den)``.
+def _eliminate(row, den, f, p, prow):
+    """``row/den - (f/den) * prow/p`` in lowest terms, as ``(row, den)``, on
+    sparse rows: ``{column: entry}`` dicts that hold no zero.
 
-    ``nz`` lists the nonzero ``(column, entry)`` pairs of the integer row
-    ``prow``; ``den`` and ``p`` are positive.  ``row`` is updated in place
-    when ``p`` divides ``f``.
+    Only the entries stored in ``prow`` are touched; ``den`` and ``p`` are
+    positive.  ``row`` is updated in place when ``p`` divides ``f``.
     """
     g = gcd(p, f)
     pg, fg = p // g, f // g
     if pg != 1:
-        row = [a * pg for a in row]
-    for j, b in nz:
-        row[j] -= fg * b
+        row = {j: a * pg for j, a in row.items()}
+    for j, b in prow.items():
+        a = row.get(j, 0) - fg * b
+        if a:
+            row[j] = a
+        else:
+            del row[j]
     den *= pg
-    g = gcd(den, *row)
+    g = gcd(den, *row.values())
     if g > 1:
-        row = [a // g for a in row]
+        row = {j: a // g for j, a in row.items()}
         den //= g
     return row, den
+
+
+def _eliminate_cost(red, rd, f, p, prow):
+    """``red/rd - (f/rd) * prow/p`` in lowest terms, as ``(red, rd)``, for
+    the dense reduced-cost row ``red`` (its rhs last, at index -1) and a
+    sparse row ``prow``; ``rd`` and ``p`` are positive."""
+    g = gcd(p, f)
+    pg, fg = p // g, f // g
+    if pg != 1:
+        red = [a * pg for a in red]
+    for j, b in prow.items():
+        red[j] -= fg * b
+    rd *= pg
+    g = gcd(rd, *red)
+    if g > 1:
+        red = [a // g for a in red]
+        rd //= g
+    return red, rd
 
 
 class _Kernel:
     """Standard-form simplex state: min cost.x, A x = b, x >= 0, b >= 0.
 
-    Row ``i`` of the tableau is ``rows[i] / den[i]``: Python ints over one
-    positive denominator, the ``n_cols`` column entries followed by the rhs,
-    in lowest terms.  The basic column of a row holds ``den[i]``.  The
-    reduced-cost row is kept the same way, as ``reduced / reduced_den``.
+    Row ``i`` of the tableau is ``rows[i] / den[i]``: a sparse row, a dict
+    ``{column: int}`` that never stores a zero, with the rhs under the key
+    -1, over one positive denominator, in lowest terms.  The basic column of
+    a row holds ``den[i]``.  A pivot and its eliminations touch only the
+    stored entries.  The reduced-cost row is a dense list over all
+    ``n_cols`` columns with the rhs last (so ``-1`` indexes it there too),
+    kept as ``reduced / reduced_den``, because pricing reads all of it.
     Every comparison the pivot rule makes reads numerators over a positive
     denominator, so the path is the one exact rational arithmetic takes.
     Only columns below ``n_enter`` may enter the basis.
     """
 
     def __init__(self, rows, den, basis, n_cols):
-        self.rows = rows          # list of int row lists, mutated in place
+        self.rows = rows          # list of sparse rows
         self.den = den
         self.basis = basis
         self.n_cols = n_cols
@@ -180,24 +208,22 @@ class _Kernel:
         self.reduced_den = 1
 
     def _pivot(self, r, t):
-        """Pivot on row ``r``, column ``t``; returns the nonzero
-        ``(column, entry)`` pairs of the pivot row."""
+        """Pivot on row ``r``, column ``t``; returns the pivot row."""
         rows, den = self.rows, self.den
         prow = rows[r]
         p = prow[t]
         if p < 0:
-            rows[r] = prow = [-x for x in prow]
+            rows[r] = prow = {j: -x for j, x in prow.items()}
             p = -p
         # the row keeps its numerators; the pivot entry becomes its denominator
         den[r] = p
-        nz = [(j, b) for j, b in enumerate(prow) if b]
         for i, row in enumerate(rows):
-            f = row[t]
+            f = row.get(t)
             if f and i != r:
-                rows[i], den[i] = _eliminate(row, den[i], f, p, nz)
+                rows[i], den[i] = _eliminate(row, den[i], f, p, prow)
         self.basis[r] = t
         self.pivots += 1
-        return nz
+        return prow
 
     def optimize(self, cost, cost_den):
         """Run simplex for ``cost / cost_den`` from the current basis.
@@ -212,13 +238,7 @@ class _Kernel:
             cb = cost[basis[i]]
             if cb:
                 # red/rd - (cb/cost_den) * row/den[i]
-                u, v = cb * rd, cost_den * den[i]
-                red = [d * v - u * a for d, a in zip(red, row)]
-                rd *= v
-                g = gcd(rd, *red)
-                if g > 1:
-                    red = [d // g for d in red]
-                    rd //= g
+                red, rd = _eliminate_cost(red, rd, cb * rd, cost_den * den[i], row)
         n_enter = self.n_enter
         bland = False
         stall = 0
@@ -238,9 +258,9 @@ class _Kernel:
             leave = -1
             num = quo = 0
             for i, row in enumerate(rows):
-                a = row[t]
+                a = row.get(t, 0)
                 if a > 0:
-                    b = row[-1]
+                    b = row.get(-1, 0)
                     if leave < 0 or b * quo < num * a or (
                         b * quo == num * a and basis[i] < basis[leave]
                     ):
@@ -249,8 +269,8 @@ class _Kernel:
             if leave < 0:
                 self.reduced, self.reduced_den = red, rd
                 return t
-            nz = self._pivot(leave, t)
-            red, rd = _eliminate(red, rd, red[t], den[leave], nz)
+            prow = self._pivot(leave, t)
+            red, rd = _eliminate_cost(red, rd, red[t], den[leave], prow)
             if num == 0:  # degenerate pivot
                 stall += 1
                 if stall > _STALL_LIMIT:
@@ -272,7 +292,8 @@ class _Lowering:
     the column ``a`` shifted by its bound, an upper-bounded one the column
     ``-a`` reflected at it.  A boxed variable is shifted and adds a row
     ``x <= hi - lo`` after the original rows.  Each row is kept as integers
-    over one denominator ``d``, ``(numerators, rhs, d)``, read from the
+    over one denominator ``d``, ``(numerators, rhs, d)`` with the numerators
+    a sparse ``{column: int}`` dict of the nonzeros, read from the
     constraint's scaled row; the bound shifts are subtracted from the rhs in
     integers, over the lcm of the shifts' denominators.
     """
@@ -310,23 +331,21 @@ class _Lowering:
                 shifts.append((j, offset))
 
         self.n_struct = n_struct = len(self.cost)
-        self.rows: list[tuple[list[int], int, int]] = []
+        self.rows: list[tuple[dict[int, int], int, int]] = []
         shift_nums, shift_den = lcm_scale([offset for _, offset in shifts])
         for c in lp.constraints:
             nums, d = c.scaled
-            struct = [sign * nums[j] for j, sign in columns]
+            struct = {col: sign * nums[j] for col, (j, sign) in enumerate(columns) if nums[j]}
             b = nums[-1]
             if shifts:
                 # d * (rhs - sum_j coeffs[j] * offset_j), times shift_den
                 b = b * shift_den - sum(nums[j] * o for (j, _), o in zip(shifts, shift_nums))
                 if shift_den != 1:
-                    struct = [a * shift_den for a in struct]
+                    struct = {col: a * shift_den for col, a in struct.items()}
                     d *= shift_den
             self.rows.append((struct, b, d))
         for col, width in box_rows:
-            row = [0] * n_struct
-            row[col] = width.denominator
-            self.rows.append((row, width.numerator, width.denominator))
+            self.rows.append(({col: width.denominator}, width.numerator, width.denominator))
         self.n_rows = len(self.rows)
         self.rel = [c.rel for c in lp.constraints] + [LE] * len(box_rows)
 
@@ -357,9 +376,9 @@ class _Lowering:
         n_cols = n_struct + n_slack + n_art
         rows, den, basis = [], [], []
         for i, (struct, b, d) in enumerate(self.rows):
-            row = struct + [0] * (n_cols - n_struct) + [b]
-            if sign[i] < 0:
-                row = [-a for a in row]
+            row = {j: sign[i] * a for j, a in struct.items()}
+            if b:
+                row[-1] = sign[i] * b
             if slack_col[i] >= 0:
                 row[slack_col[i]] = slack_sign[i] * sign[i] * d
             if art_col[i] >= 0:
@@ -395,7 +414,7 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
         if kern.optimize(phase1_cost, 1) >= 0:
             raise AssertionError("phase 1 cannot be unbounded")
         # an artificial may sit basic in another row than its own after pivots
-        if any(row[-1] > 0 for row, b in zip(kern.rows, kern.basis) if b >= n_real):
+        if any(row.get(-1, 0) > 0 for row, b in zip(kern.rows, kern.basis) if b >= n_real):
             y = _recover_duals(kern, phase1_cost, 1, sign, slack_col, art_col)
             farkas = y[: len(lp.constraints)]
             out = LpOutcome(status="infeasible", farkas=farkas, pivots=kern.pivots)
@@ -444,21 +463,23 @@ def feasible(constraints, n_vars=None, bounds=None) -> LpOutcome:
 def _gauss_jordan(matrix, rhs):
     """Gauss-Jordan elimination of ``[A | B]`` on the simplex's integer pivot.
 
-    Each row is scaled to integers over its lcm, and each column of ``A`` is
-    pivoted on the first not-yet-pivoted row that is nonzero there.  The
-    kernel's ``basis`` then maps each pivot row to its column (-1 for the
-    other rows, which are zero on every column of ``A``), and ``pivots`` is
-    the rank.  Which columns get pivots does not depend on the row order.
+    Each row is scaled to integers over its lcm and stored sparse, the
+    columns of ``B`` after those of ``A`` (no key -1: no simplex runs here),
+    and each column of ``A`` is pivoted on the first not-yet-pivoted row
+    that is nonzero there.  The kernel's ``basis`` then maps each pivot row
+    to its column (-1 for the other rows, which are zero on every column of
+    ``A``), and ``pivots`` is the rank.  Which columns get pivots does not
+    depend on the row order.
     """
     rows, den = [], []
     for a, b in zip(matrix, rhs, strict=True):
         nums, d = lcm_scale([*a, *b])
-        rows.append(nums)
+        rows.append({j: v for j, v in enumerate(nums) if v})
         den.append(d)
     n = len(matrix[0]) if matrix else 0
     kern = _Kernel(rows, den, [-1] * len(rows), n)
     for c in range(n):
-        r = next((i for i, row in enumerate(rows) if row[c] and kern.basis[i] < 0), -1)
+        r = next((i for i, row in enumerate(rows) if c in row and kern.basis[i] < 0), -1)
         if r >= 0:
             kern._pivot(r, c)
     return kern
@@ -478,11 +499,12 @@ def solve_linear(matrix, rhs):
     """
     kern = _gauss_jordan(matrix, rhs)
     n = kern.n_cols
-    x = [[_ZERO] * (len(rhs[0]) if rhs else 0) for _ in range(n)]
+    width = range(n, n + (len(rhs[0]) if rhs else 0))
+    x = [[_ZERO] * len(width) for _ in range(n)]
     for row, d, c in zip(kern.rows, kern.den, kern.basis):
         if c >= 0:
-            x[c] = [Fraction(v, d) if v else _ZERO for v in row[n:]]
-        elif any(row[n:]):
+            x[c] = [Fraction(row[j], d) if j in row else _ZERO for j in width]
+        elif row:
             return None
     return x
 
@@ -496,11 +518,9 @@ def _drive_out_artificials(kern, n_real):
     """
     for i, b in enumerate(kern.basis):
         if b >= n_real:
-            row = kern.rows[i]
-            for j in range(n_real):
-                if row[j]:
-                    kern._pivot(i, j)
-                    break
+            real = [j for j in kern.rows[i] if 0 <= j < n_real]
+            if real:
+                kern._pivot(i, min(real))
 
 
 def _recover_duals(kern, cost, cost_den, sign, slack_col, art_col):
@@ -539,7 +559,7 @@ def _extract_primal(low, kern):
     # only structural columns are pulled back; nonbasic and zero ones stay 0
     x_std = [_ZERO] * low.n_struct
     for i, b in enumerate(kern.basis):
-        if b < low.n_struct and kern.rows[i][-1]:
+        if b < low.n_struct and -1 in kern.rows[i]:
             x_std[b] = Fraction(kern.rows[i][-1], kern.den[i])
     return _pull_back(low, x_std, offsets=True)
 
@@ -548,7 +568,7 @@ def _extract_ray(low, kern, t):
     d_std = [_ZERO] * kern.n_cols
     d_std[t] = _ONE
     for i, b in enumerate(kern.basis):
-        a = kern.rows[i][t]
+        a = kern.rows[i].get(t)
         if a:
             d_std[b] = Fraction(-a, kern.den[i])
     return _pull_back(low, d_std, offsets=False)

@@ -276,6 +276,7 @@ def restrict(space: PointedMetricSpace, indices) -> PointedMetricSpace:
     for i in indices:
         if not 0 <= i < space.n:
             raise ValueError(f"index {i} out of range for {space.n}-point space")
-    rows = [[space.dist[a][b] for b in indices] for a in indices]
+    # every restriction of a metric is a metric: nothing to validate again
+    rows = tuple(tuple(space.dist[a][b] for b in indices) for a in indices)
     labels = tuple(space.labels[i] for i in indices)
-    return PointedMetricSpace.from_matrix(rows, labels=labels, parent_map=indices)
+    return PointedMetricSpace(rows, labels, 0, tuple(indices))

@@ -350,6 +350,51 @@ def test_incremental_closure_matches_bellman_ford_and_floyd_warshall():
     assert verdicts == {True, False}
 
 
+def test_closure_add_shares_unchanged_rows_and_extreme_differences_need_one_comparison():
+    # The spaces of the closure test.  A row that closure_add does not lower
+    # is the parent's row object (the tuple rows of integer_dist are copied
+    # to lists once), and the parent is left as it was.  For c = +rho and
+    # c = -rho the direct search's single comparison agrees with
+    # closure_admits.
+    spaces = [space for space, _ in _filter_cases()]
+    spaces += [
+        random_space(n, seed, method)
+        for method in ("range", "euclidean")
+        for n in range(5, 9)
+        for seed in range(5)
+    ]
+    admits = set()
+    shared = lowered = 0
+    for i, space in enumerate(spaces):
+        rng = random.Random(f"closure-rows:{i}")
+        dist_int = space.integer_dist
+        closure = dist_int
+        for _ in range(12):
+            x, y = rng.sample(range(space.n), 2)
+            rho = dist_int[x][y]
+            for c, single in ((rho, closure[y][x] == rho), (-rho, closure[x][y] == rho)):
+                assert single == closure_admits(closure, x, y, c)
+                admits.add(single)
+            c = rng.choice([rho, -rho, rng.randint(-rho, rho)])
+            if not closure_admits(closure, x, y, c):
+                continue
+            before = [list(row) for row in closure]
+            new = closure_add(closure, x, y, c)
+            assert [list(row) for row in closure] == before
+            for old_row, new_row in zip(closure, new):
+                assert type(new_row) is list
+                if new_row != list(old_row):
+                    lowered += 1
+                elif closure is dist_int:
+                    assert new_row is not old_row
+                else:
+                    assert new_row is old_row
+                    shared += 1
+            closure = new
+    assert admits == {True, False}
+    assert shared and lowered
+
+
 def _transport_cases():
     vectors = []
     for i in range(60):

@@ -577,3 +577,36 @@ def test_duality_lift_eliminates_once(monkeypatch):
     g, cert = construct.duality_lift(search.certificate)
     assert cert.valid and len(g) == 2
     assert calls == [5]
+
+
+def test_tableau_rows_are_sparse_and_never_store_zero(monkeypatch):
+    # every tableau row is a {column: int} dict of its nonzeros, the rhs
+    # under -1, before and after every pivot of the simplex and of the
+    # Gauss-Jordan elimination
+    pivots = 0
+    real = lp._Kernel._pivot
+
+    def assert_sparse(kern):
+        for row in kern.rows:
+            assert type(row) is dict
+            assert all(type(v) is int and v for v in row.values()), row
+
+    def checking(kern, r, t):
+        nonlocal pivots
+        assert_sparse(kern)
+        prow = real(kern, r, t)
+        assert_sparse(kern)
+        assert prow is kern.rows[r] and prow[t] == kern.den[r]
+        pivots += 1
+        return prow
+
+    monkeypatch.setattr(lp._Kernel, "_pivot", checking)
+    batch = [(BEALE, "min"), (PHASE1, "min"), (PHASE1, "max")]
+    batch += _random_programs(13, 2000)
+    for program, sense in batch:
+        lp.solve(program, sense)
+    rng = random.Random("sparse-rows")
+    for case in range(300):
+        a, b = _random_system(rng, case)
+        lp.solve_linear(a, b)
+    assert pivots > 3000, pivots

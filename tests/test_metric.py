@@ -1,7 +1,8 @@
 """Metric-space parsing, validation, generation, restriction."""
 
 import json
-from dataclasses import FrozenInstanceError
+import random
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from math import lcm
 
@@ -173,6 +174,32 @@ def test_restrict_commutes_with_label_permutation():
     b = restrict(space, indices)
     assert a.dist == b.dist
     assert a.labels == ("x0", "x3", "x1")
+
+
+def test_restrict_matches_from_matrix_without_validating(monkeypatch):
+    # a restriction of a metric is a metric, so restrict skips the O(n^3)
+    # triangle check and must still build what from_matrix builds
+    cases = []
+    for seed in range(20):
+        space = random_space(4 + seed % 5, seed, "range" if seed % 2 else "euclidean")
+        rng = random.Random(seed)
+        indices = rng.sample(range(space.n), rng.randint(2, space.n))
+        expected = PointedMetricSpace.from_matrix(
+            [[space.dist[a][b] for b in indices] for a in indices],
+            labels=[space.labels[i] for i in indices],
+            parent_map=indices,
+        )
+        cases.append((space, indices, expected))
+
+    def forbidden(matrix):
+        raise AssertionError("restrict re-validated a metric")
+
+    monkeypatch.setattr(metric, "validate", forbidden)
+    for space, indices, expected in cases:
+        sub = restrict(space, indices)
+        for field in fields(PointedMetricSpace):
+            assert getattr(sub, field.name) == getattr(expected, field.name), field.name
+            assert type(getattr(sub, field.name)) is type(getattr(expected, field.name))
 
 
 def test_integer_dist_is_lcm_scaled_and_computed_once(monkeypatch):
