@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .lipschitz import LipFunctional
 from .rationals import lcm_scale
@@ -256,9 +257,12 @@ def l1_isometry_free(vectors) -> FreeL1Report:
     """Valid iff every vector has free norm 1 and every sign combination
     (mod global sign) has free norm m.  Sufficiency is the corner argument:
     the triangle inequality gives domination by the l1 norm for free.
-    Stops at the first failing combination.
+    Stops at the first failing combination.  All coefficients are scaled
+    over one lcm ``L``, so a combination is an integer sum whose free norm is
+    its transport cost over ``L`` times the space's ``dist_scale`` (the cost
+    is positively homogeneous).
     """
-    from .freespace import free_norm
+    from .freespace import transport_cost
 
     vectors = tuple(vectors)
     if not vectors:
@@ -268,9 +272,14 @@ def l1_isometry_free(vectors) -> FreeL1Report:
         if u.space != space:
             raise ValueError("vectors live on different spaces")
     m = len(vectors)
+    nb = space.n - 1
+    flat, den = lcm_scale([c for u in vectors for c in u.coeffs])
+    rows = [flat[i * nb:(i + 1) * nb] for i in range(m)]
+    cols = list(zip(*rows))
+    den *= space.dist_scale
     unit_norms = []
-    for u in vectors:
-        value = free_norm(u)
+    for row in rows:
+        value = Fraction(transport_cost(space, row), den)
         unit_norms.append(value)
         if value != 1:
             return FreeL1Report(
@@ -281,10 +290,8 @@ def l1_isometry_free(vectors) -> FreeL1Report:
             )
     combos = []
     for eps in sign_class_representatives(m):
-        w = vectors[0].scale(eps[0])
-        for e, u in zip(eps[1:], vectors[1:]):
-            w = w + u.scale(e)
-        value = free_norm(w)
+        w = [sum(map(mul, eps, col)) for col in cols]
+        value = Fraction(transport_cost(space, w), den)
         combos.append((eps, value))
         if value != m:
             return FreeL1Report(

@@ -34,7 +34,7 @@ def _check_grid(breakpoints, values):
 
 
 def _evaluate(breakpoints, values, t):
-    t = Fraction(t)
+    t = parse_rational(t)
     if not 0 <= t <= 1:
         raise ValueError(f"{t} outside [0,1]")
     for i in range(len(breakpoints) - 1):
@@ -179,6 +179,8 @@ def mcshane_pwl(samples, lip_bound) -> PwlFunctional:
     norm of g is at most L (equal when L is the sample constant and > 0).
     """
     L = Fraction(lip_bound)
+    if L < 0:
+        raise ValueError(f"negative Lipschitz bound {L}")
     pts = sorted((Fraction(t), Fraction(y)) for t, y in samples)
     if not pts or pts[0][0] != 0 or pts[0][1] != 0:
         raise ValueError("samples must include (0, 0)")

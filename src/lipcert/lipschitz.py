@@ -221,14 +221,12 @@ def differences_feasible(dist_int, equalities):
         edges.append((x, y, -c))
     rounds = len(nodes)
     dist = [0] * len(dist_int)
-    if _relax(edges, dist, rounds, None) is None:
-        return True, dist
-    # The same relaxations again, now keeping predecessor links: the last
-    # point relaxed in the final round has a predecessor chain that runs
-    # into a cycle within ``rounds`` steps, and that cycle is negative.
-    dist = [0] * len(dist_int)
     pred = [None] * len(dist_int)
     point = _relax(edges, dist, rounds, pred)
+    if point is None:
+        return True, dist
+    # The last point relaxed in the final round has a predecessor chain that
+    # runs into a cycle within ``rounds`` steps, and that cycle is negative.
     for _ in range(rounds):
         point = pred[point][0]
     cycle = [pred[point]]
@@ -290,7 +288,7 @@ def _relax(edges, dist, rounds, pred):
     """Bellman-Ford rounds over ``edges`` from ``dist`` (every point at
     distance 0 from a virtual source).  Returns None once a round changes
     nothing, else the last point relaxed in the final round; records each
-    relaxing edge in ``pred`` unless it is None."""
+    relaxing edge in ``pred``."""
     last = None
     for _ in range(rounds):
         last = None
@@ -300,8 +298,7 @@ def _relax(edges, dist, rounds, pred):
             if alt < dist[a]:
                 dist[a] = alt
                 last = a
-                if pred is not None:
-                    pred[a] = edge
+                pred[a] = edge
         if last is None:
             return None
     return last

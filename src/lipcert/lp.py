@@ -5,9 +5,9 @@ Two-phase simplex on a sparse integer tableau: each row is a
 over one positive denominator, reduced by their gcd after every update (the
 integer pivoting of Bareiss and of Avis's ``lrs``, with a denominator per
 row), so a pivot does arithmetic on stored nonzeros only.  The reduced-cost
-row alone is a dense list, since pricing reads every column of it.  The
-simplex path is fixed by the pivot rule, not by the storage, so it is the
-path exact rational arithmetic takes.  Pricing is Dantzig's rule until a run
+row is such a row too: pricing reads only its negative entries.  The simplex
+path is fixed by the pivot rule, not by the storage, so it is the path exact
+rational arithmetic takes.  Pricing is Dantzig's rule until a run
 of degenerate pivots is detected, after which the solve switches to Bland's
 rule permanently, which guarantees termination on every input.  Each
 ``Constraint`` scales its row (coefficients and rhs) to integers over the lcm
@@ -164,24 +164,6 @@ def _eliminate(row, den, f, p, prow):
     return row, den
 
 
-def _eliminate_cost(red, rd, f, p, prow):
-    """``red/rd - (f/rd) * prow/p`` in lowest terms, as ``(red, rd)``, for
-    the dense reduced-cost row ``red`` (its rhs last, at index -1) and a
-    sparse row ``prow``; ``rd`` and ``p`` are positive."""
-    g = gcd(p, f)
-    pg, fg = p // g, f // g
-    if pg != 1:
-        red = [a * pg for a in red]
-    for j, b in prow.items():
-        red[j] -= fg * b
-    rd *= pg
-    g = gcd(rd, *red)
-    if g > 1:
-        red = [a // g for a in red]
-        rd //= g
-    return red, rd
-
-
 class _Kernel:
     """Standard-form simplex state: min cost.x, A x = b, x >= 0, b >= 0.
 
@@ -189,10 +171,9 @@ class _Kernel:
     ``{column: int}`` that never stores a zero, with the rhs under the key
     -1, over one positive denominator, in lowest terms.  The basic column of
     a row holds ``den[i]``.  A pivot and its eliminations touch only the
-    stored entries.  The reduced-cost row is a dense list over all
-    ``n_cols`` columns with the rhs last (so ``-1`` indexes it there too),
-    kept as ``reduced / reduced_den``, because pricing reads all of it.
-    Every comparison the pivot rule makes reads numerators over a positive
+    stored entries.  The reduced-cost row ``reduced / reduced_den`` is a
+    sparse row as well, updated by the same ``_eliminate``.  Every
+    comparison the pivot rule makes reads numerators over a positive
     denominator, so the path is the one exact rational arithmetic takes.
     Only columns below ``n_enter`` may enter the basis.
     """
@@ -204,7 +185,7 @@ class _Kernel:
         self.n_cols = n_cols
         self.n_enter = n_cols
         self.pivots = 0
-        self.reduced: list[int] = []
+        self.reduced: dict[int, int] = {}
         self.reduced_den = 1
 
     def _pivot(self, r, t):
@@ -226,31 +207,33 @@ class _Kernel:
         return prow
 
     def optimize(self, cost, cost_den):
-        """Run simplex for ``cost / cost_den`` from the current basis.
+        """Run simplex for ``cost / cost_den`` from the current basis; ``cost``
+        is a sparse row with no rhs.
 
         Returns -1 at an optimum, else the entering column of an improving
         ray.  Either way ``reduced / reduced_den`` is left as the
-        reduced-cost row against the original columns.
+        reduced-cost row against the original columns.  Dantzig's rule
+        enters the most negative reduced cost, Bland's the lowest column
+        with a negative one; ties go to the lowest column.
         """
         rows, den, basis = self.rows, self.den, self.basis
-        red, rd = cost + [0], cost_den
+        red, rd = dict(cost), cost_den
         for i, row in enumerate(rows):
-            cb = cost[basis[i]]
+            cb = cost.get(basis[i])
             if cb:
                 # red/rd - (cb/cost_den) * row/den[i]
-                red, rd = _eliminate_cost(red, rd, cb * rd, cost_den * den[i], row)
+                red, rd = _eliminate(red, rd, cb * rd, cost_den * den[i], row)
         n_enter = self.n_enter
         bland = False
         stall = 0
         while True:
-            priced = red[:n_enter]
-            t = -1
             if bland:
-                t = next((j for j, d in enumerate(priced) if d < 0), -1)
+                t = min((j for j, d in red.items() if d < 0 and 0 <= j < n_enter), default=-1)
             else:
-                best = min(priced, default=0)
-                if best < 0:
-                    t = priced.index(best)
+                _, t = min(
+                    ((d, j) for j, d in red.items() if d < 0 and 0 <= j < n_enter),
+                    default=(0, -1),
+                )
             if t < 0:
                 self.reduced, self.reduced_den = red, rd
                 return -1
@@ -270,7 +253,7 @@ class _Kernel:
                 self.reduced, self.reduced_den = red, rd
                 return t
             prow = self._pivot(leave, t)
-            red, rd = _eliminate_cost(red, rd, red[t], den[leave], prow)
+            red, rd = _eliminate(red, rd, red[t], den[leave], prow)
             if num == 0:  # degenerate pivot
                 stall += 1
                 if stall > _STALL_LIMIT:
@@ -346,49 +329,38 @@ class _Lowering:
             self.rows.append((struct, b, d))
         for col, width in box_rows:
             self.rows.append(({col: width.denominator}, width.numerator, width.denominator))
-        self.n_rows = len(self.rows)
         self.rel = [c.rel for c in lp.constraints] + [LE] * len(box_rows)
 
     def build_kernel(self):
-        """Assemble the phase-1 tableau: (kernel, row signs, slack/art columns).
+        """Assemble the phase-1 tableau: (kernel, row signs, real columns).
 
         Row ``i`` has denominator ``d``, its lcm scale, so its slack and
         artificial entries are ``±d``.  A row with a negative rhs is negated;
         it keeps a slack as its initial basic column only if that slack's
-        entry is then ``+d``.
+        entry is then ``+d``, else it gets an artificial.  The artificial
+        columns come last, from the count of real columns on.
         """
-        n_rows, n_struct = self.n_rows, self.n_struct
         sign = [-1 if rhs < 0 else 1 for _, rhs, _ in self.rows]
-        slack_col = [-1] * n_rows
-        art_col = [-1] * n_rows
-        slack_sign = [0] * n_rows
-        n_slack = 0
-        for i in range(n_rows):
-            if self.rel[i] != EQ:
-                slack_sign[i] = 1 if self.rel[i] == LE else -1
-                slack_col[i] = n_struct + n_slack
-                n_slack += 1
-        n_art = 0
-        for i in range(n_rows):
-            if slack_sign[i] * sign[i] != 1:
-                art_col[i] = n_struct + n_slack + n_art
-                n_art += 1
-        n_cols = n_struct + n_slack + n_art
+        slack_sign = [0 if rel == EQ else 1 if rel == LE else -1 for rel in self.rel]
+        slack = self.n_struct
+        art = n_real = slack + sum(s != 0 for s in slack_sign)
         rows, den, basis = [], [], []
-        for i, (struct, b, d) in enumerate(self.rows):
-            row = {j: sign[i] * a for j, a in struct.items()}
+        for (struct, b, d), s, ss in zip(self.rows, sign, slack_sign):
+            row = {j: s * a for j, a in struct.items()}
             if b:
-                row[-1] = sign[i] * b
-            if slack_col[i] >= 0:
-                row[slack_col[i]] = slack_sign[i] * sign[i] * d
-            if art_col[i] >= 0:
-                row[art_col[i]] = d
-                basis.append(art_col[i])
+                row[-1] = s * b
+            if ss:
+                row[slack] = ss * s * d
+                slack += 1
+            if ss * s == 1:
+                basis.append(slack - 1)
             else:
-                basis.append(slack_col[i])
+                row[art] = d
+                basis.append(art)
+                art += 1
             rows.append(row)
             den.append(d)
-        return _Kernel(rows, den, basis, n_cols), sign, slack_col, art_col
+        return _Kernel(rows, den, basis, art), sign, n_real
 
 
 def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
@@ -403,19 +375,18 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
     except _BoundConflict:
         return LpOutcome(status="infeasible")
 
-    kern, sign, slack_col, art_col = low.build_kernel()
+    kern, sign, n_real = low.build_kernel()
     n_total = kern.n_cols
-    # artificial columns come last, from n_real on
-    n_real = n_total - sum(c >= 0 for c in art_col)
+    home = kern.basis[:]  # each row's initial basic column, its dual-recovery column
 
     # Phase 1: minimize the artificial sum.
     if n_real < n_total:
-        phase1_cost = [0] * n_real + [1] * (n_total - n_real)
+        phase1_cost = dict.fromkeys(range(n_real, n_total), 1)
         if kern.optimize(phase1_cost, 1) >= 0:
             raise AssertionError("phase 1 cannot be unbounded")
         # an artificial may sit basic in another row than its own after pivots
         if any(row.get(-1, 0) > 0 for row, b in zip(kern.rows, kern.basis) if b >= n_real):
-            y = _recover_duals(kern, phase1_cost, 1, sign, slack_col, art_col)
+            y = _recover_duals(kern, phase1_cost, 1, sign, home)
             farkas = y[: len(lp.constraints)]
             out = LpOutcome(status="infeasible", farkas=farkas, pivots=kern.pivots)
             _assert_certificate(lp, sense, out)
@@ -424,7 +395,7 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
         kern.n_enter = n_real
 
     struct_cost, cost_den = lcm_scale(low.cost)
-    phase2_cost = struct_cost + [0] * (n_total - low.n_struct)
+    phase2_cost = {j: c for j, c in enumerate(struct_cost) if c}
     t = kern.optimize(phase2_cost, cost_den)
 
     if t >= 0:
@@ -438,7 +409,7 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
         return out
 
     primal = _extract_primal(low, kern)
-    y = _recover_duals(kern, phase2_cost, cost_den, sign, slack_col, art_col)
+    y = _recover_duals(kern, phase2_cost, cost_den, sign, home)
     dual = y[: len(lp.constraints)]
     if flip:
         dual = [-v for v in dual]
@@ -523,20 +494,19 @@ def _drive_out_artificials(kern, n_real):
                 kern._pivot(i, min(real))
 
 
-def _recover_duals(kern, cost, cost_den, sign, slack_col, art_col):
+def _recover_duals(kern, cost, cost_den, sign, home):
     """Duals of the original-orientation rows.
 
-    Each row keeps a single-entry recovery column (its artificial, else its
-    slack chosen as initial basis), which is +e_i in the sign-normalized
-    system; reduced[col] = cost[col] - yhat_i then yields yhat, and the
-    row-flip sign maps back.  Only these columns become Fractions.
+    Each row's initial basic column ``home[i]`` (its artificial, else its
+    slack) is +e_i in the sign-normalized system; reduced[col] = cost[col] -
+    yhat_i then yields yhat, and the row-flip sign maps back.  Only these
+    columns become Fractions.
     """
     red, rd = kern.reduced, kern.reduced_den
     y = []
-    for i, s in enumerate(sign):
-        col = art_col[i] if art_col[i] >= 0 else slack_col[i]
+    for s, col in zip(sign, home):
         # s * (cost[col] / cost_den - red[col] / rd)
-        num = s * (cost[col] * rd - red[col] * cost_den)
+        num = s * (cost.get(col, 0) * rd - red.get(col, 0) * cost_den)
         y.append(Fraction(num, cost_den * rd) if num else _ZERO)
     return y
 

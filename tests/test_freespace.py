@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from lipcert import certify, freespace
+from lipcert import certify, freespace, lipschitz
 from lipcert.lipschitz import (
     closure_add,
     closure_admits,
@@ -301,6 +301,36 @@ def test_differences_feasible_witnesses():
                 ), witness
                 assert sum(w for _, _, w in witness) < 0, witness
     assert verdicts == {True, False}
+
+
+def test_differences_feasible_runs_one_bellman_ford_pass(monkeypatch):
+    # one pass of relaxations decides the system and, on an infeasible
+    # one, records the predecessor edges its negative cycle is read from
+    calls = 0
+    real = lipschitz._relax
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(lipschitz, "_relax", counting)
+    verdicts = {True: 0, False: 0}
+    for i, method in enumerate(("range", "euclidean") * 10):
+        space = random_space(6, i, method)
+        dist_int = space.integer_dist
+        rng = random.Random(f"one-pass:{i}")
+        for _ in range(10):
+            equalities = []
+            for _ in range(rng.randint(1, 4)):
+                x, y = rng.sample(range(space.n), 2)
+                rho = dist_int[x][y]
+                equalities.append((x, y, rng.choice([rho, -rho, rng.randint(-rho, rho)])))
+            calls = 0
+            feasible, _ = differences_feasible(dist_int, equalities)
+            assert calls == 1, (calls, equalities)
+            verdicts[feasible] += 1
+    assert min(verdicts.values()) > 20, verdicts
 
 
 def _shortest_paths(dist_int, equalities):

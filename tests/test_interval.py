@@ -96,6 +96,25 @@ def test_mcshane_pwl_errors():
         iv.mcshane_pwl([(0, 0), (1, 1)], F(1, 2))  # bound below sample quotient
     with pytest.raises(ValueError):
         iv.mcshane_pwl([(F(1, 2), 0), (1, 1)], 2)  # missing the base sample
+    with pytest.raises(ValueError):
+        iv.mcshane_pwl([(0, 0)], -1)  # negative bound: f(t) = -t has norm 1
+    with pytest.raises(ValueError):
+        iv.mcshane_pwl([(0, 0), (1, 0)], F(-1, 2))
+
+
+def test_evaluate_takes_exact_rationals_only():
+    # floats and decimal strings are rejected, as everywhere in the library
+    f = iv.pwl([0, F(1, 2), 1], [0, 1, 0])
+    for t in (0.1, 0.5, "0.5"):
+        with pytest.raises(ValueError):
+            f.evaluate(t)
+    assert f.evaluate(0) == 0 and f.evaluate(1) == 0
+    assert f.evaluate(F(1, 4)) == F(1, 2)
+    assert f.evaluate("1/2") == 1
+    prof = iv.profile([0, 1], [1, 2])
+    with pytest.raises(ValueError):
+        prof.evaluate(0.25)
+    assert prof.evaluate("1/4") == F(5, 4)
 
 
 def test_mcshane_pwl_interpolates_and_attains():

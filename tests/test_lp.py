@@ -600,7 +600,23 @@ def test_tableau_rows_are_sparse_and_never_store_zero(monkeypatch):
         pivots += 1
         return prow
 
+    # the reduced-cost row too: a sparse row after every optimize, with
+    # its rhs under -1 and no key past the last column
+    optimizes = 0
+    real_optimize = lp._Kernel.optimize
+
+    def checking_optimize(kern, cost, cost_den):
+        nonlocal optimizes
+        t = real_optimize(kern, cost, cost_den)
+        assert type(kern.reduced) is dict
+        assert all(type(v) is int and v for v in kern.reduced.values()), kern.reduced
+        assert all(-1 <= j < kern.n_cols for j in kern.reduced), kern.reduced
+        assert kern.reduced_den > 0
+        optimizes += 1
+        return t
+
     monkeypatch.setattr(lp._Kernel, "_pivot", checking)
+    monkeypatch.setattr(lp._Kernel, "optimize", checking_optimize)
     batch = [(BEALE, "min"), (PHASE1, "min"), (PHASE1, "max")]
     batch += _random_programs(13, 2000)
     for program, sense in batch:
@@ -610,3 +626,4 @@ def test_tableau_rows_are_sparse_and_never_store_zero(monkeypatch):
         a, b = _random_system(rng, case)
         lp.solve_linear(a, b)
     assert pivots > 3000, pivots
+    assert optimizes > 2000, optimizes
