@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__, certify, freespace, interval
 from .lipschitz import LipFunctional
-from .metric import PointedMetricSpace, parse_space, restrict, serialize_space
+from .metric import PointedMetricSpace, restrict, serialize_space, space_from_doc
 from .rationals import format_rational, parse_rational
 
 CERTIFICATE_KINDS = ("l1-isometry", "linf-isometry", "complementation", "pipeline", "hybrid-embed")
@@ -34,10 +34,6 @@ def space_digest(space: PointedMetricSpace) -> str:
 
 def space_doc(space: PointedMetricSpace) -> dict:
     return json.loads(serialize_space(space))
-
-
-def space_from_doc(doc) -> PointedMetricSpace:
-    return parse_space(json.dumps(doc))
 
 
 def _values(seq) -> list[str]:

@@ -24,7 +24,7 @@ from itertools import product
 from operator import mul
 
 from .lipschitz import LipFunctional
-from .rationals import lcm_scale
+from .rationals import lcm_scale, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -86,7 +86,7 @@ def _check_common_space(basis):
 def combo_norm(basis, coeffs) -> Fraction:
     """lip_norm(sum_k coeffs[k] f_k), computed as max |<coeffs, w_xy>|."""
     space = _check_common_space(basis)
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [parse_rational(c) for c in coeffs]
     if len(coeffs) != len(basis):
         raise ValueError(f"{len(coeffs)} coefficients for {len(basis)} basis elements")
     best = _ZERO

@@ -25,7 +25,7 @@ from . import lp
 from .certify import sign_class_representatives
 from .lipschitz import LipFunctional, differences_feasible
 from .metric import PointedMetricSpace
-from .rationals import lcm_scale
+from .rationals import lcm_scale, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -62,12 +62,12 @@ class FreeVector:
         return FreeVector(self.space, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def scale(self, c) -> "FreeVector":
-        c = Fraction(c)
+        c = parse_rational(c)
         return FreeVector(self.space, tuple(c * v for v in self.coeffs))
 
 
 def free_vector(space: PointedMetricSpace, coeffs) -> FreeVector:
-    return FreeVector(space, tuple(Fraction(c) for c in coeffs))
+    return FreeVector(space, tuple(parse_rational(c) for c in coeffs))
 
 
 def delta(space: PointedMetricSpace, x: int) -> FreeVector:

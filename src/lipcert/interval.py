@@ -11,11 +11,13 @@ of linear functions, so all checks are exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
-from .rationals import parse_rational
+from .rationals import lcm_scale, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -33,46 +35,58 @@ def _check_grid(breakpoints, values):
             raise ValueError("breakpoints must be strictly increasing")
 
 
-def _evaluate(breakpoints, values, t):
-    t = parse_rational(t)
-    if not 0 <= t <= 1:
-        raise ValueError(f"{t} outside [0,1]")
-    for i in range(len(breakpoints) - 1):
-        if breakpoints[i] <= t <= breakpoints[i + 1]:
-            a, b = breakpoints[i], breakpoints[i + 1]
-            va, vb = values[i], values[i + 1]
-            return va + (vb - va) * (t - a) / (b - a)
-    raise AssertionError("unreachable: t inside [0,1]")
-
-
-def _slopes(breakpoints, values):
-    return tuple(
-        (values[i + 1] - values[i]) / (breakpoints[i + 1] - breakpoints[i])
-        for i in range(len(breakpoints) - 1)
-    )
-
-
 def _refine(bps_a, bps_b):
     return tuple(sorted(set(bps_a) | set(bps_b)))
 
 
 @dataclass(frozen=True)
-class PwlFunctional:
-    """Piecewise-linear element of Lip_0([0,1]): f(0) = 0, rational breakpoints."""
+class _PiecewiseLinear:
+    """Rational values at breakpoints 0 = t_0 < ... < t_m = 1, linear between."""
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
         _check_grid(self.breakpoints, self.values)
-        if self.values[0] != 0:
-            raise ValueError(f"f(0) = {self.values[0]}, must be 0")
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """The breakpoints and values over the lcm ``d`` of all their
+        denominators, as ints ``(T, V, d)``; computed once."""
+        ints, d = lcm_scale((*self.breakpoints, *self.values))
+        m = len(self.breakpoints)
+        return tuple(ints[:m]), tuple(ints[m:]), d
 
     def evaluate(self, t) -> Fraction:
-        return _evaluate(self.breakpoints, self.values, t)
+        """The stored value at a breakpoint; elsewhere the interpolation on
+        the piece that bisection finds."""
+        t = parse_rational(t)
+        p, q = t.as_integer_ratio()
+        if not 0 <= p <= q:
+            raise ValueError(f"{t} outside [0,1]")
+        bps, vals, d = self.scaled
+        x = p * d  # t, like each breakpoint below, scaled by d * q
+        i = bisect_left(bps, x, key=q.__mul__)
+        if bps[i] * q == x:
+            return self.values[i]
+        a, b = bps[i - 1] * q, bps[i] * q
+        return Fraction(vals[i - 1] * (b - x) + vals[i] * (x - a), (b - a) * d)
 
     def slopes(self):
-        return _slopes(self.breakpoints, self.values)
+        bps, vals, _ = self.scaled
+        return tuple(
+            Fraction(vals[i + 1] - vals[i], bps[i + 1] - bps[i]) for i in range(len(bps) - 1)
+        )
+
+
+@dataclass(frozen=True)
+class PwlFunctional(_PiecewiseLinear):
+    """Piecewise-linear element of Lip_0([0,1]): f(0) = 0, rational breakpoints."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.values[0] != 0:
+            raise ValueError(f"f(0) = {self.values[0]}, must be 0")
 
     def __add__(self, other: "PwlFunctional") -> "PwlFunctional":
         grid = _refine(self.breakpoints, other.breakpoints)
@@ -83,7 +97,7 @@ class PwlFunctional:
         return PwlFunctional(grid, tuple(self.evaluate(t) - other.evaluate(t) for t in grid))
 
     def scale(self, c) -> "PwlFunctional":
-        c = Fraction(c)
+        c = parse_rational(c)
         return PwlFunctional(self.breakpoints, tuple(c * v for v in self.values))
 
 
@@ -100,7 +114,7 @@ def zero_pwl() -> PwlFunctional:
 def pwl_combination(basis, coeffs) -> PwlFunctional:
     out = zero_pwl()
     for f, a in zip(basis, coeffs):
-        a = Fraction(a)
+        a = parse_rational(a)
         if a:
             out = out + f.scale(a)
     return out
@@ -113,14 +127,20 @@ def pwl_norm(f: PwlFunctional):
     interior pair of the piece attains as well, the quotient being constant
     on the piece.
     """
-    slopes = f.slopes()
-    norm = max((abs(s) for s in slopes), default=_ZERO)
+    # |slope| of piece i is |rise| / run on f.scaled's ints, compared as
+    # best_rise / best_run without dividing
+    bps, vals, _ = f.scaled
+    steps = [(abs(vals[i + 1] - vals[i]), bps[i + 1] - bps[i]) for i in range(len(bps) - 1)]
+    best_rise, best_run = 0, 1
+    for rise, run in steps:
+        if rise * best_run > best_rise * run:
+            best_rise, best_run = rise, run
     pieces = tuple(
         (f.breakpoints[i], f.breakpoints[i + 1])
-        for i, s in enumerate(slopes)
-        if abs(s) == norm
+        for i, (rise, run) in enumerate(steps)
+        if rise * best_run == best_rise * run
     )
-    return norm, pieces
+    return Fraction(best_rise, best_run), pieces
 
 
 @dataclass(frozen=True)
@@ -154,7 +174,7 @@ def c0_block(coeffs) -> PwlFunctional:
     on the tail; its norm is max |coeffs| and is attained on the whole first
     maximizing block.  The N-block basis realizes l-infinity^N isometrically
     inside SNA([0,1]) (the c0 example truncated at N blocks)."""
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [parse_rational(c) for c in coeffs]
     if not coeffs:
         raise ValueError("need at least one block coefficient")
     n = len(coeffs)
@@ -178,10 +198,10 @@ def mcshane_pwl(samples, lip_bound) -> PwlFunctional:
     Lipschitz constant; then g interpolates the samples, g(0) = 0, and the
     norm of g is at most L (equal when L is the sample constant and > 0).
     """
-    L = Fraction(lip_bound)
+    L = parse_rational(lip_bound)
     if L < 0:
         raise ValueError(f"negative Lipschitz bound {L}")
-    pts = sorted((Fraction(t), Fraction(y)) for t, y in samples)
+    pts = sorted((parse_rational(t), parse_rational(y)) for t, y in samples)
     if not pts or pts[0][0] != 0 or pts[0][1] != 0:
         raise ValueError("samples must include (0, 0)")
     if any(not 0 <= t <= 1 for t, _ in pts):
@@ -230,20 +250,8 @@ def mcshane_pwl(samples, lip_bound) -> PwlFunctional:
 
 
 @dataclass(frozen=True)
-class DistanceProfile:
+class DistanceProfile(_PiecewiseLinear):
     """Distance from one extra point to each interval point, PWL in t."""
-
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        _check_grid(self.breakpoints, self.values)
-
-    def evaluate(self, t) -> Fraction:
-        return _evaluate(self.breakpoints, self.values, t)
-
-    def slopes(self):
-        return _slopes(self.breakpoints, self.values)
 
 
 def profile(breakpoints, values) -> DistanceProfile:
@@ -312,19 +320,26 @@ def hybrid_validate(h: HybridSpace) -> list[HybridViolation]:
     """
     out: list[HybridViolation] = []
     for z, prof in enumerate(h.profiles):
-        for t, v in zip(prof.breakpoints, prof.values):
-            if v <= 0:
+        # the profile's own checks compare its scaled ints; a text quotes
+        # the Fractions
+        bps, vals, _ = prof.scaled
+        m = len(bps)
+        for t, v, scaled_v in zip(prof.breakpoints, prof.values, vals):
+            if scaled_v <= 0:
                 out.append(HybridViolation("profile-positivity", (z, t), f"d_z({t}) = {v} <= 0"))
-        for i, s in enumerate(prof.slopes()):
-            if abs(s) > 1:
+        for i in range(m - 1):
+            rise, run = vals[i + 1] - vals[i], bps[i + 1] - bps[i]
+            if abs(rise) > run:
                 piece = (prof.breakpoints[i], prof.breakpoints[i + 1])
                 out.append(
-                    HybridViolation("profile-slope", (z,) + piece, f"slope {s} outside [-1,1]")
+                    HybridViolation(
+                        "profile-slope", (z,) + piece, f"slope {Fraction(rise, run)} outside [-1,1]"
+                    )
                 )
-        points = tuple(zip(prof.breakpoints, prof.values))
-        for i, (s, ds) in enumerate(points):
-            for t, dt in points[i + 1:]:
-                if ds + dt < t - s:
+        for i in range(m):
+            for j in range(i + 1, m):
+                if vals[i] + vals[j] < bps[j] - bps[i]:
+                    s, t = prof.breakpoints[i], prof.breakpoints[j]
                     out.append(
                         HybridViolation(
                             "interval-pair",
@@ -355,18 +370,19 @@ def hybrid_validate(h: HybridSpace) -> list[HybridViolation]:
                         )
     for z in range(e):
         for w in range(z + 1, e):
-            dzw = h.extra_dist[z][w]
+            # d(z,w) = a / b against d_z(t) +- d_w(t) = (pz qw +- pw qz) / (qz qw)
+            a, b = h.extra_dist[z][w].as_integer_ratio()
             grid = _refine(h.profiles[z].breakpoints, h.profiles[w].breakpoints)
             for t in grid:
-                dz = h.profiles[z].evaluate(t)
-                dw = h.profiles[w].evaluate(t)
-                if dzw > dz + dw:
+                pz, qz = h.profiles[z].evaluate(t).as_integer_ratio()
+                pw, qw = h.profiles[w].evaluate(t).as_integer_ratio()
+                if a * qz * qw > (pz * qw + pw * qz) * b:
                     out.append(
                         HybridViolation(
                             "extra-pair-upper", (z, w, t), f"d(z{z},z{w}) > d_z({t}) + d_w({t})"
                         )
                     )
-                if abs(dz - dw) > dzw:
+                if abs(pz * qw - pw * qz) * b > a * qz * qw:
                     out.append(
                         HybridViolation(
                             "extra-pair-lower", (z, w, t), f"|d_z({t}) - d_w({t})| > d(z{z},z{w})"
@@ -397,18 +413,23 @@ def retraction(h: HybridSpace) -> tuple[Fraction, ...]:
     """
     _require_valid(h)
     out = []
-    for prof in h.profiles:
-        raw = min(t + v for t, v in zip(prof.breakpoints, prof.values))
-        out.append(min(_ONE, max(_ZERO, raw)))
     for z, prof in enumerate(h.profiles):
-        checkpoints = set(prof.breakpoints)
-        checkpoints.add(out[z])
-        for t in checkpoints:
-            if abs(out[z] - t) > prof.evaluate(t):
+        # F(z) = c / d on the profile's scaled ints (T, V, d), with c the
+        # minimum of T + V clamped to [0, d]
+        bps, vals, d = prof.scaled
+        c = min(d, max(0, min(map(add, bps, vals))))
+        out.append(Fraction(c, d))
+        for t, scaled_t, v in zip(prof.breakpoints, bps, vals):
+            if abs(c - scaled_t) > v:
                 raise AssertionError(f"|F(z{z}) - {t}| > d_z({t})")
+        if prof.evaluate(out[z]) < 0:
+            raise AssertionError(f"|F(z{z}) - {out[z]}| > d_z({out[z]})")
     for z in range(h.extras):
+        cz, dz = out[z].as_integer_ratio()
         for w in range(z + 1, h.extras):
-            if abs(out[z] - out[w]) > h.extra_dist[z][w]:
+            cw, dw = out[w].as_integer_ratio()
+            p, q = h.extra_dist[z][w].as_integer_ratio()
+            if abs(cz * dw - cw * dz) * q > p * dz * dw:
                 raise AssertionError(f"|F(z{z}) - F(z{w})| > d(z{z},z{w})")
     return tuple(out)
 
@@ -450,24 +471,29 @@ def hybrid_norm(u: HybridFunctional, h: HybridSpace):
     _require_valid(h)
     if len(u.extra_values) != h.extras:
         raise ValueError(f"{len(u.extra_values)} extra values for {h.extras} extras")
-    best = _ZERO
-    witness = None
+    # every quotient is a pair of ints (a, b), b > 0, and a / b beats the
+    # best one when a * best_b > best_a * b
     norm, pieces = pwl_norm(u.pwl)
-    if norm > 0:
-        best = norm
-        witness = HybridWitness("interval", pieces[0])
+    best_a, best_b = norm.as_integer_ratio()
+    witness = HybridWitness("interval", pieces[0]) if best_a > 0 else None
+    extra = [v.as_integer_ratio() for v in u.extra_values]
     for z in range(h.extras):
+        pz, qz = extra[z]
         for w in range(z + 1, h.extras):
-            q = abs(u.extra_values[z] - u.extra_values[w]) / h.extra_dist[z][w]
-            if q > best:
-                best = q
+            pw, qw = extra[w]
+            dp, dq = h.extra_dist[z][w].as_integer_ratio()
+            a, b = abs(pz * qw - pw * qz) * dq, qz * qw * dp
+            if a * best_b > best_a * b:
+                best_a, best_b = a, b
                 witness = HybridWitness("extra-extra", (z, w))
     for z in range(h.extras):
         prof = h.profiles[z]
-        grid = _refine(u.pwl.breakpoints, prof.breakpoints)
-        for t in grid:
-            q = abs(u.extra_values[z] - u.pwl.evaluate(t)) / prof.evaluate(t)
-            if q > best:
-                best = q
+        pz, qz = extra[z]
+        for t in _refine(u.pwl.breakpoints, prof.breakpoints):
+            fp, fq = u.pwl.evaluate(t).as_integer_ratio()
+            dp, dq = prof.evaluate(t).as_integer_ratio()
+            a, b = abs(pz * fq - fp * qz) * dq, qz * fq * dp
+            if a * best_b > best_a * b:
+                best_a, best_b = a, b
                 witness = HybridWitness("extra-interval", (z, t))
-    return best, witness
+    return Fraction(best_a, best_b), witness

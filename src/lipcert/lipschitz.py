@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .metric import PointedMetricSpace
-from .rationals import lcm_scale
+from .rationals import lcm_scale, parse_rational
 
 _ZERO = Fraction(0)
 
@@ -42,12 +42,12 @@ class LipFunctional:
         return LipFunctional(self.space, tuple(a - b for a, b in zip(self.values, other.values)))
 
     def scale(self, c) -> "LipFunctional":
-        c = Fraction(c)
+        c = parse_rational(c)
         return LipFunctional(self.space, tuple(c * v for v in self.values))
 
 
 def functional(space: PointedMetricSpace, values) -> LipFunctional:
-    return LipFunctional(space, tuple(Fraction(v) for v in values))
+    return LipFunctional(space, tuple(parse_rational(v) for v in values))
 
 
 def zero_functional(space: PointedMetricSpace) -> LipFunctional:
@@ -62,7 +62,7 @@ def combine(basis, coeffs) -> LipFunctional:
     values = [_ZERO] * space.n
     for f, a in zip(basis, coeffs):
         _same_space(basis[0], f)
-        a = Fraction(a)
+        a = parse_rational(a)
         if a:
             values = [v + a * w for v, w in zip(values, f.values)]
     return LipFunctional(space, tuple(values))
@@ -144,7 +144,7 @@ def mcshane_extend(
     when the base of the parent is not in K).  With L = lip_norm(f) the
     restriction of g to K equals f up to that shift and the norm is exactly L.
     """
-    lip_bound = Fraction(lip_bound)
+    lip_bound = parse_rational(lip_bound)
     space = f.space
     if space.parent_map is None:
         raise ValueError("functional's space does not record a parent index map")

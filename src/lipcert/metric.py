@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from .rationals import RationalFormatError, format_rational, lcm_scale, parse_rational
 
@@ -52,21 +53,30 @@ def validate(matrix) -> list[Violation]:
     positive off-diagonal, and d(i,k) <= d(i,j) + d(j,k) for all triples.
     Violations are data, not errors.
     """
+    return _violations(matrix)[0]
+
+
+def _violations(matrix):
+    """``validate``'s violations, plus the matrix lcm-scaled to ints (None
+    when it is not square).  The axioms are decided on those ints; the
+    violation texts quote the entries of ``matrix``."""
     n = len(matrix)
     out: list[Violation] = []
     if n < 2:
         out.append(Violation("shape", (n,), "a pointed metric space needs at least 2 points"))
-        return out
+        return out, None
     for i, row in enumerate(matrix):
         if len(row) != n:
             out.append(Violation("shape", (i,), f"row {i} has length {len(row)}, expected {n}"))
-            return out
+            return out, None
+    scaled = _lcm_scaled(matrix)
+    ints = scaled[0]
     for i in range(n):
-        if matrix[i][i] != 0:
+        if ints[i][i] != 0:
             out.append(Violation("diagonal", (i,), f"d({i},{i}) = {matrix[i][i]} != 0"))
     for i in range(n):
         for j in range(i + 1, n):
-            if matrix[i][j] != matrix[j][i]:
+            if ints[i][j] != ints[j][i]:
                 out.append(
                     Violation(
                         "symmetry",
@@ -74,16 +84,20 @@ def validate(matrix) -> list[Violation]:
                         f"d({i},{j}) = {matrix[i][j]} != d({j},{i}) = {matrix[j][i]}",
                     )
                 )
-            elif matrix[i][j] <= 0:
+            elif ints[i][j] <= 0:
                 out.append(Violation("positivity", (i, j), f"d({i},{j}) = {matrix[i][j]} <= 0"))
     if out:
-        return out
+        return out, scaled
     for i in range(n):
+        row_i = ints[i]
         for k in range(i + 1, n):
+            row_k = ints[k]
+            # with a zero diagonal and symmetry, j = i and j = k give exactly
+            # d(i,k), so a smaller sum names a violated triple
+            if min(map(add, row_i, row_k)) >= row_i[k]:
+                continue
             for j in range(n):
-                if j == i or j == k:
-                    continue
-                if matrix[i][k] > matrix[i][j] + matrix[j][k]:
+                if j != i and j != k and row_i[k] > row_i[j] + row_k[j]:
                     out.append(
                         Violation(
                             "triangle",
@@ -92,7 +106,15 @@ def validate(matrix) -> list[Violation]:
                             f"d({i},{j}) + d({j},{k}) = {matrix[i][j] + matrix[j][k]}",
                         )
                     )
-    return out
+    return out, scaled
+
+
+def _lcm_scaled(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """A square rational matrix over the lcm ``s`` of its denominators: the
+    integer rows and ``s``."""
+    n = len(matrix)
+    flat, scale = lcm_scale([x for row in matrix for x in row])
+    return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)), scale
 
 
 @dataclass(frozen=True)
@@ -117,9 +139,7 @@ class PointedMetricSpace:
 
     @cached_property
     def _integer_scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        n = len(self.dist)
-        flat, scale = lcm_scale([x for row in self.dist for x in row])
-        return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)), scale
+        return _lcm_scaled(self.dist)
 
     @property
     def integer_dist(self) -> tuple[tuple[int, ...], ...]:
@@ -150,14 +170,17 @@ class PointedMetricSpace:
     @staticmethod
     def from_matrix(rows, labels=None, base: int = 0, parent_map=None) -> "PointedMetricSpace":
         """Build and validate a space; raises MetricViolationError when invalid."""
-        dist = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        violations = validate(dist)
+        dist = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
+        violations, scaled = _violations(dist)
         if violations:
             raise MetricViolationError(violations)
         labels = point_labels(len(dist), labels, base)
         if parent_map is not None:
             parent_map = tuple(parent_map)
-        return PointedMetricSpace(dist, labels, base, parent_map)
+        space = PointedMetricSpace(dist, labels, base, parent_map)
+        # the integers the axioms were checked on are integer_dist's cache
+        space.__dict__["_integer_scaled"] = scaled
+        return space
 
 
 def point_labels(n: int, labels, base: int) -> tuple[str, ...]:
@@ -182,12 +205,21 @@ def load_space_document(text: str):
     ``validate`` and ``point_labels``, or ``from_matrix``, do that
     separately, so callers can report violations as data.
     """
+    return _space_fields(_json_document(text))
+
+
+def _json_document(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpaceFormatError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SpaceFormatError("invalid JSON: nested too deeply") from exc
+
+
+def _space_fields(doc):
+    """The syntax checks of ``load_space_document`` on an already parsed
+    JSON value: (rows, labels, base), or SpaceFormatError."""
     if not isinstance(doc, dict) or "dist" not in doc:
         raise SpaceFormatError('document must be an object with a "dist" matrix')
     raw = doc["dist"]
@@ -214,7 +246,12 @@ def parse_space(text: str) -> PointedMetricSpace:
     may be omitted (default labels).  An optional "base" field (default 0)
     round-trips spaces produced by rebasing.
     """
-    rows, labels, base = load_space_document(text)
+    return space_from_doc(_json_document(text))
+
+
+def space_from_doc(doc) -> PointedMetricSpace:
+    """``parse_space`` of an already parsed JSON value."""
+    rows, labels, base = _space_fields(doc)
     return PointedMetricSpace.from_matrix(rows, labels=labels, base=base)
 
 

@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 
 class RationalFormatError(ValueError):
@@ -23,15 +23,17 @@ def parse_rational(value) -> Fraction:
     Decimal notation is deliberately rejected: the file formats carry exact
     rationals only.  JSON booleans are not integers, though Python's bool is.
     """
+    if isinstance(value, str):
+        match = _RATIONAL_RE.fullmatch(value.strip())
+        if match:
+            # the groups are the numerator and denominator; Fraction reduces
+            num, den = match.groups()
+            return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+        raise RationalFormatError(f"malformed rational: {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if _RATIONAL_RE.match(text):
-            return Fraction(text)
-        raise RationalFormatError(f"malformed rational: {value!r}")
     raise RationalFormatError(f"expected rational string, got {type(value).__name__}")
 
 

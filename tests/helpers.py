@@ -13,7 +13,8 @@ from itertools import combinations
 
 from lipcert import interval
 from lipcert.lipschitz import LipFunctional
-from lipcert.metric import PointedMetricSpace
+from lipcert.metric import PointedMetricSpace, Violation
+from lipcert.rationals import parse_rational
 
 
 def equilateral(n: int) -> PointedMetricSpace:
@@ -135,3 +136,210 @@ def random_hybrid(seed, max_extras=3, max_breaks=8) -> interval.HybridSpace:
             through = min(profiles[z].evaluate(t) + profiles[w].evaluate(t) for t in grid)
             dist[z][w] = dist[w][z] = through
     return interval.HybridSpace(tuple(profiles), tuple(tuple(r) for r in dist))
+
+
+# --- Fraction oracles of the read path ---------------------------------------
+# Copies of metric.validate and of interval's _evaluate, hybrid_validate,
+# retraction and hybrid_norm as they were before those moved to lcm-scaled
+# integers: every comparison and every quotient in Fractions.
+
+
+def fraction_validate(matrix) -> list[Violation]:
+    n = len(matrix)
+    out: list[Violation] = []
+    if n < 2:
+        out.append(Violation("shape", (n,), "a pointed metric space needs at least 2 points"))
+        return out
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            out.append(Violation("shape", (i,), f"row {i} has length {len(row)}, expected {n}"))
+            return out
+    for i in range(n):
+        if matrix[i][i] != 0:
+            out.append(Violation("diagonal", (i,), f"d({i},{i}) = {matrix[i][i]} != 0"))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if matrix[i][j] != matrix[j][i]:
+                out.append(
+                    Violation(
+                        "symmetry",
+                        (i, j),
+                        f"d({i},{j}) = {matrix[i][j]} != d({j},{i}) = {matrix[j][i]}",
+                    )
+                )
+            elif matrix[i][j] <= 0:
+                out.append(Violation("positivity", (i, j), f"d({i},{j}) = {matrix[i][j]} <= 0"))
+    if out:
+        return out
+    for i in range(n):
+        for k in range(i + 1, n):
+            for j in range(n):
+                if j == i or j == k:
+                    continue
+                if matrix[i][k] > matrix[i][j] + matrix[j][k]:
+                    out.append(
+                        Violation(
+                            "triangle",
+                            (i, j, k),
+                            f"d({i},{k}) = {matrix[i][k]} > "
+                            f"d({i},{j}) + d({j},{k}) = {matrix[i][j] + matrix[j][k]}",
+                        )
+                    )
+    return out
+
+
+def fraction_evaluate(breakpoints, values, t):
+    t = parse_rational(t)
+    if not 0 <= t <= 1:
+        raise ValueError(f"{t} outside [0,1]")
+    for i in range(len(breakpoints) - 1):
+        if breakpoints[i] <= t <= breakpoints[i + 1]:
+            a, b = breakpoints[i], breakpoints[i + 1]
+            va, vb = values[i], values[i + 1]
+            return va + (vb - va) * (t - a) / (b - a)
+    raise AssertionError("unreachable: t inside [0,1]")
+
+
+def _fraction_slopes(breakpoints, values):
+    return tuple(
+        (values[i + 1] - values[i]) / (breakpoints[i + 1] - breakpoints[i])
+        for i in range(len(breakpoints) - 1)
+    )
+
+
+def _refine(bps_a, bps_b):
+    return tuple(sorted(set(bps_a) | set(bps_b)))
+
+
+def _at(f, t):
+    return fraction_evaluate(f.breakpoints, f.values, t)
+
+
+def fraction_hybrid_validate(h) -> list[interval.HybridViolation]:
+    HybridViolation = interval.HybridViolation
+    out = []
+    for z, prof in enumerate(h.profiles):
+        for t, v in zip(prof.breakpoints, prof.values):
+            if v <= 0:
+                out.append(HybridViolation("profile-positivity", (z, t), f"d_z({t}) = {v} <= 0"))
+        for i, s in enumerate(_fraction_slopes(prof.breakpoints, prof.values)):
+            if abs(s) > 1:
+                piece = (prof.breakpoints[i], prof.breakpoints[i + 1])
+                out.append(
+                    HybridViolation("profile-slope", (z,) + piece, f"slope {s} outside [-1,1]")
+                )
+        points = tuple(zip(prof.breakpoints, prof.values))
+        for i, (s, ds) in enumerate(points):
+            for t, dt in points[i + 1:]:
+                if ds + dt < t - s:
+                    out.append(
+                        HybridViolation(
+                            "interval-pair",
+                            (z, s, t),
+                            f"d_z({s}) + d_z({t}) < |{s} - {t}|",
+                        )
+                    )
+    e = h.extras
+    for z in range(e):
+        if h.extra_dist[z][z] != 0:
+            out.append(HybridViolation("extra-diagonal", (z,), "nonzero diagonal"))
+        for w in range(z + 1, e):
+            if h.extra_dist[z][w] != h.extra_dist[w][z]:
+                out.append(HybridViolation("extra-symmetry", (z, w), "asymmetric entry"))
+            elif h.extra_dist[z][w] <= 0:
+                out.append(HybridViolation("extra-positivity", (z, w), "nonpositive distance"))
+    for z in range(e):
+        for w in range(e):
+            for v in range(e):
+                if len({z, w, v}) == 3:
+                    if h.extra_dist[z][w] > h.extra_dist[z][v] + h.extra_dist[v][w]:
+                        out.append(
+                            HybridViolation(
+                                "extra-triangle",
+                                (z, v, w),
+                                f"d(z{z},z{w}) > d(z{z},z{v}) + d(z{v},z{w})",
+                            )
+                        )
+    for z in range(e):
+        for w in range(z + 1, e):
+            dzw = h.extra_dist[z][w]
+            grid = _refine(h.profiles[z].breakpoints, h.profiles[w].breakpoints)
+            for t in grid:
+                dz = _at(h.profiles[z], t)
+                dw = _at(h.profiles[w], t)
+                if dzw > dz + dw:
+                    out.append(
+                        HybridViolation(
+                            "extra-pair-upper", (z, w, t), f"d(z{z},z{w}) > d_z({t}) + d_w({t})"
+                        )
+                    )
+                if abs(dz - dw) > dzw:
+                    out.append(
+                        HybridViolation(
+                            "extra-pair-lower", (z, w, t), f"|d_z({t}) - d_w({t})| > d(z{z},z{w})"
+                        )
+                    )
+    return out
+
+
+def _fraction_require_valid(h):
+    violations = fraction_hybrid_validate(h)
+    if violations:
+        raise interval.HybridInvalidError(violations)
+
+
+def fraction_retraction(h):
+    _fraction_require_valid(h)
+    out = []
+    for prof in h.profiles:
+        raw = min(t + v for t, v in zip(prof.breakpoints, prof.values))
+        out.append(min(Fraction(1), max(Fraction(0), raw)))
+    for z, prof in enumerate(h.profiles):
+        checkpoints = set(prof.breakpoints)
+        checkpoints.add(out[z])
+        for t in checkpoints:
+            if abs(out[z] - t) > _at(prof, t):
+                raise AssertionError(f"|F(z{z}) - {t}| > d_z({t})")
+    for z in range(h.extras):
+        for w in range(z + 1, h.extras):
+            if abs(out[z] - out[w]) > h.extra_dist[z][w]:
+                raise AssertionError(f"|F(z{z}) - F(z{w})| > d(z{z},z{w})")
+    return tuple(out)
+
+
+def fraction_pwl_norm(f):
+    slopes = _fraction_slopes(f.breakpoints, f.values)
+    norm = max((abs(s) for s in slopes), default=Fraction(0))
+    pieces = tuple(
+        (f.breakpoints[i], f.breakpoints[i + 1])
+        for i, s in enumerate(slopes)
+        if abs(s) == norm
+    )
+    return norm, pieces
+
+
+def fraction_hybrid_norm(u, h):
+    _fraction_require_valid(h)
+    if len(u.extra_values) != h.extras:
+        raise ValueError(f"{len(u.extra_values)} extra values for {h.extras} extras")
+    best = Fraction(0)
+    witness = None
+    norm, pieces = fraction_pwl_norm(u.pwl)
+    if norm > 0:
+        best = norm
+        witness = interval.HybridWitness("interval", pieces[0])
+    for z in range(h.extras):
+        for w in range(z + 1, h.extras):
+            q = abs(u.extra_values[z] - u.extra_values[w]) / h.extra_dist[z][w]
+            if q > best:
+                best = q
+                witness = interval.HybridWitness("extra-extra", (z, w))
+    for z in range(h.extras):
+        prof = h.profiles[z]
+        grid = _refine(u.pwl.breakpoints, prof.breakpoints)
+        for t in grid:
+            q = abs(u.extra_values[z] - _at(u.pwl, t)) / _at(prof, t)
+            if q > best:
+                best = q
+                witness = interval.HybridWitness("extra-interval", (z, t))
+    return best, witness

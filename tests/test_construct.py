@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from lipcert import certify, construct, freespace
+from lipcert import certify, construct, freespace, lp
 from lipcert.lipschitz import lip_norm
 from lipcert.metric import PointedMetricSpace, random_space
 
@@ -112,6 +112,23 @@ def test_duality_lift_equilateral_m2():
         assert norm == 1
         for i, u in enumerate(search.basis):
             assert freespace.pairing(gj, u) == (1 if i == j else 0)
+
+
+def test_duality_lift_rechecks_biorthogonality(monkeypatch):
+    search = freespace.search_one_complemented(equilateral(4), 2)
+    assert search.found
+    real = lp.solve_linear
+
+    def broken(coeffs):
+        # adding row 1 to row 0 keeps <g_0, u_0> = 1 and makes <g_0, u_1> = 1
+        return [[a + b for a, b in zip(coeffs[0], coeffs[1])], coeffs[1]]
+
+    monkeypatch.setattr(lp, "solve_linear", lambda u, p: broken(real(u, p)))
+    with pytest.raises(AssertionError, match=r"^biorthogonality <g_0, u_1> != 0$"):
+        construct.duality_lift(search.certificate)
+    monkeypatch.setattr(lp, "solve_linear", lambda u, p: [[2 * x for x in row] for row in real(u, p)])
+    with pytest.raises(AssertionError, match=r"^biorthogonality <g_0, u_0> != 1$"):
+        construct.duality_lift(search.certificate)
 
 
 def test_duality_lift_rejects_invalid():

@@ -1,14 +1,25 @@
 """The [0,1] model: PWL functionals, derivative view, c0 blocks, McShane,
 hybrid spaces, retraction, norm transfer."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from lipcert import certdoc
 from lipcert import interval as iv
+from lipcert.rationals import format_rational
 
-from helpers import random_coeffs, random_hybrid, random_pwl
+from helpers import (
+    fraction_evaluate,
+    fraction_hybrid_norm,
+    fraction_hybrid_validate,
+    fraction_retraction,
+    random_coeffs,
+    random_hybrid,
+    random_pwl,
+)
 
 F = Fraction
 
@@ -299,3 +310,95 @@ def test_interval_pair_check_matches_evaluate_oracle():
             broken += bool(found)
     assert _interval_pair_oracle(random_hybrid(0)) == []
     assert broken > 20
+
+
+HYBRID_KINDS = (
+    "profile-positivity",
+    "profile-slope",
+    "interval-pair",
+    "extra-diagonal",
+    "extra-symmetry",
+    "extra-positivity",
+    "extra-triangle",
+    "extra-pair-upper",
+    "extra-pair-lower",
+)
+
+
+def _broken_hybrid(seed):
+    """``random_hybrid(seed)`` with one to three seeded faults in its
+    profiles or its extra distance matrix."""
+    rng = random.Random(f"broken:{seed}")
+    h = random_hybrid(seed)
+    profiles = list(h.profiles)
+    dist = [list(row) for row in h.extra_dist]
+    e = h.extras
+    for _ in range(rng.randint(1, 3)):
+        z = rng.randrange(e)
+        w = rng.choice([x for x in range(e) if x != z] or [z])
+        p = profiles[z]
+        kind = rng.randrange(7)
+        if kind == 0:  # shifted down to or below zero somewhere
+            shift = min(p.values) + F(rng.randint(0, 4), 8)
+            profiles[z] = iv.DistanceProfile(p.breakpoints, tuple(v - shift for v in p.values))
+        elif kind in (1, 2):  # steepened, or shrunk below the interval pairs
+            factor = F(rng.randint(3, 8), 2) if kind == 1 else F(1, rng.randint(2, 5))
+            profiles[z] = iv.DistanceProfile(p.breakpoints, tuple(v * factor for v in p.values))
+        elif kind == 3:
+            dist[z][z] = F(rng.randint(1, 4), 4)
+        elif kind == 4 and w != z:
+            dist[z][w] += F(1, rng.randint(1, 8))
+        elif kind == 5 and w != z:
+            dist[z][w] = dist[w][z] = -F(rng.randint(0, 2), 2)
+        elif kind == 6 and w != z:
+            dist[z][w] = dist[w][z] = dist[z][w] * rng.choice((F(1, 8), F(3)))
+    return iv.HybridSpace(tuple(profiles), tuple(tuple(row) for row in dist))
+
+
+def test_hybrid_read_path_agrees_with_fraction_oracles():
+    # hybrid_validate, retraction and hybrid_norm decide on lcm-scaled ints
+    # and integer cross-products; each must return what the Fraction code
+    # returns, violation texts and witnesses included
+    rng = random.Random(43)
+    kinds = Counter()
+    witnesses = Counter()
+    for seed in range(300):
+        # two extras at one profile may lie closer than any route through
+        # the interval, so an extra-extra quotient can be the norm
+        twin = random_hybrid(seed).profiles[0]
+        close = iv.HybridSpace((twin, twin), ((0, F(1, 4 + seed % 60)), (F(1, 4 + seed % 60), 0)))
+        for h in (random_hybrid(seed), _broken_hybrid(seed), close):
+            expected = fraction_hybrid_validate(h)
+            assert iv.hybrid_validate(h) == expected
+            kinds.update(v.kind for v in expected)
+            if expected:
+                with pytest.raises(iv.HybridInvalidError):
+                    fraction_retraction(h)
+                with pytest.raises(iv.HybridInvalidError):
+                    iv.retraction(h)
+                continue
+            assert iv.retraction(h) == fraction_retraction(h)
+            f = random_pwl(f"oracle:{seed}")
+            scattered = tuple(F(rng.randint(-16, 16), rng.randint(1, 8)) for _ in range(h.extras))
+            for u in (iv.compose_embed(f, h), iv.HybridFunctional(f, scattered)):
+                norm = iv.hybrid_norm(u, h)
+                assert norm == fraction_hybrid_norm(u, h)
+                witnesses[norm[1] and norm[1].kind] += 1
+    assert min(kinds[kind] for kind in HYBRID_KINDS) > 20, kinds
+    assert min(witnesses[kind] for kind in ("interval", "extra-extra", "extra-interval")) > 20, witnesses
+
+
+def test_evaluate_agrees_with_fraction_oracle():
+    rng = random.Random(47)
+    for seed in range(200):
+        for g in (random_pwl(f"eval:{seed}"), random_hybrid(seed).profiles[0]):
+            points = list(g.breakpoints)
+            points += [F(rng.randint(0, q), q) for q in (2, 3, 7, 64, 96, 1000)]
+            for t in points:
+                got = g.evaluate(t)
+                assert got == fraction_evaluate(g.breakpoints, g.values, t)
+                assert type(got) is Fraction
+            assert g.evaluate(format_rational(points[-1])) == g.evaluate(points[-1])
+            for t in (F(-1, 3), F(4, 3)):
+                with pytest.raises(ValueError):
+                    g.evaluate(t)

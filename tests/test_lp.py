@@ -260,6 +260,29 @@ def test_pivot_path_pinned():
     )
 
 
+def test_bland_path_pinned(monkeypatch):
+    # With no stall tolerated, the first degenerate pivot of a solve
+    # switches it to Bland's rule for good.  The outcomes must agree with
+    # the default path in status and value, and the Bland path itself is
+    # pinned field for field.
+    batch = [(BEALE, "min"), (PHASE1, "min"), (PHASE1, "max")]
+    batch += _random_programs(13, 2000)
+    default = [lp.solve(program, sense) for program, sense in batch]
+    monkeypatch.setattr(lp, "_STALL_LIMIT", 0)
+    digest = hashlib.sha256()
+    moved = 0
+    for (program, sense), before in zip(batch, default):
+        out = lp.solve(program, sense)
+        assert (out.status, out.value) == (before.status, before.value)
+        moved += repr(out) != repr(before)
+        digest.update(repr(out).encode())
+    # Bland's rule really ran: it took another path on these programs
+    assert moved >= 20
+    assert digest.hexdigest() == (
+        "ce495dd6e508b4cff3241c29b5330b74b5480df68dfe147ab32dbf1c0d9fec83"
+    )
+
+
 def _fraction_oracle_holds(program, sense, out):
     """Independent re-substitution in Fractions: does the outcome's
     certificate hold?  Optimality is read through weak duality: a feasible

@@ -2,7 +2,8 @@
 
 import json
 import random
-from dataclasses import FrozenInstanceError, fields
+from collections import Counter
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from math import lcm
 
@@ -20,7 +21,7 @@ from lipcert.metric import (
     validate,
 )
 
-from helpers import equilateral
+from helpers import equilateral, fraction_validate
 
 
 def test_parse_two_point_space():
@@ -219,3 +220,52 @@ def test_integer_dist_is_lcm_scaled_and_computed_once(monkeypatch):
     assert isinstance(ints, tuple) and all(isinstance(row, tuple) for row in ints)
     with pytest.raises(FrozenInstanceError):
         space.integer_dist = ()
+
+
+def _perturbed(matrix, rng):
+    """A copy of ``matrix`` with one to three seeded faults, each of one
+    metric axiom or of the shape."""
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("shape", "diagonal", "symmetry", "positivity", "triangle"))
+        i, j = rng.sample(range(n), 2)
+        if kind == "shape":
+            del rows[i][rng.randrange(len(rows[i]))]
+        elif kind == "diagonal" and len(rows[i]) > i:
+            rows[i][i] = Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 4))
+        elif kind == "symmetry" and len(rows[i]) > j:
+            rows[i][j] += Fraction(rng.choice((1, -1)), rng.randint(1, 64))
+        elif kind == "positivity" and len(rows[i]) > j and len(rows[j]) > i:
+            rows[i][j] = rows[j][i] = Fraction(-rng.randint(0, 3), rng.randint(1, 3))
+        elif kind == "triangle" and len(rows[i]) > j and len(rows[j]) > i:
+            rows[i][j] = rows[j][i] = rows[i][j] * rng.randint(2, 6)
+    return rows
+
+
+def test_validate_agrees_with_fraction_oracle():
+    # the axioms are decided on lcm-scaled ints; the violation list, texts
+    # included, must be the one the Fraction comparisons give
+    rng = random.Random(41)
+    kinds = Counter()
+    matrices = [[], [[0]], [[Fraction(1, 2)]]]
+    for seed in range(300):
+        space = random_space(2 + seed % 7, seed, "range" if seed % 2 else "euclidean")
+        matrices += [space.dist, space.integer_dist]
+        matrices += [_perturbed(space.dist, rng) for _ in range(2)]
+    for matrix in matrices:
+        expected = fraction_validate(matrix)
+        assert validate(matrix) == expected
+        kinds.update(v.kind for v in expected)
+        if expected:
+            with pytest.raises(MetricViolationError) as err:
+                PointedMetricSpace.from_matrix(matrix)
+            assert list(err.value.violations) == expected
+        else:
+            # the integers seeded at construction are the ones a fresh
+            # instance computes
+            space = PointedMetricSpace.from_matrix(matrix)
+            fresh = replace(space)
+            assert (space.integer_dist, space.dist_scale) == (fresh.integer_dist, fresh.dist_scale)
+    assert set(kinds) == {"shape", "diagonal", "symmetry", "positivity", "triangle"}
+    assert min(kinds.values()) > 20, kinds

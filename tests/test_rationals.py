@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from lipcert import certify, freespace, interval, lipschitz
+from lipcert.metric import restrict
 from lipcert.rationals import RationalFormatError, format_rational, parse_rational
+
+from helpers import equilateral
 
 
 def test_parse_integers_and_fractions():
@@ -19,6 +23,37 @@ def test_parse_rejects_decimals_and_junk():
     for bad in ("1.5", "1/0", "a/b", "", "1/-2", "2 / 3", None, 1.5, True, False):
         with pytest.raises(RationalFormatError):
             parse_rational(bad)
+
+
+def test_library_coefficients_reject_floats():
+    # every place that takes a number from a caller coerces it with
+    # parse_rational, so a float raises instead of entering as a binary
+    # fraction
+    space = equilateral(3)
+    f = lipschitz.functional(space, [0, 1, 1])
+    v = freespace.free_vector(space, [1, 0])
+    p = interval.pwl([0, 1], [0, 1])
+    flat = lipschitz.zero_functional(restrict(space, [0, 1]))
+    entry_points = {
+        "mcshane_pwl bound": lambda c: interval.mcshane_pwl([(0, 0), (1, 0)], c),
+        "mcshane_pwl sample value": lambda c: interval.mcshane_pwl([(0, 0), (1, c)], 1),
+        "mcshane_pwl sample point": lambda c: interval.mcshane_pwl([(0, 0), (c, 0)], 1),
+        "PwlFunctional.scale": p.scale,
+        "pwl_combination": lambda c: interval.pwl_combination([p], [c]),
+        "c0_block": lambda c: interval.c0_block([1, c]),
+        "FreeVector.scale": v.scale,
+        "free_vector": lambda c: freespace.free_vector(space, [c, 0]),
+        "LipFunctional.scale": f.scale,
+        "functional": lambda c: lipschitz.functional(space, [0, c, 0]),
+        "combine": lambda c: lipschitz.combine([f], [c]),
+        "mcshane_extend bound": lambda c: lipschitz.mcshane_extend(flat, space, c),
+        "combo_norm": lambda c: certify.combo_norm([f], [c]),
+    }
+    for name, call in entry_points.items():
+        with pytest.raises(ValueError):
+            call(0.1)
+        assert call("1/2") == call(Fraction(1, 2)), name
+        assert call(1) == call("1"), name
 
 
 def test_format_round_trip():
