@@ -24,8 +24,14 @@ from .rationals import format_rational, parse_rational
 CERTIFICATE_KINDS = ("l1-isometry", "linf-isometry", "complementation", "pipeline", "hybrid-embed")
 
 
-def tool_info() -> dict:
-    return {"name": "lipcert", "version": __version__}
+def document(kind: str, config=None, **fields) -> dict:
+    """A document of ``kind`` with ``fields``: the one place that writes the
+    envelope, ``kind`` and ``tool`` always and ``config`` when the run has
+    one."""
+    doc = {"kind": kind, "tool": {"name": "lipcert", "version": __version__}, **fields}
+    if config:
+        doc["config"] = config
+    return doc
 
 
 def space_digest(space: PointedMetricSpace) -> str:
@@ -33,6 +39,7 @@ def space_digest(space: PointedMetricSpace) -> str:
 
 
 def space_doc(space: PointedMetricSpace) -> dict:
+    """The space as a fresh JSON value, which its caller may mutate."""
     return json.loads(serialize_space(space))
 
 
@@ -41,135 +48,100 @@ def _values(seq) -> list[str]:
 
 
 def _matrix(rows) -> list[list[str]]:
-    return [[format_rational(v) for v in row] for row in rows]
+    return [_values(row) for row in rows]
 
 
-def l1_document(cert: certify.L1IsometryCertificate, config=None, kind="l1-isometry", extra=None) -> dict:
-    space = cert.basis[0].space
-    checks = {
-        "cube": {"ok": cert.cube_ok},
-        "signs": {
-            "ok": cert.missing_epsilon is None,
-            "witnesses": [
-                {
-                    "epsilon": list(w.epsilon),
-                    "pair": [w.x, w.y],
-                    "quotients": _values(certify.quotient_vector(cert.basis, w.x, w.y)),
-                }
-                for w in cert.sign_witnesses
-            ],
-        },
-    }
+def _certificate(kind, space, basis, checks, verdict, config, **fields) -> dict:
+    """A certificate on ``space``: the space and its digest, the ``basis``
+    rows, the ``checks`` and the ``verdict``, plus the kind's own fields."""
+    return document(
+        kind, config, space=space_doc(space), space_digest=space_digest(space),
+        basis=_matrix(basis), checks=checks, verdict=verdict, **fields,
+    )
+
+
+def _witness(basis, w, **label) -> dict:
+    """A witness pair with the basis quotients it attains."""
+    quotients = certify.quotient_vector(basis, w.x, w.y)
+    return {**label, "pair": [w.x, w.y], "quotients": _values(quotients)}
+
+
+def _l1_checks(cert: certify.L1IsometryCertificate) -> dict:
+    cube = {"ok": cert.cube_ok}
     if cert.cube_violation is not None:
         v = cert.cube_violation
-        checks["cube"]["pair"] = [v.x, v.y]
-        checks["cube"]["coordinate"] = v.coordinate
-        checks["cube"]["quotient"] = format_rational(v.quotient)
-    if cert.missing_epsilon is not None:
-        checks["signs"]["missing"] = list(cert.missing_epsilon)
-    doc = {
-        "kind": kind,
-        "tool": tool_info(),
-        "space": space_doc(space),
-        "space_digest": space_digest(space),
-        "basis": [_values(f.values) for f in cert.basis],
-        "checks": checks,
-        "verdict": cert.status,
+        cube.update(pair=[v.x, v.y], coordinate=v.coordinate, quotient=format_rational(v.quotient))
+    signs = {
+        "ok": cert.missing_epsilon is None,
+        "witnesses": [
+            _witness(cert.basis, w, epsilon=list(w.epsilon)) for w in cert.sign_witnesses
+        ],
     }
-    if config:
-        doc["config"] = config
-    if extra:
-        doc.update(extra)
-    return doc
+    if cert.missing_epsilon is not None:
+        signs["missing"] = list(cert.missing_epsilon)
+    return {"cube": cube, "signs": signs}
+
+
+def l1_document(cert: certify.L1IsometryCertificate, config=None) -> dict:
+    space, rows = cert.basis[0].space, [f.values for f in cert.basis]
+    return _certificate("l1-isometry", space, rows, _l1_checks(cert), cert.status, config)
 
 
 def linf_document(cert: certify.LinfIsometryCertificate, config=None) -> dict:
-    space = cert.basis[0].space
-    checks = {
-        "ball": {"ok": cert.ball_ok},
-        "vertices": {
-            "ok": cert.missing_coordinate is None,
-            "witnesses": [
-                {
-                    "coordinate": w.coordinate,
-                    "pair": [w.x, w.y],
-                    "quotients": _values(certify.quotient_vector(cert.basis, w.x, w.y)),
-                }
-                for w in cert.vertex_witnesses
-            ],
-        },
-    }
+    ball = {"ok": cert.ball_ok}
     if cert.ball_violation is not None:
         v = cert.ball_violation
-        checks["ball"]["pair"] = [v.x, v.y]
-        checks["ball"]["l1_norm"] = format_rational(v.l1_norm)
-    if cert.missing_coordinate is not None:
-        checks["vertices"]["missing"] = cert.missing_coordinate
-    doc = {
-        "kind": "linf-isometry",
-        "tool": tool_info(),
-        "space": space_doc(space),
-        "space_digest": space_digest(space),
-        "basis": [_values(f.values) for f in cert.basis],
-        "checks": checks,
-        "verdict": cert.status,
+        ball.update(pair=[v.x, v.y], l1_norm=format_rational(v.l1_norm))
+    vertices = {
+        "ok": cert.missing_coordinate is None,
+        "witnesses": [
+            _witness(cert.basis, w, coordinate=w.coordinate) for w in cert.vertex_witnesses
+        ],
     }
-    if config:
-        doc["config"] = config
-    return doc
+    if cert.missing_coordinate is not None:
+        vertices["missing"] = cert.missing_coordinate
+    space, rows = cert.basis[0].space, [f.values for f in cert.basis]
+    checks = {"ball": ball, "vertices": vertices}
+    return _certificate("linf-isometry", space, rows, checks, cert.status, config)
 
 
 def complementation_document(cert: freespace.ComplementationCertificate, config=None) -> dict:
-    doc = {
-        "kind": "complementation",
-        "tool": tool_info(),
-        "space": space_doc(cert.space),
-        "space_digest": space_digest(cert.space),
-        "basis": [_values(u.coeffs) for u in cert.basis],
-        "projection": _matrix(cert.projection.matrix),
-        "checks": {
-            "idempotent": {"ok": cert.idempotent_ok},
-            "range": {"ok": cert.fixes_basis and cert.rank_ok, "rank": cert.rank},
-            "operator_norm": {
-                "ok": cert.norm_ok,
-                "value": format_rational(cert.operator_norm_value),
-                "witness_molecule": [cert.norm_witness.x, cert.norm_witness.y]
-                if cert.norm_witness
-                else None,
-            },
-            "l1_isometry": {
-                "ok": cert.l1_report.valid,
-                "unit_norms": _values(cert.l1_report.unit_norms),
-                "combo_norms": _combo_norms(cert.l1_report),
-            },
+    report = cert.l1_report
+    checks = {
+        "idempotent": {"ok": cert.idempotent_ok},
+        "range": {"ok": cert.fixes_basis and cert.rank_ok, "rank": cert.rank},
+        "operator_norm": {
+            "ok": cert.norm_ok,
+            "value": format_rational(cert.operator_norm_value),
+            "witness_molecule": [cert.norm_witness.x, cert.norm_witness.y]
+            if cert.norm_witness
+            else None,
         },
-        "verdict": cert.status,
+        "l1_isometry": {
+            "ok": report.valid,
+            "unit_norms": _values(report.unit_norms),
+            "combo_norms": [
+                {"epsilon": list(eps), "value": format_rational(v)} for eps, v in report.combo_norms
+            ],
+        },
     }
-    if config:
-        doc["config"] = config
-    return doc
-
-
-def _combo_norms(report: certify.FreeL1Report) -> list[dict]:
-    return [{"epsilon": list(eps), "value": format_rational(v)} for eps, v in report.combo_norms]
+    rows = [u.coeffs for u in cert.basis]
+    return _certificate(
+        "complementation", cert.space, rows, checks, cert.status, config,
+        projection=_matrix(cert.projection.matrix),
+    )
 
 
 def pipeline_document(result, config=None) -> dict:
     """Pipeline certificate: the extended basis with witnesses pinned in the
     subset, plus the nested complementation certificate of the subset stage."""
-    doc = l1_document(
-        result.certificate,
-        config=config,
-        kind="pipeline",
-        extra={
-            "k": result.k,
-            "subset": list(result.subset_indices),
-            "complementation": complementation_document(
-                result.complementation.certificate
-            ),
-        },
+    cert = result.certificate
+    space, rows = cert.basis[0].space, [f.values for f in cert.basis]
+    return _certificate(
+        "pipeline", space, rows, _l1_checks(cert), cert.status, config,
+        k=result.k, subset=list(result.subset_indices),
+        complementation=complementation_document(result.complementation.certificate),
     )
-    return doc
 
 
 def hybrid_document(h, f, u, config=None) -> dict:
@@ -180,30 +152,27 @@ def hybrid_document(h, f, u, config=None) -> dict:
     interval_norm, pieces = interval.pwl_norm(f)
     hybrid_value, witness = interval.hybrid_norm(u, h)
     verdict = "valid" if (hybrid_value == interval_norm and (witness is None or witness.kind == "interval")) else "invalid"
-    doc = {
-        "kind": "hybrid-embed",
-        "tool": tool_info(),
-        "hybrid": {
+    return document(
+        "hybrid-embed",
+        config,
+        hybrid={
             "extras": [
                 {"breakpoints": _values(p.breakpoints), "values": _values(p.values)}
                 for p in h.profiles
             ],
             "extra_dist": _matrix(h.extra_dist),
         },
-        "pwl": {"breakpoints": _values(f.breakpoints), "values": _values(f.values)},
-        "extra_values": _values(u.extra_values),
-        "retraction": _values(retraction_values),
-        "interval_norm": format_rational(interval_norm),
-        "hybrid_norm": format_rational(hybrid_value),
-        "attaining_pieces": [[format_rational(a), format_rational(b)] for a, b in pieces],
-        "witness": None
+        pwl={"breakpoints": _values(f.breakpoints), "values": _values(f.values)},
+        extra_values=_values(u.extra_values),
+        retraction=_values(retraction_values),
+        interval_norm=format_rational(interval_norm),
+        hybrid_norm=format_rational(hybrid_value),
+        attaining_pieces=[[format_rational(a), format_rational(b)] for a, b in pieces],
+        witness=None
         if witness is None
         else {"kind": witness.kind, "data": [format_rational(Fraction(x)) for x in witness.data]},
-        "verdict": verdict,
-    }
-    if config:
-        doc["config"] = config
-    return doc
+        verdict=verdict,
+    )
 
 
 def dumps(doc) -> str:
@@ -231,8 +200,22 @@ def verify_document(doc) -> VerifyReport:
     expected document is rendered by the writer of that kind.  Returns the
     recomputed verdict plus one failure per semantic fault and per JSON path
     where the document differs from the re-rendering.  ``ok`` means the
-    document is a reproducibly valid certificate.
+    document is a reproducibly valid certificate.  A value nested too deeply
+    to compare, encode or print makes the document malformed.
     """
+    try:
+        return _verify(doc)
+    except RecursionError:
+        kind, claimed = (doc.get(key) for key in ("kind", "verdict"))
+        return VerifyReport(
+            kind if type(kind) is str else "unknown",
+            claimed if type(claimed) is str else "unknown",
+            "malformed",
+            ["malformed document: a value is nested too deeply"],
+        )
+
+
+def _verify(doc) -> VerifyReport:
     if not isinstance(doc, dict):
         failure = f"malformed document: expected an object, got {type(doc).__name__}"
         return VerifyReport("unknown", "missing", "malformed", [failure])
@@ -418,14 +401,12 @@ def _expect_l1(doc, failures):
         _with_provenance(nested_expected, nested)
         if subset and nested_space.dist != restrict(space, subset).dist:
             failures.append("nested complementation space is not the recorded subset")
-    expected = l1_document(
-        cert,
-        kind="pipeline",
-        extra={"k": n, "subset": doc.get("subset"), "complementation": nested_expected},
+    nested_valid = nested_expected is not None and nested_expected["verdict"] == "valid"
+    return _certificate(
+        "pipeline", space, [f.values for f in basis], _l1_checks(cert),
+        cert.status if nested_valid else "invalid", None,
+        k=n, subset=doc.get("subset"), complementation=nested_expected,
     )
-    if nested_expected is None or nested_expected["verdict"] != "valid":
-        expected["verdict"] = "invalid"
-    return expected
 
 
 def _expect_complementation(doc, failures):

@@ -24,7 +24,7 @@ from itertools import product
 from operator import mul
 
 from .lipschitz import LipFunctional
-from .rationals import lcm_scale, parse_rational
+from .rationals import lcm_scale_rows, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -66,10 +66,9 @@ def _scaled_quotients(basis):
     Returns ``(num, L, D)``.  Every quotient comparison of a certificate is
     an integer comparison against ``L * D[x][y]`` on these."""
     space = basis[0].space
-    n = space.n
-    flat, den = lcm_scale([v for f in basis for v in f.values])
+    rows, den = lcm_scale_rows([f.values for f in basis])
     s = space.dist_scale
-    num = [tuple(s * flat[k * n + x] for k in range(len(basis))) for x in range(n)]
+    num = [tuple(s * v for v in column) for column in zip(*rows)]
     return num, den, space.integer_dist
 
 
@@ -272,9 +271,7 @@ def l1_isometry_free(vectors) -> FreeL1Report:
         if u.space != space:
             raise ValueError("vectors live on different spaces")
     m = len(vectors)
-    nb = space.n - 1
-    flat, den = lcm_scale([c for u in vectors for c in u.coeffs])
-    rows = [flat[i * nb:(i + 1) * nb] for i in range(m)]
+    rows, den = lcm_scale_rows([u.coeffs for u in vectors])
     cols = list(zip(*rows))
     den *= space.dist_scale
     unit_norms = []

@@ -88,15 +88,14 @@ def cmd_validate(args):
     except metric.SpaceFormatError as exc:
         raise InputError(f"{args.space}: {exc}") from exc
     violations = metric.validate(rows)
-    doc = {
-        "kind": "validation",
-        "tool": certdoc.tool_info(),
-        "valid": not violations,
-        "violations": [
+    doc = certdoc.document(
+        "validation",
+        valid=not violations,
+        violations=[
             {"kind": v.kind, "indices": list(v.indices), "detail": v.detail}
             for v in violations
         ],
-    }
+    )
     return (EXIT_OK if not violations else EXIT_INVALID), doc
 
 
@@ -108,15 +107,14 @@ def cmd_norm(args):
     except ValueError as exc:
         raise InputError(f"{args.functional}: {exc}") from exc
     norm, witnesses = lipschitz.lip_norm(f)
-    doc = {
-        "kind": "lip-norm",
-        "tool": certdoc.tool_info(),
-        "space_digest": certdoc.space_digest(space),
-        "norm": format_rational(norm),
-        "witnesses": [
+    doc = certdoc.document(
+        "lip-norm",
+        space_digest=certdoc.space_digest(space),
+        norm=format_rational(norm),
+        witnesses=[
             {"pair": [w.x, w.y], "quotient": format_rational(w.quotient)} for w in witnesses
         ],
-    }
+    )
     return EXIT_OK, doc
 
 
@@ -129,26 +127,26 @@ def cmd_free_norm(args):
         raise InputError(f"{args.vector}: {exc}") from exc
     primal, decomposition = freespace.free_norm_primal(v)
     dual, functional = freespace.free_norm_dual(v)
-    doc = {
-        "kind": "free-norm",
-        "tool": certdoc.tool_info(),
-        "space_digest": certdoc.space_digest(space),
-        "norm": format_rational(primal),
-        "decomposition": [
+    doc = certdoc.document(
+        "free-norm",
+        space_digest=certdoc.space_digest(space),
+        norm=format_rational(primal),
+        decomposition=[
             {"pair": [a.x, a.y], "weight": format_rational(a.weight)} for a in decomposition
         ],
-        "dual_value": format_rational(dual),
-        "dual_functional": [format_rational(x) for x in functional.values],
-        "primal_dual_equal": primal == dual,
-    }
+        dual_value=format_rational(dual),
+        dual_functional=[format_rational(x) for x in functional.values],
+        primal_dual_equal=primal == dual,
+    )
     return (EXIT_OK if primal == dual else EXIT_INVALID), doc
 
 
 def cmd_four_point(args):
     space = _load_space(args.space)
-    if space.n != 4:
-        raise InputError(f"{args.space}: four-point construction needs 4 points, got {space.n}")
-    _, _, cert = construct.four_point_basis(space)
+    try:
+        _, _, cert = construct.four_point_basis(space)
+    except ValueError as exc:
+        raise InputError(f"{args.space}: {exc}") from exc
     doc = certdoc.l1_document(cert, config={"construction": "four-point"})
     return (EXIT_OK if cert.valid else EXIT_INVALID), doc
 
@@ -161,15 +159,14 @@ def cmd_pipeline(args):
         raise InputError(str(exc)) from exc
     except construct.SearchExhausted as exc:
         stats = exc.stats
-        doc = {
-            "kind": "exhaustion",
-            "tool": certdoc.tool_info(),
-            "stage": "complementation-search",
-            "k": args.k,
-            "tuples_tried": stats.tuples_tried,
-            "tuples_l1_valid": stats.tuples_l1_valid,
-            "budget_exhausted": stats.budget_exhausted,
-        }
+        doc = certdoc.document(
+            "exhaustion",
+            stage="complementation-search",
+            k=args.k,
+            tuples_tried=stats.tuples_tried,
+            tuples_l1_valid=stats.tuples_l1_valid,
+            budget_exhausted=stats.budget_exhausted,
+        )
         return EXIT_EXHAUSTED, doc
     doc = certdoc.pipeline_document(result, config={"k": args.k})
     return (EXIT_OK if result.certificate.valid else EXIT_INVALID), doc
@@ -182,14 +179,13 @@ def cmd_direct_search(args):
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if not result.found:
-        doc = {
-            "kind": "exhaustion",
-            "tool": certdoc.tool_info(),
-            "stage": "direct-search",
-            "k": args.k,
-            "assignments_tried": result.assignments_tried,
-            "budget_exhausted": result.budget_exhausted,
-        }
+        doc = certdoc.document(
+            "exhaustion",
+            stage="direct-search",
+            k=args.k,
+            assignments_tried=result.assignments_tried,
+            budget_exhausted=result.budget_exhausted,
+        )
         return EXIT_EXHAUSTED, doc
     doc = certdoc.l1_document(
         result.certificate,
@@ -235,35 +231,32 @@ def cmd_c0_demo(args):
                 "ok": ok,
             }
         )
-    doc = {
-        "kind": "c0-demo",
-        "tool": certdoc.tool_info(),
-        "blocks": n,
-        "count": args.count,
-        "seed": args.seed,
-        "block_boundaries": [format_rational(b) for b in basis[0].breakpoints],
-        "trials": trials,
-        "verdict": "valid" if all_ok else "invalid",
-    }
+    doc = certdoc.document(
+        "c0-demo",
+        blocks=n,
+        count=args.count,
+        seed=args.seed,
+        block_boundaries=[format_rational(b) for b in basis[0].breakpoints],
+        trials=trials,
+        verdict="valid" if all_ok else "invalid",
+    )
     return (EXIT_OK if all_ok else EXIT_INVALID), doc
 
 
 def cmd_hybrid(args):
     h = _load_hybrid(args.hybrid)
     if h.violations:
-        doc = {
-            "kind": "validation",
-            "tool": certdoc.tool_info(),
-            "valid": False,
-            "violations": [
+        doc = certdoc.document(
+            "validation",
+            valid=False,
+            violations=[
                 {"kind": v.kind, "where": [str(x) for x in v.where], "detail": v.detail}
                 for v in h.violations
             ],
-        }
+        )
         return EXIT_INVALID, doc
     if args.embed is None:
-        doc = {"kind": "validation", "tool": certdoc.tool_info(), "valid": True, "violations": []}
-        return EXIT_OK, doc
+        return EXIT_OK, certdoc.document("validation", valid=True, violations=[])
     f = _load_pwl(args.embed)
     u = interval.compose_embed(f, h)
     doc = certdoc.hybrid_document(h, f, u)
@@ -275,15 +268,14 @@ def cmd_verify(args):
     report = certdoc.verify_document(doc)
     if report.recomputed == "malformed":
         raise InputError(f"{args.certificate}: {'; '.join(report.failures)}")
-    out = {
-        "kind": "verification",
-        "tool": certdoc.tool_info(),
-        "certificate_kind": report.kind,
-        "verdict_claimed": report.claimed,
-        "verdict_recomputed": report.recomputed,
-        "ok": report.ok,
-        "failures": report.failures,
-    }
+    out = certdoc.document(
+        "verification",
+        certificate_kind=report.kind,
+        verdict_claimed=report.claimed,
+        verdict_recomputed=report.recomputed,
+        ok=report.ok,
+        failures=report.failures,
+    )
     return (EXIT_OK if report.ok else EXIT_INVALID), out
 
 
@@ -359,17 +351,16 @@ def cmd_trials(args):
     ok = sum(1 for r in records if r.get("ok"))
     exhausted = sum(1 for r in records if r.get("exhausted"))
     failures = [r for r in records if not r.get("ok") and not r.get("exhausted")]
-    doc = {
-        "kind": "trials",
-        "tool": certdoc.tool_info(),
-        "op": args.op,
-        "count": args.count,
-        "seed": args.seed,
-        "params": {k: v for k, v in params.items() if v is not None},
-        "ok": ok,
-        "exhausted": exhausted,
-        "failures": failures,
-    }
+    doc = certdoc.document(
+        "trials",
+        op=args.op,
+        count=args.count,
+        seed=args.seed,
+        params={k: v for k, v in params.items() if v is not None},
+        ok=ok,
+        exhausted=exhausted,
+        failures=failures,
+    )
     return (EXIT_OK if not failures else EXIT_INVALID), doc
 
 

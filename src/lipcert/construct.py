@@ -23,7 +23,7 @@ from . import certify, freespace, lipschitz, lp
 from .certify import L1IsometryCertificate, LinfIsometryCertificate
 from .lipschitz import LipFunctional, combine, functional, extend_basis
 from .metric import PointedMetricSpace, restrict
-from .rationals import lcm_scale
+from .rationals import lcm_scale_rows
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -124,14 +124,12 @@ def duality_lift(certificate: freespace.ComplementationCertificate):
     g = tuple(LipFunctional(space, (_ZERO, *row)) for row in coeffs)
     # <g_j, u_i> = sum_p C[j][p] u_i[p]; with C = G / a and u_i = V_i / b
     # lcm-scaled, the pairings are G V^T / (a b), which must be the identity
-    w = space.n - 1
-    g_ints, a = lcm_scale([x for row in coeffs for x in row])
-    u_ints, b = lcm_scale([x for u in basis for x in u.coeffs])
+    g_ints, a = lcm_scale_rows(coeffs)
+    u_ints, b = lcm_scale_rows([u.coeffs for u in basis])
     for i in range(m):
-        u_row = u_ints[i * w:(i + 1) * w]
         for j in range(m):
             expected = int(i == j)
-            if sum(map(mul, g_ints[j * w:(j + 1) * w], u_row)) != expected * a * b:
+            if sum(map(mul, g_ints[j], u_ints[i])) != expected * a * b:
                 raise AssertionError(f"biorthogonality <g_{j}, u_{i}> != {expected}")
     cert = certify.linf_isometry_lip(g)
     if not cert.valid:

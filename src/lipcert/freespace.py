@@ -25,7 +25,7 @@ from . import lp
 from .certify import sign_class_representatives
 from .lipschitz import LipFunctional, differences_feasible
 from .metric import PointedMetricSpace
-from .rationals import lcm_scale, parse_rational
+from .rationals import lcm_scale, lcm_scale_rows, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -319,9 +319,7 @@ class FreeOperator:
     def scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The matrix over the lcm ``L`` of its denominators: integer rows and
         ``L``; computed once per operator."""
-        nb = len(self.matrix)
-        flat, den = lcm_scale([x for row in self.matrix for x in row])
-        return tuple(tuple(flat[r * nb:(r + 1) * nb]) for r in range(nb)), den
+        return lcm_scale_rows(self.matrix)
 
     def apply(self, v: FreeVector) -> FreeVector:
         if v.space != self.space:
@@ -587,8 +585,7 @@ def _biorthogonal_functionals(space, basis):
         ]
         # g_j(mol) = s (G_j[x] - G_j[y]) / (L D[x][y]) with G = g * L over
         # integers and D the integer_dist over its scale s
-        flat, g_den = lcm_scale([v for g in g_values for v in g])
-        g_int = [flat[j * n:(j + 1) * n] for j in range(m)]
+        g_int, g_den = lcm_scale_rows(g_values)
         cuts = []
         for mol in mols:
             x, y = mol.x, mol.y

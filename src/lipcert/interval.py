@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add
 
-from .rationals import lcm_scale, parse_rational
+from .rationals import lcm_scale_rows, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -53,9 +53,8 @@ class _PiecewiseLinear:
     def scaled(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """The breakpoints and values over the lcm ``d`` of all their
         denominators, as ints ``(T, V, d)``; computed once."""
-        ints, d = lcm_scale((*self.breakpoints, *self.values))
-        m = len(self.breakpoints)
-        return tuple(ints[:m]), tuple(ints[m:]), d
+        (bps, vals), d = lcm_scale_rows((self.breakpoints, self.values))
+        return bps, vals, d
 
     def evaluate(self, t) -> Fraction:
         """The stored value at a breakpoint; elsewhere the interpolation on

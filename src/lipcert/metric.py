@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add
 
-from .rationals import RationalFormatError, format_rational, lcm_scale, parse_rational
+from .rationals import RationalFormatError, format_rational, lcm_scale_rows, parse_rational
 
 # Grid used by the `range` generator: multiples of 1/64 inside [1, 2], so the
 # triangle inequality is automatic (2 <= 1 + 1) and LP coefficients stay small.
@@ -69,7 +69,7 @@ def _violations(matrix):
         if len(row) != n:
             out.append(Violation("shape", (i,), f"row {i} has length {len(row)}, expected {n}"))
             return out, None
-    scaled = _lcm_scaled(matrix)
+    scaled = lcm_scale_rows(matrix)
     ints = scaled[0]
     for i in range(n):
         if ints[i][i] != 0:
@@ -109,14 +109,6 @@ def _violations(matrix):
     return out, scaled
 
 
-def _lcm_scaled(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """A square rational matrix over the lcm ``s`` of its denominators: the
-    integer rows and ``s``."""
-    n = len(matrix)
-    flat, scale = lcm_scale([x for row in matrix for x in row])
-    return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)), scale
-
-
 @dataclass(frozen=True)
 class PointedMetricSpace:
     """Immutable finite metric space with a distinguished base point.
@@ -139,7 +131,7 @@ class PointedMetricSpace:
 
     @cached_property
     def _integer_scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        return _lcm_scaled(self.dist)
+        return lcm_scale_rows(self.dist)
 
     @property
     def integer_dist(self) -> tuple[tuple[int, ...], ...]:
@@ -151,6 +143,16 @@ class PointedMetricSpace:
     def dist_scale(self) -> int:
         """That lcm ``s``: rho(x, y) = integer_dist[x][y] / s."""
         return self._integer_scaled[1]
+
+    @cached_property
+    def _canonical_text(self) -> str:
+        doc = {
+            "points": list(self.labels),
+            "dist": [[format_rational(x) for x in row] for row in self.dist],
+        }
+        if self.base != 0:
+            doc["base"] = self.base
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def pairs(self):
         """Unordered pairs (i, j), i < j."""
@@ -256,14 +258,9 @@ def space_from_doc(doc) -> PointedMetricSpace:
 
 
 def serialize_space(space: PointedMetricSpace) -> str:
-    """Canonical JSON form; parse(serialize(s)) == s bit-exactly."""
-    doc = {
-        "points": list(space.labels),
-        "dist": [[format_rational(x) for x in row] for row in space.dist],
-    }
-    if space.base != 0:
-        doc["base"] = space.base
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """Canonical JSON form; parse(serialize(s)) == s bit-exactly.  Built
+    once per space."""
+    return space._canonical_text
 
 
 def random_space(n: int, seed: int, method: str = "range") -> PointedMetricSpace:

@@ -48,3 +48,11 @@ def lcm_scale(values) -> tuple[list[int], int]:
     ratios = [v.as_integer_ratio() for v in values]
     d = lcm(*(q for _, q in ratios))
     return [p * (d // q) for p, q in ratios], d
+
+
+def lcm_scale_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """A matrix of rationals, rows of any lengths, over the lcm ``d`` of all
+    its denominators: integer rows of the same shape, and ``d``."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    d = lcm(*(q for row in ratios for _, q in row))
+    return tuple(tuple(p * (d // q) for p, q in row) for row in ratios), d

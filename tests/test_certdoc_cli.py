@@ -91,6 +91,55 @@ def test_complementation_document_verify():
     assert not report.ok
 
 
+def _format_calls(monkeypatch, doc):
+    """How often verifying ``doc`` formats a distance of a space."""
+    calls = []
+    real = metric.format_rational
+    monkeypatch.setattr(metric, "format_rational", lambda q: calls.append(1) or real(q))
+    assert certdoc.verify_document(doc).ok
+    return len(calls)
+
+
+def test_verify_serializes_each_space_once(monkeypatch):
+    _, _, cert = construct.four_point_basis(equilateral(4))
+    doc = json.loads(certdoc.dumps(certdoc.l1_document(cert)))
+    assert _format_calls(monkeypatch, doc) == 4 * 4
+    result = construct.theorem_pipeline(metric.random_space(6, 1, "range"), 2)
+    doc = json.loads(certdoc.dumps(certdoc.pipeline_document(result)))
+    assert _format_calls(monkeypatch, doc) == 6 * 6 + 4 * 4
+
+
+def test_mutating_a_rendered_space_leaves_the_next_document_unchanged():
+    _, _, cert = construct.four_point_basis(equilateral(4))
+    doc = certdoc.l1_document(cert)
+    rendered = certdoc.dumps(doc)
+    doc["space"]["dist"][0][1] = "7"
+    doc["space"]["points"].append("extra")
+    doc["space"]["base"] = 2
+    assert certdoc.dumps(certdoc.l1_document(cert)) == rendered
+
+
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("field", ["checks", "verdict", "kind"])
+def test_verify_names_values_nested_too_deeply(field):
+    _, _, cert = construct.four_point_basis(equilateral(4))
+    doc = json.loads(certdoc.dumps(certdoc.l1_document(cert)))
+    if field == "checks":
+        doc["checks"]["cube"] = _nested(5000)
+    else:
+        doc[field] = _nested(5000)
+    report = certdoc.verify_document(doc)
+    assert report.recomputed == "malformed"
+    assert any("nested too deeply" in msg for msg in report.failures)
+    assert not report.ok
+
+
 def test_pipeline_document_verify_and_subset():
     result = construct.theorem_pipeline(equilateral(6), 2)
     doc = certdoc.pipeline_document(result)
@@ -439,6 +488,7 @@ _MALFORMED_INPUTS = {
     "deep.json": "[" * 100_000 + "]" * 100_000,
     "base.json": json.dumps({"dist": [[0, 1], [1, 0]], "points": ["a", "b"], "base": 5}),
     "labels.json": json.dumps({"dist": [[0, 1], [1, 0]], "points": ["a"]}),
+    "base1.json": json.dumps({"dist": [[int(i != j) for j in range(4)] for i in range(4)], "base": 1}),
 }
 
 
@@ -449,6 +499,7 @@ _MALFORMED_INPUTS = {
         ("free-norm", "eq4", "vector.json"),
         ("hybrid", "hybrid.json", "--embed", "pwl.json"),
         ("four-point", "points.json"),
+        pytest.param(("four-point", "base1.json"), id="four-point-base"),
         ("pipeline", "points.json"),
         ("verify", "deep.json"),
         pytest.param(("validate", "base.json"), id="validate-base"),

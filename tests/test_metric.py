@@ -205,8 +205,8 @@ def test_restrict_matches_from_matrix_without_validating(monkeypatch):
 
 def test_integer_dist_is_lcm_scaled_and_computed_once(monkeypatch):
     calls = []
-    real = metric.lcm_scale
-    monkeypatch.setattr(metric, "lcm_scale", lambda values: calls.append(1) or real(values))
+    real = metric.lcm_scale_rows
+    monkeypatch.setattr(metric, "lcm_scale_rows", lambda rows: calls.append(1) or real(rows))
     space = random_space(6, 3, "euclidean")
     scale = lcm(*(x.denominator for row in space.dist for x in row))
     assert scale > 1

@@ -6,7 +6,7 @@ import pytest
 
 from lipcert import certify, freespace, interval, lipschitz
 from lipcert.metric import restrict
-from lipcert.rationals import RationalFormatError, format_rational, parse_rational
+from lipcert.rationals import RationalFormatError, format_rational, lcm_scale_rows, parse_rational
 
 from helpers import equilateral
 
@@ -59,3 +59,16 @@ def test_library_coefficients_reject_floats():
 def test_format_round_trip():
     for value in (Fraction(0), Fraction(-3), Fraction(22, 7), Fraction(1, 64)):
         assert parse_rational(format_rational(value)) == value
+
+
+def test_lcm_scale_rows_keeps_the_shape_and_scales_by_one_lcm():
+    F = Fraction
+    rows = [(F(1, 2), F(-3), F(0)), (), (F(5, 6),), [F(7, 4), 2]]
+    ints, d = lcm_scale_rows(rows)
+    assert d == 12
+    assert ints == ((6, -36, 0), (), (10,), (21, 24))
+    for row, scaled in zip(rows, ints):
+        assert list(scaled) == [x * d for x in row]
+        assert all(type(v) is int for v in scaled)
+    assert lcm_scale_rows([]) == ((), 1)
+    assert lcm_scale_rows([[], []]) == (((), ()), 1)
