@@ -15,6 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, certify, freespace, interval
 from .lipschitz import LipFunctional
@@ -175,9 +176,73 @@ def hybrid_document(h, f, u, config=None) -> dict:
     )
 
 
+_INF = float("inf")
+
+
 def dumps(doc) -> str:
-    """Canonical rendering: deterministic bytes for identical documents."""
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """Canonical rendering: deterministic bytes for identical documents.
+
+    The bytes of ``json.dumps(doc, indent=2, sort_keys=True)``, written by a
+    specialised encoder, since with ``indent`` set the stdlib runs its
+    pure-Python one.  A value is a dict with str keys, a list, str, int,
+    float, bool or None; any other type raises TypeError.
+    """
+    out = []
+    _encode(doc, out, "\n")
+    return "".join(out)
+
+
+def _encode(value, out, newline):
+    """Append the text of ``value`` to ``out``, its nested lines starting
+    with ``newline``.  One frame per level, so it nests as deeply as the
+    stdlib encoder."""
+    t = type(value)
+    if t is str:
+        out.append(encode_basestring_ascii(value))
+    elif t is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))  # TypeError unless a str
+            out.append(": ")
+            _encode(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif t is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif t is int:
+        out.append(int.__repr__(value))
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    elif t is float:
+        # as json writes it: a claimed verdict is echoed whatever its type
+        if value != value:
+            out.append("NaN")
+        elif value == _INF:
+            out.append("Infinity")
+        elif value == -_INF:
+            out.append("-Infinity")
+        else:
+            out.append(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 @dataclass

@@ -46,7 +46,7 @@ def _load_space(path: str) -> metric.PointedMetricSpace:
 def _load_json(path: str):
     try:
         return json.loads(_read(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer with too many digits
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path}: invalid JSON: nested too deeply") from exc

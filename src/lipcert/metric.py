@@ -213,7 +213,7 @@ def load_space_document(text: str):
 def _json_document(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer with too many digits
         raise SpaceFormatError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SpaceFormatError("invalid JSON: nested too deeply") from exc

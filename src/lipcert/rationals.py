@@ -7,6 +7,7 @@ always reduced, denominator positive.  No floating point enters the library.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -28,7 +29,11 @@ def parse_rational(value) -> Fraction:
         if match:
             # the groups are the numerator and denominator; Fraction reduces
             num, den = match.groups()
-            return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+            try:
+                return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+            except ValueError as exc:  # more digits than int() converts
+                limit = sys.get_int_max_str_digits()
+                raise RationalFormatError(f"malformed rational: more than {limit} digits") from exc
         raise RationalFormatError(f"malformed rational: {value!r}")
     if isinstance(value, Fraction):
         return value

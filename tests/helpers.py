@@ -17,6 +17,14 @@ from lipcert.metric import PointedMetricSpace, Violation
 from lipcert.rationals import parse_rational
 
 
+def nested_list(depth: int) -> list:
+    """The empty list wrapped in ``depth`` more lists."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 def equilateral(n: int) -> PointedMetricSpace:
     return PointedMetricSpace.from_matrix(
         [[int(i != j) for j in range(n)] for i in range(n)]

@@ -1,5 +1,6 @@
 """Certificate documents, independent verification, CLI surface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from lipcert import certdoc, certify, construct, freespace, interval, metric
+from lipcert import certdoc, certify, cli, construct, freespace, interval, metric
 from lipcert.lipschitz import functional
 
-from helpers import equilateral, random_hybrid, random_pwl
+from helpers import equilateral, nested_list, random_hybrid, random_pwl
 
 F = Fraction
 
@@ -119,21 +120,14 @@ def test_mutating_a_rendered_space_leaves_the_next_document_unchanged():
     assert certdoc.dumps(certdoc.l1_document(cert)) == rendered
 
 
-def _nested(depth):
-    value = []
-    for _ in range(depth):
-        value = [value]
-    return value
-
-
 @pytest.mark.parametrize("field", ["checks", "verdict", "kind"])
 def test_verify_names_values_nested_too_deeply(field):
     _, _, cert = construct.four_point_basis(equilateral(4))
     doc = json.loads(certdoc.dumps(certdoc.l1_document(cert)))
     if field == "checks":
-        doc["checks"]["cube"] = _nested(5000)
+        doc["checks"]["cube"] = nested_list(5000)
     else:
-        doc[field] = _nested(5000)
+        doc[field] = nested_list(5000)
     report = certdoc.verify_document(doc)
     assert report.recomputed == "malformed"
     assert any("nested too deeply" in msg for msg in report.failures)
@@ -489,6 +483,11 @@ _MALFORMED_INPUTS = {
     "base.json": json.dumps({"dist": [[0, 1], [1, 0]], "points": ["a", "b"], "base": 5}),
     "labels.json": json.dumps({"dist": [[0, 1], [1, 0]], "points": ["a"]}),
     "base1.json": json.dumps({"dist": [[int(i != j) for j in range(4)] for i in range(4)], "base": 1}),
+    # 5000 digits: more than Python converts between int and str
+    "long-rational.json": json.dumps(
+        {"dist": [["0", "7" * 5000], ["7" * 5000, "0"]], "values": ["0", "1/" + "7" * 5000]}
+    ),
+    "long-integer.json": '{"dist": [[0, %s], [%s, 0]]}' % ("7" * 5000, "7" * 5000),
 }
 
 
@@ -502,6 +501,10 @@ _MALFORMED_INPUTS = {
         pytest.param(("four-point", "base1.json"), id="four-point-base"),
         ("pipeline", "points.json"),
         ("verify", "deep.json"),
+        pytest.param(("verify", "long-integer.json"), id="verify-long-integer"),
+        pytest.param(("validate", "long-integer.json"), id="validate-long-integer"),
+        pytest.param(("validate", "long-rational.json"), id="validate-long-rational"),
+        pytest.param(("norm", "eq4", "long-rational.json"), id="norm-long-rational"),
         pytest.param(("validate", "base.json"), id="validate-base"),
         pytest.param(("validate", "labels.json"), id="validate-labels"),
         pytest.param(("pipeline", "eq4", "--budget", "-1"), id="pipeline-budget"),
@@ -575,3 +578,127 @@ def test_cli_determinism_byte_identical(eq4_file):
     _, out1, _ = run_cli("four-point", eq4_file)
     _, out2, _ = run_cli("four-point", eq4_file)
     assert out1 == out2
+
+
+def _stdout_inputs(tmp_path):
+    """The input files of ``test_cli_stdout_pinned``, by name."""
+    _, _, cert = construct.four_point_basis(equilateral(4))
+    ok = certdoc.l1_document(cert, config={"construction": "four-point"})
+    invalid = json.loads(certdoc.dumps(ok))
+    invalid["checks"]["signs"]["witnesses"][0]["pair"] = [2, 1]
+    float_verdict = json.loads(certdoc.dumps(ok))
+    float_verdict["verdict"] = 1.5
+    texts = {
+        "eq3": metric.serialize_space(equilateral(3)),
+        "eq4": metric.serialize_space(equilateral(4)),
+        "r5": metric.serialize_space(metric.random_space(5, 2, "range")),
+        "r6": metric.serialize_space(metric.random_space(6, 1, "range")),
+        "triangle": '{"dist": [["0","1","5"],["1","0","1"],["5","1","0"]]}',
+        "functional": '{"values": ["0", "1", "0", "1"]}',
+        "vector": '{"coeffs": ["1", "1", "-2"]}',
+        "hybrid": json.dumps(
+            {"extras": [{"breakpoints": ["0", "1/4", "1"], "values": ["3/4", "1/2", "5/4"]}],
+             "extra_dist": [["0"]]}
+        ),
+        "hybrid-bad": json.dumps(
+            {"extras": [{"breakpoints": ["0", "1"], "values": ["1", "3"]}], "extra_dist": [["0"]]}
+        ),
+        "pwl": json.dumps({"breakpoints": ["0", "1/2", "1"], "values": ["0", "1/3", "-1/6"]}),
+        "verify-ok": certdoc.dumps(ok),
+        "verify-invalid": certdoc.dumps(invalid),
+        "verify-float": certdoc.dumps(float_verdict),
+    }
+    for name, text in texts.items():
+        (tmp_path / f"{name}.json").write_text(text)
+
+
+# sha256 of the stdout of ``lipcert <argv>``, run in-process, for every
+# document the CLI emits; "@name" stands for an input file of _stdout_inputs.
+_PINNED_STDOUT = {
+    "validate-valid": (
+        ("validate", "@eq4"), 0,
+        "9d220075590250b2fa4aa6c02e03270302c7404889bb4c172ced1856449e55cf",
+    ),
+    "validate-invalid": (
+        ("validate", "@triangle"), 1,
+        "861dd7831bb8994e093590424cd47b2daa8b3ffe7930a247ce161f619a79aff9",
+    ),
+    "norm": (
+        ("norm", "@eq4", "@functional"), 0,
+        "a0ae44631651c07d74bd0b1c5da2d9738282b4d55da17f568d2e546fb06c633a",
+    ),
+    "free-norm": (
+        ("free-norm", "@eq4", "@vector"), 0,
+        "187cd55f1b32e65c630dffc956937b74a1466d89bb5b6f24be460ffc2ce5c16c",
+    ),
+    "four-point": (
+        ("four-point", "@eq4"), 0,
+        "cb4b87e368e11e7cf7ea47f1f8ddd676504c6de4ee5c8553d947005a5c4a9a47",
+    ),
+    "pipeline-found": (
+        ("pipeline", "@r6"), 0,
+        "16b8487e8497404e7860398b1f72fc1dc3d8a60903c8814659daa1ca4b4c2fbc",
+    ),
+    "pipeline-exhausted": (
+        ("pipeline", "@eq4", "--budget", "0"), 3,
+        "b0e5492f9f7488014f9411051fd9a619f121c35b3faa35112fdeebae33531a6a",
+    ),
+    "direct-search-found": (
+        ("direct-search", "@r5"), 0,
+        "a19b2a92337eb82c719ce5d21c337ce5b6174f59cc99973b629a5c1b279fd41e",
+    ),
+    "direct-search-exhausted": (
+        ("direct-search", "@eq3", "-k", "2"), 3,
+        "bbabb504243f4edacdb69a39933f2482337818cb25b4b4f55908c4901c3fafce",
+    ),
+    "eval-embed-l1": (
+        ("eval-embed", "--kind", "l1", "-d", "2"), 0,
+        "de4aa44e20d472d55d57304f22a328b7e0dc057f671c95ca073d04e40a9975af",
+    ),
+    "eval-embed-linf": (
+        ("eval-embed", "--kind", "linf", "-d", "2"), 0,
+        "c76c58e29607113fa065890b514e58f41f836b03f396f01c935a9bb62aac8dde",
+    ),
+    "c0-demo": (
+        ("c0-demo", "-N", "3", "--count", "5"), 0,
+        "34ee9f12df6d4a32db0c2c9911952d6830f67ff23ba4b5f61006b04e3d20cb54",
+    ),
+    "hybrid-validation": (
+        ("hybrid", "@hybrid"), 0,
+        "9d220075590250b2fa4aa6c02e03270302c7404889bb4c172ced1856449e55cf",
+    ),
+    "hybrid-violations": (
+        ("hybrid", "@hybrid-bad"), 1,
+        "ace409da18e6005688f95ff39b0fb7907df542a1d14e5ff32dce34600c1e6276",
+    ),
+    "hybrid-embed": (
+        ("hybrid", "@hybrid", "--embed", "@pwl"), 0,
+        "cee96050d187e44cfc2e7d784ecb1f25b18c705b97e29406116290eeda6c664d",
+    ),
+    "trials": (
+        ("trials", "--op", "direct-search", "--count", "6", "--seed", "2", "--jobs", "1"), 0,
+        "5043955c2369ac9fa2d6b30569fa101eec821c5e4bd801798bc916c522ad2809",
+    ),
+    "verify-ok": (
+        ("verify", "@verify-ok"), 0,
+        "19d5e758a7c8176189ca772a11547f6ae3adc98c2537fad7b8a006004983e6e8",
+    ),
+    "verify-invalid": (
+        ("verify", "@verify-invalid"), 1,
+        "381c8816770f4709e7ceadb13f1593bcfe11b6557ce0242debd21c0822cad434",
+    ),
+    "verify-float-verdict": (
+        ("verify", "@verify-float"), 1,
+        "b063eab55650f0fbc94f2be5e56c8b81007dc9457551a0461213afa2606a306c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_STDOUT))
+def test_cli_stdout_pinned(tmp_path, capsys, name):
+    argv, code, digest = _PINNED_STDOUT[name]
+    _stdout_inputs(tmp_path)
+    argv = [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+    assert cli.main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:2000]

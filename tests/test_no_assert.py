@@ -109,7 +109,7 @@ def test_test_modules_pass_under_optimize():
             sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
             "tests/test_lp.py", "tests/test_verify_fuzz.py", "tests/test_interval.py",
             "tests/test_certify.py", "tests/test_lipschitz.py", "tests/test_metric.py",
-            "tests/test_rationals.py", "tests/test_construct.py",
+            "tests/test_rationals.py", "tests/test_construct.py", "tests/test_freespace.py",
         ],
         capture_output=True,
         text=True,
