@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -469,13 +470,22 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, doc = args.handler(args)
-    except InputError as exc:
+    except (InputError, RationalFormatError) as exc:
+        # a RationalFormatError here is a result too long to format
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except construct.ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    print(certdoc.dumps(doc))
+    try:
+        print(certdoc.dumps(doc))
+        # flush inside the try, so that a closed pipe is met here
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``lipcert ... | head``); the interpreter
+        # flushes stdout again at exit, so point it at devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return code
 
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import gcd
+from operator import mul
 
 from . import lp
 from .certify import sign_class_representatives
@@ -270,20 +272,26 @@ def free_norm_primal(v: FreeVector) -> tuple[Fraction, tuple[TransportArc, ...]]
 def lipschitz_ball_rows(space: PointedMetricSpace, blocks: int) -> list[lp.Constraint]:
     """LP rows +-(f(x) - f(y)) <= rho(x, y) over every pair, for each of
     ``blocks`` functionals; block b holds f_b(1), ..., f_b(n-1) in columns
-    b*(n-1) onward (f_b(0) = 0 is not a variable).  Programs that reuse the
-    returned constraints share their scaled integer rows."""
+    b*(n-1) onward (f_b(0) = 0 is not a variable).  Each row is built from
+    the space's ``integer_dist`` over its ``dist_scale`` s, as the integers
+    ``+-(s, -s)`` and ``D[x][y]``, with its scaled row preset; programs that
+    reuse the returned constraints share those integers and their lowering."""
     nb = space.n - 1
+    s = space.dist_scale
+    dist = space.integer_dist
     rows = []
     for b in range(blocks):
         for x, y in space.pairs():
-            coeffs = [_ZERO] * (blocks * nb)
+            nums = [0] * (blocks * nb + 1)
             if x != 0:
-                coeffs[b * nb + x - 1] += _ONE
+                nums[b * nb + x - 1] = s
             if y != 0:
-                coeffs[b * nb + y - 1] -= _ONE
-            rho = space.rho(x, y)
-            rows.append(lp.Constraint(tuple(coeffs), lp.LE, rho))
-            rows.append(lp.Constraint(tuple(-c for c in coeffs), lp.LE, rho))
+                nums[b * nb + y - 1] = -s
+            nums[-1] = dist[x][y]
+            rows.append(lp.Constraint.from_integers(nums, s, lp.LE))
+            nums = [-a for a in nums]
+            nums[-1] = dist[x][y]
+            rows.append(lp.Constraint.from_integers(nums, s, lp.LE))
     return rows
 
 
@@ -524,17 +532,21 @@ def search_one_complemented(space, m, tuple_budget=None) -> ComplementationSearc
 
 def _projection_from(space, basis, g_point_values):
     """P[p][q] = sum_j u_j[p] g_j(q+1); g_point_values[j] is point-indexed
-    (length n, zero at the base)."""
-    nb = space.n - 1
-    m = len(basis)
-    rows = [
-        tuple(
-            sum(basis[j].coeffs[p] * g_point_values[j][q + 1] for j in range(m))
-            for q in range(nb)
-        )
-        for p in range(nb)
-    ]
-    return FreeOperator(space, tuple(rows))
+    (length n, zero at the base).  The product is taken on the lcm-scaled
+    basis and g, and seeds the operator's ``scaled`` in lowest terms, as
+    ``lcm_scale_rows`` of the matrix gives it."""
+    u_int, u_den = lcm_scale_rows([u.coeffs for u in basis])
+    g_int, g_den = lcm_scale_rows([g[1:] for g in g_point_values])
+    den = u_den * g_den
+    cols = list(zip(*u_int))
+    rows = [tuple(sum(map(mul, col, gq)) for gq in zip(*g_int)) for col in cols]
+    common = gcd(den, *(a for row in rows for a in row))
+    if common > 1:
+        rows = [tuple(a // common for a in row) for row in rows]
+        den //= common
+    op = FreeOperator(space, tuple(tuple(Fraction(a, den) for a in row) for row in rows))
+    op.__dict__["scaled"] = (tuple(rows), den)
+    return op
 
 
 def _biorthogonal_functionals(space, basis):
@@ -547,10 +559,11 @@ def _biorthogonal_functionals(space, basis):
     biorthogonality equalities plus the 1-Lipschitz cube rows of each g_j;
     a molecule with sum_j |g_j(mol)| > 1 adds the facet s_j = sign(g_j(mol))
     as a cut.  Each cut removes the current candidate and the facet family is
-    finite, so the loop terminates.  The rows are ``lp.Constraint``s kept
-    across rounds, so each is scaled to integers once.  Separation uses this
-    l1 identity; the final projection is still checked by exact transport
-    norms in ``verify_one_complemented``.
+    finite, so the loop terminates.  Every row is built from integers (the
+    lcm-scaled basis, ``integer_dist`` and ``dist_scale``), so none is
+    lcm-scaled, and kept across rounds, so a round lowers only its new cuts.
+    Separation uses this l1 identity; the final projection is still checked
+    by exact transport norms in ``verify_one_complemented``.
     """
     n = space.n
     nb = n - 1
@@ -564,15 +577,16 @@ def _biorthogonal_functionals(space, basis):
         # column of variable g_j(p); p is a non-base point index
         return j * nb + (p - 1)
 
+    # <g_j, u_i> = delta_ij over the lcm u_den of u_i's denominators
     rows = []
     for i in range(m):
+        u_int, u_den = lcm_scale(basis[i].coeffs)
         for j in range(m):
-            coeffs = [_ZERO] * n_g
-            for p in range(1, n):
-                c = basis[i].coeffs[p - 1]
-                if c:
-                    coeffs[g_col(j, p)] = c
-            rows.append(lp.Constraint(tuple(coeffs), lp.EQ, _ONE if i == j else _ZERO))
+            nums = [0] * (n_g + 1)
+            nums[j * nb:(j + 1) * nb] = u_int
+            if i == j:
+                nums[-1] = u_den
+            rows.append(lp.Constraint.from_integers(nums, u_den, lp.EQ))
     rows.extend(lipschitz_ball_rows(space, m))
 
     while True:
@@ -592,15 +606,17 @@ def _biorthogonal_functionals(space, basis):
             c = [g[x] - g[y] for g in g_int]
             if s * sum(abs(cj) for cj in c) <= g_den * dist[x][y]:
                 continue
-            inv_rho = 1 / space.rho(x, y)
-            coeffs = [_ZERO] * n_g
+            # sum_j sign(c_j) g_j(mol) <= 1 with g_j(mol) = s (g_j(x) -
+            # g_j(y)) / D[x][y]: numerators +-s and D[x][y], over D[x][y]
+            nums = [0] * (n_g + 1)
             for j, cj in enumerate(c):
-                sj = inv_rho if cj >= 0 else -inv_rho
+                sj = s if cj >= 0 else -s
                 if x != 0:
-                    coeffs[g_col(j, x)] += sj
+                    nums[g_col(j, x)] += sj
                 if y != 0:
-                    coeffs[g_col(j, y)] -= sj
-            cuts.append(lp.Constraint(tuple(coeffs), lp.LE, _ONE))
+                    nums[g_col(j, y)] -= sj
+            nums[-1] = dist[x][y]
+            cuts.append(lp.Constraint.from_integers(nums, dist[x][y], lp.LE))
         if not cuts:
             return g_values
         rows.extend(cuts)

@@ -11,13 +11,17 @@ rational arithmetic takes.  Pricing is Dantzig's rule until a run
 of degenerate pivots is detected, after which the solve switches to Bland's
 rule permanently, which guarantees termination on every input.  Each
 ``Constraint`` scales its row (coefficients and rhs) to integers over the lcm
-of its denominators once, on first use, and every program that shares the
-row reads those integers.  Rationals (``Fraction``) appear only at the
-boundary: the program, and the primal, ray and dual values read back from
-the final tableau.  Every optimal outcome carries the pair (primal, dual) as
-an exact complementary-slackness certificate; infeasible outcomes carry a
-Farkas certificate.  Both are re-checked against the original program's rows
-before being returned.  The re-check scales each certificate vector to
+of its denominators once, on first use, unless it was built from integers
+(``Constraint.from_integers``), which presets them; every program that
+shares the row reads those integers.  A row is lowered to standard form from
+its nonzero scaled entries; when every variable is free, the lowered row is
+cached on the ``Constraint``, so programs that share rows (the rounds of a
+cut loop) lower only the rows they add.  Rationals (``Fraction``) appear
+only at the boundary: the program, and the primal, ray and dual values read
+back from the final tableau.  Every optimal outcome carries the pair
+(primal, dual) as an exact complementary-slackness certificate; infeasible
+outcomes carry a Farkas certificate.  Both are re-checked against the
+original program's rows before being returned.  The re-check scales each certificate vector to
 integers over its lcm once and decides every condition in integers,
 deriving the reduced costs ``c - A^T y`` itself; a ``Fraction`` is built only
 to word a violation.  The same integer pivot also gives exact rank and
@@ -63,6 +67,38 @@ class Constraint:
         the integer numerators and ``d``; computed once per row."""
         nums, d = lcm_scale(self.coeffs + (self.rhs,))
         return tuple(nums), d
+
+    @cached_property
+    def free_lowering(self) -> dict[int, int]:
+        """The scaled row's standard-form numerators when every variable is
+        free, in the layout ``_Lowering`` gives it: x_j becomes the column
+        pair ``(2j, 2j + 1)``, so a nonzero a_j is stored as ``{2j: a_j,
+        2j + 1: -a_j}``.  Computed once per row and shared, read-only, by every
+        all-free program that holds the row."""
+        nums = self.scaled[0]
+        row = {}
+        for j in range(len(nums) - 1):
+            a = nums[j]
+            if a:
+                row[2 * j] = a
+                row[2 * j + 1] = -a
+        return row
+
+    @classmethod
+    def from_integers(cls, nums, den: int, rel: str) -> "Constraint":
+        """The row ``nums[:-1] . x rel nums[-1]`` with every entry over the
+        positive denominator ``den``, its ``scaled`` preset: the numerators
+        and ``den`` divided by their gcd, the integers ``lcm_scale`` would
+        give the row, so none runs on it."""
+        g = gcd(den, *nums)
+        if g > 1:
+            nums = [a // g for a in nums]
+            den //= g
+        entries = [Fraction(a, den) if a else _ZERO for a in nums]
+        con = cls(tuple(entries[:-1]), rel, entries[-1])
+        # frozen: set the cached_property's slot directly, as it would
+        con.__dict__["scaled"] = (tuple(nums), den)
+        return con
 
 
 @dataclass(frozen=True)
@@ -276,9 +312,12 @@ class _Lowering:
     ``-a`` reflected at it.  A boxed variable is shifted and adds a row
     ``x <= hi - lo`` after the original rows.  Each row is kept as integers
     over one denominator ``d``, ``(numerators, rhs, d)`` with the numerators
-    a sparse ``{column: int}`` dict of the nonzeros, read from the
-    constraint's scaled row; the bound shifts are subtracted from the rhs in
-    integers, over the lcm of the shifts' denominators.
+    a sparse ``{column: int}`` dict: the constraint's nonzero scaled entries
+    mapped through ``var_map``.  When every variable is free that dict is the
+    constraint's cached ``free_lowering``, so a row shared by many programs
+    (the cut loop's rounds) is lowered once; ``build_kernel`` copies it.  The
+    bound shifts are subtracted from the rhs in integers, over the lcm of the
+    shifts' denominators.
     """
 
     def __init__(self, lp: LinearProgram, minimize_obj):
@@ -286,7 +325,6 @@ class _Lowering:
         # where -1 marks an absent column
         self.var_map: list[tuple[int, int, Fraction]] = []
         self.cost: list[Fraction] = []
-        columns: list[tuple[int, int]] = []  # (original variable, sign) per std column
         shifts: list[tuple[int, Fraction]] = []  # (variable, nonzero offset)
         box_rows: list[tuple[int, Fraction]] = []  # (std col, hi - lo)
 
@@ -294,7 +332,6 @@ class _Lowering:
             cj = minimize_obj[j]
             col = len(self.cost)
             if lo is None and hi is None:
-                columns += ((j, 1), (j, -1))
                 self.cost += (cj, -cj)
                 self.var_map.append((col, col + 1, _ZERO))
                 continue
@@ -308,17 +345,26 @@ class _Lowering:
                     box_rows.append((col, hi - lo))
                 sign, offset = 1, lo
                 self.var_map.append((col, -1, lo))
-            columns.append((j, sign))
             self.cost.append(cj if sign > 0 else -cj)
             if offset:
                 shifts.append((j, offset))
 
-        self.n_struct = n_struct = len(self.cost)
+        self.n_struct = len(self.cost)
+        all_free = len(self.cost) == 2 * len(self.var_map)
         self.rows: list[tuple[dict[int, int], int, int]] = []
         shift_nums, shift_den = lcm_scale([offset for _, offset in shifts])
         for c in lp.constraints:
             nums, d = c.scaled
-            struct = {col: sign * nums[j] for col, (j, sign) in enumerate(columns) if nums[j]}
+            if all_free:
+                struct = c.free_lowering
+            else:
+                struct = {}
+                for a, (plus, minus, _) in zip(nums, self.var_map):
+                    if a:
+                        if plus >= 0:
+                            struct[plus] = a
+                        if minus >= 0:
+                            struct[minus] = -a
             b = nums[-1]
             if shifts:
                 # d * (rhs - sum_j coeffs[j] * offset_j), times shift_den
@@ -346,7 +392,8 @@ class _Lowering:
         art = n_real = slack + sum(s != 0 for s in slack_sign)
         rows, den, basis = [], [], []
         for (struct, b, d), s, ss in zip(self.rows, sign, slack_sign):
-            row = {j: s * a for j, a in struct.items()}
+            # a copy: ``struct`` may be a constraint's shared free_lowering
+            row = dict(struct) if s > 0 else {j: -a for j, a in struct.items()}
             if b:
                 row[-1] = s * b
             if ss:
@@ -413,7 +460,7 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
     dual = y[: len(lp.constraints)]
     if flip:
         dual = [-v for v in dual]
-    value = sum(c * x for c, x in zip(lp.objective, primal))
+    value = sum((c * x for c, x in zip(lp.objective, primal) if c), _ZERO)
     out = LpOutcome(status="optimal", value=value, primal=primal, dual=dual, pivots=kern.pivots)
     _assert_certificate(lp, sense, out)
     return out

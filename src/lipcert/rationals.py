@@ -43,8 +43,17 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical string form: 'p' when integral, else 'p/q' reduced."""
-    return str(q if type(q) is Fraction else Fraction(q))
+    """Canonical string form: 'p' when integral, else 'p/q' reduced.
+
+    Raises RationalFormatError when ``p`` or ``q`` has more digits than
+    Python converts to a string (``sys.get_int_max_str_digits()``).
+    """
+    q = q if type(q) is Fraction else Fraction(q)
+    try:
+        return str(q)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise RationalFormatError(f"cannot format a rational of more than {limit} digits") from exc
 
 
 def lcm_scale(values) -> tuple[list[int], int]:

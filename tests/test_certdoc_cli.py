@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -488,6 +489,8 @@ _MALFORMED_INPUTS = {
         {"dist": [["0", "7" * 5000], ["7" * 5000, "0"]], "values": ["0", "1/" + "7" * 5000]}
     ),
     "long-integer.json": '{"dist": [[0, %s], [%s, 0]]}' % ("7" * 5000, "7" * 5000),
+    # each input is under the limit; the free norm's denominator is not
+    "long-result.json": json.dumps({"coeffs": ["1/" + "7" * 3000, "1/" + "3" * 2999 + "1", "1"]}),
 }
 
 
@@ -505,6 +508,7 @@ _MALFORMED_INPUTS = {
         pytest.param(("validate", "long-integer.json"), id="validate-long-integer"),
         pytest.param(("validate", "long-rational.json"), id="validate-long-rational"),
         pytest.param(("norm", "eq4", "long-rational.json"), id="norm-long-rational"),
+        pytest.param(("free-norm", "eq4", "long-result.json"), id="free-norm-long-result"),
         pytest.param(("validate", "base.json"), id="validate-base"),
         pytest.param(("validate", "labels.json"), id="validate-labels"),
         pytest.param(("pipeline", "eq4", "--budget", "-1"), id="pipeline-budget"),
@@ -572,6 +576,26 @@ def test_cli_validate_names_the_fault_four_point_names(tmp_path, name):
     four_point = run_cli("four-point", str(path))
     assert validate == four_point
     assert validate[0] == 2
+
+
+def test_cli_closed_stdout_keeps_exit_code_without_traceback(eq4_file):
+    # a pipe whose read end is closed before the command starts: every write
+    # to it fails, as it does once ``| head`` has stopped reading
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for argv, expected in [
+            (("four-point", eq4_file), 0),
+            (("direct-search", eq4_file, "-k", "4"), 3),
+        ]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lipcert.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+            assert proc.returncode == expected, proc.stderr
+            assert proc.stderr == ""
+    finally:
+        os.close(write_end)
 
 
 def test_cli_determinism_byte_identical(eq4_file):

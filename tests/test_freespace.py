@@ -1,12 +1,14 @@
 """Free-space norms, molecules, operators, and 1-complementation."""
 
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from lipcert import certify, freespace, lipschitz
+from lipcert import certify, construct, freespace, lipschitz, lp
 from lipcert.lipschitz import (
     closure_add,
     closure_admits,
@@ -14,7 +16,7 @@ from lipcert.lipschitz import (
     lip_norm,
 )
 from lipcert.metric import random_space
-from lipcert.rationals import lcm_scale
+from lipcert.rationals import lcm_scale, lcm_scale_rows
 
 from helpers import equilateral, free_norm_vertex_oracle, random_coeffs, random_functional
 
@@ -501,3 +503,89 @@ def test_filtered_molecules_norm_is_l1_of_coefficients():
                 pairs = [(mol.x, mol.y) for mol in molecules]
                 assert value == sum(abs(cj) for cj in c), (space.dist, pairs, c)
     assert accepted == 63
+
+
+def test_cut_loop_outcomes_pinned(monkeypatch):
+    # Every LP of criterion 02's 100 k=2 pipelines, the complementation cut
+    # loop's rounds above all, field for field: how a row is built, scaled
+    # or lowered must not move a pivot or a certificate.
+    digest = hashlib.sha256()
+    statuses = Counter()
+    real_solve = lp.solve
+
+    def recording_solve(program, sense="min"):
+        out = real_solve(program, sense)
+        statuses[out.status] += 1
+        digest.update(repr(out).encode())
+        return out
+
+    monkeypatch.setattr(lp, "solve", recording_solve)
+    for i in range(100):
+        space = random_space(4 + i % 5, i, "euclidean" if i % 3 == 0 else "range")
+        construct.theorem_pipeline(space, 2)
+    assert statuses == {"optimal": 282}
+    assert digest.hexdigest() == (
+        "bfec043420abf1d9b11d1a94081a6c3fc933c244ff3fa5085857c7ca173527e8"
+    )
+
+
+def _reference_lowering(low, con):
+    # the general lowering: walk every standard column of the row
+    columns = [None] * low.n_struct
+    for j, (plus, minus, _) in enumerate(low.var_map):
+        if plus >= 0:
+            columns[plus] = (j, 1)
+        if minus >= 0:
+            columns[minus] = (j, -1)
+    nums, _ = con.scaled
+    return {col: sign * nums[j] for col, (j, sign) in enumerate(columns) if nums[j]}
+
+
+def test_preset_caches_match_their_oracles(monkeypatch):
+    # Rows built from integers preset ``Constraint.scaled``, the projection
+    # presets ``FreeOperator.scaled`` and an all-free program reads each
+    # row's cached ``free_lowering``.  Each must be what the general code
+    # computes: the lowest-terms lcm scaling and the column-by-column
+    # lowering.
+    programs = []
+    operators = []
+    real_solve, real_projection = lp.solve, freespace._projection_from
+
+    def recording_solve(program, sense="min"):
+        programs.append(program)
+        return real_solve(program, sense)
+
+    def recording_projection(space, basis, g):
+        op = real_projection(space, basis, g)
+        assert "scaled" in op.__dict__
+        operators.append(op)
+        return op
+
+    monkeypatch.setattr(lp, "solve", recording_solve)
+    monkeypatch.setattr(freespace, "_projection_from", recording_projection)
+    spaces = [
+        random_space(4 + i % 5, i, "euclidean" if i % 3 == 0 else "range") for i in range(100)
+    ]
+    spaces += [random_space(n, seed, method) for n in range(4, 11) for seed in range(3)
+               for method in ("range", "euclidean")]
+    for i, space in enumerate(spaces):
+        construct.theorem_pipeline(space, 2)
+        v = freespace.free_vector(space, random_coeffs(f"preset:{i}", space.n - 1))
+        freespace.free_norm_dual(v)
+        freespace.free_norm_primal(v)
+    lowered = {True: 0, False: 0}  # rows, by whether every variable is free
+    for program in programs:
+        low = lp._Lowering(program, list(program.objective))
+        free = all(b == (None, None) for b in program.bounds)
+        for con, (struct, _, d) in zip(program.constraints, low.rows):
+            nums, den = lcm_scale(con.coeffs + (con.rhs,))
+            assert con.scaled == (tuple(nums), den)
+            assert list(struct.items()) == list(_reference_lowering(low, con).items())
+            assert d == den
+            if free:
+                assert struct is con.free_lowering
+            lowered[free] += 1
+    assert lowered[True] > 10_000 and lowered[False] > 100
+    assert len(operators) == len(spaces)
+    for op in operators:
+        assert op.scaled == lcm_scale_rows(op.matrix)

@@ -386,6 +386,10 @@ def test_integer_recheck_agrees_with_fraction_oracle():
 
 
 def test_constraint_rows_scaled_once(monkeypatch):
+    # A row built from integers (the ball rows, the biorthogonality
+    # equalities, the cuts) comes with its scaled row preset and is never
+    # lcm-scaled; every other row is scaled exactly once, however many
+    # programs share it.
     scaled = Counter()
     programs = []
     real_scale, real_solve = lp.lcm_scale, lp.solve
@@ -402,32 +406,38 @@ def test_constraint_rows_scaled_once(monkeypatch):
     monkeypatch.setattr(lp, "lcm_scale", counting_scale)
     monkeypatch.setattr(lp, "solve", recording_solve)
 
-    def row_counts():
-        rows = {con.coeffs + (con.rhs,) for program in programs for con in program.constraints}
-        return [scaled[row] for row in rows]
+    def shared_rows():
+        # each distinct Constraint object once
+        return list({id(con): con for program in programs for con in program.constraints}.values())
 
-    # one complementation search whose LP takes three cut rounds
+    def values(con):
+        return con.coeffs + (con.rhs,)
+
+    # one complementation search whose LP takes three cut rounds: every row
+    # is built from integers
     search = freespace.search_one_complemented(random_space(4, 0, "range"), 2)
     assert search.found and search.tuples_l1_valid == 1
     assert len(programs) == 3
-    assert set(row_counts()) == {1}
+    rows = shared_rows()
+    assert len(rows) > len(programs[0].constraints)  # the cuts
+    assert [scaled[values(con)] for con in rows] == [0] * len(rows)
 
-    # one k=3 direct search: each coordinate LP shares the same ball rows
+    # one k=3 direct search: each coordinate LP shares the same ball rows,
+    # built from integers, and adds equality rows of its own, scaled once
     scaled.clear()
     programs.clear()
     space = random_space(8, 0, "range")
     result = construct.direct_search_l1(space, 3)
     assert result.found and len(programs) >= 3
+    rows = shared_rows()
+    ball_ids = {id(con) for con in rows if con.rel == lp.LE}
+    assert len(ball_ids) == len(freespace.lipschitz_ball_rows(space, 1))
     # a coordinate's equality row can repeat a ball row's numbers; it is a
     # row of its own, scaled on its own
-    equalities = {
-        con.coeffs + (con.rhs,) for program in programs for con in program.constraints
-        if con.rel == lp.EQ
-    }
-    ball = [con.coeffs + (con.rhs,) for con in freespace.lipschitz_ball_rows(space, 1)]
-    ball = [row for row in ball if row not in equalities]
-    assert len(ball) > 40
-    assert [scaled[row] for row in ball] == [1] * len(ball)
+    others = Counter(values(con) for con in rows if id(con) not in ball_ids)
+    assert sum(others.values()) >= 3 * 4
+    assert [scaled[values(con)] for con in rows] == [others[values(con)] for con in rows]
+    assert sum(scaled[values(con)] == 0 for con in rows if id(con) in ball_ids) > 40
 
 
 def test_make_program_keeps_a_constraint():
