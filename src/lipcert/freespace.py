@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd
 from operator import mul
 
 from . import lp
 from .certify import sign_class_representatives
 from .lipschitz import LipFunctional, differences_feasible
 from .metric import PointedMetricSpace
-from .rationals import lcm_scale, lcm_scale_rows, parse_rational
+from .rationals import lcm_scale, lcm_scale_rows, parse_rational, reduce_over
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -535,17 +534,15 @@ def _projection_from(space, basis, g_point_values):
     (length n, zero at the base).  The product is taken on the lcm-scaled
     basis and g, and seeds the operator's ``scaled`` in lowest terms, as
     ``lcm_scale_rows`` of the matrix gives it."""
+    nb = space.n - 1
     u_int, u_den = lcm_scale_rows([u.coeffs for u in basis])
     g_int, g_den = lcm_scale_rows([g[1:] for g in g_point_values])
-    den = u_den * g_den
-    cols = list(zip(*u_int))
-    rows = [tuple(sum(map(mul, col, gq)) for gq in zip(*g_int)) for col in cols]
-    common = gcd(den, *(a for row in rows for a in row))
-    if common > 1:
-        rows = [tuple(a // common for a in row) for row in rows]
-        den //= common
+    g_cols = list(zip(*g_int))
+    flat = [sum(map(mul, u_p, g_q)) for u_p in zip(*u_int) for g_q in g_cols]
+    flat, den = reduce_over(flat, u_den * g_den)
+    rows = tuple(flat[p * nb:(p + 1) * nb] for p in range(nb))
     op = FreeOperator(space, tuple(tuple(Fraction(a, den) for a in row) for row in rows))
-    op.__dict__["scaled"] = (tuple(rows), den)
+    op.__dict__["scaled"] = (rows, den)
     return op
 
 

@@ -38,7 +38,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .rationals import lcm_scale
+from .rationals import lcm_scale, reduce_over
 
 LE = "<="
 EQ = "="
@@ -68,36 +68,17 @@ class Constraint:
         nums, d = lcm_scale(self.coeffs + (self.rhs,))
         return tuple(nums), d
 
-    @cached_property
-    def free_lowering(self) -> dict[int, int]:
-        """The scaled row's standard-form numerators when every variable is
-        free, in the layout ``_Lowering`` gives it: x_j becomes the column
-        pair ``(2j, 2j + 1)``, so a nonzero a_j is stored as ``{2j: a_j,
-        2j + 1: -a_j}``.  Computed once per row and shared, read-only, by every
-        all-free program that holds the row."""
-        nums = self.scaled[0]
-        row = {}
-        for j in range(len(nums) - 1):
-            a = nums[j]
-            if a:
-                row[2 * j] = a
-                row[2 * j + 1] = -a
-        return row
-
     @classmethod
     def from_integers(cls, nums, den: int, rel: str) -> "Constraint":
         """The row ``nums[:-1] . x rel nums[-1]`` with every entry over the
         positive denominator ``den``, its ``scaled`` preset: the numerators
         and ``den`` divided by their gcd, the integers ``lcm_scale`` would
         give the row, so none runs on it."""
-        g = gcd(den, *nums)
-        if g > 1:
-            nums = [a // g for a in nums]
-            den //= g
+        nums, den = reduce_over(nums, den)
         entries = [Fraction(a, den) if a else _ZERO for a in nums]
         con = cls(tuple(entries[:-1]), rel, entries[-1])
         # frozen: set the cached_property's slot directly, as it would
-        con.__dict__["scaled"] = (tuple(nums), den)
+        con.__dict__["scaled"] = (nums, den)
         return con
 
 
@@ -313,11 +294,12 @@ class _Lowering:
     ``x <= hi - lo`` after the original rows.  Each row is kept as integers
     over one denominator ``d``, ``(numerators, rhs, d)`` with the numerators
     a sparse ``{column: int}`` dict: the constraint's nonzero scaled entries
-    mapped through ``var_map``.  When every variable is free that dict is the
-    constraint's cached ``free_lowering``, so a row shared by many programs
-    (the cut loop's rounds) is lowered once; ``build_kernel`` copies it.  The
-    bound shifts are subtracted from the rhs in integers, over the lcm of the
-    shifts' denominators.
+    mapped through ``var_map``.  When every variable is free that dict
+    depends on the row alone, and the first program to lower the row keeps
+    it on the constraint (``free_lowering``), so a row shared by many
+    programs (the cut loop's rounds) is lowered once; ``build_kernel``
+    copies it.  The bound shifts are subtracted from the rhs in integers,
+    over the lcm of the shifts' denominators.
     """
 
     def __init__(self, lp: LinearProgram, minimize_obj):
@@ -355,9 +337,10 @@ class _Lowering:
         shift_nums, shift_den = lcm_scale([offset for _, offset in shifts])
         for c in lp.constraints:
             nums, d = c.scaled
-            if all_free:
-                struct = c.free_lowering
-            else:
+            # an all-free lowering depends on the row alone: kept in the
+            # frozen constraint's __dict__, as a cached_property would
+            struct = c.__dict__.get("free_lowering") if all_free else None
+            if struct is None:
                 struct = {}
                 for a, (plus, minus, _) in zip(nums, self.var_map):
                     if a:
@@ -365,6 +348,8 @@ class _Lowering:
                             struct[plus] = a
                         if minus >= 0:
                             struct[minus] = -a
+                if all_free:
+                    c.__dict__["free_lowering"] = struct
             b = nums[-1]
             if shifts:
                 # d * (rhs - sum_j coeffs[j] * offset_j), times shift_den
@@ -460,7 +445,7 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
     dual = y[: len(lp.constraints)]
     if flip:
         dual = [-v for v in dual]
-    value = sum((c * x for c, x in zip(lp.objective, primal) if c), _ZERO)
+    value = sum(c * x for c, x in zip(lp.objective, primal))
     out = LpOutcome(status="optimal", value=value, primal=primal, dual=dual, pivots=kern.pivots)
     _assert_certificate(lp, sense, out)
     return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
@@ -70,3 +70,13 @@ def lcm_scale_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
     ratios = [[v.as_integer_ratio() for v in row] for row in rows]
     d = lcm(*(q for row in ratios for _, q in row))
     return tuple(tuple(p * (d // q) for p, q in row) for row in ratios), d
+
+
+def reduce_over(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """Integers ``nums`` over the positive denominator ``den`` in lowest
+    terms: both divided by their gcd, the numerators and denominator
+    ``lcm_scale`` gives for the rationals ``a / den``."""
+    g = gcd(den, *nums)
+    if g > 1:
+        return tuple(a // g for a in nums), den // g
+    return tuple(nums), den

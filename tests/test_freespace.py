@@ -505,32 +505,59 @@ def test_filtered_molecules_norm_is_l1_of_coefficients():
     assert accepted == 63
 
 
-def test_cut_loop_outcomes_pinned(monkeypatch):
-    # Every LP of criterion 02's 100 k=2 pipelines, the complementation cut
-    # loop's rounds above all, field for field: how a row is built, scaled
-    # or lowered must not move a pivot or a certificate.
-    digest = hashlib.sha256()
-    statuses = Counter()
-    real_solve = lp.solve
+def _record_lps(spaces, extra=None):
+    """Run the k=2 pipeline on each space (then ``extra(i, space)``), and
+    record every ``lp.solve`` call as ``(program, outcome)`` and every
+    projection ``_projection_from`` builds."""
+    solved, operators = [], []
+    real_solve, real_projection = lp.solve, freespace._projection_from
 
     def recording_solve(program, sense="min"):
         out = real_solve(program, sense)
-        statuses[out.status] += 1
-        digest.update(repr(out).encode())
+        solved.append((program, out))
         return out
 
-    monkeypatch.setattr(lp, "solve", recording_solve)
-    for i in range(100):
-        space = random_space(4 + i % 5, i, "euclidean" if i % 3 == 0 else "range")
-        construct.theorem_pipeline(space, 2)
-    assert statuses == {"optimal": 282}
+    def recording_projection(space, basis, g):
+        op = real_projection(space, basis, g)
+        assert "scaled" in op.__dict__
+        operators.append(op)
+        return op
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve", recording_solve)
+        mp.setattr(freespace, "_projection_from", recording_projection)
+        for i, space in enumerate(spaces):
+            construct.theorem_pipeline(space, 2)
+            if extra:
+                extra(i, space)
+    return solved, operators
+
+
+@pytest.fixture(scope="module")
+def criterion_02_lps():
+    # criterion 02's 100 k=2 pipelines, recorded once for the tests below
+    spaces = [
+        random_space(4 + i % 5, i, "euclidean" if i % 3 == 0 else "range") for i in range(100)
+    ]
+    return _record_lps(spaces)
+
+
+def test_cut_loop_outcomes_pinned(criterion_02_lps):
+    # Every LP of criterion 02's 100 k=2 pipelines, the complementation cut
+    # loop's rounds above all, field for field: how a row is built, scaled
+    # or lowered must not move a pivot or a certificate.
+    solved, _ = criterion_02_lps
+    digest = hashlib.sha256()
+    for _, out in solved:
+        digest.update(repr(out).encode())
+    assert Counter(out.status for _, out in solved) == {"optimal": 282}
     assert digest.hexdigest() == (
         "bfec043420abf1d9b11d1a94081a6c3fc933c244ff3fa5085857c7ca173527e8"
     )
 
 
 def _reference_lowering(low, con):
-    # the general lowering: walk every standard column of the row
+    # the column-by-column lowering: walk every standard column of the row
     columns = [None] * low.n_struct
     for j, (plus, minus, _) in enumerate(low.var_map):
         if plus >= 0:
@@ -541,40 +568,25 @@ def _reference_lowering(low, con):
     return {col: sign * nums[j] for col, (j, sign) in enumerate(columns) if nums[j]}
 
 
-def test_preset_caches_match_their_oracles(monkeypatch):
+def test_preset_caches_match_their_oracles(criterion_02_lps):
     # Rows built from integers preset ``Constraint.scaled``, the projection
     # presets ``FreeOperator.scaled`` and an all-free program reads each
-    # row's cached ``free_lowering``.  Each must be what the general code
-    # computes: the lowest-terms lcm scaling and the column-by-column
-    # lowering.
-    programs = []
-    operators = []
-    real_solve, real_projection = lp.solve, freespace._projection_from
-
-    def recording_solve(program, sense="min"):
-        programs.append(program)
-        return real_solve(program, sense)
-
-    def recording_projection(space, basis, g):
-        op = real_projection(space, basis, g)
-        assert "scaled" in op.__dict__
-        operators.append(op)
-        return op
-
-    monkeypatch.setattr(lp, "solve", recording_solve)
-    monkeypatch.setattr(freespace, "_projection_from", recording_projection)
-    spaces = [
-        random_space(4 + i % 5, i, "euclidean" if i % 3 == 0 else "range") for i in range(100)
-    ]
-    spaces += [random_space(n, seed, method) for n in range(4, 11) for seed in range(3)
-               for method in ("range", "euclidean")]
-    for i, space in enumerate(spaces):
-        construct.theorem_pipeline(space, 2)
+    # row's lowering kept on the constraint (``free_lowering``).  Each must
+    # be what the general code computes: the lowest-terms lcm scaling and
+    # the column-by-column lowering.  Criterion 02's programs, plus random
+    # spaces n = 4..10 with a free norm by each route.
+    def free_norms(i, space):
         v = freespace.free_vector(space, random_coeffs(f"preset:{i}", space.n - 1))
         freespace.free_norm_dual(v)
         freespace.free_norm_primal(v)
+
+    spaces = [random_space(n, seed, method) for n in range(4, 11) for seed in range(3)
+              for method in ("range", "euclidean")]
+    solved, operators = _record_lps(spaces, free_norms)
+    solved += criterion_02_lps[0]
+    operators += criterion_02_lps[1]
     lowered = {True: 0, False: 0}  # rows, by whether every variable is free
-    for program in programs:
+    for program, _ in solved:
         low = lp._Lowering(program, list(program.objective))
         free = all(b == (None, None) for b in program.bounds)
         for con, (struct, _, d) in zip(program.constraints, low.rows):
@@ -583,9 +595,9 @@ def test_preset_caches_match_their_oracles(monkeypatch):
             assert list(struct.items()) == list(_reference_lowering(low, con).items())
             assert d == den
             if free:
-                assert struct is con.free_lowering
+                assert struct is con.__dict__["free_lowering"]
             lowered[free] += 1
     assert lowered[True] > 10_000 and lowered[False] > 100
-    assert len(operators) == len(spaces)
+    assert len(operators) == len(spaces) + 100
     for op in operators:
         assert op.scaled == lcm_scale_rows(op.matrix)
