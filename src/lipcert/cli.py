@@ -382,6 +382,7 @@ def _int_at_least(low: int):
 
 _non_negative = _int_at_least(0)  # budgets
 _positive = _int_at_least(1)  # counts and sizes
+_points = _int_at_least(2)  # point counts: a space has a base and one more point
 
 
 class _Parser(argparse.ArgumentParser):
@@ -455,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--method", choices=("range", "euclidean"), default="range")
     p.add_argument("-k", type=_positive, default=2)
-    p.add_argument("-n", type=_positive, default=None)
+    p.add_argument("-n", type=_points, default=None)
     p.add_argument("--budget", type=_non_negative, default=None)
     p.set_defaults(handler=cmd_trials)
 

@@ -26,7 +26,6 @@ from .metric import PointedMetricSpace, restrict
 from .rationals import lcm_scale_rows
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ConstructionError(AssertionError):
@@ -247,69 +246,117 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     the functional values by LP feasibility.
 
     Depth-first over assignments of ordered pairs (sorted by decreasing
-    distance, then lexicographically) to the 2^(k-1) sign classes.  Each
-    basis coordinate's assigned pairs form a system of difference
-    constraints; the search keeps its all-pairs shortest-path closure on the
-    stack (``lipschitz.closure_add``), and backtracking drops the child's
-    closures.  A candidate pair is accepted by one integer comparison per
-    coordinate: for c = e * rho(x, y) the interval check
-    ``lipschitz.closure_admits`` reduces to C[y][x] == rho when e = +1 and
-    to C[x][y] == rho when e = -1, since a closure never exceeds the metric
-    and C[x][y] + C[y][x] >= 0 on a feasible system.  A full assignment goes
-    to one LP per basis coordinate, whose solutions give the certified basis
-    with the assignment as its sign witnesses.
+    distance, then lexicographically; a pair's place in that order is its
+    rank) to the 2^(k-1) sign classes.  Each basis coordinate's assigned
+    pairs form a system of difference constraints; the search keeps its
+    all-pairs shortest-path closure on the stack (``lipschitz.closure_add``),
+    and backtracking drops the child's closures.  A candidate pair is
+    accepted by one integer comparison per coordinate: for c = e * rho(x, y)
+    the interval check ``lipschitz.closure_admits`` reduces to
+    C[y][x] == rho when e = +1 and to C[x][y] == rho when e = -1, since a
+    closure never exceeds the metric and C[x][y] + C[y][x] >= 0 on a
+    feasible system.  A full assignment goes to one LP per basis coordinate,
+    whose solutions give the certified basis with the assignment as its sign
+    witnesses.
+
+    Each node scans only what its parent left.  Every class has e_0 = +1
+    and a closure only ever goes down, so a pair that fails coordinate 0 at
+    a node fails it at every descendant: a node keeps the ranks that pass
+    coordinate 0 on its own closure, filtered from its parent's list (the
+    root's is every rank), and hands that list to its children.  The pairs
+    it skips unread still count as tried: one int mask holds the unused
+    ranks (at the root, the first class's), and before each admitted rank
+    the count grows by the unused ranks up to it, the rest after the scan,
+    so ``assignments_tried`` and the budget's cut-off are those of trying
+    every unused pair in rank order.  A node of the last class builds no
+    closures, since its children go straight to the LPs: it reads each
+    entry of its parent's closures through the one new arc
+    (``lipschitz.closure_entry``).
     """
     if k < 1:
         raise ValueError("need k >= 1")
     if space.base != 0:
         raise ValueError("direct_search_l1 expects the base point at index 0")
     n_classes = 1 << (k - 1)  # class d of the search is sign_class(k, d)
+    last = n_classes - 1
     # integer-scaled distances keep the feasibility pruning in int arithmetic
     dist_int = space.integer_dist
     candidates = sorted(
         space.ordered_pairs(),
         key=lambda p: (-dist_int[p[0]][p[1]], p),
     )
+    rank = {pair: r for r, pair in enumerate(candidates)}
+    xs = [x for x, _ in candidates]
+    ys = [y for _, y in candidates]
+    rhos = [dist_int[x][y] for x, y in candidates]
+    pair_bits = [1 << r | 1 << rank[y, x] for r, (x, y) in enumerate(candidates)]
     # The all-ones class may fix its pair orientation: negating the basis
     # swaps both orientations, so nothing is lost modulo global sign.
-    first_candidates = [p for p in candidates if p[0] < p[1]]
+    first_mask = sum(1 << r for r, (x, y) in enumerate(candidates) if x < y)
+    unused = (1 << len(candidates)) - 1  # ranks of pairs unused either way round
     tried = 0
     assignment: list[tuple[int, int]] = []
-    used = [[False] * space.n for _ in range(space.n)]  # pairs either way round
 
     # shared by every coordinate LP of every full assignment
     ball = freespace.lipschitz_ball_rows(space, 1)
 
-    def dfs(closures):
+    def count(m):
+        """Count ``m`` more tried pairs; False if the budget runs out first,
+        which leaves the count at the budget."""
         nonlocal tried
-        depth = len(assignment)
-        if depth == n_classes:
-            return _direct_search_solve(space, k, assignment, ball)
+        if node_budget is not None and tried + m > node_budget:
+            tried = node_budget
+            return False
+        tried += m
+        return True
+
+    def dfs(depth, closures, survivors):
+        # ``closures``: this node's closure per coordinate, or in the last
+        # class (parent closure, x, y, c); ``survivors``: the parent's list
+        nonlocal unused
         eps = certify.sign_class(k, depth)
-        for x, y in first_candidates if depth == 0 else candidates:
-            if used[x][y]:
+        mask = first_mask if depth == 0 else unused
+        if depth < last:
+            c0 = closures[0]
+            survivors = [r for r in survivors if c0[ys[r]][xs[r]] == rhos[r]]
+            checks = tuple(zip(eps, closures))[1:]
+        else:
+            checks = tuple(zip(eps, closures))
+        counted = 0  # unused ranks in the mask up to the last admitted one
+        for r in survivors:
+            if not mask >> r & 1:
                 continue
-            if node_budget is not None and tried >= node_budget:
-                return "budget"
-            tried += 1
-            rho = dist_int[x][y]
-            for e, closure in zip(eps, closures):
-                if (closure[y][x] if e > 0 else closure[x][y]) != rho:
+            x, y, rho = xs[r], ys[r], rhos[r]
+            for e, closure in checks:
+                a, b = (y, x) if e > 0 else (x, y)
+                entry = closure[a][b] if depth < last else lipschitz.closure_entry(*closure, a, b)
+                if entry != rho:
                     break
             else:
+                upto = (mask & ((2 << r) - 1)).bit_count()
+                if not count(upto - counted):
+                    return "budget"
+                counted = upto
                 assignment.append((x, y))
-                used[x][y] = used[y][x] = True
-                outcome = dfs([
-                    lipschitz.closure_add(closure, x, y, e * rho)
-                    for e, closure in zip(eps, closures)
-                ])
+                if depth == last:
+                    outcome = _direct_search_solve(space, k, assignment, ball)
+                else:
+                    arcs = [(closure, x, y, e * rho) for e, closure in zip(eps, closures)]
+                    if depth + 1 < last:
+                        arcs = [lipschitz.closure_add(*arc) for arc in arcs]
+                    unused ^= pair_bits[r]
+                    outcome = dfs(depth + 1, arcs, survivors)
+                    unused ^= pair_bits[r]
                 if outcome is not None:
                     return outcome
                 assignment.pop()
-                used[x][y] = used[y][x] = False
-        return None
+        return None if count(mask.bit_count() - counted) else "budget"
 
-    outcome = dfs([dist_int] * k)
+    # a one-class search's root is in the last class: it reads the metric
+    # through the arc of the trivial equality f(0) - f(0) = 0, which lowers
+    # no entry
+    root = [(dist_int, 0, 0, 0)] if last == 0 else [dist_int] * k
+    outcome = dfs(0, root, range(len(candidates)))
     if outcome == "budget":
         return DirectSearchResult(space, k, False, None, None, tried, True)
     if outcome is None:
@@ -321,19 +368,24 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
 def _direct_search_solve(space, k, assignment, ball):
     """Functional values of a fully assigned witness map: one LP per basis
     coordinate, the 1-Lipschitz ball rows ``ball`` plus that coordinate's
-    equalities."""
+    equalities f(x) - f(y) = e * rho(x, y), each built from the space's
+    ``integer_dist`` over its ``dist_scale`` s as the integers ``(s, -s)``
+    and ``e * D[x][y]``, with its scaled row preset."""
     n = space.n
+    s = space.dist_scale
+    dist = space.integer_dist
     pinned = {certify.sign_class(k, d): pair for d, pair in enumerate(assignment)}
     basis = []
     for kappa in range(k):
         rows = list(ball)
         for eps, (x, y) in pinned.items():
-            coeffs = [_ZERO] * (n - 1)
+            nums = [0] * n
             if x != 0:
-                coeffs[x - 1] = _ONE
+                nums[x - 1] = s
             if y != 0:
-                coeffs[y - 1] = -_ONE
-            rows.append(lp.Constraint(tuple(coeffs), lp.EQ, eps[kappa] * space.rho(x, y)))
+                nums[y - 1] = -s
+            nums[-1] = eps[kappa] * dist[x][y]
+            rows.append(lp.Constraint.from_integers(nums, s, lp.EQ))
         outcome = lp.feasible(rows, n_vars=n - 1)
         if outcome.status != "optimal":
             return None

@@ -256,7 +256,8 @@ def closure_add(closure, x, y, c):
 
     The equality is the arcs y -> x of weight c and x -> y of weight -c, so
     a shortest path uses at most one of them: D'[a][b] = min(D[a][b],
-    D[a][y] + c + D[x][b], D[a][x] - c + D[y][b]).  A closure satisfies
+    D[a][y] + c + D[x][b], D[a][x] - c + D[y][b]), the entry that
+    ``closure_entry`` reads without building D'.  A closure satisfies
     D[a][b] <= D[a][x] + D[x][b], so the first term can lower row ``a``
     only if D[a][y] + c < D[a][x], and likewise the second only if
     D[a][x] - c < D[a][y]; the two conditions exclude each other.  Each row
@@ -282,6 +283,15 @@ def closure_add(closure, x, y, c):
         else:
             new.append(row)
     return new
+
+
+def closure_entry(closure, x, y, c, a, b):
+    """Entry ``[a][b]`` of ``closure_add(closure, x, y, c)``, read through
+    the one new arc a shortest path may use, without building the closure:
+    three integer sums for a search that reads a few entries of a closure it
+    never extends."""
+    row = closure[a]
+    return min(row[b], row[y] + c + closure[x][b], row[x] - c + closure[y][b])
 
 
 def _relax(edges, dist, rounds, pred):

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from lipcert import certify, construct, freespace, lp
-from lipcert.lipschitz import lip_norm
+from lipcert.lipschitz import closure_add, lip_norm
 from lipcert.metric import PointedMetricSpace, random_space
 
 from helpers import equilateral, random_coeffs
@@ -225,6 +225,97 @@ def test_pipeline_and_direct_search_cross_valid():
     for basis in (pipe.basis, direct.basis):
         assert certify.l1_isometry_lip(basis).valid
         assert certify.l1_isometry_corner(basis).valid
+
+
+def _per_candidate_search(space, k, node_budget=None):
+    """The direct search as one loop over every candidate of every node: each
+    unused pair is counted, then tested on every coordinate of a built
+    closure, the budget checked before each.  An oracle for the nodes, the
+    count and the budget cut-off of ``direct_search_l1``; returns its witness
+    pairs, ``assignments_tried`` and ``budget_exhausted``."""
+    n_classes = 1 << (k - 1)
+    dist_int = space.integer_dist
+    candidates = sorted(space.ordered_pairs(), key=lambda p: (-dist_int[p[0]][p[1]], p))
+    first_candidates = [p for p in candidates if p[0] < p[1]]
+    tried = 0
+    assignment = []
+    used = [[False] * space.n for _ in range(space.n)]
+    ball = freespace.lipschitz_ball_rows(space, 1)
+
+    def dfs(closures):
+        nonlocal tried
+        depth = len(assignment)
+        if depth == n_classes:
+            return construct._direct_search_solve(space, k, assignment, ball)
+        eps = certify.sign_class(k, depth)
+        for x, y in first_candidates if depth == 0 else candidates:
+            if used[x][y]:
+                continue
+            if node_budget is not None and tried >= node_budget:
+                return "budget"
+            tried += 1
+            rho = dist_int[x][y]
+            for e, closure in zip(eps, closures):
+                if (closure[y][x] if e > 0 else closure[x][y]) != rho:
+                    break
+            else:
+                assignment.append((x, y))
+                used[x][y] = used[y][x] = True
+                outcome = dfs([closure_add(closure, x, y, e * rho) for e, closure in zip(eps, closures)])
+                if outcome is not None:
+                    return outcome
+                assignment.pop()
+                used[x][y] = used[y][x] = False
+        return None
+
+    outcome = dfs([dist_int] * k)
+    if outcome in (None, "budget"):
+        return None, tried, outcome == "budget"
+    return _witness_pairs(outcome[1]), tried, False
+
+
+def _witness_pairs(cert):
+    return [(w.epsilon, w.x, w.y) for w in cert.sign_witnesses]
+
+
+def test_direct_search_matches_per_candidate_search(monkeypatch):
+    # Same found witnesses, count and budget verdict as trying every unused
+    # pair in rank order, and the same full assignments sent to the LPs in
+    # the same order: k = 1, 2 on small spaces (equilateral(3) at k = 2
+    # exhausts after 15), k = 3 on the benchmark's seed-0 8-point spaces,
+    # each unbudgeted and at budgets 1, count - 1, count and count + 1; k = 4
+    # on 16-point spaces, whose budgets run out before any leaf.
+    leaves = []
+    solve = construct._direct_search_solve
+
+    def recording_solve(space, k, assignment, ball):
+        leaves.append(tuple(assignment))
+        return solve(space, k, assignment, ball)
+
+    monkeypatch.setattr(construct, "_direct_search_solve", recording_solve)
+    cases = [(random_space(n, seed), k) for n in range(2, 8) for seed in range(4) for k in (1, 2)]
+    cases += [(equilateral(3), 2)]
+    cases += [(random_space(8, i, method), 3) for i in range(4) for method in ("range", "euclidean")]
+    runs = []
+    for space, k in cases:
+        count = _per_candidate_search(space, k)[1]
+        runs += [(space, k, budget) for budget in (None, 1, count - 1, count, count + 1)]
+    runs += [
+        (random_space(16, seed, method), 4, budget)
+        for seed in range(2) for method in ("range", "euclidean") for budget in (5000, 20000)
+    ]
+    kinds = set()
+    for space, k, budget in runs:
+        leaves.clear()
+        expected = _per_candidate_search(space, k, budget), list(leaves)
+        leaves.clear()
+        result = construct.direct_search_l1(space, k, node_budget=budget)
+        pairs = _witness_pairs(result.certificate) if result.found else None
+        assert ((pairs, result.assignments_tried, result.budget_exhausted), leaves) == expected, (
+            space.dist, k, budget,
+        )
+        kinds.add("found" if result.found else "budget" if result.budget_exhausted else "exhausted")
+    assert kinds == {"found", "exhausted", "budget"}
 
 
 def test_evaluation_embedding_l1_line():

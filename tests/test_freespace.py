@@ -12,6 +12,7 @@ from lipcert import certify, construct, freespace, lipschitz, lp
 from lipcert.lipschitz import (
     closure_add,
     closure_admits,
+    closure_entry,
     differences_feasible,
     lip_norm,
 )
@@ -351,17 +352,20 @@ def _shortest_paths(dist_int, equalities):
     return d
 
 
-def test_incremental_closure_matches_bellman_ford_and_floyd_warshall():
-    # random equality sequences, the rejected ones skipped as the direct
-    # search skips them: every verdict against Bellman-Ford on the
-    # accumulated system, every accepted closure against a from-scratch one
-    spaces = [space for space, _ in _filter_cases()]
-    spaces += [
+def _closure_spaces():
+    return [space for space, _ in _filter_cases()] + [
         random_space(n, seed, method)
         for method in ("range", "euclidean")
         for n in range(5, 9)
         for seed in range(5)
     ]
+
+
+def test_incremental_closure_matches_bellman_ford_and_floyd_warshall():
+    # random equality sequences, the rejected ones skipped as the direct
+    # search skips them: every verdict against Bellman-Ford on the
+    # accumulated system, every accepted closure against a from-scratch one
+    spaces = _closure_spaces()
     verdicts = set()
     for i, space in enumerate(spaces):
         rng = random.Random(f"closure:{i}")
@@ -388,13 +392,7 @@ def test_closure_add_shares_unchanged_rows_and_extreme_differences_need_one_comp
     # to lists once), and the parent is left as it was.  For c = +rho and
     # c = -rho the direct search's single comparison agrees with
     # closure_admits.
-    spaces = [space for space, _ in _filter_cases()]
-    spaces += [
-        random_space(n, seed, method)
-        for method in ("range", "euclidean")
-        for n in range(5, 9)
-        for seed in range(5)
-    ]
+    spaces = _closure_spaces()
     admits = set()
     shared = lowered = 0
     for i, space in enumerate(spaces):
@@ -425,6 +423,29 @@ def test_closure_add_shares_unchanged_rows_and_extreme_differences_need_one_comp
             closure = new
     assert admits == {True, False}
     assert shared and lowered
+
+
+def test_closure_entry_reads_every_entry_of_closure_add():
+    # the walk of the incremental closure test: at each accepted equality,
+    # every entry read through its one arc is the built closure's entry
+    read = 0
+    for i, space in enumerate(_closure_spaces()):
+        rng = random.Random(f"closure:{i}")
+        dist_int = space.integer_dist
+        closure = dist_int
+        for _ in range(12):
+            x, y = rng.sample(range(space.n), 2)
+            rho = dist_int[x][y]
+            c = rng.choice([rho, -rho, rng.randint(-rho, rho)])
+            if not closure_admits(closure, x, y, c):
+                continue
+            new = closure_add(closure, x, y, c)
+            for a in range(space.n):
+                for b in range(space.n):
+                    assert closure_entry(closure, x, y, c, a, b) == new[a][b]
+                    read += 1
+            closure = new
+    assert read > 10_000
 
 
 def _transport_cases():
@@ -585,7 +606,42 @@ def test_preset_caches_match_their_oracles(criterion_02_lps):
     solved, operators = _record_lps(spaces, free_norms)
     solved += criterion_02_lps[0]
     operators += criterion_02_lps[1]
-    lowered = {True: 0, False: 0}  # rows, by whether every variable is free
+    lowered = _check_rows(solved)
+    assert lowered[True] > 10_000 and lowered[False] > 100
+    assert len(operators) == len(spaces) + 100
+    for op in operators:
+        assert op.scaled == lcm_scale_rows(op.matrix)
+
+
+def test_direct_search_rows_match_their_oracles():
+    # The coordinate LPs of the direct search: the ball rows and each
+    # coordinate's equalities f(x) - f(y) = e * rho(x, y), built from
+    # integers, against the lcm scaling and the column-by-column lowering.
+    solved = []
+    real_solve = lp.solve
+
+    def recording_solve(program, sense="min"):
+        out = real_solve(program, sense)
+        solved.append((program, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve", recording_solve)
+        for seed in range(4):
+            for method in ("range", "euclidean"):
+                assert construct.direct_search_l1(random_space(5 + seed, seed, method), 2).found
+                assert construct.direct_search_l1(random_space(8, seed, method), 3).found
+    equalities = [con for program, _ in solved for con in program.constraints if con.rel == lp.EQ]
+    assert _check_rows(solved) == {True: sum(len(p.constraints) for p, _ in solved), False: 0}
+    assert len(equalities) == 8 * (2 * 2 + 3 * 4)
+    assert all(sum(1 for a in con.coeffs if a) in (1, 2) for con in equalities)
+
+
+def _check_rows(solved):
+    """Check every row of the recorded programs against ``lcm_scale`` and
+    the column-by-column lowering; count them by whether every variable of
+    their program is free."""
+    lowered = {True: 0, False: 0}
     for program, _ in solved:
         low = lp._Lowering(program, list(program.objective))
         free = all(b == (None, None) for b in program.bounds)
@@ -597,7 +653,4 @@ def test_preset_caches_match_their_oracles(criterion_02_lps):
             if free:
                 assert struct is con.__dict__["free_lowering"]
             lowered[free] += 1
-    assert lowered[True] > 10_000 and lowered[False] > 100
-    assert len(operators) == len(spaces) + 100
-    for op in operators:
-        assert op.scaled == lcm_scale_rows(op.matrix)
+    return lowered

@@ -387,9 +387,9 @@ def test_integer_recheck_agrees_with_fraction_oracle():
 
 def test_constraint_rows_scaled_once(monkeypatch):
     # A row built from integers (the ball rows, the biorthogonality
-    # equalities, the cuts) comes with its scaled row preset and is never
-    # lcm-scaled; every other row is scaled exactly once, however many
-    # programs share it.
+    # equalities, the cuts, the direct search's coordinate equalities) comes
+    # with its scaled row preset and is never lcm-scaled; every other row is
+    # scaled exactly once, however many programs share it.
     scaled = Counter()
     programs = []
     real_scale, real_solve = lp.lcm_scale, lp.solve
@@ -422,8 +422,8 @@ def test_constraint_rows_scaled_once(monkeypatch):
     assert len(rows) > len(programs[0].constraints)  # the cuts
     assert [scaled[values(con)] for con in rows] == [0] * len(rows)
 
-    # one k=3 direct search: each coordinate LP shares the same ball rows,
-    # built from integers, and adds equality rows of its own, scaled once
+    # one k=3 direct search: each coordinate LP shares the same ball rows and
+    # adds equality rows of its own, all built from integers
     scaled.clear()
     programs.clear()
     space = random_space(8, 0, "range")
@@ -432,12 +432,15 @@ def test_constraint_rows_scaled_once(monkeypatch):
     rows = shared_rows()
     ball_ids = {id(con) for con in rows if con.rel == lp.LE}
     assert len(ball_ids) == len(freespace.lipschitz_ball_rows(space, 1))
-    # a coordinate's equality row can repeat a ball row's numbers; it is a
-    # row of its own, scaled on its own
-    others = Counter(values(con) for con in rows if id(con) not in ball_ids)
-    assert sum(others.values()) >= 3 * 4
-    assert [scaled[values(con)] for con in rows] == [others[values(con)] for con in rows]
-    assert sum(scaled[values(con)] == 0 for con in rows if id(con) in ball_ids) > 40
+    assert len(rows) - len(ball_ids) >= 3 * 4
+    assert [scaled[values(con)] for con in rows] == [0] * len(rows)
+
+    # a row built from rationals, shared by two programs, is scaled once
+    scaled.clear()
+    row = lp.Constraint((F(1, 2), F(-1, 3)), lp.LE, F(5, 6))
+    for sense in ("min", "max"):
+        lp.solve(lp.make_program([1, 1], [row], [(0, 4), (0, 4)]), sense)
+    assert scaled[values(row)] == 1
 
 
 def test_make_program_keeps_a_constraint():
