@@ -337,6 +337,9 @@ def _trial_star(packed):
 def cmd_trials(args):
     if args.op not in TRIAL_OPS:
         raise InputError(f"unknown trials op {args.op!r}; choose from {', '.join(TRIAL_OPS)}")
+    # n < 2^k compared by bit length, so that a large -k builds no 2^k
+    if args.op == "pipeline" and args.n is not None and args.n.bit_length() <= args.k:
+        raise InputError(f"trials --op pipeline needs -n >= 2^k points for k = {args.k}, got {args.n}")
     params = {
         "method": args.method,
         "k": args.k,

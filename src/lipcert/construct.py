@@ -268,17 +268,23 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     ranks (at the root, the first class's), and before each admitted rank
     the count grows by the unused ranks up to it, the rest after the scan,
     so ``assignments_tried`` and the budget's cut-off are those of trying
-    every unused pair in rank order.  A node of the last class builds no
-    closures, since its children go straight to the LPs: it reads each
-    entry of its parent's closures through the one new arc
-    (``lipschitz.closure_entry``).
+    every unused pair in rank order.
+
+    A node holds, per coordinate, its parent's closure and the one arc it
+    added (the root, the metric and the arc of the trivial equality
+    f(0) - f(0) = 0), and reads its own closure through that arc
+    (``lipschitz.arc_columns``).  Its entry [a][b] is rho exactly when the
+    parent's is and neither sum through the arc falls below rho, since it
+    is the least of the three and a closure never exceeds the metric.  A
+    node builds its own closures (``lipschitz.closure_add``) only when it
+    first admits a child, and a node of the last class never does, since
+    its children go straight to the LPs.
     """
     if k < 1:
         raise ValueError("need k >= 1")
     if space.base != 0:
         raise ValueError("direct_search_l1 expects the base point at index 0")
-    n_classes = 1 << (k - 1)  # class d of the search is sign_class(k, d)
-    last = n_classes - 1
+    last = (1 << (k - 1)) - 1  # class d of the search is sign_class(k, d)
     # integer-scaled distances keep the feasibility pruning in int arithmetic
     dist_int = space.integer_dist
     candidates = sorted(
@@ -310,27 +316,33 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
         tried += m
         return True
 
-    def dfs(depth, closures, survivors):
-        # ``closures``: this node's closure per coordinate, or in the last
-        # class (parent closure, x, y, c); ``survivors``: the parent's list
+    classes = []  # sign_class(k, d) of each depth d reached so far
+
+    def dfs(depth, views, survivors):
+        # ``views``: per coordinate, the parent's closure and the arc
+        # (x, y, c) this node added; ``survivors``: the parent's list
         nonlocal unused
-        eps = certify.sign_class(k, depth)
+        if depth == len(classes):
+            classes.append(certify.sign_class(k, depth))
+        eps = classes[depth]
+        reads = [(e, view[0], *lipschitz.arc_columns(*view)) for e, view in zip(eps, views)]
+        _, c0, via_y0, row_x0, via_x0, row_y0 = reads[0]
+        survivors = [
+            r for r in survivors
+            if c0[a := ys[r]][b := xs[r]] == (rho := rhos[r])
+            and via_y0[a] + row_x0[b] >= rho and via_x0[a] + row_y0[b] >= rho
+        ]
+        checks = reads[1:]
         mask = first_mask if depth == 0 else unused
-        if depth < last:
-            c0 = closures[0]
-            survivors = [r for r in survivors if c0[ys[r]][xs[r]] == rhos[r]]
-            checks = tuple(zip(eps, closures))[1:]
-        else:
-            checks = tuple(zip(eps, closures))
         counted = 0  # unused ranks in the mask up to the last admitted one
+        own = None  # this node's closures, built when it first admits a child
         for r in survivors:
             if not mask >> r & 1:
                 continue
             x, y, rho = xs[r], ys[r], rhos[r]
-            for e, closure in checks:
+            for e, closure, via_y, row_x, via_x, row_y in checks:
                 a, b = (y, x) if e > 0 else (x, y)
-                entry = closure[a][b] if depth < last else lipschitz.closure_entry(*closure, a, b)
-                if entry != rho:
+                if closure[a][b] != rho or via_y[a] + row_x[b] < rho or via_x[a] + row_y[b] < rho:
                     break
             else:
                 upto = (mask & ((2 << r) - 1)).bit_count()
@@ -341,10 +353,10 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
                 if depth == last:
                     outcome = _direct_search_solve(space, k, assignment, ball)
                 else:
-                    arcs = [(closure, x, y, e * rho) for e, closure in zip(eps, closures)]
-                    if depth + 1 < last:
-                        arcs = [lipschitz.closure_add(*arc) for arc in arcs]
+                    if own is None:
+                        own = [lipschitz.closure_add(*view) for view in views]
                     unused ^= pair_bits[r]
+                    arcs = [(closure, x, y, e * rho) for e, closure in zip(eps, own)]
                     outcome = dfs(depth + 1, arcs, survivors)
                     unused ^= pair_bits[r]
                 if outcome is not None:
@@ -352,10 +364,9 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
                 assignment.pop()
         return None if count(mask.bit_count() - counted) else "budget"
 
-    # a one-class search's root is in the last class: it reads the metric
-    # through the arc of the trivial equality f(0) - f(0) = 0, which lowers
-    # no entry
-    root = [(dist_int, 0, 0, 0)] if last == 0 else [dist_int] * k
+    # the root reads the metric through the arc of the trivial equality
+    # f(0) - f(0) = 0, which lowers no entry
+    root = [(dist_int, 0, 0, 0)] * k
     outcome = dfs(0, root, range(len(candidates)))
     if outcome == "budget":
         return DirectSearchResult(space, k, False, None, None, tried, True)

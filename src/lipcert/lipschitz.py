@@ -257,7 +257,7 @@ def closure_add(closure, x, y, c):
     The equality is the arcs y -> x of weight c and x -> y of weight -c, so
     a shortest path uses at most one of them: D'[a][b] = min(D[a][b],
     D[a][y] + c + D[x][b], D[a][x] - c + D[y][b]), the entry that
-    ``closure_entry`` reads without building D'.  A closure satisfies
+    ``arc_columns`` reads without building D'.  A closure satisfies
     D[a][b] <= D[a][x] + D[x][b], so the first term can lower row ``a``
     only if D[a][y] + c < D[a][x], and likewise the second only if
     D[a][x] - c < D[a][y]; the two conditions exclude each other.  Each row
@@ -285,13 +285,14 @@ def closure_add(closure, x, y, c):
     return new
 
 
-def closure_entry(closure, x, y, c, a, b):
-    """Entry ``[a][b]`` of ``closure_add(closure, x, y, c)``, read through
-    the one new arc a shortest path may use, without building the closure:
-    three integer sums for a search that reads a few entries of a closure it
-    never extends."""
-    row = closure[a]
-    return min(row[b], row[y] + c + closure[x][b], row[x] - c + closure[y][b])
+def arc_columns(closure, x, y, c):
+    """The columns through which a search reads ``closure_add(closure, x,
+    y, c)`` without building it: ``(via_y, row_x, via_x, row_y)``, with
+    entry [a][b] of the new closure min(closure[a][b], via_y[a] + row_x[b],
+    via_x[a] + row_y[b]).  ``via_y`` and ``via_x`` are the columns
+    closure[.][y] + c and closure[.][x] - c, built in O(n); ``row_x`` and
+    ``row_y`` are rows x and y of ``closure``, shared."""
+    return [row[y] + c for row in closure], closure[x], [row[x] - c for row in closure], closure[y]
 
 
 def _relax(edges, dist, rounds, pred):

@@ -516,6 +516,7 @@ _MALFORMED_INPUTS = {
         pytest.param(("trials", "--op", "four-point", "--count", "-2"), id="trials-count"),
         pytest.param(("trials", "--op", "pipeline", "--count", "1", "-n", "0"), id="trials-n"),
         pytest.param(("trials", "--op", "direct-search", "--count", "1", "-n", "1"), id="trials-n-1"),
+        pytest.param(("trials", "--op", "pipeline", "--count", "2", "-n", "3", "-k", "2"), id="trials-n-below-2^k"),
         pytest.param(("c0-demo", "-N", "2", "--count", "0"), id="c0-demo-count"),
         pytest.param(("c0-demo", "-N", "0"), id="c0-demo-blocks"),
         pytest.param(("pipeline", "eq4", "-k", "0"), id="pipeline-k"),

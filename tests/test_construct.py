@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from lipcert import certify, construct, freespace, lp
+from lipcert import certify, construct, freespace, lipschitz, lp
 from lipcert.lipschitz import closure_add, lip_norm
 from lipcert.metric import PointedMetricSpace, random_space
 
@@ -227,12 +227,13 @@ def test_pipeline_and_direct_search_cross_valid():
         assert certify.l1_isometry_corner(basis).valid
 
 
-def _per_candidate_search(space, k, node_budget=None):
+def _per_candidate_search(space, k, node_budget=None, parents=None):
     """The direct search as one loop over every candidate of every node: each
     unused pair is counted, then tested on every coordinate of a built
     closure, the budget checked before each.  An oracle for the nodes, the
     count and the budget cut-off of ``direct_search_l1``; returns its witness
-    pairs, ``assignments_tried`` and ``budget_exhausted``."""
+    pairs, ``assignments_tried`` and ``budget_exhausted``, and appends to the
+    list ``parents``, if given, the depth of each node that admits a child."""
     n_classes = 1 << (k - 1)
     dist_int = space.integer_dist
     candidates = sorted(space.ordered_pairs(), key=lambda p: (-dist_int[p[0]][p[1]], p))
@@ -248,6 +249,7 @@ def _per_candidate_search(space, k, node_budget=None):
         if depth == n_classes:
             return construct._direct_search_solve(space, k, assignment, ball)
         eps = certify.sign_class(k, depth)
+        admitted = False
         for x, y in first_candidates if depth == 0 else candidates:
             if used[x][y]:
                 continue
@@ -259,6 +261,9 @@ def _per_candidate_search(space, k, node_budget=None):
                 if (closure[y][x] if e > 0 else closure[x][y]) != rho:
                     break
             else:
+                if parents is not None and not admitted:
+                    parents.append(depth)
+                admitted = True
                 assignment.append((x, y))
                 used[x][y] = used[y][x] = True
                 outcome = dfs([closure_add(closure, x, y, e * rho) for e, closure in zip(eps, closures)])
@@ -316,6 +321,23 @@ def test_direct_search_matches_per_candidate_search(monkeypatch):
         )
         kinds.add("found" if result.found else "budget" if result.budget_exhausted else "exhausted")
     assert kinds == {"found", "exhausted", "budget"}
+
+
+def test_direct_search_builds_closures_only_for_nodes_that_admit_a_child(monkeypatch):
+    # criterion 03's spaces: k closures for each node below the last class
+    # that admits a child, and none for any other node
+    calls = []
+    add = lipschitz.closure_add
+    monkeypatch.setattr(lipschitz, "closure_add", lambda *arc: calls.append(arc) or add(*arc))
+    k = 3
+    last = (1 << (k - 1)) - 1
+    for seed in range(20):
+        space = random_space(8, seed, "range")
+        parents = []
+        _per_candidate_search(space, k, parents=parents)
+        calls.clear()
+        construct.direct_search_l1(space, k)
+        assert len(calls) == k * sum(depth < last for depth in parents), seed
 
 
 def test_evaluation_embedding_l1_line():

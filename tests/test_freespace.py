@@ -10,9 +10,9 @@ import pytest
 
 from lipcert import certify, construct, freespace, lipschitz, lp
 from lipcert.lipschitz import (
+    arc_columns,
     closure_add,
     closure_admits,
-    closure_entry,
     differences_feasible,
     lip_norm,
 )
@@ -425,26 +425,33 @@ def test_closure_add_shares_unchanged_rows_and_extreme_differences_need_one_comp
     assert shared and lowered
 
 
-def test_closure_entry_reads_every_entry_of_closure_add():
+def test_arc_columns_read_every_entry_of_closure_add():
     # the walk of the incremental closure test: at each accepted equality,
-    # every entry read through its one arc is the built closure's entry
+    # and at the root's trivial arc f(0) - f(0) = 0, every entry read
+    # through the arc's columns is the built closure's entry
     read = 0
+
+    def add(closure, x, y, c):
+        nonlocal read
+        new = closure_add(closure, x, y, c)
+        via_y, row_x, via_x, row_y = arc_columns(closure, x, y, c)
+        for a in range(len(closure)):
+            for b in range(len(closure)):
+                assert min(closure[a][b], via_y[a] + row_x[b], via_x[a] + row_y[b]) == new[a][b]
+                read += 1
+        return new
+
     for i, space in enumerate(_closure_spaces()):
         rng = random.Random(f"closure:{i}")
         dist_int = space.integer_dist
         closure = dist_int
+        assert add(closure, 0, 0, 0) == [list(row) for row in dist_int]
         for _ in range(12):
             x, y = rng.sample(range(space.n), 2)
             rho = dist_int[x][y]
             c = rng.choice([rho, -rho, rng.randint(-rho, rho)])
-            if not closure_admits(closure, x, y, c):
-                continue
-            new = closure_add(closure, x, y, c)
-            for a in range(space.n):
-                for b in range(space.n):
-                    assert closure_entry(closure, x, y, c, a, b) == new[a][b]
-                    read += 1
-            closure = new
+            if closure_admits(closure, x, y, c):
+                closure = add(closure, x, y, c)
     assert read > 10_000
 
 
