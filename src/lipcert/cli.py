@@ -280,7 +280,13 @@ def cmd_verify(args):
     return (EXIT_OK if report.ok else EXIT_INVALID), out
 
 
-TRIAL_OPS = ("four-point", "pipeline", "direct-search", "free-duality")
+# each trials op and the parameters it reads, the only ones its document records
+TRIAL_OPS = {
+    "four-point": ("method",),
+    "pipeline": ("method", "k", "n", "budget"),
+    "direct-search": ("method", "k", "n", "budget"),
+    "free-duality": ("method", "n"),
+}
 
 
 def run_trial(op: str, seed: int, index: int, params: dict) -> dict:
@@ -340,12 +346,7 @@ def cmd_trials(args):
     # n < 2^k compared by bit length, so that a large -k builds no 2^k
     if args.op == "pipeline" and args.n is not None and args.n.bit_length() <= args.k:
         raise InputError(f"trials --op pipeline needs -n >= 2^k points for k = {args.k}, got {args.n}")
-    params = {
-        "method": args.method,
-        "k": args.k,
-        "n": args.n,
-        "budget": args.budget,
-    }
+    params = {"method": args.method, "k": args.k, "n": args.n, "budget": args.budget}
     tasks = [(args.op, args.seed, i, params) for i in range(args.count)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -360,7 +361,7 @@ def cmd_trials(args):
         op=args.op,
         count=args.count,
         seed=args.seed,
-        params={k: v for k, v in params.items() if v is not None},
+        params={k: params[k] for k in TRIAL_OPS[args.op] if params[k] is not None},
         ok=ok,
         exhausted=exhausted,
         failures=failures,

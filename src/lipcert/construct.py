@@ -250,12 +250,11 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     rank) to the 2^(k-1) sign classes.  Each basis coordinate's assigned
     pairs form a system of difference constraints; the search keeps its
     all-pairs shortest-path closure on the stack (``lipschitz.closure_add``),
-    and backtracking drops the child's closures.  A candidate pair is
-    accepted by one integer comparison per coordinate: for c = e * rho(x, y)
-    the interval check ``lipschitz.closure_admits`` reduces to
-    C[y][x] == rho when e = +1 and to C[x][y] == rho when e = -1, since a
-    closure never exceeds the metric and C[x][y] + C[y][x] >= 0 on a
-    feasible system.  A full assignment goes to one LP per basis coordinate,
+    and backtracking drops the child's closures.  Every equality is extreme,
+    f(u) - f(v) = rho(u, v) with (u, v) = (x, y) when e = +1 and (y, x) when
+    e = -1, so a candidate pair is accepted by one integer comparison per
+    coordinate, C[v][u] == rho, and adds one arc per coordinate, u -> v of
+    weight -rho.  A full assignment goes to one LP per basis coordinate,
     whose solutions give the certified basis with the assignment as its sign
     witnesses.
 
@@ -271,14 +270,14 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     every unused pair in rank order.
 
     A node holds, per coordinate, its parent's closure and the one arc it
-    added (the root, the metric and the arc of the trivial equality
-    f(0) - f(0) = 0), and reads its own closure through that arc
-    (``lipschitz.arc_columns``).  Its entry [a][b] is rho exactly when the
-    parent's is and neither sum through the arc falls below rho, since it
-    is the least of the three and a closure never exceeds the metric.  A
-    node builds its own closures (``lipschitz.closure_add``) only when it
-    first admits a child, and a node of the last class never does, since
-    its children go straight to the LPs.
+    added (the root, the metric and the trivial arc 0 -> 0 of weight 0), and
+    reads its own closure through that arc (``lipschitz.arc_columns``): its
+    entry [a][b] is rho exactly when the parent's is and the sum through the
+    arc does not fall below rho, since it is the lesser of the two and a
+    closure never exceeds the metric.  A node builds its own closures
+    (``lipschitz.closure_add``) only when it first admits a child, and a
+    node of the last class never does, since its children go straight to
+    the LPs.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -320,17 +319,16 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
 
     def dfs(depth, views, survivors):
         # ``views``: per coordinate, the parent's closure and the arc
-        # (x, y, c) this node added; ``survivors``: the parent's list
+        # (u, v, w) this node added; ``survivors``: the parent's list
         nonlocal unused
         if depth == len(classes):
             classes.append(certify.sign_class(k, depth))
         eps = classes[depth]
         reads = [(e, view[0], *lipschitz.arc_columns(*view)) for e, view in zip(eps, views)]
-        _, c0, via_y0, row_x0, via_x0, row_y0 = reads[0]
+        _, c0, via0, row0 = reads[0]
         survivors = [
             r for r in survivors
-            if c0[a := ys[r]][b := xs[r]] == (rho := rhos[r])
-            and via_y0[a] + row_x0[b] >= rho and via_x0[a] + row_y0[b] >= rho
+            if c0[a := ys[r]][b := xs[r]] == (rho := rhos[r]) and via0[a] + row0[b] >= rho
         ]
         checks = reads[1:]
         mask = first_mask if depth == 0 else unused
@@ -340,9 +338,9 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
             if not mask >> r & 1:
                 continue
             x, y, rho = xs[r], ys[r], rhos[r]
-            for e, closure, via_y, row_x, via_x, row_y in checks:
-                a, b = (y, x) if e > 0 else (x, y)
-                if closure[a][b] != rho or via_y[a] + row_x[b] < rho or via_x[a] + row_y[b] < rho:
+            for e, closure, via, row in checks:
+                u, v = (x, y) if e > 0 else (y, x)
+                if closure[v][u] != rho or via[v] + row[u] < rho:
                     break
             else:
                 upto = (mask & ((2 << r) - 1)).bit_count()
@@ -356,7 +354,7 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
                     if own is None:
                         own = [lipschitz.closure_add(*view) for view in views]
                     unused ^= pair_bits[r]
-                    arcs = [(closure, x, y, e * rho) for e, closure in zip(eps, own)]
+                    arcs = [(c, *((x, y) if e > 0 else (y, x)), -rho) for e, c in zip(eps, own)]
                     outcome = dfs(depth + 1, arcs, survivors)
                     unused ^= pair_bits[r]
                 if outcome is not None:
@@ -364,8 +362,8 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
                 assignment.pop()
         return None if count(mask.bit_count() - counted) else "budget"
 
-    # the root reads the metric through the arc of the trivial equality
-    # f(0) - f(0) = 0, which lowers no entry
+    # the root reads the metric through the trivial arc 0 -> 0 of weight 0,
+    # which lowers no entry
     root = [(dist_int, 0, 0, 0)] * k
     outcome = dfs(0, root, range(len(candidates)))
     if outcome == "budget":

@@ -23,8 +23,7 @@ from itertools import combinations
 from operator import mul
 
 from . import lp
-from .certify import sign_class_representatives
-from .lipschitz import LipFunctional, differences_feasible
+from .lipschitz import LipFunctional, closure_add, differences_feasible
 from .metric import PointedMetricSpace
 from .rationals import lcm_scale, lcm_scale_rows, parse_rational, reduce_over
 
@@ -475,16 +474,21 @@ def molecules_span_l1(molecules) -> bool:
     """Do the molecules m_i = (delta_x_i - delta_y_i)/rho_i span an isometric
     l1^m?  Each has norm 1, so by the corner argument it suffices that every
     sign combination sum_i eps_i m_i has norm m.  Under Lip_0 = F(M)* that
-    holds iff some 1-Lipschitz f has f(x_i) - f(y_i) = eps_i rho_i for all i:
-    one difference-constraint check per sign class."""
-    dist_int = molecules[0].space.integer_dist
-    return all(
-        differences_feasible(
-            dist_int,
-            [(mol.x, mol.y, e * dist_int[mol.x][mol.y]) for e, mol in zip(eps, molecules)],
-        )[0]
-        for eps in sign_class_representatives(len(molecules))
-    )
+    holds iff some 1-Lipschitz f has f(x_i) - f(y_i) = eps_i rho_i for all i.
+    The sign classes are a binary tree of closures (``closure_add``) from
+    the metric, built a level at a time: m_0 takes only +, and a sign of
+    m_i = (x, y) is the arc x -> y (+) or y -> x (-) of weight -rho_i,
+    admitted by one comparison; the last molecule is only tested."""
+    dist = molecules[0].space.integer_dist
+    closures = [dist]
+    for i, mol in enumerate(molecules):
+        rho = dist[mol.x][mol.y]
+        arcs = ((mol.x, mol.y), (mol.y, mol.x))[: 2 if i else 1]
+        if any(c[v][u] != rho for c in closures for u, v in arcs):
+            return False
+        if i + 1 < len(molecules):
+            closures = [closure_add(c, u, v, -rho) for c in closures for u, v in arcs]
+    return True
 
 
 def search_one_complemented(space, m, tuple_budget=None) -> ComplementationSearch:
@@ -492,7 +496,7 @@ def search_one_complemented(space, m, tuple_budget=None) -> ComplementationSearc
     1-complemented isometric l1^m subspace.
 
     Molecules are the extreme points of the free ball.  Tuples whose span
-    is not an isometric l1^m are dropped by difference-constraint feasibility
+    is not an isometric l1^m are dropped on shortest-path closures
     (``molecules_span_l1``).  For each surviving tuple an exact feasibility
     LP looks for biorthogonal functionals g_j with
     ||sum_j g_j(mol) u_j|| <= 1 for every molecule.  Success returns

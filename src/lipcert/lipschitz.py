@@ -2,8 +2,9 @@
 
 Norm with complete strong-attainment witness sets, rebasing, McShane
 extension, norm-preserving extension of certified l1 bases, and exact
-feasibility of prescribed differences of a 1-Lipschitz function, from
-scratch or one equality at a time on a shortest-path closure.
+feasibility of prescribed differences of a 1-Lipschitz function: from
+scratch by Bellman-Ford, which returns a solution or a negative cycle, or
+one difference constraint at a time on a shortest-path closure.
 """
 
 from __future__ import annotations
@@ -236,63 +237,49 @@ def differences_feasible(dist_int, equalities):
     return False, cycle
 
 
-def closure_admits(closure, x, y, c) -> bool:
-    """Does the system with shortest-path ``closure`` admit f(x) - f(y) = c?
+def closure_add(closure, u, v, w):
+    """The shortest-path closure after adding the constraint f(v) - f(u) <= w,
+    the arc u -> v of weight w, as a new matrix (``closure`` is left as it
+    is, so a search can backtrack to it).
 
     ``closure[a][b]`` is the tightest upper bound on f(b) - f(a) that a
     feasible system of difference constraints implies; a space's
-    ``integer_dist`` is the closure of the bare 1-Lipschitz condition, since a
-    metric is its own shortest-path closure.  Over the solutions of the system,
-    f(x) - f(y) takes exactly the values in [-closure[x][y], closure[y][x]],
-    so the answer is that of ``differences_feasible`` on the system plus
-    the equality.
-    """
-    return -closure[x][y] <= c <= closure[y][x]
+    ``integer_dist`` is the closure of the bare 1-Lipschitz condition, since
+    a metric is its own shortest-path closure.  The system stays feasible
+    exactly when w + closure[v][u] >= 0, and a shortest path then uses the
+    arc at most once (Cotton and Maler, 2006): D'[a][b] = min(D[a][b],
+    D[a][u] + w + D[v][b]), the entry that ``arc_columns`` reads without
+    building D'.  A closure satisfies D[a][b] <= D[a][v] + D[v][b], so row
+    ``a`` is lowered only if D[a][u] + w < D[a][v]; a row that is not is
+    shared with ``closure``, not copied (a search never changes a closure;
+    it backtracks by dropping it).  Rows are lists; the tuple rows of a
+    space's ``integer_dist`` are copied once.  O(n^2) integer operations.
 
-
-def closure_add(closure, x, y, c):
-    """The shortest-path closure after adding f(x) - f(y) = c, as a new
-    matrix (``closure`` is left as it is, so a search can backtrack to it).
-
-    The equality is the arcs y -> x of weight c and x -> y of weight -c, so
-    a shortest path uses at most one of them: D'[a][b] = min(D[a][b],
-    D[a][y] + c + D[x][b], D[a][x] - c + D[y][b]), the entry that
-    ``arc_columns`` reads without building D'.  A closure satisfies
-    D[a][b] <= D[a][x] + D[x][b], so the first term can lower row ``a``
-    only if D[a][y] + c < D[a][x], and likewise the second only if
-    D[a][x] - c < D[a][y]; the two conditions exclude each other.  Each row
-    thus takes at most one term, one comparison per entry, and a row that
-    neither condition admits is shared with ``closure``, not copied (a
-    search never changes a closure; it backtracks by dropping it).  Rows are
-    lists; the tuple rows of a space's ``integer_dist`` are copied once.
-    Only for a closure that ``closure_admits`` the equality; O(n^2) integer
-    operations.
+    An extreme equality f(u) - f(v) = rho(u, v) is feasible exactly when
+    closure[v][u] == rho, since a closure never exceeds the metric, and is
+    then the one arc u -> v of weight -rho: its other arc, v -> u of weight
+    rho, parallels a path no longer than itself.
     """
     if type(closure) is tuple:
         closure = [list(row) for row in closure]
-    row_x = closure[x]
-    row_y = closure[y]
+    row_v = closure[v]
     new = []
     for row in closure:
-        via_yx = row[y] + c
-        via_xy = row[x] - c
-        if via_yx < row[x]:
-            new.append([t if (t := via_yx + b) < d else d for d, b in zip(row, row_x)])
-        elif via_xy < row[y]:
-            new.append([t if (t := via_xy + b) < d else d for d, b in zip(row, row_y)])
+        via = row[u] + w
+        if via < row[v]:
+            new.append([t if (t := via + b) < d else d for d, b in zip(row, row_v)])
         else:
             new.append(row)
     return new
 
 
-def arc_columns(closure, x, y, c):
-    """The columns through which a search reads ``closure_add(closure, x,
-    y, c)`` without building it: ``(via_y, row_x, via_x, row_y)``, with
-    entry [a][b] of the new closure min(closure[a][b], via_y[a] + row_x[b],
-    via_x[a] + row_y[b]).  ``via_y`` and ``via_x`` are the columns
-    closure[.][y] + c and closure[.][x] - c, built in O(n); ``row_x`` and
-    ``row_y`` are rows x and y of ``closure``, shared."""
-    return [row[y] + c for row in closure], closure[x], [row[x] - c for row in closure], closure[y]
+def arc_columns(closure, u, v, w):
+    """The columns through which a search reads ``closure_add(closure, u, v,
+    w)`` without building it: ``(via, row_v)``, with entry [a][b] of the new
+    closure min(closure[a][b], via[a] + row_v[b]).  ``via`` is the column
+    closure[.][u] + w, built in O(n); ``row_v`` is row v of ``closure``,
+    shared."""
+    return [row[u] + w for row in closure], closure[v]
 
 
 def _relax(edges, dist, rounds, pred):

@@ -471,7 +471,17 @@ def test_cli_trials_free_duality_default_points():
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] == 3
-    assert doc["params"] == {"k": 2, "method": "range"}
+    assert doc["params"] == {"method": "range"}
+
+
+def test_cli_trials_records_only_the_params_the_op_reads():
+    code, out, _ = run_cli("trials", "--op", "four-point", "--count", "1", "-n", "7")
+    assert code == 0
+    assert json.loads(out)["params"] == {"method": "range"}
+    assert '"params": {\n    "method": "range"\n  }' in out
+    code, out, _ = run_cli("trials", "--op", "free-duality", "--count", "1", "-n", "6", "-k", "3")
+    assert code == 0
+    assert json.loads(out)["params"] == {"method": "range", "n": 6}
 
 
 _MALFORMED_INPUTS = {

@@ -266,7 +266,10 @@ def _per_candidate_search(space, k, node_budget=None, parents=None):
                 admitted = True
                 assignment.append((x, y))
                 used[x][y] = used[y][x] = True
-                outcome = dfs([closure_add(closure, x, y, e * rho) for e, closure in zip(eps, closures)])
+                outcome = dfs([
+                    closure_add(closure, *((x, y) if e > 0 else (y, x)), -rho)
+                    for e, closure in zip(eps, closures)
+                ])
                 if outcome is not None:
                     return outcome
                 assignment.pop()

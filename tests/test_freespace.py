@@ -9,13 +9,7 @@ from itertools import combinations
 import pytest
 
 from lipcert import certify, construct, freespace, lipschitz, lp
-from lipcert.lipschitz import (
-    arc_columns,
-    closure_add,
-    closure_admits,
-    differences_feasible,
-    lip_norm,
-)
+from lipcert.lipschitz import arc_columns, closure_add, differences_feasible, lip_norm
 from lipcert.metric import random_space
 from lipcert.rationals import lcm_scale, lcm_scale_rows
 
@@ -336,20 +330,24 @@ def test_differences_feasible_runs_one_bellman_ford_pass(monkeypatch):
     assert min(verdicts.values()) > 20, verdicts
 
 
-def _shortest_paths(dist_int, equalities):
+def _shortest_paths(dist_int, arcs):
     """Floyd-Warshall over every point: metric arcs a -> b of weight
-    rho(a, b), and arcs y -> x of weight c and x -> y of weight -c per
-    equality f(x) - f(y) = c."""
+    rho(a, b), and each arc (u, v, w), the constraint f(v) - f(u) <= w."""
     n = len(dist_int)
     d = [list(row) for row in dist_int]
-    for x, y, c in equalities:
-        d[y][x] = min(d[y][x], c)
-        d[x][y] = min(d[x][y], -c)
+    for u, v, w in arcs:
+        d[u][v] = min(d[u][v], w)
     for via in range(n):
         for a in range(n):
             for b in range(n):
                 d[a][b] = min(d[a][b], d[a][via] + d[via][b])
     return d
+
+
+def _equality_arcs(x, y, c):
+    """The two arcs of f(x) - f(y) = c: y -> x of weight c and x -> y of
+    weight -c."""
+    return [(y, x, c), (x, y, -c)]
 
 
 def _closure_spaces():
@@ -361,98 +359,157 @@ def _closure_spaces():
     ]
 
 
-def test_incremental_closure_matches_bellman_ford_and_floyd_warshall():
-    # random equality sequences, the rejected ones skipped as the direct
-    # search skips them: every verdict against Bellman-Ford on the
-    # accumulated system, every accepted closure against a from-scratch one
-    spaces = _closure_spaces()
-    verdicts = set()
-    for i, space in enumerate(spaces):
-        rng = random.Random(f"closure:{i}")
-        dist_int = space.integer_dist
-        closure = dist_int
-        equalities = []
+def _closure_walk(tag):
+    """Per closure space, 12 random equalities f(x) - f(y) = c with c one of
+    rho, -rho or an integer between: yields ``(space, x, y, c)``."""
+    for i, space in enumerate(_closure_spaces()):
+        rng = random.Random(f"{tag}:{i}")
         for _ in range(12):
             x, y = rng.sample(range(space.n), 2)
-            rho = dist_int[x][y]
-            c = rng.choice([rho, -rho, rng.randint(-rho, rho)])
-            verdict = closure_admits(closure, x, y, c)
-            assert verdict == differences_feasible(dist_int, equalities + [(x, y, c)])[0]
-            verdicts.add(verdict)
-            if verdict:
-                equalities.append((x, y, c))
-                closure = closure_add(closure, x, y, c)
-                assert closure == _shortest_paths(dist_int, equalities), (space.dist, equalities)
+            rho = space.integer_dist[x][y]
+            yield space, x, y, rng.choice([rho, -rho, rng.randint(-rho, rho)])
+
+
+def test_incremental_closure_matches_bellman_ford_and_floyd_warshall():
+    # random equality sequences, the rejected ones skipped as a search skips
+    # them: over the solutions of a closure's system f(x) - f(y) takes the
+    # values in [-C[x][y], C[y][x]], and that verdict must be Bellman-Ford's
+    # on the accumulated system; an accepted equality is added as its two
+    # arcs, and the closure after each arc must be a from-scratch one
+    verdicts = set()
+    space = None
+    for walk_space, x, y, c in _closure_walk("closure"):
+        if walk_space is not space:
+            space = walk_space
+            dist_int = space.integer_dist
+            closure = dist_int
+            equalities, arcs = [], []
+        verdict = -closure[x][y] <= c <= closure[y][x]
+        assert verdict == differences_feasible(dist_int, equalities + [(x, y, c)])[0]
+        verdicts.add(verdict)
+        if verdict:
+            equalities.append((x, y, c))
+            for arc in _equality_arcs(x, y, c):
+                arcs.append(arc)
+                closure = closure_add(closure, *arc)
+                assert closure == _shortest_paths(dist_int, arcs), (space.dist, arcs)
     assert verdicts == {True, False}
 
 
 def test_closure_add_shares_unchanged_rows_and_extreme_differences_need_one_comparison():
-    # The spaces of the closure test.  A row that closure_add does not lower
+    # The walk of the closure test.  A row that closure_add does not lower
     # is the parent's row object (the tuple rows of integer_dist are copied
-    # to lists once), and the parent is left as it was.  For c = +rho and
-    # c = -rho the direct search's single comparison agrees with
-    # closure_admits.
-    spaces = _closure_spaces()
+    # to lists once), and the parent is left as it was.  An extreme
+    # equality f(u) - f(v) = rho(u, v) is admitted by the one comparison
+    # C[v][u] == rho, as the interval check admits it, and its one arc
+    # u -> v of weight -rho gives the closure of both its arcs.
     admits = set()
     shared = lowered = 0
-    for i, space in enumerate(spaces):
-        rng = random.Random(f"closure-rows:{i}")
-        dist_int = space.integer_dist
-        closure = dist_int
-        for _ in range(12):
-            x, y = rng.sample(range(space.n), 2)
-            rho = dist_int[x][y]
-            for c, single in ((rho, closure[y][x] == rho), (-rho, closure[x][y] == rho)):
-                assert single == closure_admits(closure, x, y, c)
-                admits.add(single)
-            c = rng.choice([rho, -rho, rng.randint(-rho, rho)])
-            if not closure_admits(closure, x, y, c):
-                continue
-            before = [list(row) for row in closure]
-            new = closure_add(closure, x, y, c)
-            assert [list(row) for row in closure] == before
-            for old_row, new_row in zip(closure, new):
-                assert type(new_row) is list
-                if new_row != list(old_row):
-                    lowered += 1
-                elif closure is dist_int:
-                    assert new_row is not old_row
-                else:
-                    assert new_row is old_row
-                    shared += 1
-            closure = new
+
+    def add(closure, arc):
+        nonlocal shared, lowered
+        before = [list(row) for row in closure]
+        new = closure_add(closure, *arc)
+        assert [list(row) for row in closure] == before
+        for old_row, new_row in zip(closure, new):
+            assert type(new_row) is list
+            if new_row != list(old_row):
+                lowered += 1
+            elif type(closure) is tuple:
+                assert new_row is not old_row
+            else:
+                assert new_row is old_row
+                shared += 1
+        return new
+
+    space = None
+    for walk_space, x, y, c in _closure_walk("closure-rows"):
+        if walk_space is not space:
+            space = walk_space
+            closure = space.integer_dist
+        rho = space.integer_dist[x][y]
+        for u, v in ((x, y), (y, x)):
+            single = closure[v][u] == rho
+            assert single == (-closure[u][v] <= rho <= closure[v][u])
+            admits.add(single)
+            if single:
+                two = closure
+                for arc in _equality_arcs(u, v, rho):
+                    two = closure_add(two, *arc)
+                assert add(closure, (u, v, -rho)) == two
+        if -closure[x][y] <= c <= closure[y][x]:
+            for arc in _equality_arcs(x, y, c):
+                closure = add(closure, arc)
     assert admits == {True, False}
     assert shared and lowered
 
 
 def test_arc_columns_read_every_entry_of_closure_add():
-    # the walk of the incremental closure test: at each accepted equality,
-    # and at the root's trivial arc f(0) - f(0) = 0, every entry read
-    # through the arc's columns is the built closure's entry
+    # the walk of the incremental closure test: at each arc of an accepted
+    # equality, and at the root's trivial arc 0 -> 0 of weight 0, every
+    # entry read through the arc's column is the built closure's entry
     read = 0
 
-    def add(closure, x, y, c):
+    def add(closure, u, v, w):
         nonlocal read
-        new = closure_add(closure, x, y, c)
-        via_y, row_x, via_x, row_y = arc_columns(closure, x, y, c)
+        new = closure_add(closure, u, v, w)
+        via, row_v = arc_columns(closure, u, v, w)
         for a in range(len(closure)):
             for b in range(len(closure)):
-                assert min(closure[a][b], via_y[a] + row_x[b], via_x[a] + row_y[b]) == new[a][b]
+                assert min(closure[a][b], via[a] + row_v[b]) == new[a][b]
                 read += 1
         return new
 
-    for i, space in enumerate(_closure_spaces()):
-        rng = random.Random(f"closure:{i}")
-        dist_int = space.integer_dist
-        closure = dist_int
-        assert add(closure, 0, 0, 0) == [list(row) for row in dist_int]
-        for _ in range(12):
-            x, y = rng.sample(range(space.n), 2)
-            rho = dist_int[x][y]
-            c = rng.choice([rho, -rho, rng.randint(-rho, rho)])
-            if closure_admits(closure, x, y, c):
-                closure = add(closure, x, y, c)
+    space = None
+    for walk_space, x, y, c in _closure_walk("closure"):
+        if walk_space is not space:
+            space = walk_space
+            closure = space.integer_dist
+            assert add(closure, 0, 0, 0) == [list(row) for row in closure]
+        if -closure[x][y] <= c <= closure[y][x]:
+            for arc in _equality_arcs(x, y, c):
+                closure = add(closure, *arc)
     assert read > 10_000
+
+
+def _per_class_filter(molecules):
+    """The l1 filter as one Bellman-Ford per sign class: some 1-Lipschitz f
+    has f(x_i) - f(y_i) = eps_i rho_i for every molecule, for every eps."""
+    dist_int = molecules[0].space.integer_dist
+    return all(
+        differences_feasible(
+            dist_int,
+            [(mol.x, mol.y, e * dist_int[mol.x][mol.y]) for e, mol in zip(eps, molecules)],
+        )[0]
+        for eps in certify.sign_class_representatives(len(molecules))
+    )
+
+
+def test_molecule_filter_closure_tree_matches_per_class_bellman_ford(monkeypatch):
+    # every 3- and 4-tuple of canonical molecules of seeded 8-point spaces
+    # and equilateral(8): the closure tree's verdict is the per-class
+    # Bellman-Ford one, and it runs no Bellman-Ford itself
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return differences_feasible(*args)
+
+    monkeypatch.setattr(freespace, "differences_feasible", counting)
+    monkeypatch.setattr(lipschitz, "differences_feasible", counting)
+    spaces = [random_space(8, seed, method) for seed, method in ((0, "range"), (1, "euclidean"))]
+    spaces.append(equilateral(8))
+    verdicts = Counter()
+    for space in spaces:
+        molecules = freespace.canonical_molecules(space)
+        for m in (3, 4):
+            for tup in combinations(molecules, m):
+                fast = freespace.molecules_span_l1(tup)
+                assert fast == _per_class_filter(tup), (space.dist, [(mol.x, mol.y) for mol in tup])
+                verdicts[fast] += 1
+    assert calls == 0
+    assert verdicts[True] and verdicts[False], verdicts
 
 
 def _transport_cases():
