@@ -478,7 +478,7 @@ def _expect_complementation(doc, failures):
     """The re-rendered complementation document and its parsed space."""
     space = _parse_space_checked(doc, failures)
     basis = tuple(freespace.FreeVector(space, _rationals(row)) for row in doc["basis"])
-    projection = freespace.FreeOperator(space, tuple(_rationals(row) for row in doc["projection"]))
+    projection = freespace.FreeOperator.from_matrix(space, doc["projection"])
     cert = freespace.verify_one_complemented(space, basis, projection)
     return complementation_document(cert), space
 

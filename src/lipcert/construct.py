@@ -377,9 +377,9 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
 def _direct_search_solve(space, k, assignment, ball):
     """Functional values of a fully assigned witness map: one LP per basis
     coordinate, the 1-Lipschitz ball rows ``ball`` plus that coordinate's
-    equalities f(x) - f(y) = e * rho(x, y), each built from the space's
-    ``integer_dist`` over its ``dist_scale`` s as the integers ``(s, -s)``
-    and ``e * D[x][y]``, with its scaled row preset."""
+    equalities f(x) - f(y) = e * rho(x, y), each the integers ``(s, -s)``
+    and ``e * D[x][y]`` over s, from the space's ``integer_dist`` D over its
+    ``dist_scale`` s."""
     n = space.n
     s = space.dist_scale
     dist = space.integer_dist
@@ -394,7 +394,7 @@ def _direct_search_solve(space, k, assignment, ball):
             if y != 0:
                 nums[y - 1] = -s
             nums[-1] = eps[kappa] * dist[x][y]
-            rows.append(lp.Constraint.from_integers(nums, s, lp.EQ))
+            rows.append(lp.Constraint(nums, s, lp.EQ))
         outcome = lp.feasible(rows, n_vars=n - 1)
         if outcome.status != "optimal":
             return None

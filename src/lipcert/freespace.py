@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from operator import mul
 
@@ -270,10 +269,10 @@ def free_norm_primal(v: FreeVector) -> tuple[Fraction, tuple[TransportArc, ...]]
 def lipschitz_ball_rows(space: PointedMetricSpace, blocks: int) -> list[lp.Constraint]:
     """LP rows +-(f(x) - f(y)) <= rho(x, y) over every pair, for each of
     ``blocks`` functionals; block b holds f_b(1), ..., f_b(n-1) in columns
-    b*(n-1) onward (f_b(0) = 0 is not a variable).  Each row is built from
-    the space's ``integer_dist`` over its ``dist_scale`` s, as the integers
-    ``+-(s, -s)`` and ``D[x][y]``, with its scaled row preset; programs that
-    reuse the returned constraints share those integers and their lowering."""
+    b*(n-1) onward (f_b(0) = 0 is not a variable).  Each row is the integers
+    ``+-(s, -s)`` and ``D[x][y]`` over s, from the space's ``integer_dist``
+    D over its ``dist_scale`` s; programs that reuse the returned
+    constraints share those integers and their lowering."""
     nb = space.n - 1
     s = space.dist_scale
     dist = space.integer_dist
@@ -286,10 +285,10 @@ def lipschitz_ball_rows(space: PointedMetricSpace, blocks: int) -> list[lp.Const
             if y != 0:
                 nums[b * nb + y - 1] = -s
             nums[-1] = dist[x][y]
-            rows.append(lp.Constraint.from_integers(nums, s, lp.LE))
+            rows.append(lp.Constraint(nums, s, lp.LE))
             nums = [-a for a in nums]
             nums[-1] = dist[x][y]
-            rows.append(lp.Constraint.from_integers(nums, s, lp.LE))
+            rows.append(lp.Constraint(nums, s, lp.LE))
     return rows
 
 
@@ -310,62 +309,64 @@ def free_norm_dual(v: FreeVector) -> tuple[Fraction, LipFunctional]:
 
 @dataclass(frozen=True)
 class FreeOperator:
-    """Linear map of the free space in delta coordinates ((n-1) x (n-1))."""
+    """Linear map of the free space in delta coordinates ((n-1) x (n-1)):
+    the integer ``rows`` over the positive ``den``, kept in lowest terms."""
 
     space: PointedMetricSpace
-    matrix: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int
 
     def __post_init__(self):
         _require_base_zero(self.space)
         nb = self.space.n - 1
-        if len(self.matrix) != nb or any(len(r) != nb for r in self.matrix):
+        if len(self.rows) != nb or any(len(r) != nb for r in self.rows):
             raise ValueError(f"projection matrix must be {nb}x{nb}")
+        if self.den <= 0:
+            raise ValueError(f"operator denominator must be positive, got {self.den}")
+        flat, den = reduce_over([a for r in self.rows for a in r], self.den)
+        # frozen: store the reduced rows as the generated __init__ would
+        object.__setattr__(self, "rows", tuple(flat[p * nb:(p + 1) * nb] for p in range(nb)))
+        object.__setattr__(self, "den", den)
 
-    @cached_property
-    def scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The matrix over the lcm ``L`` of its denominators: integer rows and
-        ``L``; computed once per operator."""
-        return lcm_scale_rows(self.matrix)
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as rationals, ``rows / den``."""
+        return tuple(tuple(Fraction(a, self.den) for a in row) for row in self.rows)
 
     def apply(self, v: FreeVector) -> FreeVector:
         if v.space != self.space:
             raise ValueError("vector lives on a different space")
-        rows, den = self.scaled
         coeffs, scale = lcm_scale(v.coeffs)
-        den *= scale
+        den = self.den * scale
         return FreeVector(
             self.space,
-            tuple(Fraction(sum(a * c for a, c in zip(row, coeffs)), den) for row in rows),
+            tuple(Fraction(sum(map(mul, row, coeffs)), den) for row in self.rows),
         )
 
     def compose(self, other: "FreeOperator") -> "FreeOperator":
         if other.space != self.space:
             raise ValueError("operators live on different spaces")
-        rows, den = self.scaled
-        other_rows, other_den = other.scaled
-        cols = list(zip(*other_rows))
-        den *= other_den
+        cols = list(zip(*other.rows))
         return FreeOperator(
             self.space,
-            tuple(
-                tuple(Fraction(sum(a * b for a, b in zip(row, col)), den) for col in cols)
-                for row in rows
-            ),
+            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows),
+            self.den * other.den,
         )
 
     def rank(self) -> int:
-        return lp.rank(self.scaled[0])
+        return lp.rank(self.rows)
 
     @staticmethod
     def identity(space: PointedMetricSpace) -> "FreeOperator":
         nb = space.n - 1
-        return FreeOperator(
-            space, tuple(tuple(_ONE if i == j else _ZERO for j in range(nb)) for i in range(nb))
-        )
+        rows = tuple(tuple(int(i == j) for j in range(nb)) for i in range(nb))
+        return FreeOperator(space, rows, 1)
 
     @staticmethod
     def from_matrix(space: PointedMetricSpace, rows) -> "FreeOperator":
-        return FreeOperator(space, tuple(tuple(Fraction(x) for x in r) for r in rows))
+        """The operator of a matrix of ints, ``Fraction``s or 'p/q' strings;
+        every entry goes through ``parse_rational``, so no float enters."""
+        return FreeOperator(space, *lcm_scale_rows([[parse_rational(x) for x in r] for r in rows]))
 
 
 def operator_norm(op: FreeOperator) -> tuple[Fraction, Molecule | None]:
@@ -378,7 +379,7 @@ def operator_norm(op: FreeOperator) -> tuple[Fraction, Molecule | None]:
     rho(x, y), so ||P m|| is the transport cost of that integer column
     difference over L * D[x][y].
     """
-    rows, den = op.scaled
+    rows, den = op.rows, op.den
     dist = op.space.integer_dist
     cols = [(0,) * len(rows)] + list(zip(*rows))  # point-indexed; delta_0 = 0
     best_cost, best_t = None, 1
@@ -435,7 +436,8 @@ def verify_one_complemented(space, basis, projection) -> ComplementationCertific
     if projection.space != space:
         raise ValueError("projection lives on a different space")
     m = len(basis)
-    idempotent_ok = projection.compose(projection).matrix == projection.matrix
+    square = projection.compose(projection)
+    idempotent_ok = (square.rows, square.den) == (projection.rows, projection.den)
     fixes_basis = all(projection.apply(u) == u for u in basis)
     rank = projection.rank()
     norm_value, norm_witness = operator_norm(projection)
@@ -536,18 +538,12 @@ def search_one_complemented(space, m, tuple_budget=None) -> ComplementationSearc
 def _projection_from(space, basis, g_point_values):
     """P[p][q] = sum_j u_j[p] g_j(q+1); g_point_values[j] is point-indexed
     (length n, zero at the base).  The product is taken on the lcm-scaled
-    basis and g, and seeds the operator's ``scaled`` in lowest terms, as
-    ``lcm_scale_rows`` of the matrix gives it."""
-    nb = space.n - 1
+    basis and g, over the product of their denominators."""
     u_int, u_den = lcm_scale_rows([u.coeffs for u in basis])
     g_int, g_den = lcm_scale_rows([g[1:] for g in g_point_values])
     g_cols = list(zip(*g_int))
-    flat = [sum(map(mul, u_p, g_q)) for u_p in zip(*u_int) for g_q in g_cols]
-    flat, den = reduce_over(flat, u_den * g_den)
-    rows = tuple(flat[p * nb:(p + 1) * nb] for p in range(nb))
-    op = FreeOperator(space, tuple(tuple(Fraction(a, den) for a in row) for row in rows))
-    op.__dict__["scaled"] = (rows, den)
-    return op
+    rows = tuple(tuple(sum(map(mul, u_p, g_q)) for g_q in g_cols) for u_p in zip(*u_int))
+    return FreeOperator(space, rows, u_den * g_den)
 
 
 def _biorthogonal_functionals(space, basis):
@@ -560,9 +556,10 @@ def _biorthogonal_functionals(space, basis):
     biorthogonality equalities plus the 1-Lipschitz cube rows of each g_j;
     a molecule with sum_j |g_j(mol)| > 1 adds the facet s_j = sign(g_j(mol))
     as a cut.  Each cut removes the current candidate and the facet family is
-    finite, so the loop terminates.  Every row is built from integers (the
-    lcm-scaled basis, ``integer_dist`` and ``dist_scale``), so none is
-    lcm-scaled, and kept across rounds, so a round lowers only its new cuts.
+    finite, so the loop terminates.  Every row is an ``lp.Constraint`` of
+    integers (the lcm-scaled basis, ``integer_dist`` and ``dist_scale``), so
+    no rational is scaled, and is kept across rounds, so a round lowers only
+    its new cuts.
     Separation uses this l1 identity; the final projection is still checked
     by exact transport norms in ``verify_one_complemented``.
     """
@@ -587,7 +584,7 @@ def _biorthogonal_functionals(space, basis):
             nums[j * nb:(j + 1) * nb] = u_int
             if i == j:
                 nums[-1] = u_den
-            rows.append(lp.Constraint.from_integers(nums, u_den, lp.EQ))
+            rows.append(lp.Constraint(nums, u_den, lp.EQ))
     rows.extend(lipschitz_ball_rows(space, m))
 
     while True:
@@ -617,7 +614,7 @@ def _biorthogonal_functionals(space, basis):
                 if y != 0:
                     nums[g_col(j, y)] -= sj
             nums[-1] = dist[x][y]
-            cuts.append(lp.Constraint.from_integers(nums, dist[x][y], lp.LE))
+            cuts.append(lp.Constraint(nums, dist[x][y], lp.LE))
         if not cuts:
             return g_values
         rows.extend(cuts)

@@ -9,12 +9,12 @@ row is such a row too: pricing reads only its negative entries.  The simplex
 path is fixed by the pivot rule, not by the storage, so it is the path exact
 rational arithmetic takes.  Pricing is Dantzig's rule until a run
 of degenerate pivots is detected, after which the solve switches to Bland's
-rule permanently, which guarantees termination on every input.  Each
-``Constraint`` scales its row (coefficients and rhs) to integers over the lcm
-of its denominators once, on first use, unless it was built from integers
-(``Constraint.from_integers``), which presets them; every program that
-shares the row reads those integers.  A row is lowered to standard form from
-its nonzero scaled entries; when every variable is free, the lowered row is
+rule permanently, which guarantees termination on every input.  A
+``Constraint`` stores its row (coefficients, then rhs) once, as integers
+over one positive denominator in lowest terms; ``make_program`` scales a
+rational row to that form once, and every program that shares the row reads
+those integers.  A row is lowered to standard form from its nonzero
+entries; when every variable is free, the lowered row is
 cached on the ``Constraint``, so programs that share rows (the rounds of a
 cut loop) lower only the rows they add.  Rationals (``Fraction``) appear
 only at the boundary: the program, and the primal, ray and dual values read
@@ -34,11 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .rationals import lcm_scale, reduce_over
+from .rationals import lcm_scale, parse_rational, reduce_over
 
 LE = "<="
 EQ = "="
@@ -52,34 +51,28 @@ _STALL_LIMIT = 40
 
 
 class LpFormatError(ValueError):
-    """Malformed program: ragged rows, bad relation, bad sense."""
+    """Malformed program: ragged rows, bad relation, bad sense, a row
+    denominator that is not positive."""
 
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    """The row ``nums[:-1] . x rel nums[-1]`` with every entry over the
+    positive denominator ``den``, kept in lowest terms (the numerators and
+    ``den`` divided by their gcd): the integers ``lcm_scale`` gives the
+    row's rationals."""
+
+    nums: tuple[int, ...]
+    den: int
     rel: str
-    rhs: Fraction
 
-    @cached_property
-    def scaled(self) -> tuple[tuple[int, ...], int]:
-        """``coeffs`` then ``rhs`` over the lcm ``d`` of their denominators:
-        the integer numerators and ``d``; computed once per row."""
-        nums, d = lcm_scale(self.coeffs + (self.rhs,))
-        return tuple(nums), d
-
-    @classmethod
-    def from_integers(cls, nums, den: int, rel: str) -> "Constraint":
-        """The row ``nums[:-1] . x rel nums[-1]`` with every entry over the
-        positive denominator ``den``, its ``scaled`` preset: the numerators
-        and ``den`` divided by their gcd, the integers ``lcm_scale`` would
-        give the row, so none runs on it."""
-        nums, den = reduce_over(nums, den)
-        entries = [Fraction(a, den) if a else _ZERO for a in nums]
-        con = cls(tuple(entries[:-1]), rel, entries[-1])
-        # frozen: set the cached_property's slot directly, as it would
-        con.__dict__["scaled"] = (nums, den)
-        return con
+    def __post_init__(self):
+        if self.den <= 0:
+            raise LpFormatError(f"row denominator must be positive, got {self.den}")
+        nums, den = reduce_over(self.nums, self.den)
+        # frozen: store the reduced row as the generated __init__ would
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
 
 @dataclass(frozen=True)
@@ -102,19 +95,23 @@ class LinearProgram:
 def make_program(objective, constraints, bounds=None) -> LinearProgram:
     """Normalize raw lists into a validated LinearProgram.
 
-    A row is a ``(coeffs, rel, rhs)`` triple or a ``Constraint``, which is
-    kept as it is, so programs that share a ``Constraint`` share its scaled
-    integers.
+    Every number goes through ``parse_rational``: an int, a ``Fraction`` or
+    a 'p/q' string, never a float.  A row is a ``Constraint``, which is kept
+    as it is, so programs that share it share its integers, or a
+    ``(coeffs, rel, rhs)`` triple, scaled to integers over its lcm once.
     """
-    obj = tuple(_rational(c) for c in objective)
+    obj = tuple(map(parse_rational, objective))
     n = len(obj)
     rows = []
     for k, con in enumerate(constraints):
         if type(con) is not Constraint:
             coeffs, rel, rhs = con
-            con = Constraint(tuple(_rational(c) for c in coeffs), rel, _rational(rhs))
-        if len(con.coeffs) != n:
-            raise LpFormatError(f"constraint {k} has {len(con.coeffs)} coefficients, expected {n}")
+            nums, d = lcm_scale([*map(parse_rational, coeffs), parse_rational(rhs)])
+            con = Constraint(tuple(nums), d, rel)
+        if len(con.nums) != n + 1:
+            raise LpFormatError(
+                f"constraint {k} has {len(con.nums) - 1} coefficients, expected {n}"
+            )
         if con.rel not in (LE, EQ, GE):
             raise LpFormatError(f"constraint {k} has unknown relation {con.rel!r}")
         rows.append(con)
@@ -124,16 +121,10 @@ def make_program(objective, constraints, bounds=None) -> LinearProgram:
         if len(bounds) != n:
             raise LpFormatError(f"{len(bounds)} bounds for {n} variables")
         bnds = tuple(
-            (None if lo is None else _rational(lo), None if hi is None else _rational(hi))
+            (None if lo is None else parse_rational(lo), None if hi is None else parse_rational(hi))
             for lo, hi in bounds
         )
     return LinearProgram(obj, tuple(rows), bnds)
-
-
-def _rational(c) -> Fraction:
-    # Fraction(c) would copy a Fraction; callers building large programs
-    # already pass Fractions
-    return c if type(c) is Fraction else Fraction(c)
 
 
 @dataclass
@@ -293,7 +284,7 @@ class _Lowering:
     ``-a`` reflected at it.  A boxed variable is shifted and adds a row
     ``x <= hi - lo`` after the original rows.  Each row is kept as integers
     over one denominator ``d``, ``(numerators, rhs, d)`` with the numerators
-    a sparse ``{column: int}`` dict: the constraint's nonzero scaled entries
+    a sparse ``{column: int}`` dict: the constraint's nonzero entries
     mapped through ``var_map``.  When every variable is free that dict
     depends on the row alone, and the first program to lower the row keeps
     it on the constraint (``free_lowering``), so a row shared by many
@@ -336,7 +327,7 @@ class _Lowering:
         self.rows: list[tuple[dict[int, int], int, int]] = []
         shift_nums, shift_den = lcm_scale([offset for _, offset in shifts])
         for c in lp.constraints:
-            nums, d = c.scaled
+            nums, d = c.nums, c.den
             # an all-free lowering depends on the row alone: kept in the
             # frozen constraint's __dict__, as a cached_property would
             struct = c.__dict__.get("free_lowering") if all_free else None
@@ -451,16 +442,10 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
     return out
 
 
-def feasible(constraints, n_vars=None, bounds=None) -> LpOutcome:
-    """Feasibility check: witness vector or Farkas infeasibility certificate."""
-    rows = list(constraints)
-    if n_vars is None:
-        if not rows:
-            raise LpFormatError("cannot infer variable count from zero constraints")
-        first = rows[0]
-        n_vars = len(first.coeffs if type(first) is Constraint else first[0])
-    lp = make_program([_ZERO] * n_vars, rows, bounds)
-    return solve(lp, "min")
+def feasible(constraints, n_vars, bounds=None) -> LpOutcome:
+    """Feasibility of the rows over ``n_vars`` variables: a witness vector or
+    a Farkas infeasibility certificate."""
+    return solve(make_program([_ZERO] * n_vars, constraints, bounds), "min")
 
 
 def _gauss_jordan(matrix, rhs):
@@ -577,7 +562,7 @@ def _extract_ray(low, kern, t):
 
 
 def _dot(nums, xs):
-    """Integer dot product; ``zip`` stops at the shorter, so a scaled row's
+    """Integer dot product; ``zip`` stops at the shorter, so a row's
     trailing rhs is left out against a vector of the variables."""
     return sum(map(mul, nums, xs))
 
@@ -593,12 +578,12 @@ def _transpose_times(rows, mult, n_vars):
     ``(t, L)``: ``(A^T m)_j = t[j] / L`` and ``m . b = t[n_vars] / L``, where
     ``L`` is the lcm of the denominators of the rows with ``m_i != 0``.
     Zero multipliers and coefficients are skipped."""
-    live = [(yi, con.scaled) for con, yi in zip(rows, mult) if yi]
-    common = lcm(*(d for _, (_, d) in live))
+    live = [(yi, con) for con, yi in zip(rows, mult) if yi]
+    common = lcm(*(con.den for _, con in live))
     out = [0] * (n_vars + 1)
-    for yi, (nums, d) in live:
-        f = yi * (common // d)
-        for j, a in enumerate(nums):
+    for yi, con in live:
+        f = yi * (common // con.den)
+        for j, a in enumerate(con.nums):
             if a:
                 out[j] += f * a
     return out, common
@@ -612,7 +597,7 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
     slackness on rows and on bounds (through the reduced costs ``c - A^T y``
     derived here), the stored value and the zero duality gap, all as
     rational equalities.  Each vector is scaled to integers over its lcm
-    once, each row is read as the constraint's scaled integers, and every
+    once, each row is read as the constraint's integers, and every
     comparison is made between integers over positive denominators.
     """
     bad: list[str] = []
@@ -637,16 +622,16 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
             if hi is not None and _minus(xs[j], dx, hi) > 0:
                 bad.append(f"x[{j}] = {x[j]} above upper bound {hi}")
         for i, con in enumerate(rows):
-            nums, d = con.scaled
+            nums, d = con.nums, con.den
             ax = _dot(nums, xs)
             # d * dx * (lhs - rhs)
             slack = ax - nums[-1] * dx
             if con.rel == LE and slack > 0:
-                bad.append(f"row {i}: {Fraction(ax, d * dx)} > {con.rhs}")
+                bad.append(f"row {i}: {Fraction(ax, d * dx)} > {Fraction(nums[-1], d)}")
             if con.rel == GE and slack < 0:
-                bad.append(f"row {i}: {Fraction(ax, d * dx)} < {con.rhs}")
+                bad.append(f"row {i}: {Fraction(ax, d * dx)} < {Fraction(nums[-1], d)}")
             if con.rel == EQ and slack:
-                bad.append(f"row {i}: {Fraction(ax, d * dx)} != {con.rhs}")
+                bad.append(f"row {i}: {Fraction(ax, d * dx)} != {Fraction(nums[-1], d)}")
             yi = ys[i]
             if con.rel == LE and yi > 0:
                 bad.append(f"dual[{i}] = {Fraction(yi, dy)} > 0 on a <= row")
@@ -726,7 +711,7 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
         xs, dx = lcm_scale(x)
         ds, dd = lcm_scale(d)
         for i, con in enumerate(rows):
-            nums, _ = con.scaled
+            nums = con.nums
             slack = _dot(nums, xs) - nums[-1] * dx  # sign of lhs - rhs
             step = _dot(nums, ds)  # sign of the row along the ray
             if con.rel == LE and (slack > 0 or step > 0):

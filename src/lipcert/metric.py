@@ -171,8 +171,12 @@ class PointedMetricSpace:
 
     @staticmethod
     def from_matrix(rows, labels=None, base: int = 0, parent_map=None) -> "PointedMetricSpace":
-        """Build and validate a space; raises MetricViolationError when invalid."""
-        dist = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
+        """Build and validate a space from ints, ``Fraction``s or 'p/q'
+        strings (``parse_rational``, so no float enters); raises
+        MetricViolationError when invalid."""
+        dist = tuple(
+            tuple(x if type(x) is Fraction else parse_rational(x) for x in row) for row in rows
+        )
         violations, scaled = _violations(dist)
         if violations:
             raise MetricViolationError(violations)

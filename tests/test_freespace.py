@@ -5,13 +5,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
 from lipcert import certify, construct, freespace, lipschitz, lp
 from lipcert.lipschitz import arc_columns, closure_add, differences_feasible, lip_norm
 from lipcert.metric import random_space
-from lipcert.rationals import lcm_scale, lcm_scale_rows
+from lipcert.rationals import lcm_scale
 
 from helpers import equilateral, free_norm_vertex_oracle, random_coeffs, random_functional
 
@@ -113,6 +114,13 @@ def test_operator_norm_identity_and_zero():
     zero = freespace.FreeOperator.from_matrix(space, [[0] * 3] * 3)
     value, witness = freespace.operator_norm(zero)
     assert value == 0
+    # an operator is kept in lowest terms over a positive denominator
+    doubled = tuple(tuple(2 * a for a in r) for r in ident.rows)
+    assert freespace.FreeOperator(space, doubled, 2) == ident
+    assert (zero.rows, zero.den) == ((((0,) * 3),) * 3, 1)
+    for den in (0, -1):
+        with pytest.raises(ValueError):
+            freespace.FreeOperator(space, ident.rows, den)
 
 
 def test_operator_norm_coordinate_projection_vs_oracle():
@@ -563,11 +571,11 @@ def test_transport_recheck_rejects_tampering():
 def test_lipschitz_ball_rows_layout():
     rows = freespace.lipschitz_ball_rows(equilateral(3), 2)
     # block, then pairs (0,1), (0,2), (1,2), the + row before the - row
-    assert [list(con.coeffs) for con in rows] == [
+    assert [list(con.nums[:-1]) for con in rows] == [
         [-1, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0], [0, 1, 0, 0], [1, -1, 0, 0], [-1, 1, 0, 0],
         [0, 0, -1, 0], [0, 0, 1, 0], [0, 0, 0, -1], [0, 0, 0, 1], [0, 0, 1, -1], [0, 0, -1, 1],
     ]
-    assert all(con.rel == "<=" and con.rhs == 1 for con in rows)
+    assert all(con.rel == "<=" and con.nums[-1] == con.den == 1 for con in rows)
 
 
 def test_filtered_molecules_norm_is_l1_of_coefficients():
@@ -593,7 +601,7 @@ def test_filtered_molecules_norm_is_l1_of_coefficients():
 def _record_lps(spaces, extra=None):
     """Run the k=2 pipeline on each space (then ``extra(i, space)``), and
     record every ``lp.solve`` call as ``(program, outcome)`` and every
-    projection ``_projection_from`` builds."""
+    projection ``_projection_from`` builds as ``(operator, basis, g)``."""
     solved, operators = [], []
     real_solve, real_projection = lp.solve, freespace._projection_from
 
@@ -604,8 +612,7 @@ def _record_lps(spaces, extra=None):
 
     def recording_projection(space, basis, g):
         op = real_projection(space, basis, g)
-        assert "scaled" in op.__dict__
-        operators.append(op)
+        operators.append((op, basis, g))
         return op
 
     with pytest.MonkeyPatch.context() as mp:
@@ -649,17 +656,18 @@ def _reference_lowering(low, con):
             columns[plus] = (j, 1)
         if minus >= 0:
             columns[minus] = (j, -1)
-    nums, _ = con.scaled
+    nums = con.nums
     return {col: sign * nums[j] for col, (j, sign) in enumerate(columns) if nums[j]}
 
 
-def test_preset_caches_match_their_oracles(criterion_02_lps):
-    # Rows built from integers preset ``Constraint.scaled``, the projection
-    # presets ``FreeOperator.scaled`` and an all-free program reads each
-    # row's lowering kept on the constraint (``free_lowering``).  Each must
-    # be what the general code computes: the lowest-terms lcm scaling and
-    # the column-by-column lowering.  Criterion 02's programs, plus random
-    # spaces n = 4..10 with a free norm by each route.
+def test_rows_and_projections_are_in_lowest_terms(criterion_02_lps):
+    # Every row and every projection is stored once, as integers over a
+    # positive denominator in lowest terms, and an all-free program reads
+    # each row's lowering kept on the constraint (``free_lowering``).  Each
+    # must be what the general code computes: the lcm scaling of the row's
+    # rationals, the column-by-column lowering, and the projection as the
+    # Fraction product P[p][q] = sum_j u_j[p] g_j(q+1).  Criterion 02's
+    # programs, plus random spaces n = 4..10 with a free norm by each route.
     def free_norms(i, space):
         v = freespace.free_vector(space, random_coeffs(f"preset:{i}", space.n - 1))
         freespace.free_norm_dual(v)
@@ -673,8 +681,13 @@ def test_preset_caches_match_their_oracles(criterion_02_lps):
     lowered = _check_rows(solved)
     assert lowered[True] > 10_000 and lowered[False] > 100
     assert len(operators) == len(spaces) + 100
-    for op in operators:
-        assert op.scaled == lcm_scale_rows(op.matrix)
+    for op, basis, g in operators:
+        nb = op.space.n - 1
+        assert op.den > 0 and gcd(op.den, *(a for row in op.rows for a in row)) == 1
+        assert op.matrix == tuple(
+            tuple(sum(u.coeffs[p] * gj[q + 1] for u, gj in zip(basis, g)) for q in range(nb))
+            for p in range(nb)
+        )
 
 
 def test_direct_search_rows_match_their_oracles():
@@ -698,20 +711,20 @@ def test_direct_search_rows_match_their_oracles():
     equalities = [con for program, _ in solved for con in program.constraints if con.rel == lp.EQ]
     assert _check_rows(solved) == {True: sum(len(p.constraints) for p, _ in solved), False: 0}
     assert len(equalities) == 8 * (2 * 2 + 3 * 4)
-    assert all(sum(1 for a in con.coeffs if a) in (1, 2) for con in equalities)
+    assert all(sum(1 for a in con.nums[:-1] if a) in (1, 2) for con in equalities)
 
 
 def _check_rows(solved):
-    """Check every row of the recorded programs against ``lcm_scale`` and
-    the column-by-column lowering; count them by whether every variable of
-    their program is free."""
+    """Check every row of the recorded programs against ``lcm_scale`` of its
+    rationals (lowest terms) and the column-by-column lowering; count them
+    by whether every variable of their program is free."""
     lowered = {True: 0, False: 0}
     for program, _ in solved:
         low = lp._Lowering(program, list(program.objective))
         free = all(b == (None, None) for b in program.bounds)
         for con, (struct, _, d) in zip(program.constraints, low.rows):
-            nums, den = lcm_scale(con.coeffs + (con.rhs,))
-            assert con.scaled == (tuple(nums), den)
+            nums, den = lcm_scale([F(a, con.den) for a in con.nums])
+            assert (con.nums, con.den) == (tuple(nums), den)
             assert list(struct.items()) == list(_reference_lowering(low, con).items())
             assert d == den
             if free:

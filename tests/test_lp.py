@@ -59,14 +59,14 @@ def test_transportation_instance_equilateral():
 
 
 def test_feasible_interval():
-    out = lp.feasible([([1], lp.GE, 0), ([1], lp.LE, 1)])
+    out = lp.feasible([([1], lp.GE, 0), ([1], lp.LE, 1)], n_vars=1)
     assert out.status == "optimal"
     (x,) = out.primal
     assert 0 <= x <= 1
 
 
 def test_infeasible_certificate():
-    out = lp.feasible([([1], lp.GE, 2), ([1], lp.LE, 1)])
+    out = lp.feasible([([1], lp.GE, 2), ([1], lp.LE, 1)], n_vars=1)
     assert out.status == "infeasible"
     assert out.farkas is not None
     program = lp.make_program([0], [([1], lp.GE, 2), ([1], lp.LE, 1)])
@@ -288,19 +288,22 @@ def _fraction_oracle_holds(program, sense, out):
     certificate hold?  Optimality is read through weak duality: a feasible
     primal, a sign-feasible dual whose reduced costs are paid by bounds, and
     a dual objective equal to the primal one."""
-    rows, bounds = program.constraints, program.bounds
+    bounds = program.bounds
+    # each row's coefficients, then its rhs, as Fractions
+    rows = [[F(a, con.den) for a in con.nums] for con in program.constraints]
+    rels = [con.rel for con in program.constraints]
 
-    def along(con, v):
-        return sum(a * x for a, x in zip(con.coeffs, v))
+    def along(row, v):
+        return sum(a * x for a, x in zip(row, v))
 
-    def sign_ok(con, value):  # value <= 0 on <= rows, >= 0 on >= rows, 0 on = rows
-        return value == 0 or con.rel == (lp.GE if value > 0 else lp.LE)
+    def sign_ok(rel, value):  # value <= 0 on <= rows, >= 0 on >= rows, 0 on = rows
+        return value == 0 or rel == (lp.GE if value > 0 else lp.LE)
 
     def multipliers_ok(mult):  # a multiplier has the sign of its row's slack, free on = rows
-        return all(con.rel == lp.EQ or sign_ok(con, v) for con, v in zip(rows, mult))
+        return all(rel == lp.EQ or sign_ok(rel, v) for rel, v in zip(rels, mult))
 
     def feasible_point(x):
-        return all(sign_ok(con, along(con, x) - con.rhs) for con in rows) and all(
+        return all(sign_ok(rel, along(row, x) - row[-1]) for row, rel in zip(rows, rels)) and all(
             (lo is None or xj >= lo) and (hi is None or xj <= hi) for xj, (lo, hi) in zip(x, bounds)
         )
 
@@ -316,8 +319,8 @@ def _fraction_oracle_holds(program, sense, out):
 
     def combination(mult):  # (A^T mult, mult . b)
         return (
-            [sum(m * con.coeffs[j] for m, con in zip(mult, rows)) for j in range(program.n_vars)],
-            sum(m * con.rhs for m, con in zip(mult, rows)),
+            [sum(m * row[j] for m, row in zip(mult, rows)) for j in range(program.n_vars)],
+            sum(m * row[-1] for m, row in zip(mult, rows)),
         )
 
     if out.status == "optimal":
@@ -346,7 +349,7 @@ def _fraction_oracle_holds(program, sense, out):
         if x is None or d is None or not feasible_point(x):
             return False
         # d is a direction of the feasible set: rows and bounds hold along it
-        if not all(sign_ok(con, along(con, d)) for con in rows):
+        if not all(sign_ok(rel, along(row, d)) for row, rel in zip(rows, rels)):
             return False
         if any((lo is not None and dj < 0) or (hi is not None and dj > 0)
                for dj, (lo, hi) in zip(d, bounds)):
@@ -387,9 +390,9 @@ def test_integer_recheck_agrees_with_fraction_oracle():
 
 def test_constraint_rows_scaled_once(monkeypatch):
     # A row built from integers (the ball rows, the biorthogonality
-    # equalities, the cuts, the direct search's coordinate equalities) comes
-    # with its scaled row preset and is never lcm-scaled; every other row is
-    # scaled exactly once, however many programs share it.
+    # equalities, the cuts, the direct search's coordinate equalities) is
+    # never lcm-scaled; a row given as a rational triple is scaled once, by
+    # make_program, however many programs then share its Constraint.
     scaled = Counter()
     programs = []
     real_scale, real_solve = lp.lcm_scale, lp.solve
@@ -411,7 +414,7 @@ def test_constraint_rows_scaled_once(monkeypatch):
         return list({id(con): con for program in programs for con in program.constraints}.values())
 
     def values(con):
-        return con.coeffs + (con.rhs,)
+        return tuple(F(a, con.den) for a in con.nums)
 
     # one complementation search whose LP takes three cut rounds: every row
     # is built from integers
@@ -435,23 +438,31 @@ def test_constraint_rows_scaled_once(monkeypatch):
     assert len(rows) - len(ball_ids) >= 3 * 4
     assert [scaled[values(con)] for con in rows] == [0] * len(rows)
 
-    # a row built from rationals, shared by two programs, is scaled once
+    # a row given in rationals is scaled once, by make_program; a second
+    # program that shares its Constraint scales nothing
     scaled.clear()
-    row = lp.Constraint((F(1, 2), F(-1, 3)), lp.LE, F(5, 6))
+    row = lp.make_program([1, 1], [((F(1, 2), F(-1, 3)), lp.LE, F(5, 6))]).constraints[0]
+    assert (row.nums, row.den) == ((3, -2, 5), 6)
     for sense in ("min", "max"):
         lp.solve(lp.make_program([1, 1], [row], [(0, 4), (0, 4)]), sense)
     assert scaled[values(row)] == 1
 
 
 def test_make_program_keeps_a_constraint():
-    con = lp.Constraint((F(1, 2), F(-3)), lp.LE, F(5, 6))
-    assert con.scaled == ((3, -18, 5), 6)
+    con = lp.Constraint((3, -18, 5), 6, lp.LE)
     program = lp.make_program([1, 1], [con, ([1, 1], lp.GE, 0)])
     assert program.constraints[0] is con
+    # a row is kept in lowest terms over a positive denominator
+    reduced = lp.Constraint((2, -4, 6), 4, lp.LE)
+    assert (reduced.nums, reduced.den) == ((1, -2, 3), 2)
+    assert reduced == lp.Constraint((1, -2, 3), 2, lp.LE)
+    for den in (0, -2):
+        with pytest.raises(lp.LpFormatError):
+            lp.Constraint((1, 1, 0), den, lp.LE)
     with pytest.raises(lp.LpFormatError):
         lp.make_program([1], [con])
     with pytest.raises(lp.LpFormatError):
-        lp.make_program([1, 1], [lp.Constraint((F(1), F(1)), "<", F(0))])
+        lp.make_program([1, 1], [lp.Constraint((1, 1, 0), 1, "<")])
 
 
 def test_make_program_rejects_bad_shapes():
@@ -467,12 +478,12 @@ def test_make_program_passes_fractions_through():
     c = F(3, 7)
     program = lp.make_program([c, 2], [([c, "1/2"], lp.LE, c)], bounds=[(c, None), (None, "5")])
     assert program.objective[0] is c
-    assert program.constraints[0].coeffs[0] is c
-    assert program.constraints[0].rhs is c
     assert program.bounds[0][0] is c
-    converted = [program.objective[1], program.constraints[0].coeffs[1], program.bounds[1][1]]
-    assert converted == [F(2), F(1, 2), F(5)]
+    converted = [program.objective[1], program.bounds[1][1]]
+    assert converted == [F(2), F(5)]
     assert all(type(v) is Fraction for v in converted)
+    # the row (3/7, 1/2 | 3/7) over its lcm 14
+    assert program.constraints[0] == lp.Constraint((6, 7, 6), 14, lp.LE)
 
 
 # Fraction oracle for the exact elimination: Gauss-Jordan over Fractions,

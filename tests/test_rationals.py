@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from lipcert import certify, freespace, interval, lipschitz
-from lipcert.metric import restrict
+from lipcert import certify, freespace, interval, lipschitz, lp
+from lipcert.metric import PointedMetricSpace, restrict
 from lipcert.rationals import RationalFormatError, format_rational, lcm_scale_rows, parse_rational
 
 from helpers import equilateral
@@ -54,6 +54,30 @@ def test_library_coefficients_reject_floats():
             call(0.1)
         assert call("1/2") == call(Fraction(1, 2)), name
         assert call(1) == call("1"), name
+
+
+_EXACT_ENTRY_POINTS = {
+    "make_program objective": lambda c: lp.make_program([c], [([1], lp.GE, 0)]),
+    "make_program coefficient": lambda c: lp.make_program([1], [([c], lp.GE, 0)]),
+    "make_program rhs": lambda c: lp.make_program([1], [([1], lp.GE, c)]),
+    "make_program bound": lambda c: lp.make_program([1], [], bounds=[(c, None)]),
+    "FreeOperator.from_matrix": lambda c: freespace.FreeOperator.from_matrix(
+        equilateral(3), [[c, 0], [0, 1]]
+    ),
+    "PointedMetricSpace.from_matrix": lambda c: PointedMetricSpace.from_matrix([[0, c], [c, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXACT_ENTRY_POINTS))
+def test_exact_entry_points_reject_floats(name):
+    # the exact LP, the free-space operators and the metric matrices coerce
+    # every number with parse_rational, so 0.1 raises instead of entering as
+    # 3602879701896397/36028797018963968
+    call = _EXACT_ENTRY_POINTS[name]
+    with pytest.raises(RationalFormatError):
+        call(0.1)
+    assert call("1/2") == call(Fraction(1, 2))
+    assert call(1) == call("1") == call(Fraction(1))
 
 
 def test_format_round_trip():
