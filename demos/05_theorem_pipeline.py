@@ -28,8 +28,8 @@ direct = direct_search_l1(space, k=2)
 print("direct search: found =", direct.found, "after", direct.assignments_tried, "assignments")
 
 # Both bases pass both certification criteria.
-assert l1_isometry_corner(result.basis).valid
-assert l1_isometry_corner(direct.basis).valid
+assert l1_isometry_corner(result.certificate.basis).valid
+assert l1_isometry_corner(direct.certificate.basis).valid
 
 print("Rademacher matrix for k=3 (l1^3 inside l-infinity^4):")
 for row in rademacher_embedding(3):

@@ -332,36 +332,50 @@ _NAMED_PATHS = {
 def _diff(recorded, expected, path=""):
     """The places where two JSON values differ, as (path, problem) pairs.
 
-    Leaves compare type-strictly, so ``true`` is not ``1`` and ``"2/4"`` is
-    not ``"1/2"``.  A path of ``_NAMED_PATHS`` is reported whole.
+    Leaves compare by type and value, so ``true`` is not ``1``, ``1.0`` is
+    not ``1`` and ``"2/4"`` is not ``"1/2"``.  A path of ``_NAMED_PATHS``
+    with any difference below it is reported whole.  Every recorded value is
+    walked, so one nested too deeply raises RecursionError wherever it is.
     """
-    if json.dumps(recorded, sort_keys=True) == json.dumps(expected, sort_keys=True):
-        return []
-    if (
-        path in _NAMED_PATHS
-        or type(recorded) is not type(expected)
-        or not isinstance(recorded, (dict, list))
-    ):
+    kind = type(recorded)
+    if kind is not type(expected) or (kind is not dict and kind is not list):
+        if kind is type(expected) and recorded == expected:
+            return []
+        _walk(recorded)
         return [(path, "does not reproduce")]
-    if isinstance(recorded, dict):
-        where = [
-            (key, f"{path}.{key}" if path else key, key in recorded, key in expected)
-            for key in sorted(recorded.keys() | expected.keys())
-        ]
-    else:
-        where = [
-            (i, f"{path}[{i}]", i < len(recorded), i < len(expected))
-            for i in range(max(len(recorded), len(expected)))
-        ]
     out = []
-    for key, sub, in_recorded, in_expected in where:
-        if not in_expected:
-            out.append((sub, "is not part of the certificate"))
-        elif not in_recorded:
-            out.append((sub, "is missing"))
-        else:
-            out += _diff(recorded[key], expected[key], sub)
+    if kind is dict:
+        keys = recorded.keys()
+        for key in sorted(expected if keys == expected.keys() else keys | expected.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key not in expected:
+                _walk(recorded[key])
+                out.append((sub, "is not part of the certificate"))
+            elif key not in recorded:
+                out.append((sub, "is missing"))
+            else:
+                out += _diff(recorded[key], expected[key], sub)
+    else:
+        for i, (item, want) in enumerate(zip(recorded, expected)):
+            # an equal leaf, the bulk of a document, needs no path
+            leaf = type(want)
+            if type(item) is not leaf or leaf is dict or leaf is list or item != want:
+                out += _diff(item, want, f"{path}[{i}]")
+        if len(recorded) != len(expected):
+            for i in range(len(expected), len(recorded)):
+                _walk(recorded[i])
+                out.append((f"{path}[{i}]", "is not part of the certificate"))
+            for i in range(len(recorded), len(expected)):
+                out.append((f"{path}[{i}]", "is missing"))
+    if out and path in _NAMED_PATHS:
+        return [(path, "does not reproduce")]
     return out
+
+
+def _walk(value):
+    """Visit every value nested in a JSON value."""
+    for item in value.values() if type(value) is dict else value if type(value) is list else ():
+        _walk(item)
 
 
 def _with_provenance(expected, doc):

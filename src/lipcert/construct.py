@@ -46,35 +46,30 @@ _PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 def four_point_basis(space: PointedMetricSpace):
     """Explicit l1^2 basis on a 4-point space.
 
-    Labels the points x1..x4 with x1 the base and rho(x1,x4) + rho(x2,x3)
-    minimal among the three pair-partitions (ties broken lexicographically),
-    evaluates the closed-form functionals, and certifies.  Falls back to the
-    remaining labelings of a minimizing partition, then to the other
-    minimizing partitions; running out of labelings is a hard error since the
-    construction is guaranteed.
+    Labels x1 the base, x4 its partner in the first pair-partition (in
+    ``_PAIRINGS`` order) minimizing rho14 + rho23, and x2, x3 the other pair
+    in index order.  With a, b, c, d, e, g = rho12, rho13, rho14, rho23,
+    rho24, rho34, the closed forms on x1..x4 are f1 = (0, c - e, c - e + d, c)
+    and f2 = (0, a, a - d, c).  So (x4, x1) attains (1, 1), (x3, x2) attains
+    (1, -1), and every quotient lies in [-1, 1]: the bounds c + d - e <= b
+    and c + d - a <= g are the minimality inequalities, which swapping x2
+    and x3 only exchanges, and the rest are triangle inequalities.  The
+    first labeling therefore always certifies; ConstructionError guards that.
     """
     if space.n != 4:
         raise ValueError(f"four_point_basis needs exactly 4 points, got {space.n}")
     if space.base != 0:
         raise ValueError("four_point_basis expects the base point at index 0")
-    cost = {
-        pairing: space.rho(*pairing[0]) + space.rho(*pairing[1]) for pairing in _PAIRINGS
-    }
-    best = min(cost.values())
-    for pairing in _PAIRINGS:
-        if cost[pairing] != best:
-            continue
-        zero_pair, other_pair = pairing
-        x4 = zero_pair[1]  # partner of the base in the minimizing pair
-        for x2, x3 in (other_pair, other_pair[::-1]):
-            f1, f2 = _four_point_formulas(space, x2, x3, x4)
-            cert = certify.l1_isometry_lip([f1, f2])
-            if cert.valid:
-                return f1, f2, cert
-    raise ConstructionError(
-        "4-point construction exhausted all labelings; space dump: "
-        + repr([[str(x) for x in row] for row in space.dist])
-    )
+    rho = space.rho
+    (_, x4), (x2, x3) = min(_PAIRINGS, key=lambda pairing: rho(*pairing[0]) + rho(*pairing[1]))
+    f1, f2 = _four_point_formulas(space, x2, x3, x4)
+    cert = certify.l1_isometry_lip([f1, f2])
+    if not cert.valid:
+        raise ConstructionError(
+            "4-point construction failed to certify; space dump: "
+            + repr([[str(x) for x in row] for row in space.dist])
+        )
+    return f1, f2, cert
 
 
 def _four_point_formulas(space, x2, x3, x4):
@@ -102,8 +97,9 @@ def rademacher_embedding(n: int):
     return tuple(certify.sign_class_representatives(n))
 
 
-def duality_lift(certificate: freespace.ComplementationCertificate):
-    """l-infinity^m basis dual to a 1-complemented l1^m of the free space.
+def duality_lift(certificate: freespace.ComplementationCertificate) -> LinfIsometryCertificate:
+    """Certified l-infinity^m basis dual to a 1-complemented l1^m of the
+    free space; the basis is the returned certificate's.
 
     g_j(x) is the j-th coefficient of P(delta_x) in the basis (u_1..u_m);
     this is the coordinate functional composed with the projection, so it is
@@ -133,16 +129,16 @@ def duality_lift(certificate: freespace.ComplementationCertificate):
     cert = certify.linf_isometry_lip(g)
     if not cert.valid:
         raise AssertionError("duality lift lost the l-infinity certificate")
-    return g, cert
+    return cert
 
 
-def compose_l1_in_linf(basis, linf_certificate: LinfIsometryCertificate, sign_matrix):
-    """f_k = sum_j R[j][k] g_j turns a certified l-infinity^m basis into a
-    certified l1^n basis, n = 1 + log2(m)."""
+def compose_l1_in_linf(linf_certificate: LinfIsometryCertificate, sign_matrix):
+    """f_k = sum_j R[j][k] g_j turns the basis (g_j) of a valid l-infinity^m
+    certificate into a certified l1^n basis, n = 1 + log2(m); the new basis
+    is the returned certificate's."""
     if not linf_certificate.valid:
         raise ValueError("input l-infinity certificate is invalid")
-    if tuple(linf_certificate.basis) != tuple(basis):
-        raise ValueError("certificate does not belong to the given basis")
+    basis = linf_certificate.basis
     m = len(basis)
     if len(sign_matrix) != m:
         raise ValueError(f"sign matrix has {len(sign_matrix)} rows for {m} basis elements")
@@ -156,7 +152,7 @@ def compose_l1_in_linf(basis, linf_certificate: LinfIsometryCertificate, sign_ma
     cert = certify.l1_isometry_lip(f)
     if not cert.valid:
         raise AssertionError("Rademacher composition lost the l1 certificate")
-    return f, cert
+    return cert
 
 
 def select_subset(space: PointedMetricSpace, size: int):
@@ -173,18 +169,15 @@ def select_subset(space: PointedMetricSpace, size: int):
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything the main-theorem pipeline produced, stage by stage."""
+    """The main-theorem pipeline's input and its certificate at each stage;
+    the subset K is the complementation search's space."""
 
     space: PointedMetricSpace
     k: int
     subset_indices: tuple[int, ...]
-    subset: PointedMetricSpace
     complementation: freespace.ComplementationSearch
-    linf_basis: tuple[LipFunctional, ...]
     linf_certificate: LinfIsometryCertificate
-    subset_basis: tuple[LipFunctional, ...]
     subset_certificate: L1IsometryCertificate
-    basis: tuple[LipFunctional, ...]
     certificate: L1IsometryCertificate
 
 
@@ -212,33 +205,32 @@ def theorem_pipeline(space: PointedMetricSpace, k: int, tuple_budget=None) -> Pi
             f"({search.tuples_l1_valid} passed the l1 filter)",
             stats=search,
         )
-    g, linf_cert = duality_lift(search.certificate)
-    subset_basis, subset_cert = compose_l1_in_linf(g, linf_cert, rademacher_embedding(k))
-    basis, cert = extend_basis(subset_basis, subset_cert, space)
+    linf_cert = duality_lift(search.certificate)
+    subset_cert = compose_l1_in_linf(linf_cert, rademacher_embedding(k))
     return PipelineResult(
         space=space,
         k=k,
         subset_indices=tuple(indices),
-        subset=subset,
         complementation=search,
-        linf_basis=g,
         linf_certificate=linf_cert,
-        subset_basis=subset_basis,
         subset_certificate=subset_cert,
-        basis=basis,
-        certificate=cert,
+        certificate=extend_basis(subset_cert, space),
     )
 
 
 @dataclass(frozen=True)
 class DirectSearchResult:
+    """A direct search's counts and its certificate, None if it found none."""
+
     space: PointedMetricSpace
     k: int
-    found: bool
-    basis: tuple[LipFunctional, ...] | None
     certificate: L1IsometryCertificate | None
     assignments_tried: int
     budget_exhausted: bool
+
+    @property
+    def found(self) -> bool:
+        return self.certificate is not None
 
 
 def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> DirectSearchResult:
@@ -254,9 +246,9 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     f(u) - f(v) = rho(u, v) with (u, v) = (x, y) when e = +1 and (y, x) when
     e = -1, so a candidate pair is accepted by one integer comparison per
     coordinate, C[v][u] == rho, and adds one arc per coordinate, u -> v of
-    weight -rho.  A full assignment goes to one LP per basis coordinate,
-    whose solutions give the certified basis with the assignment as its sign
-    witnesses.
+    weight -rho.  The first full assignment goes to one LP per basis
+    coordinate, whose solutions give the certified basis with the assignment
+    as its sign witnesses; its closures admitted it, so the LPs are feasible.
 
     Each node scans only what its parent left.  Every class has e_0 = +1
     and a closure only ever goes down, so a pair that fails coordinate 0 at
@@ -349,14 +341,13 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
                 counted = upto
                 assignment.append((x, y))
                 if depth == last:
-                    outcome = _direct_search_solve(space, k, assignment, ball)
-                else:
-                    if own is None:
-                        own = [lipschitz.closure_add(*view) for view in views]
-                    unused ^= pair_bits[r]
-                    arcs = [(c, *((x, y) if e > 0 else (y, x)), -rho) for e, c in zip(eps, own)]
-                    outcome = dfs(depth + 1, arcs, survivors)
-                    unused ^= pair_bits[r]
+                    return _direct_search_solve(space, k, assignment, ball)
+                if own is None:
+                    own = [lipschitz.closure_add(*view) for view in views]
+                unused ^= pair_bits[r]
+                arcs = [(c, *((x, y) if e > 0 else (y, x)), -rho) for e, c in zip(eps, own)]
+                outcome = dfs(depth + 1, arcs, survivors)
+                unused ^= pair_bits[r]
                 if outcome is not None:
                     return outcome
                 assignment.pop()
@@ -367,19 +358,20 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     root = [(dist_int, 0, 0, 0)] * k
     outcome = dfs(0, root, range(len(candidates)))
     if outcome == "budget":
-        return DirectSearchResult(space, k, False, None, None, tried, True)
-    if outcome is None:
-        return DirectSearchResult(space, k, False, None, None, tried, False)
-    basis, cert = outcome
-    return DirectSearchResult(space, k, True, basis, cert, tried, False)
+        return DirectSearchResult(space, k, None, tried, True)
+    return DirectSearchResult(space, k, outcome, tried, False)
 
 
-def _direct_search_solve(space, k, assignment, ball):
-    """Functional values of a fully assigned witness map: one LP per basis
+def _direct_search_solve(space, k, assignment, ball) -> L1IsometryCertificate:
+    """The certified basis of a fully assigned witness map: one LP per basis
     coordinate, the 1-Lipschitz ball rows ``ball`` plus that coordinate's
     equalities f(x) - f(y) = e * rho(x, y), each the integers ``(s, -s)``
     and ``e * D[x][y]`` over s, from the space's ``integer_dist`` D over its
-    ``dist_scale`` s."""
+    ``dist_scale`` s.
+
+    Every LP is feasible: the search admitted the assignment on shortest-path
+    closures, and a system of difference constraints is feasible exactly when
+    its closure finds no negative cycle."""
     n = space.n
     s = space.dist_scale
     dist = space.integer_dist
@@ -397,21 +389,18 @@ def _direct_search_solve(space, k, assignment, ball):
             rows.append(lp.Constraint(nums, s, lp.EQ))
         outcome = lp.feasible(rows, n_vars=n - 1)
         if outcome.status != "optimal":
-            return None
+            raise AssertionError(f"closure-feasible assignment has an {outcome.status} LP")
         basis.append(LipFunctional(space, tuple([_ZERO] + outcome.primal)))
-    basis = tuple(basis)
-    cert = certify.l1_isometry_lip(basis, pinned_pairs=pinned)
+    cert = certify.l1_isometry_lip(tuple(basis), pinned_pairs=pinned)
     if not cert.valid:
         raise AssertionError("feasible witness assignment must certify")
-    return basis, cert
+    return cert
 
 
 @dataclass(frozen=True)
 class EvaluationEmbedding:
     kind: str
     dimension: int
-    space: PointedMetricSpace
-    basis: tuple[LipFunctional, ...]
     certificate: L1IsometryCertificate | LinfIsometryCertificate
 
 
@@ -456,4 +445,4 @@ def evaluation_embedding(kind: str, d: int) -> EvaluationEmbedding:
         cert = certify.linf_isometry_lip(basis)
     if not cert.valid:
         raise AssertionError("evaluation embedding must certify")
-    return EvaluationEmbedding(kind, d, space, basis, cert)
+    return EvaluationEmbedding(kind, d, cert)

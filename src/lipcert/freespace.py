@@ -459,17 +459,19 @@ def verify_one_complemented(space, basis, projection) -> ComplementationCertific
 
 @dataclass(frozen=True)
 class ComplementationSearch:
-    """Outcome of the candidate-tuple search; exhaustion is explicit data."""
+    """Outcome of the candidate-tuple search; exhaustion is explicit data,
+    and the certificate is None when the search found none."""
 
     space: PointedMetricSpace
     m: int
-    found: bool
-    basis: tuple[FreeVector, ...] | None
-    projection: FreeOperator | None
     certificate: ComplementationCertificate | None
     tuples_tried: int
     tuples_l1_valid: int
     budget_exhausted: bool
+
+    @property
+    def found(self) -> bool:
+        return self.certificate is not None
 
 
 def molecules_span_l1(molecules) -> bool:
@@ -514,9 +516,7 @@ def search_one_complemented(space, m, tuple_budget=None) -> ComplementationSearc
     l1_valid = 0
     for molecules in combinations(canonical_molecules(space), m):
         if tuple_budget is not None and tried >= tuple_budget:
-            return ComplementationSearch(
-                space, m, False, None, None, None, tried, l1_valid, True
-            )
+            return ComplementationSearch(space, m, None, tried, l1_valid, True)
         tried += 1
         if not molecules_span_l1(molecules):
             continue
@@ -525,14 +525,11 @@ def search_one_complemented(space, m, tuple_budget=None) -> ComplementationSearc
         g = _biorthogonal_functionals(space, vectors)
         if g is None:
             continue
-        projection = _projection_from(space, vectors, g)
-        certificate = verify_one_complemented(space, vectors, projection)
+        certificate = verify_one_complemented(space, vectors, _projection_from(space, vectors, g))
         if not certificate.valid:
             raise AssertionError("feasible biorthogonal system must verify")
-        return ComplementationSearch(
-            space, m, True, vectors, projection, certificate, tried, l1_valid, False
-        )
-    return ComplementationSearch(space, m, False, None, None, None, tried, l1_valid, False)
+        return ComplementationSearch(space, m, certificate, tried, l1_valid, False)
+    return ComplementationSearch(space, m, None, tried, l1_valid, False)
 
 
 def _projection_from(space, basis, g_point_values):

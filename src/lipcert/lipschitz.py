@@ -172,30 +172,28 @@ def mcshane_extend(
     return LipFunctional(parent, tuple(Fraction(v - shift, common) for v in raw))
 
 
-def extend_basis(basis, certificate, parent: PointedMetricSpace):
+def extend_basis(certificate, parent: PointedMetricSpace):
     """Norm-preserving extension of a certified l1 basis to a parent space.
 
-    Each basis element is extended by McShane with L = 1; the returned
-    certificate on the parent is rebuilt with the original witness pairs
-    mapped through the index map, so every witness stays inside K.
-    Raises on an invalid input certificate.
+    Each element of the certificate's basis is extended by McShane with
+    L = 1; the returned certificate on the parent holds the extended basis
+    and is rebuilt with the original witness pairs mapped through the index
+    map, so every witness stays inside K.  Raises on an invalid input
+    certificate.
     """
     from . import certify
 
     if not certificate.valid:
         raise ValueError("input l1 certificate is invalid")
-    if tuple(certificate.basis) != tuple(basis):
-        raise ValueError("certificate does not belong to the given basis")
-    space = basis[0].space
-    if space.parent_map is None:
+    idx = certificate.basis[0].space.parent_map
+    if idx is None:
         raise ValueError("basis space does not record a parent index map")
-    idx = space.parent_map
-    extended = tuple(mcshane_extend(f, parent, 1) for f in basis)
+    extended = tuple(mcshane_extend(f, parent, 1) for f in certificate.basis)
     witness_pairs = {w.epsilon: (idx[w.x], idx[w.y]) for w in certificate.sign_witnesses}
     parent_cert = certify.l1_isometry_lip(extended, pinned_pairs=witness_pairs)
     if not parent_cert.valid:
         raise AssertionError("extension lemma failed: extended basis lost its certificate")
-    return extended, parent_cert
+    return parent_cert
 
 
 def differences_feasible(dist_int, equalities):

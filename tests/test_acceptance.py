@@ -289,10 +289,11 @@ def test_criterion_08_duality_lift_on_all_complementations(
     failures = []
     for i, result in enumerate([*results, k3]):
         cert = result.complementation.certificate
-        g, linf_cert = construct.duality_lift(cert)
+        linf_cert = construct.duality_lift(cert)
         if not linf_cert.valid:
             failures.append((i, "invalid lift"))
             continue
+        g = linf_cert.basis
         for a, u in enumerate(cert.basis):
             for b, gj in enumerate(g):
                 expected = F(1) if a == b else F(0)

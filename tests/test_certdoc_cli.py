@@ -228,13 +228,14 @@ def test_verify_names_complementation_figure_faults(complementation_doc, section
 
 
 @pytest.fixture(scope="module")
-def tamper_targets(pipeline_k2_doc):
+def tamper_targets(pipeline_k2_doc, complementation_doc):
     h = random_hybrid(3)
     f = random_pwl(5)
     return {
         "linf": certdoc.linf_document(construct.evaluation_embedding("linf", 2).certificate),
         "hybrid": certdoc.hybrid_document(h, f, interval.compose_embed(f, h)),
         "pipeline": pipeline_k2_doc,
+        "complementation": complementation_doc,
     }
 
 
@@ -247,14 +248,21 @@ def tamper_targets(pipeline_k2_doc):
         ("hybrid", "attaining_pieces", [], "malformed document: attaining_pieces[0] is missing"),
         ("hybrid", "witness.kind", "extra-extra", "witness.kind does not reproduce"),
         ("pipeline", "complementation.kind", "l1-isometry", "complementation.kind does not reproduce"),
+        ("complementation", "checks.range.rank", 2.0, "projection rank does not reproduce"),
+        ("complementation", "checks.l1_isometry.combo_norms.0.value", _DELETED,
+         "l1 combination norms do not reproduce"),
+        ("complementation", "checks.operator_norm.value", float("nan"),
+         "operator norm value does not reproduce"),
+        ("pipeline", "verdict", 1.0, "verdict does not reproduce"),
     ],
     ids=["vertices-false", "vertices-deleted", "ball-one", "pieces-empty", "witness-kind",
-         "nested-kind"],
+         "nested-kind", "rank-float", "combo-value-deleted", "norm-nan", "verdict-float"],
 )
 def test_verify_names_tampered_field(tamper_targets, target, path, value, name):
     doc = json.loads(certdoc.dumps(tamper_targets[target]))
     assert certdoc.verify_document(doc).ok
-    *parents, last = path.split(".")
+    # a key of digits is a list index
+    *parents, last = (int(key) if key.isdigit() else key for key in path.split("."))
     node = doc
     for key in parents:
         node = node[key]
@@ -266,6 +274,8 @@ def test_verify_names_tampered_field(tamper_targets, target, path, value, name):
     assert not report.ok
     assert name in report.failures, report.failures
     assert (report.recomputed == "malformed") == name.startswith("malformed document")
+    if path == "verdict":
+        assert f"verdict mismatch: document says {value!r}, recomputed 'valid'" in report.failures
 
 
 def test_verify_rejects_boolean_basis_entry(tmp_path):

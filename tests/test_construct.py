@@ -3,6 +3,7 @@ direct search, evaluation embeddings."""
 
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,8 +37,16 @@ def test_four_point_long_edge_tie_break():
 
 
 def test_four_point_1000_random_spaces():
-    for seed in range(1000):
-        space = random_space(4, seed, "range")
+    # and tie-heavy graph metrics: the equilateral space, the 4-cycle and the
+    # 3-leaf star, based at its centre and at a leaf
+    cycle = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+    star = [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]
+    leaf_star = [[0, 1, 2, 2], [1, 0, 1, 1], [2, 1, 0, 2], [2, 1, 2, 0]]
+    spaces = [random_space(4, seed, "range") for seed in range(1000)]
+    spaces += [equilateral(4)] + [
+        PointedMetricSpace.from_matrix(rows) for rows in (cycle, star, leaf_star)
+    ]
+    for space in spaces:
         f1, f2, cert = construct.four_point_basis(space)
         assert cert.valid
         for f in (f1, f2):
@@ -96,21 +105,21 @@ def test_duality_lift_single_molecule():
     proj = freespace.FreeOperator.from_matrix(space, matrix)
     cert = freespace.verify_one_complemented(space, [u], proj)
     assert cert.valid
-    g, linf_cert = construct.duality_lift(cert)
+    linf_cert = construct.duality_lift(cert)
     assert linf_cert.valid
-    assert g[0].values == tuple(g_values)  # the lift recovers the dual functional
+    assert linf_cert.basis[0].values == tuple(g_values)  # the lift recovers the dual functional
 
 
 def test_duality_lift_equilateral_m2():
     space = equilateral(4)
     search = freespace.search_one_complemented(space, 2)
     assert search.found
-    g, linf_cert = construct.duality_lift(search.certificate)
+    linf_cert = construct.duality_lift(search.certificate)
     assert linf_cert.valid
-    for j, gj in enumerate(g):
+    for j, gj in enumerate(linf_cert.basis):
         norm, _ = lip_norm(gj)
         assert norm == 1
-        for i, u in enumerate(search.basis):
+        for i, u in enumerate(search.certificate.basis):
             assert freespace.pairing(gj, u) == (1 if i == j else 0)
 
 
@@ -143,18 +152,19 @@ def test_duality_lift_rejects_invalid():
 def test_compose_l1_in_linf_cases():
     space = equilateral(4)
     search = freespace.search_one_complemented(space, 2)
-    g, linf_cert = construct.duality_lift(search.certificate)
-    basis, cert = construct.compose_l1_in_linf(g, linf_cert, construct.rademacher_embedding(2))
+    linf_cert = construct.duality_lift(search.certificate)
+    g = linf_cert.basis
+    cert = construct.compose_l1_in_linf(linf_cert, construct.rademacher_embedding(2))
     assert cert.valid
-    assert basis[0].values == (g[0] + g[1]).values
-    assert basis[1].values == (g[0] - g[1]).values
+    assert cert.basis[0].values == (g[0] + g[1]).values
+    assert cert.basis[1].values == (g[0] - g[1]).values
     # m = 1: composition with [[1]] is the identity
     single = construct.compose_l1_in_linf(
-        (g[0],), certify.linf_isometry_lip([g[0]]), construct.rademacher_embedding(1)
+        certify.linf_isometry_lip([g[0]]), construct.rademacher_embedding(1)
     )
-    assert single[0][0].values == g[0].values
+    assert single.basis[0].values == g[0].values
     with pytest.raises(ValueError):
-        construct.compose_l1_in_linf(g, linf_cert, construct.rademacher_embedding(3))
+        construct.compose_l1_in_linf(linf_cert, construct.rademacher_embedding(3))
 
 
 def test_pipeline_k1_trivial_case():
@@ -162,8 +172,8 @@ def test_pipeline_k1_trivial_case():
         space = random_space(3, seed, "range")
         result = construct.theorem_pipeline(space, 1)
         assert result.certificate.valid
-        assert len(result.basis) == 1
-        norm, witnesses = lip_norm(result.basis[0])
+        assert len(result.certificate.basis) == 1
+        norm, witnesses = lip_norm(result.certificate.basis[0])
         assert norm == 1 and witnesses
 
 
@@ -199,8 +209,16 @@ def test_direct_search_k2_on_four_points():
         result = construct.direct_search_l1(space, 2)
         assert result.found
         assert result.certificate.valid
-        both = certify.l1_isometry_corner(result.basis)
+        both = certify.l1_isometry_corner(result.certificate.basis)
         assert both.valid
+
+
+def test_direct_search_raises_on_an_infeasible_leaf_lp(monkeypatch):
+    # the closures admit only feasible assignments, so an infeasible
+    # coordinate LP is a fault, not a leaf to backtrack from
+    monkeypatch.setattr(lp, "feasible", lambda rows, n_vars: SimpleNamespace(status="infeasible"))
+    with pytest.raises(AssertionError, match="infeasible LP"):
+        construct.direct_search_l1(random_space(4, 0, "range"), 2)
 
 
 def test_direct_search_budget():
@@ -222,7 +240,7 @@ def test_pipeline_and_direct_search_cross_valid():
     space = random_space(5, 3, "range")
     pipe = construct.theorem_pipeline(space, 2)
     direct = construct.direct_search_l1(space, 2)
-    for basis in (pipe.basis, direct.basis):
+    for basis in (pipe.certificate.basis, direct.certificate.basis):
         assert certify.l1_isometry_lip(basis).valid
         assert certify.l1_isometry_corner(basis).valid
 
@@ -279,7 +297,7 @@ def _per_candidate_search(space, k, node_budget=None, parents=None):
     outcome = dfs([dist_int] * k)
     if outcome in (None, "budget"):
         return None, tried, outcome == "budget"
-    return _witness_pairs(outcome[1]), tried, False
+    return _witness_pairs(outcome), tried, False
 
 
 def _witness_pairs(cert):
@@ -345,14 +363,14 @@ def test_direct_search_builds_closures_only_for_nodes_that_admit_a_child(monkeyp
 
 def test_evaluation_embedding_l1_line():
     emb = construct.evaluation_embedding("l1", 1)
-    assert emb.space.n == 3
+    assert emb.certificate.basis[0].space.n == 3
     assert emb.certificate.valid
-    assert emb.basis[0].values == (F(0), F(1), F(-1))
+    assert emb.certificate.basis[0].values == (F(0), F(1), F(-1))
 
 
 def test_evaluation_embedding_l1_square():
     emb = construct.evaluation_embedding("l1", 2)
-    assert emb.space.n == 5
+    assert emb.certificate.basis[0].space.n == 5
     assert emb.certificate.valid
     # all witnesses involve the origin
     for w in emb.certificate.sign_witnesses:
@@ -361,7 +379,7 @@ def test_evaluation_embedding_l1_square():
 
 def test_evaluation_embedding_linf_cross():
     emb = construct.evaluation_embedding("linf", 2)
-    assert emb.space.n == 5
+    assert emb.certificate.basis[0].space.n == 5
     assert emb.certificate.valid
     for w in emb.certificate.vertex_witnesses:
         assert 0 in (w.x, w.y)

@@ -137,9 +137,9 @@ def test_extend_basis_into_equilateral_six():
     f1 = functional(sub, [0, 1, 0, 1])
     f2 = functional(sub, [0, 1, 1, 0])
     cert = certify.l1_isometry_lip([f1, f2])
-    extended, parent_cert = extend_basis([f1, f2], cert, parent)
+    parent_cert = extend_basis(cert, parent)
     assert parent_cert.valid
-    assert [tuple(f.values) for f in extended] == [
+    assert [tuple(f.values) for f in parent_cert.basis] == [
         (F(0), F(1), F(0), F(1), F(1), F(1)),
         (F(0), F(1), F(1), F(0), F(1), F(1)),
     ]
@@ -153,7 +153,7 @@ def test_extend_basis_rejects_invalid_certificate():
     f1 = functional(sub, [0, 1, 0, 1])
     bad = certify.l1_isometry_lip([f1, f1])
     with pytest.raises(ValueError):
-        extend_basis([f1, f1], bad, parent)
+        extend_basis(bad, parent)
 
 
 def test_extend_basis_four_point_in_random_parent_200_seeds():
@@ -163,12 +163,12 @@ def test_extend_basis_four_point_in_random_parent_200_seeds():
         indices = [0] + sorted(rng.sample(range(1, 8), 3))
         sub = restrict(parent, indices)
         f1, f2, cert = four_point_basis(sub)
-        extended, parent_cert = extend_basis([f1, f2], cert, parent)
+        parent_cert = extend_basis(cert, parent)
         assert parent_cert.valid
         members = set(indices)
         assert all(w.x in members and w.y in members for w in parent_cert.sign_witnesses)
         # witnesses are strong-attainment pairs of their sign combinations
         for witness in parent_cert.sign_witnesses:
-            combo = combine(extended, witness.epsilon)
+            combo = combine(parent_cert.basis, witness.epsilon)
             _, attaining = lip_norm(combo)
             assert (witness.x, witness.y) in {(w.x, w.y) for w in attaining}

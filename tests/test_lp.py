@@ -621,8 +621,8 @@ def test_duality_lift_eliminates_once(monkeypatch):
     monkeypatch.setattr(lp, "_gauss_jordan", counting)
     monkeypatch.setattr(freespace.FreeOperator, "apply", forbidden)
     monkeypatch.setattr(freespace, "delta", forbidden)
-    g, cert = construct.duality_lift(search.certificate)
-    assert cert.valid and len(g) == 2
+    cert = construct.duality_lift(search.certificate)
+    assert cert.valid and len(cert.basis) == 2
     assert calls == [5]
 
 
