@@ -254,12 +254,15 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     and a closure only ever goes down, so a pair that fails coordinate 0 at
     a node fails it at every descendant: a node keeps the ranks that pass
     coordinate 0 on its own closure, filtered from its parent's list (the
-    root's is every rank), and hands that list to its children.  The pairs
-    it skips unread still count as tried: one int mask holds the unused
-    ranks (at the root, the first class's), and before each admitted rank
-    the count grows by the unused ranks up to it, the rest after the scan,
-    so ``assignments_tried`` and the budget's cut-off are those of trying
-    every unused pair in rank order.
+    root's is every rank), and hands that list to its children.  Every rank
+    in that list is tight, C[y][x] == rho, on the parent's closure, the one
+    the child reads (at the root, the symmetric metric), so the child keeps
+    a rank exactly when its sum through the arc does not fall below rho, and
+    compares nothing else.  The pairs it skips unread still count as tried:
+    one int mask holds the unused ranks (at the root, the first class's),
+    and before each admitted rank the count grows by the unused ranks up to
+    it, the rest after the scan, so ``assignments_tried`` and the budget's
+    cut-off are those of trying every unused pair in rank order.
 
     A node holds, per coordinate, its parent's closure and the one arc it
     added (the root, the metric and the trivial arc 0 -> 0 of weight 0), and
@@ -316,13 +319,10 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
         if depth == len(classes):
             classes.append(certify.sign_class(k, depth))
         eps = classes[depth]
-        reads = [(e, view[0], *lipschitz.arc_columns(*view)) for e, view in zip(eps, views)]
-        _, c0, via0, row0 = reads[0]
-        survivors = [
-            r for r in survivors
-            if c0[a := ys[r]][b := xs[r]] == (rho := rhos[r]) and via0[a] + row0[b] >= rho
+        survivors = _still_tight(survivors, views[0], xs, ys, rhos)
+        checks = [
+            (e, view[0], *lipschitz.arc_columns(*view)) for e, view in zip(eps[1:], views[1:])
         ]
-        checks = reads[1:]
         mask = first_mask if depth == 0 else unused
         counted = 0  # unused ranks in the mask up to the last admitted one
         own = None  # this node's closures, built when it first admits a child
@@ -360,6 +360,14 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     if outcome == "budget":
         return DirectSearchResult(space, k, None, tried, True)
     return DirectSearchResult(space, k, outcome, tried, False)
+
+
+def _still_tight(survivors, view, xs, ys, rhos):
+    """The ranks of ``survivors`` whose pair (x, y) is tight, C[y][x] == rho,
+    on ``closure_add(*view)``.  Every rank handed in is tight on the view's
+    closure, so the sum through the view's arc decides alone."""
+    via, row = lipschitz.arc_columns(*view)
+    return [r for r in survivors if via[ys[r]] + row[xs[r]] >= rhos[r]]
 
 
 def _direct_search_solve(space, k, assignment, ball) -> L1IsometryCertificate:

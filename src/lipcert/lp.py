@@ -9,14 +9,19 @@ row is such a row too: pricing reads only its negative entries.  The simplex
 path is fixed by the pivot rule, not by the storage, so it is the path exact
 rational arithmetic takes.  Pricing is Dantzig's rule until a run
 of degenerate pivots is detected, after which the solve switches to Bland's
-rule permanently, which guarantees termination on every input.  A
-``Constraint`` stores its row (coefficients, then rhs) once, as integers
-over one positive denominator in lowest terms; ``make_program`` scales a
-rational row to that form once, and every program that shares the row reads
-those integers.  A row is lowered to standard form from its nonzero
-entries; when every variable is free, the lowered row is
-cached on the ``Constraint``, so programs that share rows (the rounds of a
-cut loop) lower only the rows they add.  Rationals (``Fraction``) appear
+rule permanently, which guarantees termination on every input.  After a
+feasible phase 1 every basic artificial sits at zero, so the pivots that
+drive them out are degenerate; with an objective they are made on the
+whole tableau, but a feasibility program (zero objective: zero duals in any
+basis, and no phase-2 pivot) only counts them, on copies of the
+artificial rows.  A ``Constraint`` stores its row (coefficients, then rhs)
+once, as integers over one positive denominator in lowest terms;
+``make_program`` scales a rational row to that form once, and every
+program that shares the row reads those integers.  A row is lowered to
+standard form from its nonzero entries; when every variable is free, the
+lowered row is cached on the ``Constraint``, so programs that share rows
+(the rounds of a cut loop) lower only the rows they add.  Rationals
+(``Fraction``) appear
 only at the boundary: the program, and the primal, ray and dual values read
 back from the final tableau.  Every optimal outcome carries the pair
 (primal, dual) as an exact complementary-slackness certificate; infeasible
@@ -136,6 +141,9 @@ class LpOutcome:
                 derived by ``certificate_violations``, not stored.
     infeasible: farkas holds multipliers per constraint certifying emptiness.
     unbounded:  primal is a feasible point, ray an improving direction.
+
+    ``pivots`` counts the pivots of the simplex path; for a zero objective
+    the phase-1 drive-out pivots are counted on the artificial rows alone.
     """
 
     status: str
@@ -401,6 +409,8 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
     kern, sign, n_real = low.build_kernel()
     n_total = kern.n_cols
     home = kern.basis[:]  # each row's initial basic column, its dual-recovery column
+    struct_cost, cost_den = lcm_scale(low.cost)
+    phase2_cost = {j: c for j, c in enumerate(struct_cost) if c}
 
     # Phase 1: minimize the artificial sum.
     if n_real < n_total:
@@ -414,11 +424,24 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
             out = LpOutcome(status="infeasible", farkas=farkas, pivots=kern.pivots)
             _assert_certificate(lp, sense, out)
             return out
-        _drive_out_artificials(kern, n_real)
-        kern.n_enter = n_real
+        if phase2_cost:
+            _drive_out_artificials(kern, n_real)
+            kern.n_enter = n_real
+        else:
+            # a zero objective: every drive-out pivot is degenerate and reads
+            # artificial rows only, and phase 2 makes none, so the pivots are
+            # counted on copies of the artificial rows; the tableau keeps the
+            # primal phase 1 found
+            arts = [i for i, b in enumerate(kern.basis) if b >= n_real]
+            art_kern = _Kernel(
+                [dict(kern.rows[i]) for i in arts],
+                [kern.den[i] for i in arts],
+                [kern.basis[i] for i in arts],
+                n_total,
+            )
+            _drive_out_artificials(art_kern, n_real)
+            kern.pivots += art_kern.pivots
 
-    struct_cost, cost_den = lcm_scale(low.cost)
-    phase2_cost = {j: c for j, c in enumerate(struct_cost) if c}
     t = kern.optimize(phase2_cost, cost_den)
 
     if t >= 0:
@@ -502,7 +525,10 @@ def _drive_out_artificials(kern, n_real):
 
     Rows whose tableau row is zero on every real column are redundant; their
     artificial stays basic at zero and is barred from re-entering, which keeps
-    it harmless (no real entering column can change it).
+    it harmless (no real entering column can change it).  Each choice reads
+    only rows whose basic column is artificial, so a kernel that holds
+    copies of just those rows, in their order, makes the same pivots: for a
+    zero objective ``solve`` counts them there.
     """
     for i, b in enumerate(kern.basis):
         if b >= n_real:

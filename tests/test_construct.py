@@ -344,6 +344,32 @@ def test_direct_search_matches_per_candidate_search(monkeypatch):
     assert kinds == {"found", "exhausted", "budget"}
 
 
+def test_direct_search_survivors_are_tight_on_the_closure_they_read(monkeypatch):
+    # Every rank a node's filter is handed is tight, C[y][x] == rho, on the
+    # coordinate-0 closure the node reads through its arc (at the root, the
+    # metric), so the filter compares only the sum through the arc:
+    # criterion 03's spaces at k = 3, and the k = 2 spaces of the
+    # per-candidate oracle test.
+    handed = nodes = 0
+    real = construct._still_tight
+
+    def checking(survivors, view, xs, ys, rhos):
+        nonlocal handed, nodes
+        closure = view[0]
+        assert all(closure[ys[r]][xs[r]] == rhos[r] for r in survivors)
+        handed += len(survivors)
+        nodes += 1
+        return real(survivors, view, xs, ys, rhos)
+
+    monkeypatch.setattr(construct, "_still_tight", checking)
+    cases = [(random_space(8, seed, "range"), 3) for seed in range(20)]
+    cases += [(random_space(n, seed), 2) for n in range(2, 8) for seed in range(4)]
+    cases += [(equilateral(3), 2)]
+    for space, k in cases:
+        construct.direct_search_l1(space, k)
+    assert nodes > 1000 and handed > 10 * nodes, (nodes, handed)
+
+
 def test_direct_search_builds_closures_only_for_nodes_that_admit_a_child(monkeypatch):
     # criterion 03's spaces: k closures for each node below the last class
     # that admits a child, and none for any other node

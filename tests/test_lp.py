@@ -674,3 +674,167 @@ def test_tableau_rows_are_sparse_and_never_store_zero(monkeypatch):
         lp.solve_linear(a, b)
     assert pivots > 3000, pivots
     assert optimizes > 2000, optimizes
+
+
+def _whole_tableau_solve(program, sense, drive_out):
+    """``lp.solve`` with the phase-1 drive-out always made on the whole
+    tableau, the path of a program with an objective: an oracle for a zero
+    objective, whose drive-out ``lp.solve`` counts on the artificial rows
+    alone.  No certificate re-check; the outcomes are compared instead.
+    Adds to the Counter ``drive_out`` the drive-out's pivots (``driven``)
+    and the artificials it leaves basic on rows with no real entry
+    (``left``)."""
+    flip = sense == "max"
+    low = lp._Lowering(program, [-c for c in program.objective] if flip else program.objective)
+    kern, sign, n_real = low.build_kernel()
+    home = kern.basis[:]
+    m = len(program.constraints)
+    if n_real < kern.n_cols:
+        phase1_cost = dict.fromkeys(range(n_real, kern.n_cols), 1)
+        assert kern.optimize(phase1_cost, 1) < 0
+        if any(row.get(-1, 0) > 0 for row, b in zip(kern.rows, kern.basis) if b >= n_real):
+            farkas = lp._recover_duals(kern, phase1_cost, 1, sign, home)[:m]
+            return lp.LpOutcome("infeasible", farkas=farkas, pivots=kern.pivots)
+        before = kern.pivots
+        lp._drive_out_artificials(kern, n_real)
+        drive_out["driven"] += kern.pivots - before
+        drive_out["left"] += sum(b >= n_real for b in kern.basis)
+        kern.n_enter = n_real
+    struct_cost, cost_den = lp.lcm_scale(low.cost)
+    cost = {j: c for j, c in enumerate(struct_cost) if c}
+    t = kern.optimize(cost, cost_den)
+    primal = lp._extract_primal(low, kern)
+    if t >= 0:
+        ray = lp._extract_ray(low, kern, t)
+        return lp.LpOutcome("unbounded", primal=primal, ray=ray, pivots=kern.pivots)
+    dual = lp._recover_duals(kern, cost, cost_den, sign, home)[:m]
+    if flip:
+        dual = [-v for v in dual]
+    value = sum(c * x for c, x in zip(program.objective, primal))
+    return lp.LpOutcome("optimal", value, primal, dual, pivots=kern.pivots)
+
+
+def _feasibility_programs(seed, count):
+    """Zero-objective programs in every relation, each variable free, one-
+    sided or boxed (a box adds a row), whose rows are often repeated or a
+    combination of earlier equalities, so phase 1 leaves artificials basic
+    on rows with no real entry.  Most rows hold at a point inside the
+    bounds; a few get a random rhs, which makes many programs infeasible."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        bounds = [_random_bound(rng) for _ in range(n)]
+        point = [
+            lo if lo is not None else hi if hi is not None else F(rng.randint(-3, 3))
+            for lo, hi in bounds
+        ]
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            equalities = [row for row in rows if row[1] == lp.EQ]
+            kind = rng.randrange(6)
+            if kind == 0 and rows:
+                rows.append(rng.choice(rows))
+                continue
+            if kind == 1 and len(equalities) >= 2:
+                (a, _, b), (c, _, d) = rng.sample(equalities, 2)
+                s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+                rows.append(([s * x + t * y for x, y in zip(a, c)], lp.EQ, s * b + t * d))
+                continue
+            coeffs = [F(rng.randint(-3, 3)) for _ in range(n)]
+            rel = rng.choice([lp.LE, lp.GE, lp.EQ, lp.EQ])
+            at = sum(c * x for c, x in zip(coeffs, point))
+            rhs = F(rng.randint(-4, 4)) if kind == 5 else at
+            if rel == lp.LE:
+                rhs += rng.randint(0, 2) * (kind != 5)
+            elif rel == lp.GE:
+                rhs -= rng.randint(0, 2) * (kind != 5)
+            rows.append((coeffs, rel, rhs))
+        yield lp.make_program([0] * n, rows, bounds=bounds)
+
+
+@pytest.fixture(scope="module")
+def acceptance_lps():
+    """Criterion 02's 100 k=2 pipelines and criterion 03's 20 k=3 direct
+    searches, each run once, as ``{name: (solved, eliminations, handed)}``:
+    every ``(program, outcome)`` of ``lp.solve``, the number of
+    ``_eliminate`` calls, and per ``_drive_out_artificials`` call whether its
+    program's objective is zero and whether every row handed in sits on an
+    artificial."""
+    runs = {
+        "criterion 02": lambda: [
+            construct.theorem_pipeline(
+                random_space(4 + i % 5, i, "euclidean" if i % 3 == 0 else "range"), 2
+            )
+            for i in range(100)
+        ],
+        "criterion 03": lambda: [
+            construct.direct_search_l1(random_space(8, seed, "range"), 3) for seed in range(20)
+        ],
+    }
+    real_solve, real_eliminate, real_drive_out = lp.solve, lp._eliminate, lp._drive_out_artificials
+    out = {}
+    for name, run in runs.items():
+        solved, handed = [], []
+        eliminations = 0
+        zero = None
+
+        def recording_solve(program, sense="min"):
+            nonlocal zero
+            zero = not any(program.objective)
+            outcome = real_solve(program, sense)
+            solved.append((program, sense, outcome))
+            return outcome
+
+        def counting_eliminate(*args):
+            nonlocal eliminations
+            eliminations += 1
+            return real_eliminate(*args)
+
+        def checking_drive_out(kern, n_real):
+            handed.append((zero, all(b >= n_real for b in kern.basis)))
+            return real_drive_out(kern, n_real)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "solve", recording_solve)
+            mp.setattr(lp, "_eliminate", counting_eliminate)
+            mp.setattr(lp, "_drive_out_artificials", checking_drive_out)
+            run()
+        out[name] = solved, eliminations, handed
+    return out
+
+
+def test_zero_objective_solves_match_the_whole_tableau_drive_out(acceptance_lps):
+    # A zero objective counts its drive-out pivots on copies of the
+    # artificial rows and leaves the tableau as phase 1 left it; every
+    # outcome must still be the whole-tableau path's, field for field,
+    # pivots included.  Seeded feasibility programs (repeated and dependent
+    # equalities, bounds and box rows, infeasible ones), the 2003 pinned
+    # programs with their objectives zeroed, and the acceptance LPs.
+    batch = [(program, "min") for program in _feasibility_programs(24, 1500)]
+    pinned = [(BEALE, "min"), (PHASE1, "min"), (PHASE1, "max"), *_random_programs(13, 2000)]
+    batch += [(replace(program, objective=(F(0),) * program.n_vars), sense)
+              for program, sense in pinned]
+    for name in ("criterion 02", "criterion 03"):
+        batch += [(program, sense) for program, sense, _ in acceptance_lps[name][0]]
+    statuses, drive_out = Counter(), Counter()
+    for program, sense in batch:
+        out = lp.solve(program, sense)
+        assert out == _whole_tableau_solve(program, sense, drive_out), program
+        statuses[out.status] += 1
+    assert statuses["optimal"] > 1000 and statuses["infeasible"] > 1000, statuses
+    # drive-out pivots were made, and artificials were left on rows with no
+    # real entry, where none is counted
+    assert drive_out["driven"] > 400 and drive_out["left"] > 500, drive_out
+
+
+def test_elimination_work_pinned(acceptance_lps):
+    # The eliminations of criterion 02's 100 pipelines and criterion 03's 20
+    # direct searches: every simplex pivot, reduced-cost update and
+    # Gauss-Jordan step (24,287 and 16,538 while a zero objective drove its
+    # artificials out of the whole tableau).  A zero objective hands the
+    # drive-out its artificial rows only.
+    counts = {}
+    for name, (solved, eliminations, handed) in acceptance_lps.items():
+        counts[name] = eliminations, len(solved), sum(out.pivots for _, _, out in solved)
+        assert all(artificial_only for zero, artificial_only in handed if zero), name
+    assert counts == {"criterion 02": (18626, 282, 2270), "criterion 03": (11844, 60, 778)}
