@@ -120,11 +120,14 @@ class L1IsometryCertificate:
     """
 
     basis: tuple[LipFunctional, ...]
-    valid: bool
     cube_ok: bool
     cube_violation: CubeViolation | None
     sign_witnesses: tuple[SignWitness, ...]
     missing_epsilon: tuple[int, ...] | None
+
+    @property
+    def valid(self) -> bool:
+        return self.cube_ok and self.missing_epsilon is None
 
     @property
     def status(self) -> str:
@@ -181,7 +184,6 @@ def l1_isometry_lip(basis, pinned_pairs=None) -> L1IsometryCertificate:
     missing = next((eps for eps in sign_class_representatives(n) if eps not in sign_pairs), None)
     return L1IsometryCertificate(
         basis=basis,
-        valid=cube_ok and missing is None,
         cube_ok=cube_ok,
         cube_violation=cube_violation,
         sign_witnesses=witnesses,
@@ -319,11 +321,14 @@ class LinfIsometryCertificate:
     """Exact evidence that span(basis) is isometric l-infinity^m inside SNA."""
 
     basis: tuple[LipFunctional, ...]
-    valid: bool
     ball_ok: bool
     ball_violation: BallViolation | None
     vertex_witnesses: tuple[VertexWitness, ...]
     missing_coordinate: int | None
+
+    @property
+    def valid(self) -> bool:
+        return self.ball_ok and self.missing_coordinate is None
 
     @property
     def status(self) -> str:
@@ -371,10 +376,8 @@ def linf_isometry_lip(basis) -> LinfIsometryCertificate:
                 missing = j
         else:
             witnesses.append(VertexWitness(j, *pair))
-    valid = ball_ok and missing is None
     return LinfIsometryCertificate(
         basis=basis,
-        valid=valid,
         ball_ok=ball_ok,
         ball_violation=ball_violation,
         vertex_witnesses=tuple(witnesses),

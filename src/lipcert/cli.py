@@ -9,7 +9,6 @@ input errors, 3 on search exhaustion.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -46,11 +45,9 @@ def _load_space(path: str) -> metric.PointedMetricSpace:
 
 def _load_json(path: str):
     try:
-        return json.loads(_read(path))
-    except ValueError as exc:  # a JSONDecodeError, or an integer with too many digits
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise InputError(f"{path}: invalid JSON: nested too deeply") from exc
+        return metric.json_document(_read(path))
+    except metric.SpaceFormatError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _load_rationals(doc, key, path):

@@ -192,8 +192,9 @@ def theorem_pipeline(space: PointedMetricSpace, k: int, tuple_budget=None) -> Pi
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    if space.n < 2 ** k:
-        raise ValueError(f"need at least {2 ** k} points for k = {k}, got {space.n}")
+    # n < 2^k compared by bit length, so that a large k formats no 2^k
+    if space.n.bit_length() <= k:
+        raise ValueError(f"need at least 2^{k} points for k = {k}, got {space.n}")
     if space.base != 0:
         raise ValueError("theorem_pipeline expects the base point at index 0")
     indices = select_subset(space, 2 ** k)
@@ -373,14 +374,13 @@ def _still_tight(survivors, view, xs, ys, rhos):
 def _direct_search_solve(space, k, assignment, ball) -> L1IsometryCertificate:
     """The certified basis of a fully assigned witness map: one LP per basis
     coordinate, the 1-Lipschitz ball rows ``ball`` plus that coordinate's
-    equalities f(x) - f(y) = e * rho(x, y), each the integers ``(s, -s)``
-    and ``e * D[x][y]`` over s, from the space's ``integer_dist`` D over its
-    ``dist_scale`` s.
+    equalities f(x) - f(y) = e * rho(x, y), each the
+    ``freespace.difference_row`` with rhs ``e * D[x][y]`` over s, from the
+    space's ``integer_dist`` D over its ``dist_scale`` s.
 
     Every LP is feasible: the search admitted the assignment on shortest-path
     closures, and a system of difference constraints is feasible exactly when
     its closure finds no negative cycle."""
-    n = space.n
     s = space.dist_scale
     dist = space.integer_dist
     pinned = {certify.sign_class(k, d): pair for d, pair in enumerate(assignment)}
@@ -388,17 +388,13 @@ def _direct_search_solve(space, k, assignment, ball) -> L1IsometryCertificate:
     for kappa in range(k):
         rows = list(ball)
         for eps, (x, y) in pinned.items():
-            nums = [0] * n
-            if x != 0:
-                nums[x - 1] = s
-            if y != 0:
-                nums[y - 1] = -s
-            nums[-1] = eps[kappa] * dist[x][y]
-            rows.append(lp.Constraint(nums, s, lp.EQ))
-        outcome = lp.feasible(rows, n_vars=n - 1)
+            rhs = eps[kappa] * dist[x][y]
+            rows.append(freespace.difference_row(space, 1, [(0, x, y, 1)], rhs, s, lp.EQ))
+        outcome = lp.feasible(rows, n_vars=space.n - 1)
         if outcome.status != "optimal":
             raise AssertionError(f"closure-feasible assignment has an {outcome.status} LP")
-        basis.append(LipFunctional(space, tuple([_ZERO] + outcome.primal)))
+        (values,) = freespace.block_values(space, outcome.primal, 1)
+        basis.append(LipFunctional(space, values))
     cert = certify.l1_isometry_lip(tuple(basis), pinned_pairs=pinned)
     if not cert.valid:
         raise AssertionError("feasible witness assignment must certify")

@@ -12,6 +12,11 @@ agree exactly.  Operator norms reduce to molecule enumeration because the
 unit ball is the absolutely convex hull of the molecules.
 ``search_one_complemented`` looks for 1-complemented isometric l1^m
 subspaces with molecule bases.
+
+Every LP over Lipschitz functionals (the dual free norm, the complementation
+master LP and its cuts, the direct search's coordinate LPs) has differences
+f(x) - f(y) as rows, each written by ``difference_row``; ``block_values``
+reads the functionals' values back.
 """
 
 from __future__ import annotations
@@ -266,30 +271,47 @@ def free_norm_primal(v: FreeVector) -> tuple[Fraction, tuple[TransportArc, ...]]
     return out.value, decomposition
 
 
-def lipschitz_ball_rows(space: PointedMetricSpace, blocks: int) -> list[lp.Constraint]:
-    """LP rows +-(f(x) - f(y)) <= rho(x, y) over every pair, for each of
-    ``blocks`` functionals; block b holds f_b(1), ..., f_b(n-1) in columns
-    b*(n-1) onward (f_b(0) = 0 is not a variable).  Each row is the integers
-    ``+-(s, -s)`` and ``D[x][y]`` over s, from the space's ``integer_dist``
-    D over its ``dist_scale`` s; programs that reuse the returned
-    constraints share those integers and their lowering."""
+def difference_row(space: PointedMetricSpace, blocks, terms, rhs, den, rel) -> lp.Constraint:
+    """The LP row sum e * s * (f_b(x) - f_b(y)) rel rhs, every entry over
+    ``den``, for (b, x, y, e) in ``terms``, with s the space's
+    ``dist_scale``.  This is the one column layout of the LPs over ``blocks``
+    Lipschitz functionals: block b holds f_b(1), ..., f_b(n-1) in columns
+    b*(n-1) onward, and f_b(0) = 0 is not a variable.  ``lp.Constraint``
+    keeps the row in lowest terms."""
     nb = space.n - 1
     s = space.dist_scale
+    nums = [0] * (blocks * nb + 1)
+    for b, x, y, e in terms:
+        if x != 0:
+            nums[b * nb + x - 1] += e * s
+        if y != 0:
+            nums[b * nb + y - 1] -= e * s
+    nums[-1] = rhs
+    return lp.Constraint(nums, den, rel)
+
+
+def block_values(space: PointedMetricSpace, primal, blocks: int) -> list[tuple[Fraction, ...]]:
+    """Each block's point-indexed values f_b(0), ..., f_b(n-1), read from an
+    LP solution in ``difference_row``'s layout; f_b(0) = 0 at the base."""
+    nb = space.n - 1
+    return [(_ZERO, *primal[b * nb:(b + 1) * nb]) for b in range(blocks)]
+
+
+def lipschitz_ball_rows(space: PointedMetricSpace, blocks: int) -> list[lp.Constraint]:
+    """LP rows +-(f(x) - f(y)) <= rho(x, y) over every pair, for each of
+    ``blocks`` functionals: block, then pair, then the + row before the -
+    row.  Each is the ``difference_row`` with rhs ``D[x][y]`` over s, from
+    the space's ``integer_dist`` D over its ``dist_scale`` s; programs that
+    reuse the returned constraints share those integers and their
+    lowering."""
     dist = space.integer_dist
-    rows = []
-    for b in range(blocks):
-        for x, y in space.pairs():
-            nums = [0] * (blocks * nb + 1)
-            if x != 0:
-                nums[b * nb + x - 1] = s
-            if y != 0:
-                nums[b * nb + y - 1] = -s
-            nums[-1] = dist[x][y]
-            rows.append(lp.Constraint(nums, s, lp.LE))
-            nums = [-a for a in nums]
-            nums[-1] = dist[x][y]
-            rows.append(lp.Constraint(nums, s, lp.LE))
-    return rows
+    s = space.dist_scale
+    return [
+        difference_row(space, blocks, [(b, x, y, e)], dist[x][y], s, lp.LE)
+        for b in range(blocks)
+        for x, y in space.pairs()
+        for e in (1, -1)
+    ]
 
 
 def free_norm_dual(v: FreeVector) -> tuple[Fraction, LipFunctional]:
@@ -303,8 +325,8 @@ def free_norm_dual(v: FreeVector) -> tuple[Fraction, LipFunctional]:
     out = lp.solve(program, "max")
     if out.status != "optimal":
         raise AssertionError(f"dual LP is bounded by the cube constraints, got {out.status}")
-    f = LipFunctional(space, tuple([_ZERO] + list(out.primal)))
-    return out.value, f
+    (values,) = block_values(space, out.primal, 1)
+    return out.value, LipFunctional(space, values)
 
 
 @dataclass(frozen=True)
@@ -521,10 +543,10 @@ def search_one_complemented(space, m, tuple_budget=None) -> ComplementationSearc
         if not molecules_span_l1(molecules):
             continue
         l1_valid += 1
-        vectors = tuple(mol.as_free_vector() for mol in molecules)
-        g = _biorthogonal_functionals(space, vectors)
+        g = _biorthogonal_functionals(space, molecules)
         if g is None:
             continue
+        vectors = tuple(mol.as_free_vector() for mol in molecules)
         certificate = verify_one_complemented(space, vectors, _projection_from(space, vectors, g))
         if not certificate.valid:
             raise AssertionError("feasible biorthogonal system must verify")
@@ -543,57 +565,42 @@ def _projection_from(space, basis, g_point_values):
     return FreeOperator(space, rows, u_den * g_den)
 
 
-def _biorthogonal_functionals(space, basis):
-    """Feasibility for biorthogonal g_j's with ||P mol|| <= 1 for every
-    molecule; returns point-indexed g value lists, or None if infeasible.
+def _biorthogonal_functionals(space, molecules):
+    """Feasibility for functionals g_j biorthogonal to the molecules, with
+    ||P mol|| <= 1 for every molecule; returns point-indexed g value tuples,
+    or None if infeasible.
 
-    The basis passed the l1 filter, so ||sum_j c_j u_j|| = sum_j |c_j|
+    The molecules passed the l1 filter, so ||sum_j c_j u_j|| = sum_j |c_j|
     exactly, and ||P mol|| <= 1 are the facets sum_j s_j g_j(mol) <= 1 of
     per-molecule l1 coefficient balls.  The master starts from the
-    biorthogonality equalities plus the 1-Lipschitz cube rows of each g_j;
-    a molecule with sum_j |g_j(mol)| > 1 adds the facet s_j = sign(g_j(mol))
-    as a cut.  Each cut removes the current candidate and the facet family is
-    finite, so the loop terminates.  Every row is an ``lp.Constraint`` of
-    integers (the lcm-scaled basis, ``integer_dist`` and ``dist_scale``), so
-    no rational is scaled, and is kept across rounds, so a round lowers only
-    its new cuts.
+    biorthogonality equalities g_j(x_i) - g_j(y_i) = delta_ij rho(x_i, y_i)
+    plus the 1-Lipschitz ball rows of each g_j; a molecule with
+    sum_j |g_j(mol)| > 1 adds the facet s_j = sign(g_j(mol)) as a cut.  Each
+    cut removes the current candidate and the facet family is finite, so the
+    loop terminates.  Every row is a ``difference_row`` over an entry of the
+    space's ``integer_dist`` D or its ``dist_scale``, so no rational is
+    scaled, and is kept across rounds, so a round lowers only its new cuts.
     Separation uses this l1 identity; the final projection is still checked
     by exact transport norms in ``verify_one_complemented``.
     """
-    n = space.n
-    nb = n - 1
-    m = len(basis)
-    mols = canonical_molecules(space)
-    n_g = m * nb
+    m = len(molecules)
     s = space.dist_scale
     dist = space.integer_dist
-
-    def g_col(j, p):
-        # column of variable g_j(p); p is a non-base point index
-        return j * nb + (p - 1)
-
-    # <g_j, u_i> = delta_ij over the lcm u_den of u_i's denominators
     rows = []
-    for i in range(m):
-        u_int, u_den = lcm_scale(basis[i].coeffs)
+    for i, mol in enumerate(molecules):
+        rho = dist[mol.x][mol.y]
         for j in range(m):
-            nums = [0] * (n_g + 1)
-            nums[j * nb:(j + 1) * nb] = u_int
-            if i == j:
-                nums[-1] = u_den
-            rows.append(lp.Constraint(nums, u_den, lp.EQ))
+            terms = [(j, mol.x, mol.y, 1)]
+            rows.append(difference_row(space, m, terms, int(i == j) * rho, rho, lp.EQ))
     rows.extend(lipschitz_ball_rows(space, m))
+    mols = canonical_molecules(space)
 
     while True:
-        outcome = lp.feasible(rows, n_vars=n_g)
+        outcome = lp.feasible(rows, n_vars=m * (space.n - 1))
         if outcome.status != "optimal":
             return None
-        g_values = [
-            [_ZERO] + [outcome.primal[g_col(j, p)] for p in range(1, n)]
-            for j in range(m)
-        ]
-        # g_j(mol) = s (G_j[x] - G_j[y]) / (L D[x][y]) with G = g * L over
-        # integers and D the integer_dist over its scale s
+        g_values = block_values(space, outcome.primal, m)
+        # g_j(mol) = s (G_j[x] - G_j[y]) / (L D[x][y]), G = g * L integers
         g_int, g_den = lcm_scale_rows(g_values)
         cuts = []
         for mol in mols:
@@ -601,17 +608,9 @@ def _biorthogonal_functionals(space, basis):
             c = [g[x] - g[y] for g in g_int]
             if s * sum(abs(cj) for cj in c) <= g_den * dist[x][y]:
                 continue
-            # sum_j sign(c_j) g_j(mol) <= 1 with g_j(mol) = s (g_j(x) -
-            # g_j(y)) / D[x][y]: numerators +-s and D[x][y], over D[x][y]
-            nums = [0] * (n_g + 1)
-            for j, cj in enumerate(c):
-                sj = s if cj >= 0 else -s
-                if x != 0:
-                    nums[g_col(j, x)] += sj
-                if y != 0:
-                    nums[g_col(j, y)] -= sj
-            nums[-1] = dist[x][y]
-            cuts.append(lp.Constraint(nums, dist[x][y], lp.LE))
+            # sum_j sign(c_j) g_j(mol) <= 1, over D[x][y]
+            terms = [(j, x, y, 1 if cj >= 0 else -1) for j, cj in enumerate(c)]
+            cuts.append(difference_row(space, m, terms, dist[x][y], dist[x][y], lp.LE))
         if not cuts:
             return g_values
         rows.extend(cuts)

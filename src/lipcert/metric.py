@@ -211,10 +211,11 @@ def load_space_document(text: str):
     ``validate`` and ``point_labels``, or ``from_matrix``, do that
     separately, so callers can report violations as data.
     """
-    return _space_fields(_json_document(text))
+    return _space_fields(json_document(text))
 
 
-def _json_document(text: str):
+def json_document(text: str):
+    """``json.loads(text)``, or SpaceFormatError naming why it is not JSON."""
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer with too many digits
@@ -252,7 +253,7 @@ def parse_space(text: str) -> PointedMetricSpace:
     may be omitted (default labels).  An optional "base" field (default 0)
     round-trips spaces produced by rebasing.
     """
-    return space_from_doc(_json_document(text))
+    return space_from_doc(json_document(text))
 
 
 def space_from_doc(doc) -> PointedMetricSpace:

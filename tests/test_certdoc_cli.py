@@ -540,6 +540,7 @@ _MALFORMED_INPUTS = {
         pytest.param(("c0-demo", "-N", "2", "--count", "0"), id="c0-demo-count"),
         pytest.param(("c0-demo", "-N", "0"), id="c0-demo-blocks"),
         pytest.param(("pipeline", "eq4", "-k", "0"), id="pipeline-k"),
+        pytest.param(("pipeline", "eq4", "-k", "20000"), id="pipeline-k-large"),
         pytest.param(("direct-search", "eq4", "-k", "0"), id="direct-search-k"),
         pytest.param(("trials", "--op", "pipeline", "--count", "2", "-k", "0"), id="trials-k"),
         pytest.param(("trials", "--op", "four-point", "--count", "2", "--jobs", "0"), id="trials-jobs-0"),
@@ -558,6 +559,8 @@ def test_cli_malformed_input_exits_2_without_traceback(tmp_path, eq4_file, argv)
     assert err.startswith("error: "), err
     assert "Traceback" not in err
     assert out == ""
+    if "20000" in argv:
+        assert "2^20000" in err, err
 
 
 def _limited_memory():

@@ -229,7 +229,6 @@ def _oracle_l1(basis, pinned_pairs=None):
             witnesses.append(certify.SignWitness(eps, *pair))
     return certify.L1IsometryCertificate(
         basis=tuple(basis),
-        valid=cube_violation is None and missing is None,
         cube_ok=cube_violation is None,
         cube_violation=cube_violation,
         sign_witnesses=tuple(witnesses),
@@ -255,7 +254,6 @@ def _oracle_linf(basis):
     missing = next((j for j in range(len(basis)) if j not in vertex_pair), None)
     return certify.LinfIsometryCertificate(
         basis=tuple(basis),
-        valid=ball_violation is None and missing is None,
         ball_ok=ball_violation is None,
         ball_violation=ball_violation,
         vertex_witnesses=witnesses,

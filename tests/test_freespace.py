@@ -11,7 +11,7 @@ import pytest
 
 from lipcert import certify, construct, freespace, lipschitz, lp
 from lipcert.lipschitz import arc_columns, closure_add, differences_feasible, lip_norm
-from lipcert.metric import random_space
+from lipcert.metric import PointedMetricSpace, random_space
 from lipcert.rationals import lcm_scale
 
 from helpers import equilateral, free_norm_vertex_oracle, random_coeffs, random_functional
@@ -576,6 +576,28 @@ def test_lipschitz_ball_rows_layout():
         [0, 0, -1, 0], [0, 0, 1, 0], [0, 0, 0, -1], [0, 0, 0, 1], [0, 0, 1, -1], [0, 0, -1, 1],
     ]
     assert all(con.rel == "<=" and con.nums[-1] == con.den == 1 for con in rows)
+
+    # rho(0,1) = 1/2, rho(0,2) = 3/4, rho(1,2) = 1/2: dist_scale 4, D = 2, 3, 2
+    space = PointedMetricSpace.from_matrix(
+        [[0, F(1, 2), F(3, 4)], [F(1, 2), 0, F(1, 2)], [F(3, 4), F(1, 2), 0]]
+    )
+    assert space.dist_scale == 4 and space.integer_dist[0][2] == 3
+    # the base as y, then as x (no column), and two terms on one column
+    terms = [(0, 1, 0, 1), (0, 0, 2, -1), (1, 1, 2, 1), (1, 1, 0, 1)]
+    row = freespace.difference_row(space, 2, terms, 5, 3, "<=")
+    assert (row.nums, row.den, row.rel) == ((4, 4, 8, -4, 5), 3, "<=")
+    # block b starts at column b * (n - 1)
+    row = freespace.difference_row(space, 3, [(2, 2, 1, 1)], 0, 1, "=")
+    assert row.nums == (0, 0, 0, 0, -4, 4, 0)
+    # g_1 on the molecule (delta_2 - delta_1) / rho(2, 1) equal to 1, over
+    # D[2][1] = 2: (s, -s | D) over D in lowest terms, the lcm-scaled row
+    row = freespace.difference_row(space, 2, [(1, 2, 1, 1)], 2, 2, "=")
+    u = freespace.Molecule(space, 2, 1).as_free_vector().coeffs
+    assert (row.nums, row.den) == ((0, 0, -2, 2, 1), 1)
+    assert list(row.nums) == lcm_scale([0, 0, *u, 1])[0]
+    # each block's values, point-indexed with zero at the base
+    values = freespace.block_values(space, [F(1), F(2), F(3, 5), F(4)], 2)
+    assert values == [(0, 1, 2), (0, F(3, 5), 4)]
 
 
 def test_filtered_molecules_norm_is_l1_of_coefficients():
