@@ -68,7 +68,7 @@ def _witness(basis, w, **label) -> dict:
 
 
 def _l1_checks(cert: certify.L1IsometryCertificate) -> dict:
-    cube = {"ok": cert.cube_ok}
+    cube = {"ok": cert.cube_violation is None}
     if cert.cube_violation is not None:
         v = cert.cube_violation
         cube.update(pair=[v.x, v.y], coordinate=v.coordinate, quotient=format_rational(v.quotient))
@@ -89,7 +89,7 @@ def l1_document(cert: certify.L1IsometryCertificate, config=None) -> dict:
 
 
 def linf_document(cert: certify.LinfIsometryCertificate, config=None) -> dict:
-    ball = {"ok": cert.ball_ok}
+    ball = {"ok": cert.ball_violation is None}
     if cert.ball_violation is not None:
         v = cert.ball_violation
         ball.update(pair=[v.x, v.y], l1_norm=format_rational(v.l1_norm))
@@ -136,12 +136,19 @@ def complementation_document(cert: freespace.ComplementationCertificate, config=
 def pipeline_document(result, config=None) -> dict:
     """Pipeline certificate: the extended basis with witnesses pinned in the
     subset, plus the nested complementation certificate of the subset stage."""
-    cert = result.certificate
+    nested = complementation_document(result.complementation.certificate)
+    return _pipeline(result.certificate, result.k, list(result.subset_indices), nested, config)
+
+
+def _pipeline(cert, k, subset, complementation, config=None) -> dict:
+    """The pipeline document of the l1 certificate ``cert``: valid only when
+    ``cert`` is and the nested ``complementation`` document is present and
+    valid.  The writer and the verifier both render through here."""
+    nested_valid = complementation is not None and complementation["verdict"] == "valid"
     space, rows = cert.basis[0].space, [f.values for f in cert.basis]
     return _certificate(
-        "pipeline", space, rows, _l1_checks(cert), cert.status, config,
-        k=result.k, subset=list(result.subset_indices),
-        complementation=complementation_document(result.complementation.certificate),
+        "pipeline", space, rows, _l1_checks(cert), cert.status if nested_valid else "invalid",
+        config, k=k, subset=subset, complementation=complementation,
     )
 
 
@@ -480,12 +487,7 @@ def _expect_l1(doc, failures):
         _with_provenance(nested_expected, nested)
         if subset and nested_space.dist != restrict(space, subset).dist:
             failures.append("nested complementation space is not the recorded subset")
-    nested_valid = nested_expected is not None and nested_expected["verdict"] == "valid"
-    return _certificate(
-        "pipeline", space, [f.values for f in basis], _l1_checks(cert),
-        cert.status if nested_valid else "invalid", None,
-        k=n, subset=doc.get("subset"), complementation=nested_expected,
-    )
+    return _pipeline(cert, n, doc.get("subset"), nested_expected)
 
 
 def _expect_complementation(doc, failures):

@@ -120,14 +120,13 @@ class L1IsometryCertificate:
     """
 
     basis: tuple[LipFunctional, ...]
-    cube_ok: bool
     cube_violation: CubeViolation | None
     sign_witnesses: tuple[SignWitness, ...]
     missing_epsilon: tuple[int, ...] | None
 
     @property
     def valid(self) -> bool:
-        return self.cube_ok and self.missing_epsilon is None
+        return self.cube_violation is None and self.missing_epsilon is None
 
     @property
     def status(self) -> str:
@@ -170,7 +169,6 @@ def l1_isometry_lip(basis, pinned_pairs=None) -> L1IsometryCertificate:
                     key, pair = tuple(-1 if a > 0 else 1 for a in w), (y, x)
                 if key not in sign_pairs or pair < sign_pairs[key]:
                     sign_pairs[key] = pair
-    cube_ok = cube_violation is None
 
     if pinned_pairs is not None:
         for eps, pair in pinned_pairs.items():
@@ -184,7 +182,6 @@ def l1_isometry_lip(basis, pinned_pairs=None) -> L1IsometryCertificate:
     missing = next((eps for eps in sign_class_representatives(n) if eps not in sign_pairs), None)
     return L1IsometryCertificate(
         basis=basis,
-        cube_ok=cube_ok,
         cube_violation=cube_violation,
         sign_witnesses=witnesses,
         missing_epsilon=missing,
@@ -205,11 +202,14 @@ def _realizes(num, den, dist, pair, eps) -> bool:
 class CornerReport:
     """Corner-criterion verdict: independent cross-oracle for l1 isometry."""
 
-    valid: bool
     unit_norms: tuple[Fraction, ...]
     corner_values: tuple[tuple[tuple[int, ...], Fraction], ...]
     failing_coeffs: tuple[Fraction, ...] | None
     failing_value: Fraction | None
+
+    @property
+    def valid(self) -> bool:
+        return self.failing_coeffs is None
 
 
 def l1_isometry_corner(basis) -> CornerReport:
@@ -236,7 +236,6 @@ def l1_isometry_corner(basis) -> CornerReport:
             failing = tuple(Fraction(e) for e in eps)
             fail_value = v
     return CornerReport(
-        valid=failing is None,
         unit_norms=tuple(unit_norms),
         corner_values=tuple(corners),
         failing_coeffs=failing,
@@ -248,10 +247,13 @@ def l1_isometry_corner(basis) -> CornerReport:
 class FreeL1Report:
     """l1^m isometry check inside the free space, via exact transport norms."""
 
-    valid: bool
     unit_norms: tuple[Fraction, ...]
     combo_norms: tuple[tuple[tuple[int, ...], Fraction], ...]
     failure: str | None
+
+    @property
+    def valid(self) -> bool:
+        return self.failure is None
 
 
 def l1_isometry_free(vectors) -> FreeL1Report:
@@ -282,7 +284,6 @@ def l1_isometry_free(vectors) -> FreeL1Report:
         unit_norms.append(value)
         if value != 1:
             return FreeL1Report(
-                valid=False,
                 unit_norms=tuple(unit_norms),
                 combo_norms=(),
                 failure=f"basis vector {len(unit_norms) - 1} has free norm {value}, not 1",
@@ -294,12 +295,11 @@ def l1_isometry_free(vectors) -> FreeL1Report:
         combos.append((eps, value))
         if value != m:
             return FreeL1Report(
-                valid=False,
                 unit_norms=tuple(unit_norms),
                 combo_norms=tuple(combos),
                 failure=f"sign combination {eps} has free norm {value}, not {m}",
             )
-    return FreeL1Report(True, tuple(unit_norms), tuple(combos), None)
+    return FreeL1Report(tuple(unit_norms), tuple(combos), None)
 
 
 @dataclass(frozen=True)
@@ -321,14 +321,13 @@ class LinfIsometryCertificate:
     """Exact evidence that span(basis) is isometric l-infinity^m inside SNA."""
 
     basis: tuple[LipFunctional, ...]
-    ball_ok: bool
     ball_violation: BallViolation | None
     vertex_witnesses: tuple[VertexWitness, ...]
     missing_coordinate: int | None
 
     @property
     def valid(self) -> bool:
-        return self.ball_ok and self.missing_coordinate is None
+        return self.ball_violation is None and self.missing_coordinate is None
 
     @property
     def status(self) -> str:
@@ -366,7 +365,6 @@ def linf_isometry_lip(basis) -> LinfIsometryCertificate:
                 continue
             if j not in vertex_pair or pair < vertex_pair[j]:
                 vertex_pair[j] = pair
-    ball_ok = ball_violation is None
     witnesses = []
     missing = None
     for j in range(m):
@@ -378,7 +376,6 @@ def linf_isometry_lip(basis) -> LinfIsometryCertificate:
             witnesses.append(VertexWitness(j, *pair))
     return LinfIsometryCertificate(
         basis=basis,
-        ball_ok=ball_ok,
         ball_violation=ball_violation,
         vertex_witnesses=tuple(witnesses),
         missing_coordinate=missing,

@@ -155,15 +155,15 @@ def cmd_pipeline(args):
         result = construct.theorem_pipeline(space, args.k, tuple_budget=args.budget)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    except construct.SearchExhausted as exc:
-        stats = exc.stats
+    if not result.found:
+        search = result.complementation
         doc = certdoc.document(
             "exhaustion",
             stage="complementation-search",
             k=args.k,
-            tuples_tried=stats.tuples_tried,
-            tuples_l1_valid=stats.tuples_l1_valid,
-            budget_exhausted=stats.budget_exhausted,
+            tuples_tried=search.tuples_tried,
+            tuples_l1_valid=search.tuples_l1_valid,
+            budget_exhausted=search.budget_exhausted,
         )
         return EXIT_EXHAUSTED, doc
     doc = certdoc.pipeline_document(result, config={"k": args.k})
@@ -297,22 +297,15 @@ def run_trial(op: str, seed: int, index: int, params: dict) -> dict:
             space = metric.random_space(4, trial_seed, method)
             _, _, cert = construct.four_point_basis(space)
             record["ok"] = cert.valid
-        elif op == "pipeline":
-            n = params["n"] or 2 ** params["k"]
+        elif op in ("pipeline", "direct-search"):
+            k = params["k"]
+            if op == "pipeline":
+                search, n = construct.theorem_pipeline, params["n"] or 2 ** k
+            else:
+                search, n = construct.direct_search_l1, params["n"] or k + 1
             space = metric.random_space(n, trial_seed, method)
-            try:
-                result = construct.theorem_pipeline(
-                    space, params["k"], tuple_budget=params["budget"]
-                )
-                record["ok"] = result.certificate.valid
-            except construct.SearchExhausted:
-                record["exhausted"] = True
-        elif op == "direct-search":
-            n = params["n"] or params["k"] + 1
-            space = metric.random_space(n, trial_seed, method)
-            result = construct.direct_search_l1(
-                space, params["k"], node_budget=params["budget"]
-            )
+            # the third argument of either search is its budget
+            result = search(space, k, params["budget"])
             if result.found:
                 record["ok"] = result.certificate.valid
             else:

@@ -32,14 +32,6 @@ class ConstructionError(AssertionError):
     """A construction the theory guarantees has failed; carries a space dump."""
 
 
-class SearchExhausted(RuntimeError):
-    """A search ran out of candidates; carries the search statistics."""
-
-    def __init__(self, message, stats=None):
-        super().__init__(message)
-        self.stats = stats
-
-
 _PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
@@ -170,15 +162,21 @@ def select_subset(space: PointedMetricSpace, size: int):
 @dataclass(frozen=True)
 class PipelineResult:
     """The main-theorem pipeline's input and its certificate at each stage;
-    the subset K is the complementation search's space."""
+    the subset K is the complementation search's space.  When that search
+    found none, the three certificates are None and ``complementation``
+    holds its counts."""
 
     space: PointedMetricSpace
     k: int
     subset_indices: tuple[int, ...]
     complementation: freespace.ComplementationSearch
-    linf_certificate: LinfIsometryCertificate
-    subset_certificate: L1IsometryCertificate
-    certificate: L1IsometryCertificate
+    linf_certificate: LinfIsometryCertificate | None
+    subset_certificate: L1IsometryCertificate | None
+    certificate: L1IsometryCertificate | None
+
+    @property
+    def found(self) -> bool:
+        return self.certificate is not None
 
 
 def theorem_pipeline(space: PointedMetricSpace, k: int, tuple_budget=None) -> PipelineResult:
@@ -188,7 +186,8 @@ def theorem_pipeline(space: PointedMetricSpace, k: int, tuple_budget=None) -> Pi
     l1^(2^(k-1)) with molecule basis in the free space of K, lift by duality
     to an l-infinity basis, compose with the Rademacher matrix, and extend to
     the whole space with the witnesses kept inside K.  Exhaustion of the
-    complementation search raises SearchExhausted with its statistics.
+    complementation search is a result, as in ``direct_search_l1``: ``found``
+    is False and the counts are ``complementation``'s.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -201,11 +200,7 @@ def theorem_pipeline(space: PointedMetricSpace, k: int, tuple_budget=None) -> Pi
     subset = restrict(space, indices)
     search = freespace.search_one_complemented(subset, 2 ** (k - 1), tuple_budget)
     if not search.found:
-        raise SearchExhausted(
-            f"complementation search exhausted after {search.tuples_tried} tuples "
-            f"({search.tuples_l1_valid} passed the l1 filter)",
-            stats=search,
-        )
+        return PipelineResult(space, k, tuple(indices), search, None, None, None)
     linf_cert = duality_lift(search.certificate)
     subset_cert = compose_l1_in_linf(linf_cert, rademacher_embedding(k))
     return PipelineResult(
@@ -274,12 +269,20 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     (``lipschitz.closure_add``) only when it first admits a child, and a
     node of the last class never does, since its children go straight to
     the LPs.
+
+    It searches ``min(k, k')`` coordinates, k' = P.bit_length() + 1 for the
+    P = n(n-1)/2 unordered pairs.  Each class takes its own pair, so every
+    class reached has index at most P < 2^(k'-1), and its coordinates
+    1..k-k' are +1: copies of coordinate 0, which admit nothing it does not.
+    The nodes, count, cut-off and verdict are those of all k coordinates;
+    the result's ``k`` is the requested one.
     """
     if k < 1:
         raise ValueError("need k >= 1")
     if space.base != 0:
         raise ValueError("direct_search_l1 expects the base point at index 0")
-    last = (1 << (k - 1)) - 1  # class d of the search is sign_class(k, d)
+    k_search = min(k, (space.n * (space.n - 1) // 2).bit_length() + 1)
+    last = (1 << (k_search - 1)) - 1  # class d of the search is sign_class(k_search, d)
     # integer-scaled distances keep the feasibility pruning in int arithmetic
     dist_int = space.integer_dist
     candidates = sorted(
@@ -311,14 +314,14 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
         tried += m
         return True
 
-    classes = []  # sign_class(k, d) of each depth d reached so far
+    classes = []  # sign_class(k_search, d) of each depth d reached so far
 
     def dfs(depth, views, survivors):
         # ``views``: per coordinate, the parent's closure and the arc
         # (u, v, w) this node added; ``survivors``: the parent's list
         nonlocal unused
         if depth == len(classes):
-            classes.append(certify.sign_class(k, depth))
+            classes.append(certify.sign_class(k_search, depth))
         eps = classes[depth]
         survivors = _still_tight(survivors, views[0], xs, ys, rhos)
         checks = [
@@ -342,7 +345,7 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
                 counted = upto
                 assignment.append((x, y))
                 if depth == last:
-                    return _direct_search_solve(space, k, assignment, ball)
+                    return _direct_search_solve(space, k_search, assignment, ball)
                 if own is None:
                     own = [lipschitz.closure_add(*view) for view in views]
                 unused ^= pair_bits[r]
@@ -356,7 +359,7 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
 
     # the root reads the metric through the trivial arc 0 -> 0 of weight 0,
     # which lowers no entry
-    root = [(dist_int, 0, 0, 0)] * k
+    root = [(dist_int, 0, 0, 0)] * k_search
     outcome = dfs(0, root, range(len(candidates)))
     if outcome == "budget":
         return DirectSearchResult(space, k, None, tried, True)

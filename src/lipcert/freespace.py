@@ -428,11 +428,17 @@ class ComplementationCertificate:
     idempotent_ok: bool
     fixes_basis: bool
     rank: int
-    rank_ok: bool
     operator_norm_value: Fraction
     norm_witness: Molecule | None
-    norm_ok: bool
     l1_report: "FreeL1Report"
+
+    @property
+    def rank_ok(self) -> bool:
+        return self.rank == len(self.basis)
+
+    @property
+    def norm_ok(self) -> bool:
+        return self.operator_norm_value == 1
 
     @property
     def valid(self) -> bool:
@@ -457,7 +463,6 @@ def verify_one_complemented(space, basis, projection) -> ComplementationCertific
             raise ValueError("basis vector lives on a different space")
     if projection.space != space:
         raise ValueError("projection lives on a different space")
-    m = len(basis)
     square = projection.compose(projection)
     idempotent_ok = (square.rows, square.den) == (projection.rows, projection.den)
     fixes_basis = all(projection.apply(u) == u for u in basis)
@@ -471,10 +476,8 @@ def verify_one_complemented(space, basis, projection) -> ComplementationCertific
         idempotent_ok=idempotent_ok,
         fixes_basis=fixes_basis,
         rank=rank,
-        rank_ok=rank == m,
         operator_norm_value=norm_value,
         norm_witness=norm_witness,
-        norm_ok=norm_value == 1,
         l1_report=report,
     )
 

@@ -395,9 +395,18 @@ class _Lowering:
 
 
 def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
-    """Solve exactly; the returned certificate is re-verified before return."""
+    """Solve exactly; every outcome's certificate is re-verified before return."""
     if sense not in ("min", "max"):
         raise LpFormatError(f"sense must be 'min' or 'max', got {sense!r}")
+    out = _solve(lp, sense)
+    bad = certificate_violations(lp, sense, out)
+    if bad:
+        raise AssertionError("lp solver produced a bad certificate: " + "; ".join(bad))
+    return out
+
+
+def _solve(lp, sense):
+    """The two-phase simplex; ``solve`` re-checks the outcome it returns."""
     flip = sense == "max"
     minimize_obj = [-c for c in lp.objective] if flip else list(lp.objective)
 
@@ -421,9 +430,7 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
         if any(row.get(-1, 0) > 0 for row, b in zip(kern.rows, kern.basis) if b >= n_real):
             y = _recover_duals(kern, phase1_cost, 1, sign, home)
             farkas = y[: len(lp.constraints)]
-            out = LpOutcome(status="infeasible", farkas=farkas, pivots=kern.pivots)
-            _assert_certificate(lp, sense, out)
-            return out
+            return LpOutcome(status="infeasible", farkas=farkas, pivots=kern.pivots)
         if phase2_cost:
             _drive_out_artificials(kern, n_real)
             kern.n_enter = n_real
@@ -445,14 +452,12 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
     t = kern.optimize(phase2_cost, cost_den)
 
     if t >= 0:
-        out = LpOutcome(
+        return LpOutcome(
             status="unbounded",
             primal=_extract_primal(low, kern),
             ray=_extract_ray(low, kern, t),
             pivots=kern.pivots,
         )
-        _assert_certificate(lp, sense, out)
-        return out
 
     primal = _extract_primal(low, kern)
     y = _recover_duals(kern, phase2_cost, cost_den, sign, home)
@@ -460,9 +465,7 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
     if flip:
         dual = [-v for v in dual]
     value = sum(c * x for c, x in zip(lp.objective, primal))
-    out = LpOutcome(status="optimal", value=value, primal=primal, dual=dual, pivots=kern.pivots)
-    _assert_certificate(lp, sense, out)
-    return out
+    return LpOutcome(status="optimal", value=value, primal=primal, dual=dual, pivots=kern.pivots)
 
 
 def feasible(constraints, n_vars, bounds=None) -> LpOutcome:
@@ -624,7 +627,9 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
     derived here), the stored value and the zero duality gap, all as
     rational equalities.  Each vector is scaled to integers over its lcm
     once, each row is read as the constraint's integers, and every
-    comparison is made between integers over positive denominators.
+    comparison is made between integers over positive denominators.  An
+    'infeasible' outcome without a Farkas vector holds only when some
+    variable's lower bound exceeds its upper bound.
     """
     bad: list[str] = []
     rows = lp.constraints
@@ -697,7 +702,9 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
                 bad.append(f"duality gap: primal {primal} != dual {dual}")
     elif out.status == "infeasible":
         if out.farkas is None:
-            return []  # bound-conflict infeasibility carries no row certificate
+            if any(lo is not None and hi is not None and lo > hi for lo, hi in lp.bounds):
+                return []
+            return ["infeasible outcome has no farkas vector and no bound conflict"]
         lam, dl = lcm_scale(out.farkas)
         # (A^T lam)_j = q[j] / den and lam . b = q[-1] / den
         q, den = _transpose_times(rows, lam, lp.n_vars)
@@ -760,9 +767,3 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
     else:
         bad.append(f"unknown status {out.status!r}")
     return bad
-
-
-def _assert_certificate(lp, sense, out):
-    bad = certificate_violations(lp, sense, out)
-    if bad:
-        raise AssertionError("lp solver produced a bad certificate: " + "; ".join(bad))

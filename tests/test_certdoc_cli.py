@@ -593,6 +593,24 @@ def test_cli_builds_sign_classes_only_as_far_as_a_check_reaches(tmp_path, eq4_fi
     assert json.loads(proc.stdout)["verdict_recomputed"] == "invalid"
 
 
+def test_cli_direct_search_stops_at_the_pigeonhole_bound(tmp_path):
+    # a 2-point space has one pair, so no class past index 1 is reached:
+    # -k 100000000 searches the nodes -k 2 does, and fits in memory
+    path = tmp_path / "eq2.json"
+    path.write_text(metric.serialize_space(equilateral(2)))
+    docs = []
+    for k in ("2", "100000000"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lipcert.cli", "direct-search", str(path), "-k", k],
+            capture_output=True, text=True, timeout=60, preexec_fn=_limited_memory,
+        )
+        assert proc.returncode == 3, (k, proc.stderr[-2000:])
+        assert "Traceback" not in proc.stderr
+        docs.append(json.loads(proc.stdout))
+    assert docs[1]["k"] == 100000000
+    assert docs[1]["assignments_tried"] == docs[0]["assignments_tried"]
+
+
 @pytest.mark.parametrize("name", ["base.json", "labels.json"])
 def test_cli_validate_names_the_fault_four_point_names(tmp_path, name):
     path = tmp_path / name
@@ -727,6 +745,14 @@ _PINNED_STDOUT = {
     "trials": (
         ("trials", "--op", "direct-search", "--count", "6", "--seed", "2", "--jobs", "1"), 0,
         "5043955c2369ac9fa2d6b30569fa101eec821c5e4bd801798bc916c522ad2809",
+    ),
+    "trials-pipeline": (
+        ("trials", "--op", "pipeline", "--count", "4", "--seed", "3"), 0,
+        "1e4cb43a92d1a799fac44558b9ae0494e9fb8fefd2f64b672a73168609119ef4",
+    ),
+    "trials-pipeline-exhausted": (
+        ("trials", "--op", "pipeline", "--count", "4", "--seed", "3", "--budget", "0"), 0,
+        "ef486f7f82184b53458b8af966820de1ec116720dce412a9b5b347250cc9a39d",
     ),
     "verify-ok": (
         ("verify", "@verify-ok"), 0,

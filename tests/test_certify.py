@@ -63,7 +63,7 @@ def test_l1_certificate_cube_violation():
     f1, f2 = eq4_basis()
     cert = certify.l1_isometry_lip([f1.scale(2), f2])
     assert not cert.valid
-    assert not cert.cube_ok
+    assert cert.cube_violation is not None
     assert cert.cube_violation.coordinate == 0
 
 
@@ -229,7 +229,6 @@ def _oracle_l1(basis, pinned_pairs=None):
             witnesses.append(certify.SignWitness(eps, *pair))
     return certify.L1IsometryCertificate(
         basis=tuple(basis),
-        cube_ok=cube_violation is None,
         cube_violation=cube_violation,
         sign_witnesses=tuple(witnesses),
         missing_epsilon=missing,
@@ -254,7 +253,6 @@ def _oracle_linf(basis):
     missing = next((j for j in range(len(basis)) if j not in vertex_pair), None)
     return certify.LinfIsometryCertificate(
         basis=tuple(basis),
-        ball_ok=ball_violation is None,
         ball_violation=ball_violation,
         vertex_witnesses=witnesses,
         missing_coordinate=missing,
@@ -348,7 +346,7 @@ def test_integer_checks_agree_with_fraction_oracles():
             seen["unequal_den"] += 1
         cert = certify.l1_isometry_lip(basis)
         assert cert == _oracle_l1(basis)
-        seen["cube"] += not cert.cube_ok
+        seen["cube"] += cert.cube_violation is not None
         seen["valid_l1"] += cert.valid
         for w in cert.sign_witnesses:
             seen["forward" if w.x < w.y else "reverse"] += 1
@@ -363,7 +361,7 @@ def test_integer_checks_agree_with_fraction_oracles():
         seen["pinned_missing"] += pinned_cert.missing_epsilon is not None
         linf_cert = certify.linf_isometry_lip(linf)
         assert linf_cert == _oracle_linf(linf)
-        seen["ball"] += not linf_cert.ball_ok
+        seen["ball"] += linf_cert.ball_violation is not None
         seen["valid_linf"] += linf_cert.valid
         for f in basis:
             assert lip_norm(f) == _oracle_lip_norm(f)

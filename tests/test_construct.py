@@ -192,9 +192,12 @@ def test_pipeline_refuses_small_space():
 
 
 def test_pipeline_exhaustion_is_reported():
-    with pytest.raises(construct.SearchExhausted) as err:
-        construct.theorem_pipeline(equilateral(4), 2, tuple_budget=1)
-    assert err.value.stats.tuples_tried == 1
+    for budget, tried in ((0, 0), (1, 1)):
+        result = construct.theorem_pipeline(equilateral(4), 2, tuple_budget=budget)
+        assert not result.found
+        assert result.certificate is result.subset_certificate is result.linf_certificate is None
+        search = result.complementation
+        assert (search.tuples_tried, search.budget_exhausted, search.certificate) == (tried, True, None)
 
 
 def test_direct_search_k1():
@@ -310,7 +313,10 @@ def test_direct_search_matches_per_candidate_search(monkeypatch):
     # the same order: k = 1, 2 on small spaces (equilateral(3) at k = 2
     # exhausts after 15), k = 3 on the benchmark's seed-0 8-point spaces,
     # each unbudgeted and at budgets 1, count - 1, count and count + 1; k = 4
-    # on 16-point spaces, whose budgets run out before any leaf.
+    # on 16-point spaces, whose budgets run out before any leaf.  Past the
+    # pigeonhole bound k' = P.bit_length() + 1 of P unordered pairs the
+    # search runs on k' coordinates: k = k'..k'+3 on equilateral 3-5 point
+    # spaces and on random 2-6 point ones, against the oracle at k.
     leaves = []
     solve = construct._direct_search_solve
 
@@ -322,6 +328,11 @@ def test_direct_search_matches_per_candidate_search(monkeypatch):
     cases = [(random_space(n, seed), k) for n in range(2, 8) for seed in range(4) for k in (1, 2)]
     cases += [(equilateral(3), 2)]
     cases += [(random_space(8, i, method), 3) for i in range(4) for method in ("range", "euclidean")]
+    beyond = [equilateral(n) for n in range(3, 6)]
+    beyond += [random_space(n, seed) for n in range(2, 7) for seed in range(2)]
+    for space in beyond:
+        bound = (space.n * (space.n - 1) // 2).bit_length() + 1
+        cases += [(space, k) for k in range(bound, bound + 4)]
     runs = []
     for space, k in cases:
         count = _per_candidate_search(space, k)[1]

@@ -108,6 +108,12 @@ def test_recheck_rejects_tampered_certificates():
     check(program, "min", out)
     for field, i, bad in _tamperings(out, ("farkas",)):
         assert lp.certificate_violations(program, "min", bad), (field, i)
+    # only a bound conflict is infeasible with no Farkas vector
+    program = lp.make_program([1], [([1], lp.GE, 0)], bounds=[(0, None)])
+    assert lp.solve(program, "min").status == "optimal"
+    assert lp.certificate_violations(program, "min", lp.LpOutcome("infeasible")) == [
+        "infeasible outcome has no farkas vector and no bound conflict"
+    ]
 
     # x1 = 2 x0 pins both the point and the ray to the row
     program = lp.make_program([-1, 0], [([2, -1], lp.EQ, 0)], bounds=[(0, None), (None, None)])
@@ -161,7 +167,8 @@ def test_bounds_shift_and_upper():
 def test_bound_conflict_infeasible():
     program = lp.make_program([1], [([1], lp.GE, 0)], bounds=[(F(2), F(1))])
     out = lp.solve(program, "min")
-    assert out.status == "infeasible"
+    assert (out.status, out.farkas) == ("infeasible", None)
+    check(program, "min", out)
 
 
 def test_upper_bound_only_variable():
