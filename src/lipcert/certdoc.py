@@ -295,6 +295,9 @@ def _verify(doc) -> VerifyReport:
     claimed = doc.get("verdict", "missing")
     failures: list[str] = []
     if kind not in CERTIFICATE_KINDS:
+        # walked first, so that a value nested too deeply is malformed on
+        # every interpreter, not only where its repr overflows the C stack
+        _walk(doc)
         return VerifyReport(str(kind), claimed, "unknown", [f"unknown certificate kind {kind!r}"])
     try:
         if kind in ("l1-isometry", "pipeline"):
@@ -340,13 +343,15 @@ def _diff(recorded, expected, path=""):
     """The places where two JSON values differ, as (path, problem) pairs.
 
     Leaves compare by type and value, so ``true`` is not ``1``, ``1.0`` is
-    not ``1`` and ``"2/4"`` is not ``"1/2"``.  A path of ``_NAMED_PATHS``
-    with any difference below it is reported whole.  Every recorded value is
-    walked, so one nested too deeply raises RecursionError wherever it is.
+    not ``1`` and ``"2/4"`` is not ``"1/2"``; a leaf is equal to itself, so
+    a ``NaN`` copied from the document (its provenance) matches.  A path of
+    ``_NAMED_PATHS`` with any difference below it is reported whole.  Every
+    recorded value is walked, so one nested too deeply raises RecursionError
+    wherever it is.
     """
     kind = type(recorded)
     if kind is not type(expected) or (kind is not dict and kind is not list):
-        if kind is type(expected) and recorded == expected:
+        if kind is type(expected) and (recorded is expected or recorded == expected):
             return []
         _walk(recorded)
         return [(path, "does not reproduce")]
@@ -366,7 +371,9 @@ def _diff(recorded, expected, path=""):
         for i, (item, want) in enumerate(zip(recorded, expected)):
             # an equal leaf, the bulk of a document, needs no path
             leaf = type(want)
-            if type(item) is not leaf or leaf is dict or leaf is list or item != want:
+            if type(item) is not leaf or leaf is dict or leaf is list or (
+                item is not want and item != want
+            ):
                 out += _diff(item, want, f"{path}[{i}]")
         if len(recorded) != len(expected):
             for i in range(len(expected), len(recorded)):

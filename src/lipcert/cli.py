@@ -338,8 +338,11 @@ def cmd_trials(args):
         raise InputError(f"trials --op pipeline needs -n >= 2^k points for k = {args.k}, got {args.n}")
     params = {"method": args.method, "k": args.k, "n": args.n, "budget": args.budget}
     tasks = [(args.op, args.seed, i, params) for i in range(args.count)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork-started pool forks all its workers on the first submit, so
+    # ask for no more than there are trials and processors
+    jobs = min(args.jobs, args.count, os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_trial_star, tasks))
     else:
         records = [run_trial(*t) for t in tasks]

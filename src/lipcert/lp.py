@@ -5,28 +5,39 @@ Two-phase simplex on a sparse integer tableau: each row is a
 over one positive denominator, reduced by their gcd after every update (the
 integer pivoting of Bareiss and of Avis's ``lrs``, with a denominator per
 row), so a pivot does arithmetic on stored nonzeros only.  The reduced-cost
-row is such a row too: pricing reads only its negative entries.  The simplex
+row is such a row too: pricing reads only its nonzero entries.  The simplex
 path is fixed by the pivot rule, not by the storage, so it is the path exact
 rational arithmetic takes.  Pricing is Dantzig's rule until a run
 of degenerate pivots is detected, after which the solve switches to Bland's
-rule permanently, which guarantees termination on every input.  After a
-feasible phase 1 every basic artificial sits at zero, so the pivots that
-drive them out are degenerate; with an objective they are made on the
-whole tableau, but a feasibility program (zero objective: zero duals in any
-basis, and no phase-2 pivot) only counts them, on copies of the
-artificial rows.  A ``Constraint`` stores its row (coefficients, then rhs)
-once, as integers over one positive denominator in lowest terms;
-``make_program`` scales a rational row to that form once, and every
-program that shares the row reads those integers.  A row is lowered to
-standard form from its nonzero entries; when every variable is free, the
-lowered row is cached on the ``Constraint``, so programs that share rows
-(the rounds of a cut loop) lower only the rows they add.  Rationals
-(``Fraction``) appear
-only at the boundary: the program, and the primal, ray and dual values read
-back from the final tableau.  Every optimal outcome carries the pair
-(primal, dual) as an exact complementary-slackness certificate; infeasible
-outcomes carry a Farkas certificate.  Both are re-checked against the
-original program's rows before being returned.  The re-check scales each certificate vector to
+rule permanently, which guarantees termination on every input.
+
+The tableau stores only what it cannot derive.  A free variable's minus
+column is minus its plus column in every row and in the reduced-cost row,
+so only the plus column is stored (a mirror column), and column numbers
+stay as they are.  Two adjacent rows that are negations of each other off
+their slacks, both starting slack-basic (the ``+-`` rows of a symmetric
+1-Lipschitz ball), keep that relation, up to their slacks and a constant,
+through every pivot in a third row, so the second is not stored (an
+implicit twin row): the ratio test reads it from the first, and it is
+stored only just before a pivot on either.  After a feasible phase 1 every
+basic artificial sits at zero, so the pivots that drive them out are
+degenerate; with an objective they are made on the whole tableau, but a
+feasibility program (zero objective: zero duals in any basis, and no
+phase-2 pivot) only counts them, on copies of the artificial rows.
+
+A ``Constraint`` stores its row (coefficients, then rhs) once, as integers
+over one positive denominator in lowest terms; ``make_program`` scales a
+rational row to that form once, and every program that shares the row
+reads those integers.  A row is lowered to standard form from its nonzero
+entries; when every variable is free, the lowered row is cached on the
+``Constraint``, and so is whether it negates the row before it, so
+programs that share rows (the rounds of a cut loop) lower only the rows
+they add.  Rationals (``Fraction``) appear only at the boundary: the
+program, and the primal, ray and dual values read back from the final
+tableau.  Every optimal outcome carries the pair (primal, dual) as an exact
+complementary-slackness certificate; infeasible outcomes carry a Farkas
+certificate.  Both are re-checked against the original program's rows
+before being returned.  The re-check scales each certificate vector to
 integers over its lcm once and decides every condition in integers,
 deriving the reduced costs ``c - A^T y`` itself; a ``Fraction`` is built only
 to word a violation.  The same integer pivot also gives exact rank and
@@ -192,10 +203,26 @@ class _Kernel:
     comparison the pivot rule makes reads numerators over a positive
     denominator, so the path is the one exact rational arithmetic takes.
     Only columns below ``n_enter`` may enter the basis.
+
+    Two kinds of entries are derived, not stored:
+
+    - **Mirror columns.**  ``mirror[j] = m`` says column ``m`` is minus
+      column ``j`` (a free variable's pair), in every row and in the
+      reduced-cost row, so only ``j`` is stored, and ``m`` is read through
+      it.  ``m > j``, so the lowest nonzero column of a row is stored.
+    - **Implicit twin rows.**  ``twins[i] = (p, q)`` says row ``i + 1`` is
+      not stored (``rows[i + 1]`` is None): the rows started as negations
+      of each other off their slacks ``s``, ``s'``, both basic, so
+      ``R_{i+1} = e_s + e_s' + p/q - R_i``.  That holds while both slacks
+      stay basic: a basic slack has reduced cost 0 and never enters, and a
+      pivot in a third row adds the same multiple of the pivot row to
+      ``R_i`` and ``R_{i+1}``.  The ratio test reads row ``i + 1`` from
+      row ``i``, and a pivot on either row first stores it
+      (``_materialize``).
     """
 
-    def __init__(self, rows, den, basis, n_cols):
-        self.rows = rows          # list of sparse rows
+    def __init__(self, rows, den, basis, n_cols, mirror=None, twins=None):
+        self.rows = rows          # list of sparse rows, None for an implicit twin
         self.den = den
         self.basis = basis
         self.n_cols = n_cols
@@ -203,28 +230,76 @@ class _Kernel:
         self.pivots = 0
         self.reduced: dict[int, int] = {}
         self.reduced_den = 1
+        self.mirror: dict[int, int] = mirror or {}
+        self.plus_of = {m: j for j, m in self.mirror.items()}
+        self.twins: dict[int, tuple[int, int]] = twins or {}
+
+    def stored(self, t):
+        """``(column, sign)``: column ``t`` is ``sign`` times the stored
+        column."""
+        j = self.plus_of.get(t)
+        return (t, 1) if j is None else (j, -1)
+
+    def _materialize(self, i):
+        """Store the implicit row ``i + 1``, ``e_s + e_s' + p/q - R_i``, in
+        lowest terms: over ``q * den[i]``, row ``i``'s slack ``s`` (holding
+        ``den[i]``) cancels and the slack ``s'`` gets ``q * den[i]``."""
+        p, q = self.twins.pop(i)
+        row, d = self.rows[i], self.den[i]
+        s = self.basis[i]
+        twin = {j: -q * a for j, a in row.items() if j != s and j != -1}
+        twin[self.basis[i + 1]] = q * d
+        rhs = p * d - q * row.get(-1, 0)
+        if rhs:
+            twin[-1] = rhs
+        d *= q
+        g = gcd(d, *twin.values())
+        if g > 1:
+            for j in twin:
+                twin[j] //= g
+            d //= g
+        self.rows[i + 1], self.den[i + 1] = twin, d
 
     def _pivot(self, r, t):
         """Pivot on row ``r``, column ``t``; returns the pivot row."""
+        twins = self.twins
+        if r in twins:
+            self._materialize(r)
+        elif r - 1 in twins:
+            self._materialize(r - 1)
+        col, sign = self.stored(t)
         rows, den = self.rows, self.den
         prow = rows[r]
-        p = prow[t]
+        p = sign * prow[col]
         if p < 0:
             rows[r] = prow = {j: -x for j, x in prow.items()}
             p = -p
         # the row keeps its numerators; the pivot entry becomes its denominator
         den[r] = p
         for i, row in enumerate(rows):
-            f = row.get(t)
-            if f and i != r:
-                rows[i], den[i] = _eliminate(row, den[i], f, p, prow)
+            if row is not None and i != r:
+                f = row.get(col)
+                if f:
+                    rows[i], den[i] = _eliminate(row, den[i], sign * f, p, prow)
         self.basis[r] = t
         self.pivots += 1
         return prow
 
+    def _entering(self, red):
+        """``(reduced cost, column)`` of every column that may enter: each
+        negative stored entry, and the mirror of each positive one."""
+        mirror, n_enter = self.mirror, self.n_enter
+        for j, d in red.items():
+            if d < 0:
+                if 0 <= j < n_enter:
+                    yield d, j
+            elif j in mirror:
+                yield -d, mirror[j]
+
     def optimize(self, cost, cost_den):
         """Run simplex for ``cost / cost_den`` from the current basis; ``cost``
-        is a sparse row with no rhs.
+        is a sparse row with no rhs, on structural or artificial columns,
+        mirror columns included.
 
         Returns -1 at an optimum, else the entering column of an improving
         ray.  Either way ``reduced / reduced_den`` is left as the
@@ -232,44 +307,56 @@ class _Kernel:
         enters the most negative reduced cost, Bland's the lowest column
         with a negative one; ties go to the lowest column.
         """
-        rows, den, basis = self.rows, self.den, self.basis
-        red, rd = dict(cost), cost_den
+        rows, den, basis, twins = self.rows, self.den, self.basis, self.twins
+        plus_of = self.plus_of
+        red, rd = {j: c for j, c in cost.items() if j not in plus_of}, cost_den
         for i, row in enumerate(rows):
+            # an implicit row's basic slack costs nothing
             cb = cost.get(basis[i])
             if cb:
                 # red/rd - (cb/cost_den) * row/den[i]
                 red, rd = _eliminate(red, rd, cb * rd, cost_den * den[i], row)
-        n_enter = self.n_enter
         bland = False
         stall = 0
         while True:
             if bland:
-                t = min((j for j, d in red.items() if d < 0 and 0 <= j < n_enter), default=-1)
+                t = min((j for _, j in self._entering(red)), default=-1)
             else:
-                _, t = min(
-                    ((d, j) for j, d in red.items() if d < 0 and 0 <= j < n_enter),
-                    default=(0, -1),
-                )
+                _, t = min(self._entering(red), default=(0, -1))
             if t < 0:
                 self.reduced, self.reduced_den = red, rd
                 return -1
-            # ratio rhs_i / a_it: the row denominator cancels
+            col, sign = self.stored(t)
+            # ratio rhs_i / a_it: the row denominator cancels; ties go to the
+            # lowest basic column, so the row order does not matter
             leave = -1
             num = quo = 0
             for i, row in enumerate(rows):
-                a = row.get(t, 0)
+                if row is None:
+                    continue
+                a = row.get(col)
+                if not a:
+                    continue
+                a *= sign
                 if a > 0:
-                    b = row.get(-1, 0)
-                    if leave < 0 or b * quo < num * a or (
-                        b * quo == num * a and basis[i] < basis[leave]
-                    ):
-                        num, quo = b, a
-                        leave = i
+                    b, k = row.get(-1, 0), i
+                elif i in twins:
+                    # the implicit row i + 1 holds -a, and rhs p/q - rhs_i,
+                    # both over q * den[i]
+                    p, q = twins[i]
+                    b, a, k = p * den[i] - q * row.get(-1, 0), -q * a, i + 1
+                else:
+                    continue
+                if leave < 0 or b * quo < num * a or (
+                    b * quo == num * a and basis[k] < basis[leave]
+                ):
+                    num, quo = b, a
+                    leave = k
             if leave < 0:
                 self.reduced, self.reduced_den = red, rd
                 return t
             prow = self._pivot(leave, t)
-            red, rd = _eliminate(red, rd, red[t], den[leave], prow)
+            red, rd = _eliminate(red, rd, sign * red[col], den[leave], prow)
             if num == 0:  # degenerate pivot
                 stall += 1
                 if stall > _STALL_LIMIT:
@@ -284,11 +371,25 @@ class _BoundConflict(Exception):
         super().__init__(f"variable {var} has lower bound {lo} > upper bound {hi}")
 
 
+def _negates(con, prev):
+    """Is the coefficient row of ``con`` minus that of ``prev``, as
+    rationals?  The answer is kept on ``con`` with ``prev``, as
+    ``free_lowering`` is, so a pair of rows shared by many programs is
+    compared once."""
+    kept = con.__dict__.get("negates")
+    if kept is None or kept[0] is not prev:
+        a, da, b, db = con.nums, con.den, prev.nums, prev.den
+        kept = prev, all(a[k] * db == -b[k] * da for k in range(len(a) - 1))
+        con.__dict__["negates"] = kept
+    return kept[1]
+
+
 class _Lowering:
     """Original program -> standard form, with maps for pulling answers back.
 
-    A free variable becomes the column pair ``(a, -a)``, a lower-bounded one
-    the column ``a`` shifted by its bound, an upper-bounded one the column
+    A free variable becomes the column pair ``(a, -a)``, of which only
+    ``a`` is stored (the kernel's mirror columns), a lower-bounded one the
+    column ``a`` shifted by its bound, an upper-bounded one the column
     ``-a`` reflected at it.  A boxed variable is shifted and adds a row
     ``x <= hi - lo`` after the original rows.  Each row is kept as integers
     over one denominator ``d``, ``(numerators, rhs, d)`` with the numerators
@@ -297,8 +398,12 @@ class _Lowering:
     depends on the row alone, and the first program to lower the row keeps
     it on the constraint (``free_lowering``), so a row shared by many
     programs (the cut loop's rounds) is lowered once; ``build_kernel``
-    copies it.  The bound shifts are subtracted from the rhs in integers,
-    over the lcm of the shifts' denominators.
+    copies it.  A row whose coefficients are minus those of the stored row
+    before it, when both start with a basic slack (the ``+-`` rows of the
+    1-Lipschitz ball), is not lowered: its numerators are ``None``, and the
+    kernel keeps it as that row's implicit twin.  The bound shifts are
+    subtracted from the rhs in integers, over the lcm of the shifts'
+    denominators.
     """
 
     def __init__(self, lp: LinearProgram, minimize_obj):
@@ -332,10 +437,24 @@ class _Lowering:
 
         self.n_struct = len(self.cost)
         all_free = len(self.cost) == 2 * len(self.var_map)
-        self.rows: list[tuple[dict[int, int], int, int]] = []
+        self.rows: list[tuple[dict[int, int] | None, int, int]] = []
         shift_nums, shift_den = lcm_scale([offset for _, offset in shifts])
+        prev = None  # the constraint before, if its row is stored with a basic slack
         for c in lp.constraints:
             nums, d = c.nums, c.den
+            b = nums[-1]
+            if shifts:
+                # d * (rhs - sum_j coeffs[j] * offset_j), times shift_den
+                b = b * shift_den - sum(nums[j] * o for (j, _), o in zip(shifts, shift_nums))
+                d *= shift_den
+            # build_kernel starts a row on its slack iff the slack is positive
+            # once the row is signed to a nonnegative rhs
+            basic = c.rel == (LE if b >= 0 else GE)
+            if basic and prev is not None and prev.rel == c.rel and _negates(c, prev):
+                self.rows.append((None, b, d))
+                prev = None
+                continue
+            prev = c if basic else None
             # an all-free lowering depends on the row alone: kept in the
             # frozen constraint's __dict__, as a cached_property would
             struct = c.__dict__.get("free_lowering") if all_free else None
@@ -345,17 +464,12 @@ class _Lowering:
                     if a:
                         if plus >= 0:
                             struct[plus] = a
-                        if minus >= 0:
+                        else:
                             struct[minus] = -a
                 if all_free:
                     c.__dict__["free_lowering"] = struct
-            b = nums[-1]
-            if shifts:
-                # d * (rhs - sum_j coeffs[j] * offset_j), times shift_den
-                b = b * shift_den - sum(nums[j] * o for (j, _), o in zip(shifts, shift_nums))
-                if shift_den != 1:
-                    struct = {col: a * shift_den for col, a in struct.items()}
-                    d *= shift_den
+            if shift_den != 1:
+                struct = {col: a * shift_den for col, a in struct.items()}
             self.rows.append((struct, b, d))
         for col, width in box_rows:
             self.rows.append(({col: width.denominator}, width.numerator, width.denominator))
@@ -368,14 +482,26 @@ class _Lowering:
         artificial entries are ``±d``.  A row with a negative rhs is negated;
         it keeps a slack as its initial basic column only if that slack's
         entry is then ``+d``, else it gets an artificial.  The artificial
-        columns come last, from the count of real columns on.
+        columns come last, from the count of real columns on.  A row the
+        lowering left unlowered is the implicit twin of the row before, and
+        the two signed rhs add up to the twins' ``p/q``.
         """
         sign = [-1 if rhs < 0 else 1 for _, rhs, _ in self.rows]
         slack_sign = [0 if rel == EQ else 1 if rel == LE else -1 for rel in self.rel]
         slack = self.n_struct
         art = n_real = slack + sum(s != 0 for s in slack_sign)
-        rows, den, basis = [], [], []
+        rows, den, basis, twins = [], [], [], {}
         for (struct, b, d), s, ss in zip(self.rows, sign, slack_sign):
+            if struct is None:
+                i = len(rows) - 1
+                p, q = rows[i].get(-1, 0) * d + s * b * den[i], den[i] * d
+                g = gcd(p, q)
+                twins[i] = p // g, q // g
+                rows.append(None)
+                den.append(d)
+                basis.append(slack)
+                slack += 1
+                continue
             # a copy: ``struct`` may be a constraint's shared free_lowering
             row = dict(struct) if s > 0 else {j: -a for j, a in struct.items()}
             if b:
@@ -391,7 +517,8 @@ class _Lowering:
                 art += 1
             rows.append(row)
             den.append(d)
-        return _Kernel(rows, den, basis, art), sign, n_real
+        mirror = {plus: minus for plus, minus, _ in self.var_map if plus >= 0 and minus >= 0}
+        return _Kernel(rows, den, basis, art, mirror, twins), sign, n_real
 
 
 def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
@@ -581,12 +708,14 @@ def _extract_primal(low, kern):
 
 
 def _extract_ray(low, kern, t):
+    # an implicit row's basic column is a slack, which pulls back to nothing
+    col, sign = kern.stored(t)
     d_std = [_ZERO] * kern.n_cols
     d_std[t] = _ONE
-    for i, b in enumerate(kern.basis):
-        a = kern.rows[i].get(t)
+    for row, d, b in zip(kern.rows, kern.den, kern.basis):
+        a = row.get(col) if row is not None else None
         if a:
-            d_std[b] = Fraction(-a, kern.den[i])
+            d_std[b] = Fraction(-sign * a, d)
     return _pull_back(low, d_std, offsets=False)
 
 

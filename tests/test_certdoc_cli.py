@@ -121,12 +121,13 @@ def test_mutating_a_rendered_space_leaves_the_next_document_unchanged():
     assert certdoc.dumps(certdoc.l1_document(cert)) == rendered
 
 
-@pytest.mark.parametrize("field", ["checks", "verdict", "kind"])
+@pytest.mark.parametrize("field", ["checks", "verdict", "kind", "config"])
 def test_verify_names_values_nested_too_deeply(field):
+    # config is provenance, copied from the document, and is walked all the same
     _, _, cert = construct.four_point_basis(equilateral(4))
-    doc = json.loads(certdoc.dumps(certdoc.l1_document(cert)))
-    if field == "checks":
-        doc["checks"]["cube"] = nested_list(5000)
+    doc = json.loads(certdoc.dumps(certdoc.l1_document(cert, config={"construction": 1})))
+    if field in ("checks", "config"):
+        doc[field]["cube" if field == "checks" else "construction"] = nested_list(5000)
     else:
         doc[field] = nested_list(5000)
     report = certdoc.verify_document(doc)
@@ -319,6 +320,27 @@ def test_hybrid_rationals_go_through_parse_rational(tmp_path, tamper_targets, ba
     assert any(msg.startswith("malformed document") for msg in report.failures)
 
 
+def test_verify_accepts_nan_in_provenance(tmp_path, capsys):
+    # provenance is copied from the document, and a NaN is not equal to
+    # itself, but it is the same value; outside provenance it is rejected
+    _, _, cert = construct.four_point_basis(equilateral(4))
+    text = certdoc.dumps(certdoc.l1_document(cert, config={"construction": "four-point"}))
+    doc = json.loads(text)
+    doc["config"]["construction"] = [float("nan"), {"seed": float("nan")}]
+    path = tmp_path / "nan-config.json"
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text()
+    assert cli.main(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    doc = json.loads(text)
+    doc["checks"]["signs"]["witnesses"][0]["epsilon"][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert "checks.signs.witnesses[0].epsilon[0] does not reproduce" in report["failures"]
+
+
 def test_unknown_kind_rejected():
     report = certdoc.verify_document({"kind": "mystery", "verdict": "valid"})
     assert not report.ok
@@ -474,6 +496,37 @@ def test_cli_trials_deterministic_and_parallel():
     assert outj == out1  # jobs only parallelize; results merge in seed order
     doc = json.loads(out1)
     assert doc["ok"] == 12
+
+
+def test_cli_trials_jobs_bounded_by_count_and_processors(monkeypatch, capsys):
+    # the pool is asked for at most one worker per trial and per processor,
+    # whatever --jobs says; no pool is started for one worker
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    argv = ["trials", "--op", "four-point", "--seed", "5"]
+    for count, jobs in (("1", "100000"), ("2", "100000"), ("12", "100000"), ("12", "2")):
+        assert cli.main([*argv, "--count", count, "--jobs", jobs]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] == int(count)
+    assert asked == [2, 3, 2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli.main([*argv, "--count", "4", "--jobs", "8"]) == 0
+    capsys.readouterr()
+    assert asked == [2, 3, 2]
 
 
 def test_cli_trials_free_duality_default_points():

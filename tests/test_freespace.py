@@ -671,15 +671,21 @@ def test_cut_loop_outcomes_pinned(criterion_02_lps):
 
 
 def _reference_lowering(low, con):
-    # the column-by-column lowering: walk every standard column of the row
+    # the column-by-column lowering: walk every standard column of the row,
+    # but a free variable's minus column, the mirror of its plus column
     columns = [None] * low.n_struct
     for j, (plus, minus, _) in enumerate(low.var_map):
         if plus >= 0:
             columns[plus] = (j, 1)
         if minus >= 0:
             columns[minus] = (j, -1)
+    mirrors = {minus for plus, minus, _ in low.var_map if plus >= 0 and minus >= 0}
     nums = con.nums
-    return {col: sign * nums[j] for col, (j, sign) in enumerate(columns) if nums[j]}
+    return {
+        col: sign * nums[j]
+        for col, (j, sign) in enumerate(columns)
+        if nums[j] and col not in mirrors
+    }
 
 
 def test_rows_and_projections_are_in_lowest_terms(criterion_02_lps):
@@ -739,17 +745,31 @@ def test_direct_search_rows_match_their_oracles():
 def _check_rows(solved):
     """Check every row of the recorded programs against ``lcm_scale`` of its
     rationals (lowest terms) and the column-by-column lowering; count them
-    by whether every variable of their program is free."""
+    by whether every variable of their program is free.  A row is left
+    unlowered exactly when it is the implicit twin of the stored row before
+    it: minus that row, as rationals, and both start on a basic slack (a
+    <= row with rhs >= 0 or a >= row with rhs < 0)."""
     lowered = {True: 0, False: 0}
     for program, _ in solved:
         low = lp._Lowering(program, list(program.objective))
         free = all(b == (None, None) for b in program.bounds)
-        for con, (struct, _, d) in zip(program.constraints, low.rows):
+        prev = None  # the row before, if stored on a basic slack: (con, reference)
+        for con, (struct, b, d) in zip(program.constraints, low.rows):
             nums, den = lcm_scale([F(a, con.den) for a in con.nums])
             assert (con.nums, con.den) == (tuple(nums), den)
-            assert list(struct.items()) == list(_reference_lowering(low, con).items())
             assert d == den
-            if free:
-                assert struct is con.__dict__["free_lowering"]
+            reference = _reference_lowering(low, con)
+            basic = (con.rel, b >= 0) in ((lp.LE, True), (lp.GE, False))
+            twin = basic and prev is not None and prev[0].rel == con.rel and {
+                j: F(a, d) for j, a in reference.items()
+            } == {j: -F(a, prev[0].den) for j, a in prev[1].items()}
+            assert (struct is None) == twin
+            if twin:
+                prev = None
+            else:
+                assert list(struct.items()) == list(reference.items())
+                if free:
+                    assert struct is con.__dict__["free_lowering"]
+                prev = (con, reference) if basic else None
             lowered[free] += 1
     return lowered

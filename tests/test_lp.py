@@ -11,6 +11,8 @@ import pytest
 from lipcert import construct, freespace, lp
 from lipcert.metric import random_space
 
+from helpers import random_coeffs
+
 F = Fraction
 
 
@@ -633,29 +635,77 @@ def test_duality_lift_eliminates_once(monkeypatch):
     assert calls == [5]
 
 
+def _written_out(kern):
+    """Every row of the tableau as ``{column: Fraction}``, with the mirror
+    columns and the implicit rows written out: an implicit row ``i + 1`` is
+    ``e_s + e_s' + p/q - R_i`` for the basic slacks ``s``, ``s'`` of the
+    two rows and ``twins[i] = (p, q)``."""
+    full = []
+    for i, (row, d) in enumerate(zip(kern.rows, kern.den)):
+        if row is None:
+            p, q = kern.twins[i - 1]
+            out = {j: -v for j, v in full[i - 1].items()}
+            for j, v in ((kern.basis[i - 1], 1), (kern.basis[i], 1), (-1, F(p, q))):
+                out[j] = out.get(j, 0) + v
+            out = {j: v for j, v in out.items() if v}
+        else:
+            out = {j: F(a, d) for j, a in row.items()}
+            out.update({kern.mirror[j]: -v for j, v in out.items() if j in kern.mirror})
+        full.append(out)
+    return full
+
+
+def _fraction_pivot(full, r, t):
+    """The pivot on row ``r``, column ``t`` of written-out rows, in Fractions."""
+    prow = {j: v / full[r][t] for j, v in full[r].items()}
+    out = []
+    for i, row in enumerate(full):
+        f = row.get(t, 0) if i != r else 0
+        row = dict(prow if i == r else row)
+        if f:
+            for j, v in prow.items():
+                row[j] = row.get(j, 0) - f * v
+        out.append({j: v for j, v in row.items() if v})
+    return out
+
+
 def test_tableau_rows_are_sparse_and_never_store_zero(monkeypatch):
-    # every tableau row is a {column: int} dict of its nonzeros, the rhs
-    # under -1, before and after every pivot of the simplex and of the
-    # Gauss-Jordan elimination
-    pivots = 0
+    # every stored tableau row is a {column: int} dict of its nonzeros, the
+    # rhs under -1, with no mirror column, before and after every pivot of
+    # the simplex and of the Gauss-Jordan elimination; and the tableau they
+    # imply, with every mirror column and implicit twin row written out in
+    # Fractions, is the Fraction pivot of the one before
+    pivots = implicit = materialized = 0
     real = lp._Kernel._pivot
 
     def assert_sparse(kern):
         for row in kern.rows:
-            assert type(row) is dict
-            assert all(type(v) is int and v for v in row.values()), row
+            if row is not None:
+                assert type(row) is dict
+                assert all(type(v) is int and v for v in row.values()), row
+                assert not any(j in kern.plus_of for j in row), row
+        assert all(kern.rows[i] is not None and kern.rows[i + 1] is None for i in kern.twins)
+        assert sum(row is None for row in kern.rows) == len(kern.twins)
 
     def checking(kern, r, t):
-        nonlocal pivots
+        nonlocal pivots, implicit, materialized
         assert_sparse(kern)
+        # the first pivot of a kernel starts its written-out copy
+        before = getattr(kern, "written_out", None) or _written_out(kern)
+        twins = len(kern.twins)
         prow = real(kern, r, t)
         assert_sparse(kern)
-        assert prow is kern.rows[r] and prow[t] == kern.den[r]
+        col, sign = kern.stored(t)
+        assert prow is kern.rows[r] and sign * prow[col] == kern.den[r]
+        kern.written_out = _written_out(kern)
+        assert kern.written_out == _fraction_pivot(before, r, t)
         pivots += 1
+        implicit += len(kern.twins)
+        materialized += twins - len(kern.twins)
         return prow
 
     # the reduced-cost row too: a sparse row after every optimize, with
-    # its rhs under -1 and no key past the last column
+    # its rhs under -1, no mirror column and no key past the last column
     optimizes = 0
     real_optimize = lp._Kernel.optimize
 
@@ -664,7 +714,7 @@ def test_tableau_rows_are_sparse_and_never_store_zero(monkeypatch):
         t = real_optimize(kern, cost, cost_den)
         assert type(kern.reduced) is dict
         assert all(type(v) is int and v for v in kern.reduced.values()), kern.reduced
-        assert all(-1 <= j < kern.n_cols for j in kern.reduced), kern.reduced
+        assert all(-1 <= j < kern.n_cols and j not in kern.plus_of for j in kern.reduced)
         assert kern.reduced_den > 0
         optimizes += 1
         return t
@@ -673,6 +723,11 @@ def test_tableau_rows_are_sparse_and_never_store_zero(monkeypatch):
     monkeypatch.setattr(lp._Kernel, "optimize", checking_optimize)
     batch = [(BEALE, "min"), (PHASE1, "min"), (PHASE1, "max")]
     batch += _random_programs(13, 2000)
+    batch += _twin_programs(27, 500)
+    for n in range(4, 8):
+        space = random_space(n, n, "range")
+        coeffs = random_coeffs(f"sparse:{n}", n - 1)
+        batch.append((lp.make_program(coeffs, freespace.lipschitz_ball_rows(space, 1)), "max"))
     for program, sense in batch:
         lp.solve(program, sense)
     rng = random.Random("sparse-rows")
@@ -681,6 +736,8 @@ def test_tableau_rows_are_sparse_and_never_store_zero(monkeypatch):
         lp.solve_linear(a, b)
     assert pivots > 3000, pivots
     assert optimizes > 2000, optimizes
+    # implicit rows were carried through pivots, and some were stored
+    assert implicit > 400 and materialized > 100, (implicit, materialized)
 
 
 def _whole_tableau_solve(program, sense, drive_out):
@@ -838,10 +895,62 @@ def test_elimination_work_pinned(acceptance_lps):
     # The eliminations of criterion 02's 100 pipelines and criterion 03's 20
     # direct searches: every simplex pivot, reduced-cost update and
     # Gauss-Jordan step (24,287 and 16,538 while a zero objective drove its
-    # artificials out of the whole tableau).  A zero objective hands the
+    # artificials out of the whole tableau, 18,626 and 11,844 while the
+    # tableau stored both rows of a +- pair).  A zero objective hands the
     # drive-out its artificial rows only.
     counts = {}
     for name, (solved, eliminations, handed) in acceptance_lps.items():
         counts[name] = eliminations, len(solved), sum(out.pivots for _, _, out in solved)
         assert all(artificial_only for zero, artificial_only in handed if zero), name
-    assert counts == {"criterion 02": (18626, 282, 2270), "criterion 03": (11844, 60, 778)}
+    assert counts == {"criterion 02": (12767, 282, 2270), "criterion 03": (7429, 60, 778)}
+
+
+def _twin_programs(seed, count):
+    """(program, sense) pairs built from ± row pairs: each pair is a row
+    and its negation (sometimes scaled), in one relation, with rhs of mixed
+    signs, among single rows and equalities, over free, one-sided and boxed
+    variables.  So some pairs start with both slacks basic and some do
+    not, and some variables are free and some are not."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        bounds = [(None, None) if rng.random() < 0.7 else _random_bound(rng) for _ in range(n)]
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = [F(rng.randint(-3, 3)) for _ in range(n)]
+            kind = rng.randrange(5)
+            if kind == 0:
+                rows.append((coeffs, rng.choice([lp.LE, lp.GE, lp.EQ]), F(rng.randint(-4, 4))))
+                continue
+            rel = lp.GE if kind == 1 else lp.LE
+            scale = F(rng.choice([1, 1, 2, 3]), rng.choice([1, 1, 2]))
+            low, high = (-5, 2) if rel == lp.GE else (-2, 5)
+            rows.append((coeffs, rel, F(rng.randint(low, high))))
+            rows.append(([-scale * a for a in coeffs], rel, scale * rng.randint(low, high)))
+        objective = [F(rng.randint(-3, 3)) if rng.random() < 0.8 else F(0) for _ in range(n)]
+        yield lp.make_program(objective, rows, bounds=bounds), rng.choice(["min", "max"])
+
+
+def test_twin_heavy_outcomes_pinned(acceptance_lps):
+    # LPs whose rows come in ± pairs, as every LP over the 1-Lipschitz ball
+    # does, field for field: the dual free norms on random spaces (an
+    # objective, so slacks enter in phase 2), criterion 03's coordinate
+    # LPs, and seeded programs whose pairs and variables are mixed.
+    batch = []
+    for n in range(4, 11):
+        for seed in range(3):
+            space = random_space(n, seed, "euclidean" if seed == 2 else "range")
+            coeffs = random_coeffs(f"twin:{n}:{seed}", n - 1)
+            batch.append((lp.make_program(coeffs, freespace.lipschitz_ball_rows(space, 1)), "max"))
+    batch += [(program, sense) for program, sense, _ in acceptance_lps["criterion 03"][0]]
+    batch += _twin_programs(27, 1500)
+    digest = hashlib.sha256()
+    statuses = Counter()
+    for program, sense in batch:
+        out = lp.solve(program, sense)
+        statuses[out.status] += 1
+        digest.update(repr(out).encode())
+    assert statuses == {"optimal": 485, "infeasible": 674, "unbounded": 422}
+    assert digest.hexdigest() == (
+        "7e30ae1d1aeadd1ff650048b3034e94f0a325170e350fd58d16b5456847aee60"
+    )
