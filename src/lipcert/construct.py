@@ -260,15 +260,25 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
     it, the rest after the scan, so ``assignments_tried`` and the budget's
     cut-off are those of trying every unused pair in rank order.
 
-    A node holds, per coordinate, its parent's closure and the one arc it
-    added (the root, the metric and the trivial arc 0 -> 0 of weight 0), and
-    reads its own closure through that arc (``lipschitz.arc_columns``): its
-    entry [a][b] is rho exactly when the parent's is and the sum through the
-    arc does not fall below rho, since it is the lesser of the two and a
-    closure never exceeds the metric.  A node builds its own closures
-    (``lipschitz.closure_add``) only when it first admits a child, and a
-    node of the last class never does, since its children go straight to
-    the LPs.
+    A node holds, per coordinate, a view (C, u0, v0, w): its parent's
+    closure C and the one arc u0 -> v0 of weight w it added (the root, the
+    metric and the trivial arc 0 -> 0 of weight 0).  It reads its own
+    closure C' from C in place: C'[a][b] = min(C[a][b], C[a][u0] + w +
+    C[v0][b]), and a closure never exceeds the metric, so C'[v][u] == rho
+    exactly when C[v][u] == rho and C[v][u0] + C[v0][u] + w >= rho.  A node
+    builds its own closures (``lipschitz.closure_add``) only when it first
+    admits a child, and a node of the last class never does, since its
+    children go straight to the LPs.
+
+    Coordinates share closures while their signs agree.  Class d has
+    e_j = -1 exactly when bit k-1-j of d is set, so coordinate j >= 1 is +1
+    on classes 0 .. 2^(k-1-j) - 1 and has added exactly coordinate 0's arcs
+    up to there.  A node at depth d therefore checks coordinate j only when
+    d >= 2^(k-1-j), since below that its check is coordinate 0's, which the
+    survivor filter has made; and it builds one closure that coordinate 0
+    shares with every coordinate j with 2^(k-1-j) >= d, plus one for each
+    other coordinate, 1 + #{j >= 1 : 2^(k-1-j) < d} in all.  Both bounds
+    come from the closed form, once per depth, beside the depth's class.
 
     It searches ``min(k, k')`` coordinates, k' = P.bit_length() + 1 for the
     P = n(n-1)/2 unordered pairs.  Each class takes its own pair, so every
@@ -314,19 +324,24 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
         tried += m
         return True
 
-    classes = []  # sign_class(k_search, d) of each depth d reached so far
+    # per depth d reached so far: sign_class(k_search, d), the first
+    # coordinate with a -1 in classes 0..d (the ones checked), and how many
+    # have none in classes 0..d-1 (the ones sharing coordinate 0's closure)
+    classes = []
 
     def dfs(depth, views, survivors):
         # ``views``: per coordinate, the parent's closure and the arc
-        # (u, v, w) this node added; ``survivors``: the parent's list
+        # (u0, v0, w) this node added; ``survivors``: the parent's list
         nonlocal unused
         if depth == len(classes):
-            classes.append(certify.sign_class(k_search, depth))
-        eps = classes[depth]
+            classes.append((
+                certify.sign_class(k_search, depth),
+                k_search - depth.bit_length(),
+                k_search - max(depth - 1, 0).bit_length(),
+            ))
+        eps, checked, shared = classes[depth]
         survivors = _still_tight(survivors, views[0], xs, ys, rhos)
-        checks = [
-            (e, view[0], *lipschitz.arc_columns(*view)) for e, view in zip(eps[1:], views[1:])
-        ]
+        checks = [(eps[j], *views[j]) for j in range(checked, k_search)]
         mask = first_mask if depth == 0 else unused
         counted = 0  # unused ranks in the mask up to the last admitted one
         own = None  # this node's closures, built when it first admits a child
@@ -334,9 +349,10 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
             if not mask >> r & 1:
                 continue
             x, y, rho = xs[r], ys[r], rhos[r]
-            for e, closure, via, row in checks:
+            for e, closure, u0, v0, w in checks:
                 u, v = (x, y) if e > 0 else (y, x)
-                if closure[v][u] != rho or via[v] + row[u] < rho:
+                row = closure[v]
+                if row[u] != rho or row[u0] + closure[v0][u] + w < rho:
                     break
             else:
                 upto = (mask & ((2 << r) - 1)).bit_count()
@@ -347,7 +363,8 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
                 if depth == last:
                     return _direct_search_solve(space, k_search, assignment, ball)
                 if own is None:
-                    own = [lipschitz.closure_add(*view) for view in views]
+                    own = [lipschitz.closure_add(*views[0])] * shared
+                    own += [lipschitz.closure_add(*view) for view in views[shared:]]
                 unused ^= pair_bits[r]
                 arcs = [(c, *((x, y) if e > 0 else (y, x)), -rho) for e, c in zip(eps, own)]
                 outcome = dfs(depth + 1, arcs, survivors)
@@ -367,11 +384,14 @@ def direct_search_l1(space: PointedMetricSpace, k: int, node_budget=None) -> Dir
 
 
 def _still_tight(survivors, view, xs, ys, rhos):
-    """The ranks of ``survivors`` whose pair (x, y) is tight, C[y][x] == rho,
-    on ``closure_add(*view)``.  Every rank handed in is tight on the view's
-    closure, so the sum through the view's arc decides alone."""
-    via, row = lipschitz.arc_columns(*view)
-    return [r for r in survivors if via[ys[r]] + row[xs[r]] >= rhos[r]]
+    """The ranks of ``survivors`` whose pair (x, y) is tight, C'[y][x] ==
+    rho, on the closure C' = ``closure_add(C, u0, v0, w)`` of the view
+    ``(C, u0, v0, w)``, read in place: C'[y][x] = min(C[y][x], C[y][u0] + w
+    + C[v0][x]).  Every rank handed in is tight on C, so the sum through
+    the arc decides alone."""
+    closure, u0, v0, w = view
+    row_v0 = closure[v0]
+    return [r for r in survivors if closure[ys[r]][u0] + row_v0[xs[r]] + w >= rhos[r]]
 
 
 def _direct_search_solve(space, k, assignment, ball) -> L1IsometryCertificate:

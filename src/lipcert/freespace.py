@@ -585,6 +585,16 @@ def _biorthogonal_functionals(space, molecules):
     scaled, and is kept across rounds, so a round lowers only its new cuts.
     Separation uses this l1 identity; the final projection is still checked
     by exact transport norms in ``verify_one_complemented``.
+
+    For m = 2 the master is always feasible.  The filter gives 1-Lipschitz
+    f++ and f+- with f(x_1) - f(y_1) = rho_1 and f(x_2) - f(y_2) = +rho_2
+    and -rho_2.  Then g_1 = (f++ + f+-)/2 and g_2 = (f++ - f+-)/2 meet the
+    biorthogonality equalities, and for every pair of points, with
+    a = df++ and b = df+- their differences there,
+    |dg_1| + |dg_2| = (|a + b| + |a - b|)/2 = max(|a|, |b|) <= rho.  So
+    sum_j |g_j(mol)| <= 1 for every molecule: (g_1, g_2) meets the ball rows
+    and every facet cut, and the loop ends with a feasible master.  The
+    closed form is not what the loop returns; it returns its LP vertex.
     """
     m = len(molecules)
     s = space.dist_scale

@@ -246,12 +246,13 @@ def closure_add(closure, u, v, w):
     a metric is its own shortest-path closure.  The system stays feasible
     exactly when w + closure[v][u] >= 0, and a shortest path then uses the
     arc at most once (Cotton and Maler, 2006): D'[a][b] = min(D[a][b],
-    D[a][u] + w + D[v][b]), the entry that ``arc_columns`` reads without
-    building D'.  A closure satisfies D[a][b] <= D[a][v] + D[v][b], so row
-    ``a`` is lowered only if D[a][u] + w < D[a][v]; a row that is not is
-    shared with ``closure``, not copied (a search never changes a closure;
-    it backtracks by dropping it).  Rows are lists; the tuple rows of a
-    space's ``integer_dist`` are copied once.  O(n^2) integer operations.
+    D[a][u] + w + D[v][b]), so a search can read an entry of D' from D in
+    place without building D'.  A closure satisfies D[a][b] <= D[a][v] +
+    D[v][b], so row ``a`` is lowered only if D[a][u] + w < D[a][v]; a row
+    that is not is shared with ``closure``, not copied (a search never
+    changes a closure; it backtracks by dropping it).  Rows are lists; the
+    tuple rows of a space's ``integer_dist`` are copied once.  O(n^2)
+    integer operations.
 
     An extreme equality f(u) - f(v) = rho(u, v) is feasible exactly when
     closure[v][u] == rho, since a closure never exceeds the metric, and is
@@ -269,15 +270,6 @@ def closure_add(closure, u, v, w):
         else:
             new.append(row)
     return new
-
-
-def arc_columns(closure, u, v, w):
-    """The columns through which a search reads ``closure_add(closure, u, v,
-    w)`` without building it: ``(via, row_v)``, with entry [a][b] of the new
-    closure min(closure[a][b], via[a] + row_v[b]).  ``via`` is the column
-    closure[.][u] + w, built in O(n); ``row_v`` is row v of ``closure``,
-    shared."""
-    return [row[u] + w for row in closure], closure[v]
 
 
 def _relax(edges, dist, rounds, pred):

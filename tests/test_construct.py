@@ -382,20 +382,74 @@ def test_direct_search_survivors_are_tight_on_the_closure_they_read(monkeypatch)
 
 
 def test_direct_search_builds_closures_only_for_nodes_that_admit_a_child(monkeypatch):
-    # criterion 03's spaces: k closures for each node below the last class
-    # that admits a child, and none for any other node
+    # criterion 03's spaces: a node below the last class that admits a child
+    # builds one closure per sign prefix, one that coordinate 0 shares with
+    # every coordinate j >= 1 still all +1 (class 2^(k-1-j) is coordinate
+    # j's first -1) and one for each other coordinate, 1 + #{j >= 1 :
+    # 2^(k-1-j) < depth} in all; any other node builds none.  That is 2,172
+    # builds over the 20 spaces and 40 on seed 0, where one closure per
+    # coordinate built 3,702 and 69.
     calls = []
     add = lipschitz.closure_add
     monkeypatch.setattr(lipschitz, "closure_add", lambda *arc: calls.append(arc) or add(*arc))
     k = 3
     last = (1 << (k - 1)) - 1
+    builds = []
     for seed in range(20):
         space = random_space(8, seed, "range")
         parents = []
         _per_candidate_search(space, k, parents=parents)
         calls.clear()
         construct.direct_search_l1(space, k)
-        assert len(calls) == k * sum(depth < last for depth in parents), seed
+        expected = sum(
+            1 + sum(1 << (k - 1 - j) < depth for j in range(1, k))
+            for depth in parents if depth < last
+        )
+        assert len(calls) == expected, seed
+        builds.append(len(calls))
+    assert (builds[0], sum(builds)) == (40, 2172)
+
+
+def test_direct_search_matches_per_candidate_search_where_coordinates_join_late(monkeypatch):
+    # Coordinate j >= 1 shares coordinate 0's closure and skips its check
+    # until its first -1, at class 2^(k-1-j).  Searches deep enough to pass
+    # those classes: the 4-cycle at k = 3 and K_{2,4} (hubs 0 and 1) at
+    # k = 4 find a basis, the equilateral 5- and 6-point spaces at k = 3
+    # exhaust.  Each unbudgeted and at budgets count - 1 and count, the
+    # same count, witnesses and full assignments sent to the LPs as the
+    # per-candidate oracle's.
+    leaves = []
+    solve = construct._direct_search_solve
+
+    def recording_solve(space, k, assignment, ball):
+        leaves.append(tuple(assignment))
+        return solve(space, k, assignment, ball)
+
+    monkeypatch.setattr(construct, "_direct_search_solve", recording_solve)
+    cycle = PointedMetricSpace.from_matrix(
+        [[min(abs(a - b), 4 - abs(a - b)) for b in range(4)] for a in range(4)]
+    )
+    # K_{2,4}: a hub and a leaf at distance 1, two hubs or two leaves at 2
+    k24 = PointedMetricSpace.from_matrix(
+        [[0 if a == b else 1 if (a < 2) != (b < 2) else 2 for b in range(6)] for a in range(6)]
+    )
+    cases = [
+        (cycle, 3, True, 39),
+        (k24, 4, True, 7257),
+        (equilateral(5), 3, False, 1150),
+        (equilateral(6), 3, False, 13755),
+    ]
+    for space, k, found, count in cases:
+        for budget in (None, count - 1, count):
+            leaves.clear()
+            expected = _per_candidate_search(space, k, budget), list(leaves)
+            leaves.clear()
+            result = construct.direct_search_l1(space, k, node_budget=budget)
+            pairs = _witness_pairs(result.certificate) if result.found else None
+            got = (pairs, result.assignments_tried, result.budget_exhausted), leaves
+            assert got == expected, (space.dist, k, budget)
+            assert result.found == (found and budget != count - 1)
+            assert result.assignments_tried == (count - 1 if budget == count - 1 else count)
 
 
 def test_evaluation_embedding_l1_line():

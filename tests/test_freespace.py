@@ -10,8 +10,8 @@ from math import gcd
 import pytest
 
 from lipcert import certify, construct, freespace, lipschitz, lp
-from lipcert.lipschitz import arc_columns, closure_add, differences_feasible, lip_norm
-from lipcert.metric import PointedMetricSpace, random_space
+from lipcert.lipschitz import closure_add, differences_feasible, lip_norm
+from lipcert.metric import PointedMetricSpace, random_space, restrict
 from lipcert.rationals import lcm_scale
 
 from helpers import equilateral, free_norm_vertex_oracle, random_coeffs, random_functional
@@ -452,19 +452,19 @@ def test_closure_add_shares_unchanged_rows_and_extreme_differences_need_one_comp
     assert shared and lowered
 
 
-def test_arc_columns_read_every_entry_of_closure_add():
+def test_closure_add_entry_is_the_parent_entry_or_the_path_through_the_arc():
     # the walk of the incremental closure test: at each arc of an accepted
     # equality, and at the root's trivial arc 0 -> 0 of weight 0, every
-    # entry read through the arc's column is the built closure's entry
+    # entry of closure_add(C, u, v, w) is min(C[a][b], C[a][u] + w +
+    # C[v][b]), the entry a search reads from C in place
     read = 0
 
     def add(closure, u, v, w):
         nonlocal read
         new = closure_add(closure, u, v, w)
-        via, row_v = arc_columns(closure, u, v, w)
         for a in range(len(closure)):
             for b in range(len(closure)):
-                assert min(closure[a][b], via[a] + row_v[b]) == new[a][b]
+                assert new[a][b] == min(closure[a][b], closure[a][u] + w + closure[v][b])
                 read += 1
         return new
 
@@ -618,6 +618,37 @@ def test_filtered_molecules_norm_is_l1_of_coefficients():
                 pairs = [(mol.x, mol.y) for mol in molecules]
                 assert value == sum(abs(cj) for cj in c), (space.dist, pairs, c)
     assert accepted == 63
+
+
+def test_l1_valid_pairs_are_one_complemented_by_the_closed_form():
+    # m = 2: the filter's sign functionals f++ and f+- of a pair of
+    # molecules give g1 = (f++ + f+-)/2 and g2 = (f++ - f+-)/2, biorthogonal
+    # to the pair with |dg1| + |dg2| = max(|df++|, |df+-|) <= rho, so
+    # P = g1 u1 + g2 u2 is a norm-one projection.  Every l1-valid pair of
+    # the 4-point subsets of criterion 02's 100 spaces; each sign functional
+    # is read off its closure as f(b) = C[0][b] over the scale, a potential
+    # that meets every arc.  The pipeline's master LP is feasible on each.
+    valid = 0
+    for i in range(100):
+        space = random_space(4 + i % 5, i, "euclidean" if i % 3 == 0 else "range")
+        subset = restrict(space, construct.select_subset(space, 4))
+        s, dist = subset.dist_scale, subset.integer_dist
+        for pair in combinations(freespace.canonical_molecules(subset), 2):
+            if not freespace.molecules_span_l1(pair):
+                continue
+            valid += 1
+            (x1, y1), (x2, y2) = ((mol.x, mol.y) for mol in pair)
+            first = closure_add(dist, x1, y1, -dist[x1][y1])
+            signs = [closure_add(first, *arc, -dist[x2][y2]) for arc in ((x2, y2), (y2, x2))]
+            f_pp, f_pm = ([F(v, s) for v in closure[0]] for closure in signs)
+            g = [tuple((a + b) / 2 for a, b in zip(f_pp, f_pm)),
+                 tuple((a - b) / 2 for a, b in zip(f_pp, f_pm))]
+            vectors = tuple(mol.as_free_vector() for mol in pair)
+            projection = freespace._projection_from(subset, vectors, g)
+            cert = freespace.verify_one_complemented(subset, vectors, projection)
+            assert cert.valid, (space.dist, [(x1, y1), (x2, y2)])
+            assert freespace._biorthogonal_functionals(subset, pair) is not None
+    assert valid == 110
 
 
 def _record_lps(spaces, extra=None):

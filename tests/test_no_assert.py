@@ -88,13 +88,21 @@ print("ok", report.failures[0])
 """
 
 
+def _source_first_env():
+    """The inherited environment with the lipcert source directory prepended
+    to ``PYTHONPATH``, so that whatever the interpreter reaches through the
+    inherited path (pytest among it) stays importable."""
+    src = str(Path(lipcert.__file__).parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, inherited]) if inherited else src}
+
+
 def test_pipeline_verifies_and_rejects_tampering_under_optimize():
-    src = Path(lipcert.__file__).parent.parent
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _OPTIMIZED_RUN],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=_source_first_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ok ")
@@ -114,6 +122,6 @@ def test_test_modules_pass_under_optimize():
         capture_output=True,
         text=True,
         cwd=root,
-        env={**os.environ, "PYTHONPATH": str(Path(lipcert.__file__).parent.parent)},
+        env=_source_first_env(),
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
