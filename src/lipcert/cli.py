@@ -277,6 +277,9 @@ def cmd_verify(args):
     return (EXIT_OK if report.ok else EXIT_INVALID), out
 
 
+# the most points a pipeline trial's default space (2^k points, without -n) may have
+PIPELINE_DEFAULT_POINTS_CAP = 64
+
 # each trials op and the parameters it reads, the only ones its document records
 TRIAL_OPS = {
     "four-point": ("method",),
@@ -333,9 +336,18 @@ def _trial_star(packed):
 def cmd_trials(args):
     if args.op not in TRIAL_OPS:
         raise InputError(f"unknown trials op {args.op!r}; choose from {', '.join(TRIAL_OPS)}")
-    # n < 2^k compared by bit length, so that a large -k builds no 2^k
-    if args.op == "pipeline" and args.n is not None and args.n.bit_length() <= args.k:
-        raise InputError(f"trials --op pipeline needs -n >= 2^k points for k = {args.k}, got {args.n}")
+    if args.op == "pipeline":
+        # 2^k compared by bit length, so that a large -k builds no 2^k:
+        # 2^k > cap iff k >= cap.bit_length(), and n < 2^k iff n.bit_length() <= k
+        if args.n is None and args.k >= PIPELINE_DEFAULT_POINTS_CAP.bit_length():
+            raise InputError(
+                f"trials --op pipeline without -n runs on 2^k points, more than "
+                f"{PIPELINE_DEFAULT_POINTS_CAP} for k = {args.k}; pass -n"
+            )
+        if args.n is not None and args.n.bit_length() <= args.k:
+            raise InputError(
+                f"trials --op pipeline needs -n >= 2^k points for k = {args.k}, got {args.n}"
+            )
     params = {"method": args.method, "k": args.k, "n": args.n, "budget": args.budget}
     tasks = [(args.op, args.seed, i, params) for i in range(args.count)]
     # a fork-started pool forks all its workers on the first submit, so

@@ -23,27 +23,32 @@ stored only just before a pivot on either.  After a feasible phase 1 every
 basic artificial sits at zero, so the pivots that drive them out are
 degenerate; with an objective they are made on the whole tableau, but a
 feasibility program (zero objective: zero duals in any basis, and no
-phase-2 pivot) only counts them, on copies of the artificial rows.
+phase-2 pivot) only counts them, on a kernel that takes the artificial rows
+themselves, since nothing reads them afterwards.
 
 A ``Constraint`` stores its row (coefficients, then rhs) once, as integers
 over one positive denominator in lowest terms; ``make_program`` scales a
 rational row to that form once, and every program that shares the row
-reads those integers.  A row is lowered to standard form from its nonzero
-entries; when every variable is free, the lowered row is cached on the
-``Constraint``, and so is whether it negates the row before it, so
-programs that share rows (the rounds of a cut loop) lower only the rows
-they add.  Rationals (``Fraction``) appear only at the boundary: the
-program, and the primal, ray and dual values read back from the final
-tableau.  Every optimal outcome carries the pair (primal, dual) as an exact
-complementary-slackness certificate; infeasible outcomes carry a Farkas
-certificate.  Both are re-checked against the original program's rows
-before being returned.  The re-check scales each certificate vector to
-integers over its lcm once and decides every condition in integers,
-deriving the reduced costs ``c - A^T y`` itself; a ``Fraction`` is built only
-to word a violation.  The same integer pivot also gives exact rank and
-linear solves (``rank``, ``solve_linear``): one Gauss-Jordan elimination of
-``[A | B]`` with the simplex's row operation, so the library has one exact
-elimination.
+reads those integers.  The rows reach the phase-1 tableau in one walk,
+which lowers each row from its nonzero entries and adds its sign, rhs,
+slack and artificial; when every variable is free, the lowered row is
+cached on the ``Constraint`` (and copied into the tableau), and so is
+whether it negates the row before it, so programs that share rows (the
+rounds of a cut loop) lower only the rows they add.  The cost is lowered
+from the objective's nonzero entries only.  Rationals (``Fraction``)
+appear only at the boundary: the program, and the primal, ray, dual and
+objective values read back from the final tableau, where a zero cost,
+bound offset or tableau entry adds no ``Fraction`` term (a zero value is
+still ``Fraction(0)``).  Every optimal outcome carries the pair (primal,
+dual) as an exact complementary-slackness certificate; infeasible outcomes
+carry a Farkas certificate.  Both are re-checked against the original
+program's rows before being returned.  The re-check scales each
+certificate vector to integers over its lcm once and decides every
+condition in integers, deriving the reduced costs ``c - A^T y`` itself; a
+``Fraction`` is built only to word a violation.  The same integer pivot
+also gives exact rank and linear solves (``rank``, ``solve_linear``): one
+Gauss-Jordan elimination of ``[A | B]`` with the simplex's row operation,
+so the library has one exact elimination.
 """
 
 from __future__ import annotations
@@ -177,8 +182,9 @@ def _eliminate(row, den, f, p, prow):
     pg, fg = p // g, f // g
     if pg != 1:
         row = {j: a * pg for j, a in row.items()}
+    get = row.get
     for j, b in prow.items():
-        a = row.get(j, 0) - fg * b
+        a = get(j, 0) - fg * b
         if a:
             row[j] = a
         else:
@@ -285,16 +291,24 @@ class _Kernel:
         self.pivots += 1
         return prow
 
-    def _entering(self, red):
-        """``(reduced cost, column)`` of every column that may enter: each
-        negative stored entry, and the mirror of each positive one."""
+    def _entering(self, red, bland):
+        """The column that enters for the reduced-cost row ``red`` under
+        Dantzig's rule, or Bland's when ``bland``, -1 at an optimum.  A
+        column may enter where its reduced cost is negative: each negative
+        stored entry, and the mirror of each positive one."""
         mirror, n_enter = self.mirror, self.n_enter
+        best, t = 0, -1
         for j, d in red.items():
             if d < 0:
-                if 0 <= j < n_enter:
-                    yield d, j
+                if j < 0 or j >= n_enter:
+                    continue
             elif j in mirror:
-                yield -d, mirror[j]
+                d, j = -d, mirror[j]
+            else:
+                continue
+            if t < 0 or (j < t if bland or d == best else d < best):
+                best, t = d, j
+        return t
 
     def optimize(self, cost, cost_den):
         """Run simplex for ``cost / cost_den`` from the current basis; ``cost``
@@ -319,10 +333,7 @@ class _Kernel:
         bland = False
         stall = 0
         while True:
-            if bland:
-                t = min((j for _, j in self._entering(red)), default=-1)
-            else:
-                _, t = min(self._entering(red), default=(0, -1))
+            t = self._entering(red, bland)
             if t < 0:
                 self.reduced, self.reduced_den = red, rd
                 return -1
@@ -391,108 +402,113 @@ class _Lowering:
     ``a`` is stored (the kernel's mirror columns), a lower-bounded one the
     column ``a`` shifted by its bound, an upper-bounded one the column
     ``-a`` reflected at it.  A boxed variable is shifted and adds a row
-    ``x <= hi - lo`` after the original rows.  Each row is kept as integers
-    over one denominator ``d``, ``(numerators, rhs, d)`` with the numerators
-    a sparse ``{column: int}`` dict: the constraint's nonzero entries
-    mapped through ``var_map``.  When every variable is free that dict
-    depends on the row alone, and the first program to lower the row keeps
-    it on the constraint (``free_lowering``), so a row shared by many
-    programs (the cut loop's rounds) is lowered once; ``build_kernel``
-    copies it.  A row whose coefficients are minus those of the stored row
-    before it, when both start with a basic slack (the ``+-`` rows of the
-    1-Lipschitz ball), is not lowered: its numerators are ``None``, and the
-    kernel keeps it as that row's implicit twin.  The bound shifts are
-    subtracted from the rhs in integers, over the lcm of the shifts'
-    denominators.
+    ``x <= hi - lo`` after the original rows.  The cost is kept as a sparse
+    integer row over one denominator (``cost``, ``cost_den``), built from
+    the nonzero entries of the objective only.  ``build_kernel`` walks the
+    rows once, straight into the phase-1 tableau.
     """
 
-    def __init__(self, lp: LinearProgram, minimize_obj):
+    def __init__(self, lp: LinearProgram, flip: bool):
         # var_map[j] = (plus, minus, offset): x_j = offset + std[plus] - std[minus],
-        # where -1 marks an absent column
-        self.var_map: list[tuple[int, int, Fraction]] = []
-        self.cost: list[Fraction] = []
+        # where -1 marks an absent column and None a zero offset
+        self.var_map: list[tuple[int, int, Fraction | None]] = []
+        self.mirror: dict[int, int] = {}
+        self.columns: list[int] = []  # each variable's stored column
+        self.reflected: list[int] = []  # the stored columns that are minus their variable
+        self.constraints = lp.constraints
+        self.box_rows: list[tuple[int, Fraction]] = []  # (std col, hi - lo)
+        cost_cols, cost_vals = [], []  # the nonzero costs of the min-oriented objective
         shifts: list[tuple[int, Fraction]] = []  # (variable, nonzero offset)
-        box_rows: list[tuple[int, Fraction]] = []  # (std col, hi - lo)
-
-        for j, (lo, hi) in enumerate(lp.bounds):
-            cj = minimize_obj[j]
-            col = len(self.cost)
+        col = 0
+        for j, ((lo, hi), cj) in enumerate(zip(lp.bounds, lp.objective)):
+            if flip and cj:
+                cj = -cj
+            self.columns.append(col)
             if lo is None and hi is None:
-                self.cost += (cj, -cj)
-                self.var_map.append((col, col + 1, _ZERO))
+                self.var_map.append((col, col + 1, None))
+                self.mirror[col] = col + 1
+                if cj:
+                    cost_cols += (col, col + 1)
+                    cost_vals += (cj, -cj)
+                col += 2
                 continue
             if lo is None:
-                sign, offset = -1, hi
-                self.var_map.append((-1, col, hi))
+                offset = hi
+                self.var_map.append((-1, col, offset or None))
+                self.reflected.append(col)
+                if cj:
+                    cj = -cj
             else:
                 if hi is not None:
                     if lo > hi:
                         raise _BoundConflict(j, lo, hi)
-                    box_rows.append((col, hi - lo))
-                sign, offset = 1, lo
-                self.var_map.append((col, -1, lo))
-            self.cost.append(cj if sign > 0 else -cj)
+                    self.box_rows.append((col, hi - lo))
+                offset = lo
+                self.var_map.append((col, -1, offset or None))
+            if cj:
+                cost_cols.append(col)
+                cost_vals.append(cj)
             if offset:
                 shifts.append((j, offset))
+            col += 1
+        self.n_struct = col
+        nums, self.cost_den = lcm_scale(cost_vals)
+        self.cost = dict(zip(cost_cols, nums))
+        # the shifts over their lcm denominator, subtracted from each rhs in integers
+        shift_nums, self.shift_den = lcm_scale([offset for _, offset in shifts])
+        self.shifts = [(j, o) for (j, _), o in zip(shifts, shift_nums)]
 
-        self.n_struct = len(self.cost)
-        all_free = len(self.cost) == 2 * len(self.var_map)
-        self.rows: list[tuple[dict[int, int] | None, int, int]] = []
-        shift_nums, shift_den = lcm_scale([offset for _, offset in shifts])
+    def _lower(self, nums, f):
+        """The coefficients of the row ``nums`` times ``f`` on the standard
+        columns, as a sparse ``{column: int}`` dict."""
+        row = {c: f * a for c, a in zip(self.columns, nums) if a}
+        for c in self.reflected:
+            if c in row:
+                row[c] = -row[c]
+        return row
+
+    def build_kernel(self):
+        """The phase-1 tableau in one walk over the rows: (kernel, row
+        signs, real columns).
+
+        Each row is kept as integers over one denominator ``d``, its lcm
+        scale, the bound shifts subtracted from its rhs over their lcm.  A
+        row with a negative rhs is negated, so its sign is -1; it keeps a
+        slack (entry ``±d``) as its initial basic column only if that
+        slack's entry is then ``+d``, else it gets an artificial (entry
+        ``d``).  Slacks are numbered from the last structural column on,
+        artificials from the count of real columns on, both in row order.
+
+        A row is lowered from its nonzero entries (``_lower``).  When every
+        variable is free, that lowering depends on the row alone, and the
+        first program to lower the row keeps it on the constraint
+        (``free_lowering``), so a row shared by many programs (the cut
+        loop's rounds) is lowered once; the tableau gets a copy, since the
+        simplex updates its rows in place.  A row whose coefficients are
+        minus those of the stored row before it, when both start with a
+        basic slack (the ``+-`` rows of the 1-Lipschitz ball), is neither
+        lowered nor stored: it is that row's implicit twin, and the two
+        signed rhs add up to the twins' ``p/q``.
+        """
+        shifts, shift_den = self.shifts, self.shift_den
+        all_free = self.n_struct == 2 * len(self.var_map)
+        slack = self.n_struct
+        art = n_real = slack + len(self.box_rows) + sum(c.rel != EQ for c in self.constraints)
+        rows, den, basis, sign, twins = [], [], [], [], {}
         prev = None  # the constraint before, if its row is stored with a basic slack
-        for c in lp.constraints:
-            nums, d = c.nums, c.den
+        for c in self.constraints:
+            nums, d, rel = c.nums, c.den, c.rel
             b = nums[-1]
             if shifts:
                 # d * (rhs - sum_j coeffs[j] * offset_j), times shift_den
-                b = b * shift_den - sum(nums[j] * o for (j, _), o in zip(shifts, shift_nums))
+                b = b * shift_den - sum(nums[j] * o for j, o in shifts)
                 d *= shift_den
-            # build_kernel starts a row on its slack iff the slack is positive
-            # once the row is signed to a nonnegative rhs
-            basic = c.rel == (LE if b >= 0 else GE)
-            if basic and prev is not None and prev.rel == c.rel and _negates(c, prev):
-                self.rows.append((None, b, d))
-                prev = None
-                continue
-            prev = c if basic else None
-            # an all-free lowering depends on the row alone: kept in the
-            # frozen constraint's __dict__, as a cached_property would
-            struct = c.__dict__.get("free_lowering") if all_free else None
-            if struct is None:
-                struct = {}
-                for a, (plus, minus, _) in zip(nums, self.var_map):
-                    if a:
-                        if plus >= 0:
-                            struct[plus] = a
-                        else:
-                            struct[minus] = -a
-                if all_free:
-                    c.__dict__["free_lowering"] = struct
-            if shift_den != 1:
-                struct = {col: a * shift_den for col, a in struct.items()}
-            self.rows.append((struct, b, d))
-        for col, width in box_rows:
-            self.rows.append(({col: width.denominator}, width.numerator, width.denominator))
-        self.rel = [c.rel for c in lp.constraints] + [LE] * len(box_rows)
-
-    def build_kernel(self):
-        """Assemble the phase-1 tableau: (kernel, row signs, real columns).
-
-        Row ``i`` has denominator ``d``, its lcm scale, so its slack and
-        artificial entries are ``±d``.  A row with a negative rhs is negated;
-        it keeps a slack as its initial basic column only if that slack's
-        entry is then ``+d``, else it gets an artificial.  The artificial
-        columns come last, from the count of real columns on.  A row the
-        lowering left unlowered is the implicit twin of the row before, and
-        the two signed rhs add up to the twins' ``p/q``.
-        """
-        sign = [-1 if rhs < 0 else 1 for _, rhs, _ in self.rows]
-        slack_sign = [0 if rel == EQ else 1 if rel == LE else -1 for rel in self.rel]
-        slack = self.n_struct
-        art = n_real = slack + sum(s != 0 for s in slack_sign)
-        rows, den, basis, twins = [], [], [], {}
-        for (struct, b, d), s, ss in zip(self.rows, sign, slack_sign):
-            if struct is None:
+            s = -1 if b < 0 else 1
+            sign.append(s)
+            # the slack starts basic iff it is positive once the row is
+            # signed to a nonnegative rhs
+            basic = rel == (LE if s > 0 else GE)
+            if basic and prev is not None and prev.rel == rel and _negates(c, prev):
                 i = len(rows) - 1
                 p, q = rows[i].get(-1, 0) * d + s * b * den[i], den[i] * d
                 g = gcd(p, q)
@@ -501,15 +517,23 @@ class _Lowering:
                 den.append(d)
                 basis.append(slack)
                 slack += 1
+                prev = None
                 continue
-            # a copy: ``struct`` may be a constraint's shared free_lowering
-            row = dict(struct) if s > 0 else {j: -a for j, a in struct.items()}
+            prev = c if basic else None
+            if all_free:
+                # kept in the frozen constraint's __dict__, as a cached_property would
+                struct = c.__dict__.get("free_lowering")
+                if struct is None:
+                    struct = c.__dict__["free_lowering"] = self._lower(nums, 1)
+                row = struct.copy() if s > 0 else {j: -a for j, a in struct.items()}
+            else:
+                row = self._lower(nums, s * shift_den)
             if b:
                 row[-1] = s * b
-            if ss:
-                row[slack] = ss * s * d
+            if rel != EQ:
+                row[slack] = s * d if rel == LE else -s * d
                 slack += 1
-            if ss * s == 1:
+            if basic:
                 basis.append(slack - 1)
             else:
                 row[art] = d
@@ -517,8 +541,16 @@ class _Lowering:
                 art += 1
             rows.append(row)
             den.append(d)
-        mirror = {plus: minus for plus, minus, _ in self.var_map if plus >= 0 and minus >= 0}
-        return _Kernel(rows, den, basis, art, mirror, twins), sign, n_real
+        for col, width in self.box_rows:
+            # x <= hi - lo: a nonnegative rhs, so its slack starts basic
+            wn, wd = width.as_integer_ratio()
+            row = {col: wd, -1: wn, slack: wd} if wn else {col: wd, slack: wd}
+            sign.append(1)
+            basis.append(slack)
+            slack += 1
+            rows.append(row)
+            den.append(wd)
+        return _Kernel(rows, den, basis, art, self.mirror, twins), sign, n_real
 
 
 def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
@@ -535,26 +567,23 @@ def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
 def _solve(lp, sense):
     """The two-phase simplex; ``solve`` re-checks the outcome it returns."""
     flip = sense == "max"
-    minimize_obj = [-c for c in lp.objective] if flip else list(lp.objective)
-
     try:
-        low = _Lowering(lp, minimize_obj)
+        low = _Lowering(lp, flip)
     except _BoundConflict:
         return LpOutcome(status="infeasible")
 
     kern, sign, n_real = low.build_kernel()
     n_total = kern.n_cols
     home = kern.basis[:]  # each row's initial basic column, its dual-recovery column
-    struct_cost, cost_den = lcm_scale(low.cost)
-    phase2_cost = {j: c for j, c in enumerate(struct_cost) if c}
+    phase2_cost, cost_den = low.cost, low.cost_den
 
     # Phase 1: minimize the artificial sum.
     if n_real < n_total:
         phase1_cost = dict.fromkeys(range(n_real, n_total), 1)
         if kern.optimize(phase1_cost, 1) >= 0:
             raise AssertionError("phase 1 cannot be unbounded")
-        # an artificial may sit basic in another row than its own after pivots
-        if any(row.get(-1, 0) > 0 for row, b in zip(kern.rows, kern.basis) if b >= n_real):
+        # the reduced-cost row's rhs is minus the artificial sum phase 1 reached
+        if kern.reduced.get(-1, 0):
             y = _recover_duals(kern, phase1_cost, 1, sign, home)
             farkas = y[: len(lp.constraints)]
             return LpOutcome(status="infeasible", farkas=farkas, pivots=kern.pivots)
@@ -564,11 +593,14 @@ def _solve(lp, sense):
         else:
             # a zero objective: every drive-out pivot is degenerate and reads
             # artificial rows only, and phase 2 makes none, so the pivots are
-            # counted on copies of the artificial rows; the tableau keeps the
-            # primal phase 1 found
+            # counted on a kernel of the artificial rows alone; it takes the
+            # rows themselves, since nothing reads them afterwards (a zero
+            # cost's phase 2 reads no row, the primal only rows with a
+            # structural basic column), and the tableau keeps the primal
+            # phase 1 found
             arts = [i for i, b in enumerate(kern.basis) if b >= n_real]
             art_kern = _Kernel(
-                [dict(kern.rows[i]) for i in arts],
+                [kern.rows[i] for i in arts],
                 [kern.den[i] for i in arts],
                 [kern.basis[i] for i in arts],
                 n_total,
@@ -591,7 +623,8 @@ def _solve(lp, sense):
     dual = y[: len(lp.constraints)]
     if flip:
         dual = [-v for v in dual]
-    value = sum(c * x for c, x in zip(lp.objective, primal))
+    # zero costs add nothing; the start keeps a zero value a Fraction
+    value = sum((c * x for c, x in zip(lp.objective, primal) if c), _ZERO)
     return LpOutcome(status="optimal", value=value, primal=primal, dual=dual, pivots=kern.pivots)
 
 
@@ -656,9 +689,9 @@ def _drive_out_artificials(kern, n_real):
     Rows whose tableau row is zero on every real column are redundant; their
     artificial stays basic at zero and is barred from re-entering, which keeps
     it harmless (no real entering column can change it).  Each choice reads
-    only rows whose basic column is artificial, so a kernel that holds
-    copies of just those rows, in their order, makes the same pivots: for a
-    zero objective ``solve`` counts them there.
+    only rows whose basic column is artificial, so a kernel that holds just
+    those rows, in their order, makes the same pivots: for a zero objective
+    ``solve`` counts them there.
     """
     for i, b in enumerate(kern.basis):
         if b >= n_real:
@@ -685,33 +718,39 @@ def _recover_duals(kern, cost, cost_den, sign, home):
 
 
 def _pull_back(low, v_std, offsets):
-    """Original-variable vector of a standard-form vector: a point when
-    ``offsets`` adds each variable's bound shift, a direction when not."""
+    """Original-variable vector of a standard-form vector, given as its
+    nonzero entries ``{column: Fraction}``: a point when ``offsets`` adds
+    each variable's bound shift, a direction when not.  A zero term is not
+    added."""
+    get = v_std.get  # -1, an absent column, is never a key
     out = []
     for plus, minus, offset in low.var_map:
-        v = offset if offsets else _ZERO
-        if plus >= 0 and v_std[plus]:
-            v += v_std[plus]
-        if minus >= 0 and v_std[minus]:
-            v -= v_std[minus]
-        out.append(v)
+        v = get(plus)
+        w = get(minus)
+        if w is not None:
+            v = -w if v is None else v - w
+        if offsets and offset is not None:
+            v = offset if v is None else offset + v
+        out.append(_ZERO if v is None else v)
     return out
 
 
 def _extract_primal(low, kern):
-    # only structural columns are pulled back; nonbasic and zero ones stay 0
-    x_std = [_ZERO] * low.n_struct
-    for i, b in enumerate(kern.basis):
-        if b < low.n_struct and -1 in kern.rows[i]:
-            x_std[b] = Fraction(kern.rows[i][-1], kern.den[i])
+    # only structural basic columns with a nonzero rhs are pulled back; an
+    # implicit row's basic column is a slack
+    n = low.n_struct
+    x_std = {
+        b: Fraction(row[-1], d)
+        for row, d, b in zip(kern.rows, kern.den, kern.basis)
+        if b < n and -1 in row
+    }
     return _pull_back(low, x_std, offsets=True)
 
 
 def _extract_ray(low, kern, t):
     # an implicit row's basic column is a slack, which pulls back to nothing
     col, sign = kern.stored(t)
-    d_std = [_ZERO] * kern.n_cols
-    d_std[t] = _ONE
+    d_std = {t: _ONE}
     for row, d, b in zip(kern.rows, kern.den, kern.basis):
         a = row.get(col) if row is not None else None
         if a:

@@ -664,6 +664,27 @@ def test_cli_direct_search_stops_at_the_pigeonhole_bound(tmp_path):
     assert docs[1]["assignments_tried"] == docs[0]["assignments_tried"]
 
 
+def test_cli_trials_pipeline_caps_its_default_space():
+    # without -n a pipeline trial runs on 2^k points: a -k past the cap of
+    # 64 points is an input error that names -n, decided without building
+    # 2^k, and -n lifts it; --budget 0 keeps the runs that do start short
+    runs = {}
+    for argv in (("-k", "6"), ("-k", "7"), ("-k", "100000000"), ("-k", "7", "-n", "128")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lipcert.cli", "trials", "--op", "pipeline", "--count", "1",
+             "--budget", "0", *argv],
+            capture_output=True, text=True, timeout=60, preexec_fn=_limited_memory,
+        )
+        assert "Traceback" not in proc.stderr
+        runs[argv] = proc
+    for argv in (("-k", "7"), ("-k", "100000000")):
+        assert runs[argv].returncode == 2, runs[argv].stderr[-2000:]
+        assert "pass -n" in runs[argv].stderr and runs[argv].stdout == ""
+    for argv in (("-k", "6"), ("-k", "7", "-n", "128")):
+        assert runs[argv].returncode == 0, runs[argv].stderr[-2000:]
+        assert json.loads(runs[argv].stdout)["exhausted"] == 1
+
+
 @pytest.mark.parametrize("name", ["base.json", "labels.json"])
 def test_cli_validate_names_the_fault_four_point_names(tmp_path, name):
     path = tmp_path / name

@@ -775,32 +775,47 @@ def test_direct_search_rows_match_their_oracles():
 
 def _check_rows(solved):
     """Check every row of the recorded programs against ``lcm_scale`` of its
-    rationals (lowest terms) and the column-by-column lowering; count them
-    by whether every variable of their program is free.  A row is left
-    unlowered exactly when it is the implicit twin of the stored row before
-    it: minus that row, as rationals, and both start on a basic slack (a
-    <= row with rhs >= 0 or a >= row with rhs < 0)."""
+    rationals (lowest terms) and the column-by-column lowering, as the
+    phase-1 tableau holds it (times the row's sign); count them by whether
+    every variable of their program is free.  A row is left unstored
+    exactly when it is the implicit twin of the stored row before it: minus
+    that row, as rationals, and both start on a basic slack (a <= row with
+    rhs >= 0 or a >= row with rhs < 0).  The recorded programs shift no
+    variable, so each row's rhs is its own."""
     lowered = {True: 0, False: 0}
     for program, _ in solved:
-        low = lp._Lowering(program, list(program.objective))
+        low = lp._Lowering(program, False)
+        assert not low.shifts
         free = all(b == (None, None) for b in program.bounds)
+        cached = [con.__dict__.get("free_lowering") for con in program.constraints]
+        kern, sign, _ = low.build_kernel()
         prev = None  # the row before, if stored on a basic slack: (con, reference)
-        for con, (struct, b, d) in zip(program.constraints, low.rows):
+        for i, con in enumerate(program.constraints):
             nums, den = lcm_scale([F(a, con.den) for a in con.nums])
             assert (con.nums, con.den) == (tuple(nums), den)
+            d, row, b = kern.den[i], kern.rows[i], con.nums[-1]
             assert d == den
+            assert sign[i] == (-1 if b < 0 else 1)
             reference = _reference_lowering(low, con)
             basic = (con.rel, b >= 0) in ((lp.LE, True), (lp.GE, False))
             twin = basic and prev is not None and prev[0].rel == con.rel and {
                 j: F(a, d) for j, a in reference.items()
             } == {j: -F(a, prev[0].den) for j, a in prev[1].items()}
-            assert (struct is None) == twin
+            assert (row is None) == twin
             if twin:
+                # the two signed rhs add up to the twins' p/q
+                above = F(kern.rows[i - 1].get(-1, 0), kern.den[i - 1])
+                assert F(*kern.twins[i - 1]) == above + F(abs(b), d)
                 prev = None
             else:
+                struct = {j: sign[i] * a for j, a in row.items() if 0 <= j < low.n_struct}
                 assert list(struct.items()) == list(reference.items())
+                assert sign[i] * row.get(-1, 0) == b
                 if free:
-                    assert struct is con.__dict__["free_lowering"]
+                    # the walk read the lowering its solve kept, and copied it
+                    kept = con.__dict__["free_lowering"]
+                    assert kept is cached[i] and kept is not row
+                    assert list(kept.items()) == list(reference.items())
                 prev = (con, reference) if basic else None
             lowered[free] += 1
     return lowered

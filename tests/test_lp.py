@@ -1,9 +1,10 @@
 """Exact LP solver: examples, certificates, termination."""
 
+import copy
 import hashlib
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -749,7 +750,7 @@ def _whole_tableau_solve(program, sense, drive_out):
     and the artificials it leaves basic on rows with no real entry
     (``left``)."""
     flip = sense == "max"
-    low = lp._Lowering(program, [-c for c in program.objective] if flip else program.objective)
+    low = lp._Lowering(program, flip)
     kern, sign, n_real = low.build_kernel()
     home = kern.basis[:]
     m = len(program.constraints)
@@ -764,8 +765,7 @@ def _whole_tableau_solve(program, sense, drive_out):
         drive_out["driven"] += kern.pivots - before
         drive_out["left"] += sum(b >= n_real for b in kern.basis)
         kern.n_enter = n_real
-    struct_cost, cost_den = lp.lcm_scale(low.cost)
-    cost = {j: c for j, c in enumerate(struct_cost) if c}
+    cost, cost_den = low.cost, low.cost_den
     t = kern.optimize(cost, cost_den)
     primal = lp._extract_primal(low, kern)
     if t >= 0:
@@ -954,3 +954,79 @@ def test_twin_heavy_outcomes_pinned(acceptance_lps):
     assert digest.hexdigest() == (
         "7e30ae1d1aeadd1ff650048b3034e94f0a325170e350fd58d16b5456847aee60"
     )
+
+
+def _typed_programs(seed, count):
+    """(program, sense) pairs whose outcomes carry every field: objectives
+    zero about half the time, rational rows, and each variable free,
+    shifted by a nonzero bound on one side, or boxed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        bounds = [_random_bound(rng) for _ in range(n)]
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            coeffs = [F(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for _ in range(n)]
+            rhs = F(rng.randint(-4, 4), rng.choice([1, 2]))
+            rows.append((coeffs, rng.choice([lp.LE, lp.GE, lp.EQ]), rhs))
+        zero = rng.random() < 0.5
+        objective = [F(0) if zero else F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(n)]
+        yield lp.make_program(objective, rows, bounds=bounds), rng.choice(["min", "max"])
+
+
+def test_outcome_values_and_types_pinned():
+    # Every field of every outcome by its repr, so an entry that turns from
+    # a Fraction into an int (a zero objective's value is Fraction(0), never
+    # 0) changes the digest as a changed number does; and the types are
+    # asserted outright.  Zero and nonzero objectives, in min and max, over
+    # free, shifted and boxed variables.
+    digest = hashlib.sha256()
+    statuses, kinds = Counter(), Counter()
+    for program, sense in _typed_programs(29, 1500):
+        for lo, hi in program.bounds:
+            kinds["free" if lo is None and hi is None else "boxed" if None not in (lo, hi)
+                  else "shifted" if lo or hi else "at zero"] += 1
+        out = lp.solve(program, sense)
+        statuses[out.status, "zero" if not any(program.objective) else sense] += 1
+        for field in fields(out):
+            digest.update(f"{field.name}={getattr(out, field.name)!r};".encode())
+        assert out.value is None or type(out.value) is F
+        for vector in (out.primal, out.dual, out.farkas, out.ray):
+            assert vector is None or all(type(v) is F for v in vector)
+    assert statuses == {
+        ("optimal", "zero"): 332, ("infeasible", "zero"): 440,
+        ("optimal", "min"): 81, ("infeasible", "min"): 219, ("unbounded", "min"): 88,
+        ("optimal", "max"): 70, ("infeasible", "max"): 192, ("unbounded", "max"): 78,
+    }
+    assert kinds == {"free": 1147, "shifted": 1929, "at zero": 352, "boxed": 1131}
+    assert digest.hexdigest() == (
+        "71ef009a6955c3cd404046c1baf81ddfac29e6d0dab1e9bba9ac9ce7f27301de"
+    )
+
+
+def test_solves_leave_cached_lowerings_unchanged(acceptance_lps):
+    # A row shared by many programs keeps its lowering on the Constraint
+    # (``free_lowering``), and ``_eliminate`` updates a tableau row in place
+    # when the pivot divides its factor, so a solve must copy the cached
+    # lowering before the simplex runs.  Criterion 02's cut loops and
+    # criterion 03's coordinate LPs, solved once by the fixture, are solved
+    # again; every cache must still equal a deep copy taken before, and the
+    # column-by-column lowering of its all-free row (column 2j for x_j).
+    programs = [
+        (program, sense)
+        for name in ("criterion 02", "criterion 03")
+        for program, sense, _ in acceptance_lps[name][0]
+    ]
+    constraints = {id(con): con for program, _ in programs for con in program.constraints}
+    cached = {key: con.__dict__["free_lowering"] for key, con in constraints.items()
+              if "free_lowering" in con.__dict__}
+    before = copy.deepcopy(cached)
+    for key, struct in before.items():
+        nums = constraints[key].nums
+        assert struct == {2 * j: a for j, a in enumerate(nums[:-1]) if a}
+    for program, sense in programs:
+        lp.solve(program, sense)
+    for key, struct in cached.items():
+        assert constraints[key].__dict__["free_lowering"] is struct
+        assert struct == before[key]
+    assert len(cached) > 1000, len(cached)
