@@ -701,6 +701,37 @@ def test_cut_loop_outcomes_pinned(criterion_02_lps):
     )
 
 
+def test_cut_loop_outcomes_pinned_beyond_m2():
+    # The cut loop at m >= 3, where no closed form proves the master
+    # feasible and the rounds are more: every LP of the complementation
+    # search on 40 random 6-point spaces at m = 3 and on the equilateral
+    # 8-point space at m = 4, field for field.
+    solved = []
+    real_solve = lp.solve
+
+    def recording_solve(program, sense="min"):
+        out = real_solve(program, sense)
+        solved.append(out)
+        return out
+
+    found = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve", recording_solve)
+        for seed in range(20):
+            for method in ("range", "euclidean"):
+                space = random_space(6, seed, method)
+                found += freespace.search_one_complemented(space, 3, tuple_budget=200).found
+        assert len(solved) == 86 and found == 26
+        assert freespace.search_one_complemented(equilateral(8), 4).found
+    digest = hashlib.sha256()
+    for out in solved:
+        digest.update(repr(out).encode())
+    assert len(solved) == 90 and sum(out.pivots for out in solved) == 1656
+    assert digest.hexdigest() == (
+        "b721d0cfbe6e219ea7def7da827941a866ad064467d803b88b4e5dc47705dda9"
+    )
+
+
 def _reference_lowering(low, con):
     # the column-by-column lowering: walk every standard column of the row,
     # but a free variable's minus column, the mirror of its plus column
