@@ -582,7 +582,11 @@ def _biorthogonal_functionals(space, molecules):
     cut removes the current candidate and the facet family is finite, so the
     loop terminates.  Every row is a ``difference_row`` over an entry of the
     space's ``integer_dist`` D or its ``dist_scale``, so no rational is
-    scaled, and is kept across rounds, so a round lowers only its new cuts.
+    scaled, and is kept across rounds.  Each round's program names the last
+    round's as the program it extends (``lp.make_program``'s ``extends``),
+    so its solve lowers only the new cuts and resumes the last round's
+    pivot path up to the first pivot a cut changes; its outcome is a cold
+    solve's, and ``lp.feasible`` re-checks it against every row.
     Separation uses this l1 identity; the final projection is still checked
     by exact transport norms in ``verify_one_complemented``.
 
@@ -607,9 +611,12 @@ def _biorthogonal_functionals(space, molecules):
             rows.append(difference_row(space, m, terms, int(i == j) * rho, rho, lp.EQ))
     rows.extend(lipschitz_ball_rows(space, m))
     mols = canonical_molecules(space)
+    zero = [_ZERO] * (m * (space.n - 1))
+    program = None
 
     while True:
-        outcome = lp.feasible(rows, n_vars=m * (space.n - 1))
+        program = lp.make_program(zero, rows, extends=program)
+        outcome = lp.feasible(program)
         if outcome.status != "optimal":
             return None
         g_values = block_values(space, outcome.primal, m)

@@ -26,6 +26,24 @@ feasibility program (zero objective: zero duals in any basis, and no
 phase-2 pivot) only counts them, on a kernel that takes the artificial rows
 themselves, since nothing reads them afterwards.
 
+A program that extends a solved one by appending rows (``extends``, the
+rounds of a cut loop) resumes that solve's phase-1 path instead of
+repeating it.  Each phase 1 records its steps (the entering column, the
+winning ratio and its basic column, the pivot row) and checkpoints of its
+tableau, every step's near the end and sparser further back; a checkpoint
+is a shallow copy, since a stored row is never changed in place.  An
+appended row sits on its slack, which costs nothing, so each recorded step
+prices as it did; the extension replays the steps against its appended
+rows alone, up to the first step where one of them would win the ratio
+test, restores the last checkpoint at or before it with the appended rows
+added, and continues the same pivot loop.  Artificial columns are numbered
+past every real column, so the appended slacks renumber no column and ties
+break as in a cold solve.  A cold solve is that loop with nothing to
+replay, and the outcome is the cold solve's, pivot count included.  An
+appended row that needs an artificial changes the phase-1 cost, and a
+bounded variable's box row comes after the constraints, so both solve
+cold.
+
 A ``Constraint`` stores its row (coefficients, then rhs) once, as integers
 over one positive denominator in lowest terms; ``make_program`` scales a
 rational row to that form once, and every program that shares the row
@@ -43,7 +61,9 @@ still ``Fraction(0)``).  Every optimal outcome carries the pair (primal,
 dual) as an exact complementary-slackness certificate; infeasible outcomes
 carry a Farkas certificate.  Both are re-checked against the original
 program's rows before being returned.  The re-check scales each
-certificate vector to integers over its lcm once and decides every
+certificate vector to integers over its lcm once (an all-zero one, such
+as a feasibility program's objective and duals, is read over 1 unscaled)
+and decides every
 condition in integers, deriving the reduced costs ``c - A^T y`` itself; a
 ``Fraction`` is built only to word a violation.  The same integer pivot
 also gives exact rank and linear solves (``rank``, ``solve_linear``): one
@@ -53,7 +73,7 @@ so the library has one exact elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -69,6 +89,18 @@ _ONE = Fraction(1)
 
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
 _STALL_LIMIT = 40
+
+# The first artificial column: past every real column of any program that
+# fits in memory (a real column is a variable's or a row's), so appending
+# rows with slacks shifts no column number.
+_ART = 1 << 30
+
+# How densely a recorded phase-1 path keeps checkpoints: every step of the
+# last 2 * _KEPT, and about _KEPT per doubling of the distance further
+# back, since each keeps alive the rows its pivots replaced.  Criterion
+# 02's rounds leave the last round's path at most 5 steps before its end;
+# the k=3 pipeline's on the equilateral 8-point space, 15 to 32 steps.
+_KEPT = 4
 
 
 class LpFormatError(ValueError):
@@ -101,30 +133,51 @@ class LinearProgram:
     """min/max ``objective . x`` subject to rows and per-variable bounds.
 
     Bounds default to free variables; entries are (lower, upper) with None
-    for unbounded sides.
+    for unbounded sides.  ``extends`` names a program whose rows are this
+    one's first rows, over the same variables and bounds (a cut loop's last
+    round), or is None; it is not part of the program's value.
     """
 
     objective: tuple[Fraction, ...]
     constraints: tuple[Constraint, ...]
     bounds: tuple[tuple[Fraction | None, Fraction | None], ...]
+    extends: LinearProgram | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_vars(self) -> int:
         return len(self.objective)
 
 
-def make_program(objective, constraints, bounds=None) -> LinearProgram:
+def make_program(objective, constraints, bounds=None, extends=None) -> LinearProgram:
     """Normalize raw lists into a validated LinearProgram.
 
     Every number goes through ``parse_rational``: an int, a ``Fraction`` or
     a 'p/q' string, never a float.  A row is a ``Constraint``, which is kept
     as it is, so programs that share it share its integers, or a
     ``(coeffs, rel, rhs)`` triple, scaled to integers over its lcm once.
+    ``extends`` is a program this one extends by appending rows: its
+    constraints must be the first rows here, and its bounds these bounds;
+    those rows were validated there, so only the appended rows are here.
     """
     obj = tuple(map(parse_rational, objective))
     n = len(obj)
-    rows = []
-    for k, con in enumerate(constraints):
+    if bounds is None:
+        bnds = tuple((None, None) for _ in range(n))
+    else:
+        if len(bounds) != n:
+            raise LpFormatError(f"{len(bounds)} bounds for {n} variables")
+        bnds = tuple(
+            (None if lo is None else parse_rational(lo), None if hi is None else parse_rational(hi))
+            for lo, hi in bounds
+        )
+    constraints = tuple(constraints)
+    shared = ()
+    if extends is not None:
+        shared = extends.constraints
+        if extends.bounds != bnds or constraints[: len(shared)] != shared:
+            raise LpFormatError("a program extends another only by appending rows to it")
+    rows = list(shared)
+    for k, con in enumerate(constraints[len(shared):], len(shared)):
         if type(con) is not Constraint:
             coeffs, rel, rhs = con
             nums, d = lcm_scale([*map(parse_rational, coeffs), parse_rational(rhs)])
@@ -136,16 +189,7 @@ def make_program(objective, constraints, bounds=None) -> LinearProgram:
         if con.rel not in (LE, EQ, GE):
             raise LpFormatError(f"constraint {k} has unknown relation {con.rel!r}")
         rows.append(con)
-    if bounds is None:
-        bnds = tuple((None, None) for _ in range(n))
-    else:
-        if len(bounds) != n:
-            raise LpFormatError(f"{len(bounds)} bounds for {n} variables")
-        bnds = tuple(
-            (None if lo is None else parse_rational(lo), None if hi is None else parse_rational(hi))
-            for lo, hi in bounds
-        )
-    return LinearProgram(obj, tuple(rows), bnds)
+    return LinearProgram(obj, tuple(rows), bnds, extends)
 
 
 @dataclass
@@ -176,12 +220,13 @@ def _eliminate(row, den, f, p, prow):
     sparse rows: ``{column: entry}`` dicts that hold no zero.
 
     Only the entries stored in ``prow`` are touched; ``den`` and ``p`` are
-    positive.  ``row`` is updated in place when ``p`` divides ``f``.
+    positive.  The result is a new dict and ``row`` is left as it is, so a
+    stored row never changes and a checkpoint of the tableau need only copy
+    its lists.
     """
     g = gcd(p, f)
     pg, fg = p // g, f // g
-    if pg != 1:
-        row = {j: a * pg for j, a in row.items()}
+    row = row.copy() if pg == 1 else {j: a * pg for j, a in row.items()}
     get = row.get
     for j, b in prow.items():
         a = get(j, 0) - fg * b
@@ -225,6 +270,18 @@ class _Kernel:
       ``R_i`` and ``R_{i+1}``.  The ratio test reads row ``i + 1`` from
       row ``i``, and a pivot on either row first stores it
       (``_materialize``).
+
+    While ``path`` is a list, ``run`` records its pivot path there, one
+    step per pivot and a last step at the optimum: the checkpoint of the
+    state the step starts from, and the choice it makes there (the
+    entering column, the winning ratio ``num / quo``, the winner's basic
+    column, its row, and the pivot row it became over its denominator),
+    None at the optimum.  A checkpoint copies the lists of rows,
+    denominators and basic columns, and the twins, and keeps the
+    reduced-cost row and the pricing state (stall count, Bland flag); it
+    shares the row dicts, since no stored row is ever changed in place.
+    Steps far from the newest keep checkpoints more sparsely
+    (``_checkpoint``); the others hold None.
     """
 
     def __init__(self, rows, den, basis, n_cols, mirror=None, twins=None):
@@ -233,12 +290,14 @@ class _Kernel:
         self.basis = basis
         self.n_cols = n_cols
         self.n_enter = n_cols
+        self.n_real = n_cols  # one past the last real column, as build_kernel counts it
         self.pivots = 0
         self.reduced: dict[int, int] = {}
         self.reduced_den = 1
         self.mirror: dict[int, int] = mirror or {}
         self.plus_of = {m: j for j, m in self.mirror.items()}
         self.twins: dict[int, tuple[int, int]] = twins or {}
+        self.path: list | None = None
 
     def stored(self, t):
         """``(column, sign)``: column ``t`` is ``sign`` times the stored
@@ -321,21 +380,28 @@ class _Kernel:
         enters the most negative reduced cost, Bland's the lowest column
         with a negative one; ties go to the lowest column.
         """
-        rows, den, basis, twins = self.rows, self.den, self.basis, self.twins
-        plus_of = self.plus_of
+        plus_of, den, basis = self.plus_of, self.den, self.basis
         red, rd = {j: c for j, c in cost.items() if j not in plus_of}, cost_den
-        for i, row in enumerate(rows):
+        for i, row in enumerate(self.rows):
             # an implicit row's basic slack costs nothing
             cb = cost.get(basis[i])
             if cb:
                 # red/rd - (cb/cost_den) * row/den[i]
                 red, rd = _eliminate(red, rd, cb * rd, cost_den * den[i], row)
-        bland = False
-        stall = 0
+        return self.run(red, rd, 0, False)
+
+    def run(self, red, rd, stall, bland):
+        """The pivot loop of ``optimize`` from the reduced-cost row
+        ``red / rd`` of the current basis, ``stall`` degenerate pivots into
+        a run, under Bland's rule if ``bland``: a fresh start, or a restored
+        checkpoint.  Records each step while ``path`` is a list."""
+        rows, den, basis, twins, path = self.rows, self.den, self.basis, self.twins, self.path
         while True:
             t = self._entering(red, bland)
             if t < 0:
                 self.reduced, self.reduced_den = red, rd
+                if path is not None:
+                    path.append((self._checkpoint(red, rd, stall, bland), None))
                 return -1
             col, sign = self.stored(t)
             # ratio rhs_i / a_it: the row denominator cancels; ties go to the
@@ -366,7 +432,11 @@ class _Kernel:
             if leave < 0:
                 self.reduced, self.reduced_den = red, rd
                 return t
+            if path is not None:
+                state, leaving = self._checkpoint(red, rd, stall, bland), basis[leave]
             prow = self._pivot(leave, t)
+            if path is not None:
+                path.append((state, (t, num, quo, leaving, leave, prow, den[leave])))
             red, rd = _eliminate(red, rd, sign * red[col], den[leave], prow)
             if num == 0:  # degenerate pivot
                 stall += 1
@@ -374,6 +444,21 @@ class _Kernel:
                     bland = True
             else:
                 stall = 0
+
+    def _checkpoint(self, red, rd, stall, bland):
+        """The state the next step starts from, after thinning the path: a
+        step ``d >= 2 * _KEPT`` steps back keeps its checkpoint only if its
+        index is a multiple of ``2^j``, ``_KEPT * 2^j <= d``, so about
+        ``_KEPT`` steps keep one per doubling of the distance."""
+        path = self.path
+        i, j = len(path) - 2 * _KEPT, 2
+        while i >= 0:
+            if i % j and path[i][0] is not None:
+                path[i] = None, path[i][1]
+            i -= _KEPT * j
+            j *= 2
+        return (self.rows[:], self.den[:], self.basis[:], self.twins.copy(),
+                red, rd, stall, bland)
 
 
 class _BoundConflict(Exception):
@@ -467,9 +552,9 @@ class _Lowering:
                 row[c] = -row[c]
         return row
 
-    def build_kernel(self):
+    def build_kernel(self, first=0, slack=None):
         """The phase-1 tableau in one walk over the rows: (kernel, row
-        signs, real columns).
+        signs, first artificial column).
 
         Each row is kept as integers over one denominator ``d``, its lcm
         scale, the bound shifts subtracted from its rhs over their lcm.  A
@@ -477,26 +562,31 @@ class _Lowering:
         slack (entry ``±d``) as its initial basic column only if that
         slack's entry is then ``+d``, else it gets an artificial (entry
         ``d``).  Slacks are numbered from the last structural column on,
-        artificials from the count of real columns on, both in row order.
+        artificials from ``_ART`` on, both in row order: every column below
+        ``_ART`` is real, and rows appended to a program shift none of its
+        column numbers as long as they need no artificial.  ``first`` and
+        ``slack`` start the walk at that row, with that slack: the rows a
+        program appends to the one it extends.
 
         A row is lowered from its nonzero entries (``_lower``).  When every
         variable is free, that lowering depends on the row alone, and the
         first program to lower the row keeps it on the constraint
         (``free_lowering``), so a row shared by many programs (the cut
-        loop's rounds) is lowered once; the tableau gets a copy, since the
-        simplex updates its rows in place.  A row whose coefficients are
-        minus those of the stored row before it, when both start with a
-        basic slack (the ``+-`` rows of the 1-Lipschitz ball), is neither
-        lowered nor stored: it is that row's implicit twin, and the two
-        signed rhs add up to the twins' ``p/q``.
+        loop's rounds) is lowered once; the tableau gets a copy, which the
+        simplex never changes.  A row whose coefficients are minus those of
+        the stored row before it, when both start with a basic slack (the
+        ``+-`` rows of the 1-Lipschitz ball), is neither lowered nor
+        stored: it is that row's implicit twin, and the two signed rhs add
+        up to the twins' ``p/q``.
         """
         shifts, shift_den = self.shifts, self.shift_den
         all_free = self.n_struct == 2 * len(self.var_map)
-        slack = self.n_struct
-        art = n_real = slack + len(self.box_rows) + sum(c.rel != EQ for c in self.constraints)
+        if slack is None:
+            slack = self.n_struct
+        art = _ART
         rows, den, basis, sign, twins = [], [], [], [], {}
         prev = None  # the constraint before, if its row is stored with a basic slack
-        for c in self.constraints:
+        for c in self.constraints[first:]:
             nums, d, rel = c.nums, c.den, c.rel
             b = nums[-1]
             if shifts:
@@ -550,7 +640,9 @@ class _Lowering:
             slack += 1
             rows.append(row)
             den.append(wd)
-        return _Kernel(rows, den, basis, art, self.mirror, twins), sign, n_real
+        kern = _Kernel(rows, den, basis, art, self.mirror, twins)
+        kern.n_real = slack
+        return kern, sign, _ART
 
 
 def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
@@ -572,24 +664,28 @@ def _solve(lp, sense):
     except _BoundConflict:
         return LpOutcome(status="infeasible")
 
-    kern, sign, n_real = low.build_kernel()
+    kern, sign, home, state = _start(lp, low)
     n_total = kern.n_cols
-    home = kern.basis[:]  # each row's initial basic column, its dual-recovery column
     phase2_cost, cost_den = low.cost, low.cost_den
 
     # Phase 1: minimize the artificial sum.
-    if n_real < n_total:
-        phase1_cost = dict.fromkeys(range(n_real, n_total), 1)
-        if kern.optimize(phase1_cost, 1) >= 0:
+    if _ART < n_total:
+        phase1_cost = dict.fromkeys(range(_ART, n_total), 1)
+        t = kern.optimize(phase1_cost, 1) if state is None else kern.run(*state)
+        if t >= 0:
             raise AssertionError("phase 1 cannot be unbounded")
+        if kern.path is not None:
+            # kept for a program that extends this one
+            lp.__dict__["phase1_path"] = kern.path, sign, home, n_total, kern.n_real
+            kern.path = None
         # the reduced-cost row's rhs is minus the artificial sum phase 1 reached
         if kern.reduced.get(-1, 0):
             y = _recover_duals(kern, phase1_cost, 1, sign, home)
             farkas = y[: len(lp.constraints)]
             return LpOutcome(status="infeasible", farkas=farkas, pivots=kern.pivots)
         if phase2_cost:
-            _drive_out_artificials(kern, n_real)
-            kern.n_enter = n_real
+            _drive_out_artificials(kern, _ART)
+            kern.n_enter = _ART
         else:
             # a zero objective: every drive-out pivot is degenerate and reads
             # artificial rows only, and phase 2 makes none, so the pivots are
@@ -598,14 +694,14 @@ def _solve(lp, sense):
             # cost's phase 2 reads no row, the primal only rows with a
             # structural basic column), and the tableau keeps the primal
             # phase 1 found
-            arts = [i for i, b in enumerate(kern.basis) if b >= n_real]
+            arts = [i for i, b in enumerate(kern.basis) if b >= _ART]
             art_kern = _Kernel(
                 [kern.rows[i] for i in arts],
                 [kern.den[i] for i in arts],
                 [kern.basis[i] for i in arts],
                 n_total,
             )
-            _drive_out_artificials(art_kern, n_real)
+            _drive_out_artificials(art_kern, _ART)
             kern.pivots += art_kern.pivots
 
     t = kern.optimize(phase2_cost, cost_den)
@@ -628,10 +724,128 @@ def _solve(lp, sense):
     return LpOutcome(status="optimal", value=value, primal=primal, dual=dual, pivots=kern.pivots)
 
 
-def feasible(constraints, n_vars, bounds=None) -> LpOutcome:
-    """Feasibility of the rows over ``n_vars`` variables: a witness vector or
-    a Farkas infeasibility certificate."""
-    return solve(make_program([_ZERO] * n_vars, constraints, bounds), "min")
+def _start(lp, low):
+    """Where phase 1 starts: ``(kernel, row signs, home columns, state)``,
+    where a row's home column is its initial basic column, its
+    dual-recovery column, and ``state`` is the ``run`` state a resumed
+    kernel continues from, None for a cold one.
+
+    A program that extends another (``extends``) whose phase-1 path was
+    recorded resumes it (``_resume``); else the tableau is built cold.
+    Every phase 1 records its path, unless the program has box rows, whose
+    slacks appended rows would renumber.
+    """
+    resumed = _resume(lp, low)
+    if resumed is not None:
+        return resumed
+    kern, sign, _ = low.build_kernel()
+    if kern.n_cols > _ART and not low.box_rows:
+        kern.path = []
+    return kern, sign, kern.basis[:], None
+
+
+def _resume(lp, low):
+    """The phase-1 kernel of ``lp`` restored where the path recorded for
+    its base first changes, or None.
+
+    The rows ``lp`` appends to its base are lowered alone, each stored,
+    and the base's path is replayed against them (``_replay``).  At the
+    first step an appended row would win, or at the phase-1 optimum, or at
+    the last step before it that kept its checkpoint, the kernel is the
+    base's checkpoint there plus the appended rows as that step found them;
+    it has made that many pivots and continues the same ``run`` from the
+    checkpoint's pricing state.  Its path starts with the base's steps
+    before that one, each checkpoint joined with the appended rows.  The
+    base's path serves one extension: it is taken off the base.  None when
+    there is none, or when an appended row needs an artificial: that
+    changes the phase-1 cost, and so the path from its first step.
+    """
+    base = lp.extends
+    kept = None if base is None else base.__dict__.pop("phase1_path", None)
+    if kept is None:
+        return None
+    path, sign, home, n_cols, n_real = kept
+    added, signs, _ = low.build_kernel(len(base.constraints), n_real)
+    if added.n_cols > _ART:
+        return None
+    for i in list(added.twins):
+        added._materialize(i)
+    slacks = added.basis
+    k, seen = _replay(path, added.rows, added.den, slacks, low.mirror)
+    # the loop repeats the steps from the last kept checkpoint to k
+    while path[k][0] is None:
+        k -= 1
+        if k < 0:
+            return None
+    prefix = [
+        (None if state is None else
+         (state[0] + at_rows, state[1] + at_den, state[2] + slacks, *state[3:]), step)
+        for (state, step), (at_rows, at_den) in zip(path[:k], seen)
+    ]
+    # no other program reads the base's path, so the kernel takes the
+    # checkpoint's lists and twins as they are
+    rows, den, basis, twins, *state = path[k][0]
+    at_rows, at_den = seen[k]
+    rows += at_rows
+    den += at_den
+    basis += slacks
+    kern = _Kernel(rows, den, basis, n_cols, low.mirror, twins)
+    kern.n_real = added.n_real
+    kern.pivots = k
+    kern.path = prefix
+    return kern, sign + signs, home + slacks, state
+
+
+def _replay(path, rows, den, slacks, mirror):
+    """Replay a recorded phase-1 path against appended rows alone: (k,
+    the appended rows and denominators at each step up to ``k``).
+
+    An appended row sits on its slack, which costs nothing, so every step
+    prices as it did, and the extended program takes the step's pivot
+    unless an appended row wins its ratio test: a smaller ratio, or the
+    same one and a lower basic column.  ``k`` is the first step where one
+    does, or the last step, the phase-1 optimum.  Before each further step
+    the appended rows are eliminated by the step's pivot row.
+    """
+    plus_of = {m: j for j, m in mirror.items()}
+    seen = []
+    for k, (_, step) in enumerate(path):
+        seen.append((rows, den))
+        if step is None:
+            break
+        t, num, quo, leaving, _, prow, p = step
+        col, sign = (t, 1) if t not in plus_of else (plus_of[t], -1)
+        wins = False
+        for row, s in zip(rows, slacks):
+            a = row.get(col)
+            if a and a * sign > 0:
+                a *= sign
+                b = row.get(-1, 0) * quo
+                if b < num * a or (b == num * a and s < leaving):
+                    wins = True
+                    break
+        if wins:
+            break
+        pivoted, pivoted_den = [], []
+        for row, d in zip(rows, den):
+            f = row.get(col)
+            if f:
+                row, d = _eliminate(row, d, sign * f, p, prow)
+            pivoted.append(row)
+            pivoted_den.append(d)
+        rows, den = pivoted, pivoted_den
+    return k, seen
+
+
+def feasible(constraints, n_vars=None, bounds=None) -> LpOutcome:
+    """Feasibility of the rows over ``n_vars`` variables, or of a program
+    with a zero objective (one that extends another, say): a witness vector
+    or a Farkas infeasibility certificate."""
+    if type(constraints) is not LinearProgram:
+        return solve(make_program([_ZERO] * n_vars, constraints, bounds), "min")
+    if any(constraints.objective) or n_vars is not None or bounds is not None:
+        raise LpFormatError("a feasibility program has a zero objective and its own bounds")
+    return solve(constraints, "min")
 
 
 def _gauss_jordan(matrix, rhs):
@@ -706,8 +920,10 @@ def _recover_duals(kern, cost, cost_den, sign, home):
     Each row's initial basic column ``home[i]`` (its artificial, else its
     slack) is +e_i in the sign-normalized system; reduced[col] = cost[col] -
     yhat_i then yields yhat, and the row-flip sign maps back.  Only these
-    columns become Fractions.
+    columns become Fractions.  A zero cost has zero duals in any basis.
     """
+    if not cost:
+        return [_ZERO] * len(sign)
     red, rd = kern.reduced, kern.reduced_den
     y = []
     for s, col in zip(sign, home):
@@ -758,6 +974,12 @@ def _extract_ray(low, kern, t):
     return _pull_back(low, d_std, offsets=False)
 
 
+def _integers(values):
+    """``lcm_scale`` of ``values``, but an all-zero vector (a feasibility
+    program's objective and duals) is read as integers over 1 unscaled."""
+    return lcm_scale(values) if any(values) else ([0] * len(values), 1)
+
+
 def _dot(nums, xs):
     """Integer dot product; ``zip`` stops at the shorter, so a row's
     trailing rhs is left out against a vector of the variables."""
@@ -794,10 +1016,11 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
     slackness on rows and on bounds (through the reduced costs ``c - A^T y``
     derived here), the stored value and the zero duality gap, all as
     rational equalities.  Each vector is scaled to integers over its lcm
-    once, each row is read as the constraint's integers, and every
-    comparison is made between integers over positive denominators.  An
-    'infeasible' outcome without a Farkas vector holds only when some
-    variable's lower bound exceeds its upper bound.
+    once (an all-zero one is read over 1 as it is), each row is read as the
+    constraint's integers, and every comparison is made between integers
+    over positive denominators.  An 'infeasible' outcome without a Farkas
+    vector holds only when some variable's lower bound exceeds its upper
+    bound.
     """
     bad: list[str] = []
     rows = lp.constraints
@@ -806,9 +1029,9 @@ def certificate_violations(lp: LinearProgram, sense: str, out: LpOutcome) -> lis
         y = out.dual
         if x is None or y is None or out.value is None:
             return ["optimal outcome missing primal/dual/value"]
-        xs, dx = lcm_scale(x)
-        ys, dy = lcm_scale(y)
-        cs, dc = lcm_scale(lp.objective)
+        xs, dx = _integers(x)
+        ys, dy = _integers(y)
+        cs, dc = _integers(lp.objective)
         value = out.value
         # orient everything as a minimization
         if sense != "min":

@@ -11,7 +11,8 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
+# ASCII only: without it, \d matches every Unicode decimal digit
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
 
 class RationalFormatError(ValueError):

@@ -293,6 +293,29 @@ def test_verify_rejects_boolean_basis_entry(tmp_path):
     assert out == "" and "error" in err and "Traceback" not in err
 
 
+def test_cli_rejects_non_ascii_digits(tmp_path):
+    # a rational in Arabic-Indic digits is malformed: a space file that
+    # holds one does not validate, and a document that holds one is not
+    # verified
+    space = tmp_path / "arabic.json"
+    space.write_text(json.dumps({"dist": [["0", "\u0663"], ["\u0663", "0"]]}))
+    code, out, err = run_cli("validate", str(space))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    _, _, cert = construct.four_point_basis(equilateral(4))
+    doc = certdoc.l1_document(cert)
+    row = doc["basis"][0]
+    row[row.index("1")] = "\u0661"
+    report = certdoc.verify_document(doc)
+    assert not report.ok and report.recomputed == "malformed"
+    path = tmp_path / "arabic-basis.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    assert "malformed" in err
+
+
 def test_hybrid_document_verify():
     h = random_hybrid(3)
     f = random_pwl(5)

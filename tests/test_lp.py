@@ -127,6 +127,40 @@ def test_recheck_rejects_tampered_certificates():
         assert lp.certificate_violations(program, "min", bad), (field, i)
 
 
+def test_recheck_rejects_tampered_zero_objective_outcomes():
+    # A zero objective and its zero duals are read over 1 without scaling;
+    # a nonzero dual, value or primal put in their place must be rejected
+    # all the same, and in the same words
+    program = lp.make_program(
+        [0, 0],
+        [([1, 1], lp.LE, 2), ([1, -1], lp.EQ, 0), ([1, 0], lp.GE, F(1, 2))],
+        bounds=[(0, None), (None, 3)],
+    )
+    for sense in ("min", "max"):
+        out = lp.solve(program, sense)
+        assert (out.value, out.primal, out.dual) == (0, [1, 1], [0, 0, 0])
+        check(program, sense, out)
+        for field, i, bad in _tamperings(out, ("value", "primal", "dual")):
+            assert lp.certificate_violations(program, sense, bad), (sense, field, i)
+    out = lp.solve(program, "min")
+    expected = {
+        "dual": (
+            [F(1, 7), F(0), F(0)],
+            ["dual[0] = 1/7 > 0 on a <= row", "reduced cost 0 < 0 with no upper bound",
+             "reduced cost 1 < 0 but x[1] not at upper bound"],
+        ),
+        "value": (F(1, 7), ["stored value 1/7 != objective 0"]),
+        "primal": ([F(2), F(1)], ["row 0: 3 > 2", "row 1: 1 != 0"]),
+    }
+    for field, (value, words) in expected.items():
+        bad = replace(out, **{field: value})
+        assert lp.certificate_violations(program, "min", bad) == words, field
+    bad = replace(out, dual=[F(0), F(0), F(1, 3)])
+    assert lp.certificate_violations(program, "min", bad) == [
+        "complementary slackness fails on row 2", "reduced cost 0 < 0 with no upper bound"
+    ]
+
+
 def test_unbounded_with_ray():
     program = lp.make_program([-1], [([1], lp.GE, 0)])
     out = lp.solve(program, "min")
@@ -896,13 +930,15 @@ def test_elimination_work_pinned(acceptance_lps):
     # direct searches: every simplex pivot, reduced-cost update and
     # Gauss-Jordan step (24,287 and 16,538 while a zero objective drove its
     # artificials out of the whole tableau, 18,626 and 11,844 while the
-    # tableau stored both rows of a +- pair).  A zero objective hands the
-    # drive-out its artificial rows only.
+    # tableau stored both rows of a +- pair, 12,767 and 7,429 while each
+    # cut-loop round re-solved from scratch instead of resuming the last
+    # round's pivot path).  A zero objective hands the drive-out its
+    # artificial rows only.
     counts = {}
     for name, (solved, eliminations, handed) in acceptance_lps.items():
         counts[name] = eliminations, len(solved), sum(out.pivots for _, _, out in solved)
         assert all(artificial_only for zero, artificial_only in handed if zero), name
-    assert counts == {"criterion 02": (12767, 282, 2270), "criterion 03": (7429, 60, 778)}
+    assert counts == {"criterion 02": (8664, 282, 2270), "criterion 03": (7429, 60, 778)}
 
 
 def _twin_programs(seed, count):
@@ -1030,3 +1066,114 @@ def test_solves_leave_cached_lowerings_unchanged(acceptance_lps):
         assert constraints[key].__dict__["free_lowering"] is struct
         assert struct == before[key]
     assert len(cached) > 1000, len(cached)
+
+
+def _appended_rows(rng, n, rows):
+    """One round of rows appended to ``rows`` (``(coeffs, rel, rhs)``
+    triples over ``n`` variables), as a cut loop appends them, each
+    starting on its slack, and also: a ``+-`` pair, the negation of the
+    last row, a scaled copy of an earlier row (its ratio ties that row's
+    in every ratio test), a tight bound that can make the program
+    infeasible, and in about one round in ten a row that needs an
+    artificial."""
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        coeffs = [F(rng.randint(-3, 3)) for _ in range(n)]
+        kind = rng.randrange(6)
+        if kind == 0:
+            out.append((coeffs, lp.LE, F(rng.randint(0, 4))))
+        elif kind == 1:
+            out.append((coeffs, lp.GE, F(rng.randint(-4, -1))))
+        elif kind == 2:
+            scale = F(rng.choice([1, 1, 2]), rng.choice([1, 3]))
+            out.append((coeffs, lp.LE, F(rng.randint(0, 4))))
+            out.append(([-scale * a for a in coeffs], lp.LE, scale * rng.randint(0, 4)))
+        elif kind == 3:
+            last, rel, _ = (rows + out)[-1]
+            rhs = F(rng.randint(-4, -1)) if rel == lp.GE else F(rng.randint(0, 4))
+            out.append(([-a for a in last], lp.GE if rel == lp.GE else lp.LE, rhs))
+        elif kind == 4:
+            # a row that starts on its slack, so its copy does too
+            on_slack = [row for row in rows + out if (row[1], row[2] >= 0) in
+                        ((lp.LE, True), (lp.GE, False))]
+            old, rel, rhs = rng.choice(on_slack or [(coeffs, lp.LE, F(1))])
+            scale = F(rng.randint(1, 3), rng.randint(1, 2))
+            out.append(([scale * a for a in old], rel, scale * rhs))
+        else:
+            j = rng.randrange(n)
+            out.append(([F(int(k == j)) for k in range(n)], lp.LE, F(rng.randint(0, 1))))
+    if rng.random() < 0.1:
+        coeffs = [F(rng.randint(-3, 3)) for _ in range(n)]
+        row = coeffs, rng.choice([lp.EQ, lp.GE]), F(rng.randint(0, 3))
+        out.insert(rng.randint(0, len(out)), row)
+    return out
+
+
+def _extension_chains(seed, count):
+    """Seeded chains of 2-5 programs, each the one before it with a round of
+    rows appended (``_appended_rows``), as ``(programs, sense)``.  The
+    first program has an equality or a negative rhs, so phase 1 runs;
+    variables are mostly free, some shifted by a bound or boxed (a box
+    adds a row after the constraints); objectives are zero about half the
+    time."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        bounds = [(None, None) if rng.random() < 0.85 else _random_bound(rng) for _ in range(n)]
+        point = [F(rng.randint(-2, 2)) for _ in range(n)]
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = [F(rng.randint(-3, 3)) for _ in range(n)]
+            at = sum(c * x for c, x in zip(coeffs, point))
+            rel = rng.choice([lp.LE, lp.LE, lp.GE, lp.EQ])
+            slack = 0 if rel == lp.EQ else rng.randint(0, 3) * (1 if rel == lp.LE else -1)
+            rows.append((coeffs, rel, at + slack))
+        rows.append(([F(rng.randint(-3, 3)) for _ in range(n)], lp.EQ, F(rng.randint(-3, 3))))
+        zero = rng.random() < 0.5
+        objective = [F(0) if zero else F(rng.randint(-3, 3)) for _ in range(n)]
+        programs = [lp.make_program(objective, rows, bounds=bounds)]
+        for _ in range(rng.randint(1, 4)):
+            added = _appended_rows(rng, n, rows)
+            rows = rows + added
+            base = programs[-1]
+            programs.append(
+                lp.make_program(objective, base.constraints + tuple(added), bounds, extends=base)
+            )
+        yield programs, rng.choice(["min", "max"])
+
+
+@pytest.mark.parametrize("kept", [lp._KEPT, 1])
+@pytest.mark.parametrize("stall_limit", [lp._STALL_LIMIT, 0])
+def test_extended_programs_resume_the_cold_path(monkeypatch, stall_limit, kept):
+    # A program that extends a solved one by appending rows resumes that
+    # solve's phase-1 pivot path: it replays the recorded steps against
+    # the appended rows alone and restores the last checkpoint at or before
+    # the step where one of them first wins a ratio test.  Each outcome
+    # must be a cold solve's of the whole program, field for field, under
+    # Dantzig's rule with its Bland switch and under Bland's rule from the
+    # first degenerate pivot, with checkpoints kept as usual and as sparse
+    # as they go: past the last two steps, one per doubling of the distance.
+    monkeypatch.setattr(lp, "_STALL_LIMIT", stall_limit)
+    monkeypatch.setattr(lp, "_KEPT", kept)
+    replayed = []
+    real_replay = lp._replay
+
+    def counting_replay(path, *args):
+        k, seen = real_replay(path, *args)
+        replayed.append(k)
+        return k, seen
+
+    monkeypatch.setattr(lp, "_replay", counting_replay)
+    statuses, extensions = Counter(), 0
+    for programs, sense in _extension_chains(31, 600):
+        for program in programs:
+            out = lp.solve(program, sense)
+            cold = lp.solve(replace(program, extends=None), sense)
+            assert repr(out) == repr(cold) and out == cold, program
+            statuses[out.status, program.extends is None] += 1
+        extensions += len(programs) - 1
+    assert statuses[("infeasible", False)] > 200 and statuses[("optimal", False)] > 200, statuses
+    assert statuses[("unbounded", False)] > 20, statuses
+    # most extensions resumed past the base's first step; the rest had an
+    # appended row that needs an artificial, box rows, or no phase 1
+    assert sum(k > 0 for k in replayed) > extensions / 2, (len(replayed), extensions)

@@ -25,6 +25,15 @@ def test_parse_rejects_decimals_and_junk():
             parse_rational(bad)
 
 
+def test_parse_rejects_non_ascii_digits():
+    # int() reads every Unicode decimal digit, the wire format only ASCII
+    # ones: Arabic-Indic three, one over Arabic-Indic two, a fullwidth
+    # seven, an ASCII one before a Devanagari four
+    for bad in ("\u0663", "1/\u0662", "\uff17", "1\u096a", "-\u0663"):
+        with pytest.raises(RationalFormatError):
+            parse_rational(bad)
+
+
 def test_library_coefficients_reject_floats():
     # every place that takes a number from a caller coerces it with
     # parse_rational, so a float raises instead of entering as a binary
