@@ -772,11 +772,10 @@ def _resume(lp, low):
         added._materialize(i)
     slacks = added.basis
     k, seen = _replay(path, added.rows, added.den, slacks, low.mirror)
-    # the loop repeats the steps from the last kept checkpoint to k
+    # the loop repeats the steps from the last kept checkpoint to k; step 0
+    # always keeps its checkpoint
     while path[k][0] is None:
         k -= 1
-        if k < 0:
-            return None
     prefix = [
         (None if state is None else
          (state[0] + at_rows, state[1] + at_den, state[2] + slacks, *state[3:]), step)
@@ -804,28 +803,24 @@ def _replay(path, rows, den, slacks, mirror):
     prices as it did, and the extended program takes the step's pivot
     unless an appended row wins its ratio test: a smaller ratio, or the
     same one and a lower basic column.  ``k`` is the first step where one
-    does, or the last step, the phase-1 optimum.  Before each further step
-    the appended rows are eliminated by the step's pivot row.
+    does, or the last step, the phase-1 optimum, which every recorded path
+    ends with.  Before each further step the appended rows are eliminated
+    by the step's pivot row.
     """
     plus_of = {m: j for j, m in mirror.items()}
     seen = []
     for k, (_, step) in enumerate(path):
         seen.append((rows, den))
         if step is None:
-            break
+            return k, seen
         t, num, quo, leaving, _, prow, p = step
         col, sign = (t, 1) if t not in plus_of else (plus_of[t], -1)
-        wins = False
         for row, s in zip(rows, slacks):
-            a = row.get(col)
-            if a and a * sign > 0:
-                a *= sign
+            a = sign * row.get(col, 0)
+            if a > 0:
                 b = row.get(-1, 0) * quo
                 if b < num * a or (b == num * a and s < leaving):
-                    wins = True
-                    break
-        if wins:
-            break
+                    return k, seen
         pivoted, pivoted_den = [], []
         for row, d in zip(rows, den):
             f = row.get(col)
@@ -834,7 +829,6 @@ def _replay(path, rows, den, slacks, mirror):
             pivoted.append(row)
             pivoted_den.append(d)
         rows, den = pivoted, pivoted_den
-    return k, seen
 
 
 def feasible(constraints, n_vars=None, bounds=None) -> LpOutcome:
