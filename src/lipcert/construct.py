@@ -127,7 +127,8 @@ def duality_lift(certificate: freespace.ComplementationCertificate) -> LinfIsome
 def compose_l1_in_linf(linf_certificate: LinfIsometryCertificate, sign_matrix):
     """f_k = sum_j R[j][k] g_j turns the basis (g_j) of a valid l-infinity^m
     certificate into a certified l1^n basis, n = 1 + log2(m); the new basis
-    is the returned certificate's."""
+    is the returned certificate's.  Each f_k is one ``combine`` of the basis
+    with the matrix's +-1 column k, an integer dot product per point."""
     if not linf_certificate.valid:
         raise ValueError("input l-infinity certificate is invalid")
     basis = linf_certificate.basis
@@ -149,11 +150,14 @@ def compose_l1_in_linf(linf_certificate: LinfIsometryCertificate, sign_matrix):
 
 def select_subset(space: PointedMetricSpace, size: int):
     """Deterministic farthest-point sweep from the base; returns sorted indices
-    (base first) of a spread-out subset."""
+    (base first) of a spread-out subset.  Each step adds the point farthest
+    from the chosen ones, the lowest index on a tie; distances compare on
+    the space's ``integer_dist``, which orders them as rho does."""
+    dist = space.integer_dist
     chosen = [space.base]
     rest = [p for p in range(space.n) if p != space.base]
     while len(chosen) < size:
-        best = max(rest, key=lambda p: (min(space.rho(p, q) for q in chosen), -p))
+        best = max(rest, key=lambda p: (min(dist[p][q] for q in chosen), -p))
         chosen.append(best)
         rest.remove(best)
     return [space.base] + sorted(p for p in chosen if p != space.base)

@@ -92,8 +92,12 @@ class Molecule:
     y: int
 
     def as_free_vector(self) -> FreeVector:
-        rho = self.space.rho(self.x, self.y)
-        return (delta(self.space, self.x) - delta(self.space, self.y)).scale(1 / rho)
+        """1/rho at x and -1/rho at y; the base entry (delta_0 = 0) is dropped."""
+        inv = 1 / self.space.rho(self.x, self.y)
+        coeffs = [_ZERO] * self.space.n
+        coeffs[self.x] = inv
+        coeffs[self.y] = -inv
+        return FreeVector(self.space, tuple(coeffs[1:]))
 
 
 def canonical_molecules(space: PointedMetricSpace) -> tuple[Molecule, ...]:
@@ -399,23 +403,24 @@ def operator_norm(op: FreeOperator) -> tuple[Fraction, Molecule | None]:
     With P = M / L over integers and D the space's ``integer_dist``,
     P m = (M col_x - M col_y) / (L rho(x, y)) for m = (delta_x - delta_y) /
     rho(x, y), so ||P m|| is the transport cost of that integer column
-    difference over L * D[x][y].
+    difference over L * D[x][y].  The pairs (y, x) of ``space.pairs()`` are
+    the canonical molecules (x, y) in their order; only the witness becomes
+    a ``Molecule``.
     """
     rows, den = op.rows, op.den
     dist = op.space.integer_dist
     cols = [(0,) * len(rows)] + list(zip(*rows))  # point-indexed; delta_0 = 0
     best_cost, best_t = None, 1
     witness = None
-    for mol in canonical_molecules(op.space):
-        x, y = mol.x, mol.y
+    for y, x in op.space.pairs():
         cost = transport_cost(op.space, [a - b for a, b in zip(cols[x], cols[y])])
         t = den * dist[x][y]
         if best_cost is None or cost * best_t > best_cost * t:
             best_cost, best_t = cost, t
-            witness = mol
+            witness = x, y
     if best_cost is None:
         return None, None
-    return Fraction(best_cost, best_t), witness
+    return Fraction(best_cost, best_t), Molecule(op.space, *witness)
 
 
 @dataclass(frozen=True)
@@ -465,7 +470,10 @@ def verify_one_complemented(space, basis, projection) -> ComplementationCertific
         raise ValueError("projection lives on a different space")
     square = projection.compose(projection)
     idempotent_ok = (square.rows, square.den) == (projection.rows, projection.den)
-    fixes_basis = all(projection.apply(u) == u for u in basis)
+    # P u = u is M c = L c on integers, for P = M / L and u = c / d lcm-scaled
+    scaled = [lcm_scale(u.coeffs)[0] for u in basis]
+    fixes_basis = all(sum(map(mul, row, c)) == projection.den * cp
+                      for c in scaled for row, cp in zip(projection.rows, c))
     rank = projection.rank()
     norm_value, norm_witness = operator_norm(projection)
     report = l1_isometry_free(basis)
@@ -528,8 +536,9 @@ def search_one_complemented(space, m, tuple_budget=None) -> ComplementationSearc
     is not an isometric l1^m are dropped on shortest-path closures
     (``molecules_span_l1``).  For each surviving tuple an exact feasibility
     LP looks for biorthogonal functionals g_j with
-    ||sum_j g_j(mol) u_j|| <= 1 for every molecule.  Success returns
-    P(v) = sum_j g_j(v) u_j, verified; otherwise the search reports
+    ||sum_j g_j(mol) u_j|| <= 1 for every molecule; all share the ball rows,
+    built at the first such tuple, and so their cached lowerings.  Success
+    returns P(v) = sum_j g_j(v) u_j, verified; otherwise the search reports
     exhaustion with counts.
     """
     _require_base_zero(space)
@@ -539,6 +548,7 @@ def search_one_complemented(space, m, tuple_budget=None) -> ComplementationSearc
         raise ValueError(f"need at least {2 * m} points for m = {m}, got {space.n}")
     tried = 0
     l1_valid = 0
+    ball = None
     for molecules in combinations(canonical_molecules(space), m):
         if tuple_budget is not None and tried >= tuple_budget:
             return ComplementationSearch(space, m, None, tried, l1_valid, True)
@@ -546,7 +556,9 @@ def search_one_complemented(space, m, tuple_budget=None) -> ComplementationSearc
         if not molecules_span_l1(molecules):
             continue
         l1_valid += 1
-        g = _biorthogonal_functionals(space, molecules)
+        if ball is None:
+            ball = lipschitz_ball_rows(space, m)
+        g = _biorthogonal_functionals(space, molecules, ball)
         if g is None:
             continue
         vectors = tuple(mol.as_free_vector() for mol in molecules)
@@ -568,17 +580,18 @@ def _projection_from(space, basis, g_point_values):
     return FreeOperator(space, rows, u_den * g_den)
 
 
-def _biorthogonal_functionals(space, molecules):
+def _biorthogonal_functionals(space, molecules, ball):
     """Feasibility for functionals g_j biorthogonal to the molecules, with
     ||P mol|| <= 1 for every molecule; returns point-indexed g value tuples,
-    or None if infeasible.
+    or None if infeasible.  ``ball`` is ``lipschitz_ball_rows(space, m)``.
 
     The molecules passed the l1 filter, so ||sum_j c_j u_j|| = sum_j |c_j|
     exactly, and ||P mol|| <= 1 are the facets sum_j s_j g_j(mol) <= 1 of
     per-molecule l1 coefficient balls.  The master starts from the
     biorthogonality equalities g_j(x_i) - g_j(y_i) = delta_ij rho(x_i, y_i)
     plus the 1-Lipschitz ball rows of each g_j; a molecule with
-    sum_j |g_j(mol)| > 1 adds the facet s_j = sign(g_j(mol)) as a cut.  Each
+    sum_j |g_j(mol)| > 1 adds the facet s_j = sign(g_j(mol)) as a cut; the
+    molecules are walked as the pairs (y, x) of ``space.pairs()``.  Each
     cut removes the current candidate and the facet family is finite, so the
     loop terminates.  Every row is a ``difference_row`` over an entry of the
     space's ``integer_dist`` D or its ``dist_scale``, so no rational is
@@ -609,8 +622,8 @@ def _biorthogonal_functionals(space, molecules):
         for j in range(m):
             terms = [(j, mol.x, mol.y, 1)]
             rows.append(difference_row(space, m, terms, int(i == j) * rho, rho, lp.EQ))
-    rows.extend(lipschitz_ball_rows(space, m))
-    mols = canonical_molecules(space)
+    rows.extend(ball)
+    pairs = list(space.pairs())
     zero = [_ZERO] * (m * (space.n - 1))
     program = None
 
@@ -623,8 +636,7 @@ def _biorthogonal_functionals(space, molecules):
         # g_j(mol) = s (G_j[x] - G_j[y]) / (L D[x][y]), G = g * L integers
         g_int, g_den = lcm_scale_rows(g_values)
         cuts = []
-        for mol in mols:
-            x, y = mol.x, mol.y
+        for y, x in pairs:
             c = [g[x] - g[y] for g in g_int]
             if s * sum(abs(cj) for cj in c) <= g_den * dist[x][y]:
                 continue

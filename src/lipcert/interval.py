@@ -111,9 +111,12 @@ def zero_pwl() -> PwlFunctional:
 
 
 def pwl_combination(basis, coeffs) -> PwlFunctional:
+    """sum_k coeffs[k] * basis[k], one coefficient per basis element."""
+    coeffs = [parse_rational(a) for a in coeffs]
+    if len(coeffs) != len(basis):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(basis)} basis elements")
     out = zero_pwl()
     for f, a in zip(basis, coeffs):
-        a = parse_rational(a)
         if a:
             out = out + f.scale(a)
     return out

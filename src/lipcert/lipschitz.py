@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 from .metric import PointedMetricSpace
-from .rationals import lcm_scale, parse_rational
+from .rationals import lcm_scale, lcm_scale_rows, parse_rational
 
 _ZERO = Fraction(0)
 
@@ -56,17 +57,22 @@ def zero_functional(space: PointedMetricSpace) -> LipFunctional:
 
 
 def combine(basis, coeffs) -> LipFunctional:
-    """Linear combination sum_k coeffs[k] * basis[k]."""
+    """sum_k coeffs[k] * basis[k], one coefficient per basis element: values
+    and coefficients lcm-scaled once, one integer dot product per point."""
     if not basis:
         raise ValueError("empty basis")
-    space = basis[0].space
-    values = [_ZERO] * space.n
-    for f, a in zip(basis, coeffs):
+    coeffs = [parse_rational(a) for a in coeffs]
+    if len(coeffs) != len(basis):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(basis)} basis elements")
+    for f in basis:
         _same_space(basis[0], f)
-        a = parse_rational(a)
-        if a:
-            values = [v + a * w for v, w in zip(values, f.values)]
-    return LipFunctional(space, tuple(values))
+    a_int, a_den = lcm_scale(coeffs)
+    f_int, f_den = lcm_scale_rows([f.values for f in basis])
+    den = a_den * f_den
+    return LipFunctional(
+        basis[0].space,
+        tuple(Fraction(sum(map(mul, a_int, col)), den) for col in zip(*f_int)),
+    )
 
 
 def _same_space(f: LipFunctional, g: LipFunctional):

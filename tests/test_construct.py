@@ -11,7 +11,7 @@ from lipcert import certify, construct, freespace, lipschitz, lp
 from lipcert.lipschitz import closure_add, lip_norm
 from lipcert.metric import PointedMetricSpace, random_space
 
-from helpers import equilateral, random_coeffs
+from helpers import equilateral, random_coeffs, random_functional
 
 F = Fraction
 
@@ -496,3 +496,51 @@ def test_direct_search_probe_below_theorem_bound():
             assert result.certificate.valid
         else:
             assert result.assignments_tried > 0
+
+
+def _glue_spaces():
+    # seeded 4-8-point spaces of both generators, and equilateral(4..8)
+    spaces = [random_space(n, seed, method)
+              for n in range(4, 9) for seed in range(2) for method in ("range", "euclidean")]
+    return spaces + [equilateral(n) for n in range(4, 9)]
+
+
+def test_pipeline_glue_matches_its_fraction_formulas():
+    # Each integer routine of the pipeline's glue against the Fraction formula
+    # it replaced, written out here as the oracle.
+    for t, space in enumerate(_glue_spaces()):
+        n = space.n
+        # combine: sum_k a_k f_k, for +-1 and rational coefficients
+        for m in (1, 2, 3):
+            basis = [random_functional(space, f"glue:{t}:{m}:{k}") for k in range(m)]
+            for coeffs in [*product((1, -1), repeat=m), random_coeffs(f"glue:{t}:{m}", m)]:
+                values = [F(0)] * n
+                for f, a in zip(basis, coeffs):
+                    values = [v + a * w for v, w in zip(values, f.values)]
+                assert lipschitz.combine(basis, coeffs).values == tuple(values)
+        # as_free_vector: (delta_x - delta_y) / rho(x, y)
+        for x, y in space.ordered_pairs():
+            mol = freespace.Molecule(space, x, y)
+            diff = freespace.delta(space, x) - freespace.delta(space, y)
+            assert mol.as_free_vector() == diff.scale(1 / space.rho(x, y))
+        # select_subset: the farthest-point sweep keyed on rho
+        for size in range(1, n + 1):
+            chosen = [0]
+            rest = list(range(1, n))
+            while len(chosen) < size:
+                best = max(rest, key=lambda p: (min(space.rho(p, q) for q in chosen), -p))
+                chosen.append(best)
+                rest.remove(best)
+            assert construct.select_subset(space, size) == sorted(chosen)
+        # operator_norm: the first molecule of largest ||P mol|| under free_norm;
+        # a random operator and the orthogonal projection onto delta_1's span
+        entries = random_coeffs(f"glue-op:{t}", (n - 1) ** 2, denominator=4, span=3)
+        coordinate = [[int(p == q == 0) for q in range(n - 1)] for p in range(n - 1)]
+        for matrix in ([entries[p * (n - 1):(p + 1) * (n - 1)] for p in range(n - 1)], coordinate):
+            op = freespace.FreeOperator.from_matrix(space, matrix)
+            best = witness = None
+            for mol in freespace.canonical_molecules(space):
+                value = freespace.free_norm(op.apply(mol.as_free_vector()))
+                if best is None or value > best:
+                    best, witness = value, mol
+            assert freespace.operator_norm(op) == (best, witness)

@@ -647,7 +647,8 @@ def test_l1_valid_pairs_are_one_complemented_by_the_closed_form():
             projection = freespace._projection_from(subset, vectors, g)
             cert = freespace.verify_one_complemented(subset, vectors, projection)
             assert cert.valid, (space.dist, [(x1, y1), (x2, y2)])
-            assert freespace._biorthogonal_functionals(subset, pair) is not None
+            ball = freespace.lipschitz_ball_rows(subset, 2)
+            assert freespace._biorthogonal_functionals(subset, pair, ball) is not None
     assert valid == 110
 
 

@@ -92,6 +92,14 @@ def test_c0_basis_linf_identity():
             assert norm == max(abs(c) for c in coeffs)
 
 
+def test_pwl_combination_rejects_a_coefficient_count_mismatch():
+    basis = [iv.c0_block([1, 0]), iv.c0_block([0, 1])]
+    with pytest.raises(ValueError, match=r"^1 coefficients for 2 basis elements$"):
+        iv.pwl_combination(basis, [1])
+    with pytest.raises(ValueError, match=r"^2 coefficients for 1 basis elements$"):
+        iv.pwl_combination(basis[:1], [1, 5])
+
+
 def test_mcshane_pwl_examples():
     assert iv.mcshane_pwl([(0, 0), (1, 1)], 1) == identity()
     tent = iv.mcshane_pwl([(0, 0), (F(1, 2), F(1, 2)), (1, 0)], 1)

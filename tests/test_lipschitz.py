@@ -48,6 +48,15 @@ def test_norm_two_point_half_distance():
     assert [(w.x, w.y) for w in witnesses] == [(1, 0)]
 
 
+def test_combine_rejects_a_coefficient_count_mismatch():
+    space = equilateral(4)
+    f, g = random_functional(space, "combine:f"), random_functional(space, "combine:g")
+    with pytest.raises(ValueError, match=r"^1 coefficients for 2 basis elements$"):
+        combine([f, g], [1])
+    with pytest.raises(ValueError, match=r"^2 coefficients for 1 basis elements$"):
+        combine([f], [1, 5])
+
+
 def test_functional_requires_zero_at_base():
     with pytest.raises(ValueError):
         functional(equilateral(3), [1, 0, 0])
