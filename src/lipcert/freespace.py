@@ -537,9 +537,8 @@ def search_one_complemented(space, m, tuple_budget=None) -> ComplementationSearc
     (``molecules_span_l1``).  For each surviving tuple an exact feasibility
     LP looks for biorthogonal functionals g_j with
     ||sum_j g_j(mol) u_j|| <= 1 for every molecule; all share the ball rows,
-    built at the first such tuple, and so their cached lowerings.  Success
-    returns P(v) = sum_j g_j(v) u_j, verified; otherwise the search reports
-    exhaustion with counts.
+    built at the first such tuple.  Success returns P(v) = sum_j g_j(v) u_j,
+    verified; otherwise the search reports exhaustion with counts.
     """
     _require_base_zero(space)
     if m < 1:
@@ -595,11 +594,11 @@ def _biorthogonal_functionals(space, molecules, ball):
     cut removes the current candidate and the facet family is finite, so the
     loop terminates.  Every row is a ``difference_row`` over an entry of the
     space's ``integer_dist`` D or its ``dist_scale``, so no rational is
-    scaled, and is kept across rounds.  Each round's program names the last
-    round's as the program it extends (``lp.make_program``'s ``extends``),
-    so its solve lowers only the new cuts and resumes the last round's
-    pivot path up to the first pivot a cut changes; its outcome is a cold
-    solve's, and ``lp.feasible`` re-checks it against every row.
+    scaled, and is kept across rounds.  The loop holds one ``lp.Resume``
+    and hands it to ``lp.feasible`` with each round's rows, so each round
+    after the first resumes the last round's pivot path up to the first
+    pivot a cut changes; its outcome is a cold solve's, and ``lp.feasible``
+    re-checks it against every row.
     Separation uses this l1 identity; the final projection is still checked
     by exact transport norms in ``verify_one_complemented``.
 
@@ -624,12 +623,11 @@ def _biorthogonal_functionals(space, molecules, ball):
             rows.append(difference_row(space, m, terms, int(i == j) * rho, rho, lp.EQ))
     rows.extend(ball)
     pairs = list(space.pairs())
-    zero = [_ZERO] * (m * (space.n - 1))
-    program = None
+    n_vars = m * (space.n - 1)
+    resume = lp.Resume()
 
     while True:
-        program = lp.make_program(zero, rows, extends=program)
-        outcome = lp.feasible(program)
+        outcome = lp.feasible(rows, n_vars, resume=resume)
         if outcome.status != "optimal":
             return None
         g_values = block_values(space, outcome.primal, m)

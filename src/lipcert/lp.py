@@ -26,49 +26,49 @@ feasibility program (zero objective: zero duals in any basis, and no
 phase-2 pivot) only counts them, on a kernel that takes the artificial rows
 themselves, since nothing reads them afterwards.
 
-A program that extends a solved one by appending rows (``extends``, the
-rounds of a cut loop) resumes that solve's phase-1 path instead of
-repeating it.  Each phase 1 records its steps (the entering column, the
-winning ratio and its basic column, the pivot row) and checkpoints of its
-tableau, every step's near the end and sparser further back; a checkpoint
-is a shallow copy, since a stored row is never changed in place.  An
-appended row sits on its slack, which costs nothing, so each recorded step
-prices as it did; the extension replays the steps against its appended
-rows alone, up to the first step where one of them would win the ratio
-test, restores the last checkpoint at or before it with the appended rows
-added, and continues the same pivot loop.  Artificial columns are numbered
-past every real column, so the appended slacks renumber no column and ties
-break as in a cold solve.  A cold solve is that loop with nothing to
-replay, and the outcome is the cold solve's, pivot count included.  An
-appended row that needs an artificial changes the phase-1 cost, and a
-bounded variable's box row comes after the constraints, so both solve
-cold.
+A cut loop's rounds append rows to the last round's program, and each
+round resumes the last round's phase-1 path instead of repeating it.  The
+loop holds that state itself: a ``Resume`` that it hands with every
+round's rows to ``feasible``, and that each round's program carries.  Only
+a program that carries a holder records its phase-1 path: its steps (the
+entering column, the winning ratio and its basic column, the pivot row)
+and checkpoints of its tableau, every step's near the end and sparser
+further back; a checkpoint is a shallow copy, since a stored row is never
+changed in place.  An appended row sits on its slack, which costs nothing,
+so each recorded step prices as it did; the next round replays the steps
+against its appended rows alone, up to the first step where one of them
+would win the ratio test, restores the last checkpoint at or before it
+with the appended rows added, and continues the same pivot loop.
+Artificial columns are numbered past every real column, so the appended
+slacks renumber no column and ties break as in a cold solve.  A cold
+solve is that loop with nothing to replay, and the outcome is the cold
+solve's, pivot count included.  A program whose first rows are not the
+holder's last rows, or whose bounds differ, solves cold; so does one
+whose appended row needs an artificial (it changes the phase-1 cost), and
+one with a bounded variable's box row (it comes after the constraints).
 
-A ``Constraint`` stores its row (coefficients, then rhs) once, as integers
-over one positive denominator in lowest terms; ``make_program`` scales a
-rational row to that form once, and every program that shares the row
-reads those integers.  The rows reach the phase-1 tableau in one walk,
-which lowers each row from its nonzero entries and adds its sign, rhs,
-slack and artificial; when every variable is free, the lowered row is
-cached on the ``Constraint`` (and copied into the tableau), and so is
-whether it negates the row before it, so programs that share rows (the
-rounds of a cut loop) lower only the rows they add.  The cost is lowered
-from the objective's nonzero entries only.  Rationals (``Fraction``)
-appear only at the boundary: the program, and the primal, ray, dual and
-objective values read back from the final tableau, where a zero cost,
-bound offset or tableau entry adds no ``Fraction`` term (a zero value is
-still ``Fraction(0)``).  Every optimal outcome carries the pair (primal,
-dual) as an exact complementary-slackness certificate; infeasible outcomes
-carry a Farkas certificate.  Both are re-checked against the original
-program's rows before being returned.  The re-check scales each
-certificate vector to integers over its lcm once (an all-zero one, such
-as a feasibility program's objective and duals, is read over 1 unscaled)
-and decides every
-condition in integers, deriving the reduced costs ``c - A^T y`` itself; a
-``Fraction`` is built only to word a violation.  The same integer pivot
-also gives exact rank and linear solves (``rank``, ``solve_linear``): one
-Gauss-Jordan elimination of ``[A | B]`` with the simplex's row operation,
-so the library has one exact elimination.
+A ``Constraint`` stores its row (coefficients, then rhs) once, as
+integers over one positive denominator in lowest terms; ``make_program``
+scales a rational row to that form once, and every program that shares
+the row reads those integers.  The rows reach the phase-1 tableau in one
+walk, which lowers each row from its nonzero entries and adds its sign,
+rhs, slack and artificial; no lowering is kept between solves.  The cost
+is lowered from the objective's nonzero entries only.  Rationals
+(``Fraction``) appear only at the boundary: the program, and the primal,
+ray, dual and objective values read back from the final tableau, where a
+zero cost, bound offset or tableau entry adds no ``Fraction`` term (a
+zero value is still ``Fraction(0)``).  Every optimal outcome carries the
+pair (primal, dual) as an exact complementary-slackness certificate;
+infeasible outcomes carry a Farkas certificate.  Both are re-checked
+against the original program's rows before being returned.  The re-check
+scales each certificate vector to integers over its lcm once (an
+all-zero one, such as a feasibility program's objective and duals, is
+read over 1 unscaled) and decides every condition in integers, deriving
+the reduced costs ``c - A^T y`` itself; a ``Fraction`` is built only to
+word a violation.  The same integer pivot also gives exact rank and
+linear solves (``rank``, ``solve_linear``): one Gauss-Jordan elimination
+of ``[A | B]`` with the simplex's row operation, so the library has one
+exact elimination.
 """
 
 from __future__ import annotations
@@ -128,36 +128,46 @@ class Constraint:
         object.__setattr__(self, "den", den)
 
 
+class Resume:
+    """What a cut loop's next round resumes from, held by the loop across
+    its rounds: ``last`` is None, or the rows and bounds of the last
+    program solved with this holder, with that solve's recorded phase-1
+    path, its row signs, home columns, column count and first free slack.
+    A solve takes ``last`` (one reader) and leaves its own."""
+
+    __slots__ = ("last",)
+
+    def __init__(self):
+        self.last = None
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """min/max ``objective . x`` subject to rows and per-variable bounds.
 
     Bounds default to free variables; entries are (lower, upper) with None
-    for unbounded sides.  ``extends`` names a program whose rows are this
-    one's first rows, over the same variables and bounds (a cut loop's last
-    round), or is None; it is not part of the program's value.
+    for unbounded sides.  ``resume`` is the ``Resume`` of the cut loop
+    whose round this is, or None; it is not part of the program's value.
     """
 
     objective: tuple[Fraction, ...]
     constraints: tuple[Constraint, ...]
     bounds: tuple[tuple[Fraction | None, Fraction | None], ...]
-    extends: LinearProgram | None = field(default=None, repr=False, compare=False)
+    resume: Resume | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_vars(self) -> int:
         return len(self.objective)
 
 
-def make_program(objective, constraints, bounds=None, extends=None) -> LinearProgram:
+def make_program(objective, constraints, bounds=None, resume=None) -> LinearProgram:
     """Normalize raw lists into a validated LinearProgram.
 
     Every number goes through ``parse_rational``: an int, a ``Fraction`` or
     a 'p/q' string, never a float.  A row is a ``Constraint``, which is kept
     as it is, so programs that share it share its integers, or a
     ``(coeffs, rel, rhs)`` triple, scaled to integers over its lcm once.
-    ``extends`` is a program this one extends by appending rows: its
-    constraints must be the first rows here, and its bounds these bounds;
-    those rows were validated there, so only the appended rows are here.
+    ``resume`` is a cut loop's ``Resume`` holder, carried by the program.
     """
     obj = tuple(map(parse_rational, objective))
     n = len(obj)
@@ -170,14 +180,8 @@ def make_program(objective, constraints, bounds=None, extends=None) -> LinearPro
             (None if lo is None else parse_rational(lo), None if hi is None else parse_rational(hi))
             for lo, hi in bounds
         )
-    constraints = tuple(constraints)
-    shared = ()
-    if extends is not None:
-        shared = extends.constraints
-        if extends.bounds != bnds or constraints[: len(shared)] != shared:
-            raise LpFormatError("a program extends another only by appending rows to it")
-    rows = list(shared)
-    for k, con in enumerate(constraints[len(shared):], len(shared)):
+    rows = []
+    for k, con in enumerate(constraints):
         if type(con) is not Constraint:
             coeffs, rel, rhs = con
             nums, d = lcm_scale([*map(parse_rational, coeffs), parse_rational(rhs)])
@@ -189,7 +193,7 @@ def make_program(objective, constraints, bounds=None, extends=None) -> LinearPro
         if con.rel not in (LE, EQ, GE):
             raise LpFormatError(f"constraint {k} has unknown relation {con.rel!r}")
         rows.append(con)
-    return LinearProgram(obj, tuple(rows), bnds, extends)
+    return LinearProgram(obj, tuple(rows), bnds, resume)
 
 
 @dataclass
@@ -469,15 +473,9 @@ class _BoundConflict(Exception):
 
 def _negates(con, prev):
     """Is the coefficient row of ``con`` minus that of ``prev``, as
-    rationals?  The answer is kept on ``con`` with ``prev``, as
-    ``free_lowering`` is, so a pair of rows shared by many programs is
-    compared once."""
-    kept = con.__dict__.get("negates")
-    if kept is None or kept[0] is not prev:
-        a, da, b, db = con.nums, con.den, prev.nums, prev.den
-        kept = prev, all(a[k] * db == -b[k] * da for k in range(len(a) - 1))
-        con.__dict__["negates"] = kept
-    return kept[1]
+    rationals?"""
+    a, da, b, db = con.nums, con.den, prev.nums, prev.den
+    return all(a[k] * db == -b[k] * da for k in range(len(a) - 1))
 
 
 class _Lowering:
@@ -566,21 +564,16 @@ class _Lowering:
         ``_ART`` is real, and rows appended to a program shift none of its
         column numbers as long as they need no artificial.  ``first`` and
         ``slack`` start the walk at that row, with that slack: the rows a
-        program appends to the one it extends.
+        cut loop's round appends to the last round's.
 
-        A row is lowered from its nonzero entries (``_lower``).  When every
-        variable is free, that lowering depends on the row alone, and the
-        first program to lower the row keeps it on the constraint
-        (``free_lowering``), so a row shared by many programs (the cut
-        loop's rounds) is lowered once; the tableau gets a copy, which the
-        simplex never changes.  A row whose coefficients are minus those of
-        the stored row before it, when both start with a basic slack (the
-        ``+-`` rows of the 1-Lipschitz ball), is neither lowered nor
-        stored: it is that row's implicit twin, and the two signed rhs add
-        up to the twins' ``p/q``.
+        Each row is lowered from its nonzero entries (``_lower``), times
+        its sign.  A row whose coefficients are minus those of the stored
+        row before it, when both start with a basic slack (the ``+-`` rows
+        of the 1-Lipschitz ball), is neither lowered nor stored: it is that
+        row's implicit twin, and the two signed rhs add up to the twins'
+        ``p/q``.
         """
         shifts, shift_den = self.shifts, self.shift_den
-        all_free = self.n_struct == 2 * len(self.var_map)
         if slack is None:
             slack = self.n_struct
         art = _ART
@@ -610,14 +603,7 @@ class _Lowering:
                 prev = None
                 continue
             prev = c if basic else None
-            if all_free:
-                # kept in the frozen constraint's __dict__, as a cached_property would
-                struct = c.__dict__.get("free_lowering")
-                if struct is None:
-                    struct = c.__dict__["free_lowering"] = self._lower(nums, 1)
-                row = struct.copy() if s > 0 else {j: -a for j, a in struct.items()}
-            else:
-                row = self._lower(nums, s * shift_den)
+            row = self._lower(nums, s * shift_den)
             if b:
                 row[-1] = s * b
             if rel != EQ:
@@ -675,8 +661,9 @@ def _solve(lp, sense):
         if t >= 0:
             raise AssertionError("phase 1 cannot be unbounded")
         if kern.path is not None:
-            # kept for a program that extends this one
-            lp.__dict__["phase1_path"] = kern.path, sign, home, n_total, kern.n_real
+            # what the cut loop's next round resumes from
+            lp.resume.last = (lp.constraints, lp.bounds, kern.path, sign, home,
+                              n_total, kern.n_real)
             kern.path = None
         # the reduced-cost row's rhs is minus the artificial sum phase 1 reached
         if kern.reduced.get(-1, 0):
@@ -730,42 +717,47 @@ def _start(lp, low):
     dual-recovery column, and ``state`` is the ``run`` state a resumed
     kernel continues from, None for a cold one.
 
-    A program that extends another (``extends``) whose phase-1 path was
-    recorded resumes it (``_resume``); else the tableau is built cold.
-    Every phase 1 records its path, unless the program has box rows, whose
-    slacks appended rows would renumber.
+    A program that carries a ``Resume`` holder resumes the path recorded
+    there when it can (``_resume``); else the tableau is built cold.  Only
+    a program that carries a holder records its phase-1 path, and not one
+    with box rows, whose slacks appended rows would renumber.
     """
     resumed = _resume(lp, low)
     if resumed is not None:
         return resumed
     kern, sign, _ = low.build_kernel()
-    if kern.n_cols > _ART and not low.box_rows:
+    if lp.resume is not None and kern.n_cols > _ART and not low.box_rows:
         kern.path = []
     return kern, sign, kern.basis[:], None
 
 
 def _resume(lp, low):
-    """The phase-1 kernel of ``lp`` restored where the path recorded for
-    its base first changes, or None.
+    """The phase-1 kernel of ``lp`` restored where the path recorded in
+    its ``Resume`` holder first changes, or None.
 
-    The rows ``lp`` appends to its base are lowered alone, each stored,
-    and the base's path is replayed against them (``_replay``).  At the
-    first step an appended row would win, or at the phase-1 optimum, or at
-    the last step before it that kept its checkpoint, the kernel is the
-    base's checkpoint there plus the appended rows as that step found them;
-    it has made that many pivots and continues the same ``run`` from the
-    checkpoint's pricing state.  Its path starts with the base's steps
-    before that one, each checkpoint joined with the appended rows.  The
-    base's path serves one extension: it is taken off the base.  None when
-    there is none, or when an appended row needs an artificial: that
-    changes the phase-1 cost, and so the path from its first step.
+    The rows ``lp`` appends to the holder's last rows are lowered alone,
+    each stored, and the recorded path is replayed against them
+    (``_replay``).  At the first step an appended row would win, or at the
+    phase-1 optimum, or at the last step before it that kept its
+    checkpoint, the kernel is the checkpoint there plus the appended rows
+    as that step found them; it has made that many pivots and continues
+    the same ``run`` from the checkpoint's pricing state.  Its path starts
+    with the recorded steps before that one, each checkpoint joined with
+    the appended rows.  A recorded path serves one solve: it is taken off
+    the holder.  None when there is none, when the last rows are not
+    ``lp``'s first rows or its bounds differ, or when an appended row needs
+    an artificial: that changes the phase-1 cost, and so the path from its
+    first step.
     """
-    base = lp.extends
-    kept = None if base is None else base.__dict__.pop("phase1_path", None)
+    holder = lp.resume
+    kept = None if holder is None else holder.last
     if kept is None:
         return None
-    path, sign, home, n_cols, n_real = kept
-    added, signs, _ = low.build_kernel(len(base.constraints), n_real)
+    holder.last = None
+    shared, bounds, path, sign, home, n_cols, n_real = kept
+    if bounds != lp.bounds or lp.constraints[: len(shared)] != shared:
+        return None
+    added, signs, _ = low.build_kernel(len(shared), n_real)
     if added.n_cols > _ART:
         return None
     for i in list(added.twins):
@@ -781,7 +773,7 @@ def _resume(lp, low):
          (state[0] + at_rows, state[1] + at_den, state[2] + slacks, *state[3:]), step)
         for (state, step), (at_rows, at_den) in zip(path[:k], seen)
     ]
-    # no other program reads the base's path, so the kernel takes the
+    # no other solve reads the recorded path, so the kernel takes the
     # checkpoint's lists and twins as they are
     rows, den, basis, twins, *state = path[k][0]
     at_rows, at_den = seen[k]
@@ -831,15 +823,12 @@ def _replay(path, rows, den, slacks, mirror):
         rows, den = pivoted, pivoted_den
 
 
-def feasible(constraints, n_vars=None, bounds=None) -> LpOutcome:
-    """Feasibility of the rows over ``n_vars`` variables, or of a program
-    with a zero objective (one that extends another, say): a witness vector
-    or a Farkas infeasibility certificate."""
-    if type(constraints) is not LinearProgram:
-        return solve(make_program([_ZERO] * n_vars, constraints, bounds), "min")
-    if any(constraints.objective) or n_vars is not None or bounds is not None:
-        raise LpFormatError("a feasibility program has a zero objective and its own bounds")
-    return solve(constraints, "min")
+def feasible(constraints, n_vars, bounds=None, resume=None) -> LpOutcome:
+    """Feasibility of the rows over ``n_vars`` variables: a witness vector
+    or a Farkas infeasibility certificate.  A cut loop hands each round's
+    rows with the ``Resume`` it holds, so a round that appends rows to the
+    last one resumes that round's phase-1 path."""
+    return solve(make_program([_ZERO] * n_vars, constraints, bounds, resume), "min")
 
 
 def _gauss_jordan(matrix, rhs):

@@ -733,6 +733,50 @@ def test_cut_loop_outcomes_pinned_beyond_m2():
     )
 
 
+def test_only_cut_loop_rounds_record_a_phase1_path():
+    # A phase-1 path is recorded, with its checkpoints, only for a program
+    # that carries a cut loop's ``lp.Resume`` holder, since nothing else
+    # resumes one.  Checkpoints are counted inside and outside the cut loop
+    # (``_biorthogonal_functionals``): none outside it, over criterion 03's
+    # direct searches on 20 range and 20 euclidean 8-point spaces and over
+    # primal free norms (1,142 and 30 while every phase 1 recorded), and
+    # inside it over criterion 02's 100 k=2 pipelines, as many as when
+    # every phase 1 recorded.
+    counts = Counter()
+    inside = False
+    real_checkpoint, real_loop = lp._Kernel._checkpoint, freespace._biorthogonal_functionals
+
+    def counting_checkpoint(kern, *args):
+        counts[inside] += 1
+        return real_checkpoint(kern, *args)
+
+    def marked_loop(*args):
+        nonlocal inside
+        inside = True
+        try:
+            return real_loop(*args)
+        finally:
+            inside = False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp._Kernel, "_checkpoint", counting_checkpoint)
+        mp.setattr(freespace, "_biorthogonal_functionals", marked_loop)
+        for seed in range(20):
+            for method in ("range", "euclidean"):
+                assert construct.direct_search_l1(random_space(8, seed, method), 3).found
+        for n in range(4, 9):
+            space = random_space(n, 0, "range")
+            freespace.free_norm_primal(
+                freespace.free_vector(space, random_coeffs(f"primal:{n}", n - 1))
+            )
+        assert counts == {}
+        for i in range(100):
+            construct.theorem_pipeline(
+                random_space(4 + i % 5, i, "euclidean" if i % 3 == 0 else "range"), 2
+            )
+    assert counts == {True: 1361}
+
+
 def _reference_lowering(low, con):
     # the column-by-column lowering: walk every standard column of the row,
     # but a free variable's minus column, the mirror of its plus column
@@ -753,12 +797,11 @@ def _reference_lowering(low, con):
 
 def test_rows_and_projections_are_in_lowest_terms(criterion_02_lps):
     # Every row and every projection is stored once, as integers over a
-    # positive denominator in lowest terms, and an all-free program reads
-    # each row's lowering kept on the constraint (``free_lowering``).  Each
-    # must be what the general code computes: the lcm scaling of the row's
-    # rationals, the column-by-column lowering, and the projection as the
-    # Fraction product P[p][q] = sum_j u_j[p] g_j(q+1).  Criterion 02's
-    # programs, plus random spaces n = 4..10 with a free norm by each route.
+    # positive denominator in lowest terms.  Each must be what the general
+    # code computes: the lcm scaling of the row's rationals, the
+    # column-by-column lowering, and the projection as the Fraction product
+    # P[p][q] = sum_j u_j[p] g_j(q+1).  Criterion 02's programs, plus
+    # random spaces n = 4..10 with a free norm by each route.
     def free_norms(i, space):
         v = freespace.free_vector(space, random_coeffs(f"preset:{i}", space.n - 1))
         freespace.free_norm_dual(v)
@@ -819,7 +862,6 @@ def _check_rows(solved):
         low = lp._Lowering(program, False)
         assert not low.shifts
         free = all(b == (None, None) for b in program.bounds)
-        cached = [con.__dict__.get("free_lowering") for con in program.constraints]
         kern, sign, _ = low.build_kernel()
         prev = None  # the row before, if stored on a basic slack: (con, reference)
         for i, con in enumerate(program.constraints):
@@ -843,11 +885,6 @@ def _check_rows(solved):
                 struct = {j: sign[i] * a for j, a in row.items() if 0 <= j < low.n_struct}
                 assert list(struct.items()) == list(reference.items())
                 assert sign[i] * row.get(-1, 0) == b
-                if free:
-                    # the walk read the lowering its solve kept, and copied it
-                    kept = con.__dict__["free_lowering"]
-                    assert kept is cached[i] and kept is not row
-                    assert list(kept.items()) == list(reference.items())
                 prev = (con, reference) if basic else None
             lowered[free] += 1
     return lowered

@@ -1,6 +1,5 @@
 """Exact LP solver: examples, certificates, termination."""
 
-import copy
 import hashlib
 import random
 from collections import Counter
@@ -1040,34 +1039,6 @@ def test_outcome_values_and_types_pinned():
     )
 
 
-def test_solves_leave_cached_lowerings_unchanged(acceptance_lps):
-    # A row shared by many programs keeps its lowering on the Constraint
-    # (``free_lowering``), and ``_eliminate`` updates a tableau row in place
-    # when the pivot divides its factor, so a solve must copy the cached
-    # lowering before the simplex runs.  Criterion 02's cut loops and
-    # criterion 03's coordinate LPs, solved once by the fixture, are solved
-    # again; every cache must still equal a deep copy taken before, and the
-    # column-by-column lowering of its all-free row (column 2j for x_j).
-    programs = [
-        (program, sense)
-        for name in ("criterion 02", "criterion 03")
-        for program, sense, _ in acceptance_lps[name][0]
-    ]
-    constraints = {id(con): con for program, _ in programs for con in program.constraints}
-    cached = {key: con.__dict__["free_lowering"] for key, con in constraints.items()
-              if "free_lowering" in con.__dict__}
-    before = copy.deepcopy(cached)
-    for key, struct in before.items():
-        nums = constraints[key].nums
-        assert struct == {2 * j: a for j, a in enumerate(nums[:-1]) if a}
-    for program, sense in programs:
-        lp.solve(program, sense)
-    for key, struct in cached.items():
-        assert constraints[key].__dict__["free_lowering"] is struct
-        assert struct == before[key]
-    assert len(cached) > 1000, len(cached)
-
-
 def _appended_rows(rng, n, rows):
     """One round of rows appended to ``rows`` (``(coeffs, rel, rhs)``
     triples over ``n`` variables), as a cut loop appends them, each
@@ -1111,7 +1082,8 @@ def _appended_rows(rng, n, rows):
 
 def _extension_chains(seed, count):
     """Seeded chains of 2-5 programs, each the one before it with a round of
-    rows appended (``_appended_rows``), as ``(programs, sense)``.  The
+    rows appended (``_appended_rows``), all carrying one ``lp.Resume``
+    holder, as a cut loop's rounds do, as ``(programs, sense)``.  The
     first program has an equality or a negative rhs, so phase 1 runs;
     variables are mostly free, some shifted by a bound or boxed (a box
     adds a row after the constraints); objectives are zero about half the
@@ -1131,13 +1103,13 @@ def _extension_chains(seed, count):
         rows.append(([F(rng.randint(-3, 3)) for _ in range(n)], lp.EQ, F(rng.randint(-3, 3))))
         zero = rng.random() < 0.5
         objective = [F(0) if zero else F(rng.randint(-3, 3)) for _ in range(n)]
-        programs = [lp.make_program(objective, rows, bounds=bounds)]
+        holder = lp.Resume()
+        programs = [lp.make_program(objective, rows, bounds, holder)]
         for _ in range(rng.randint(1, 4)):
             added = _appended_rows(rng, n, rows)
             rows = rows + added
-            base = programs[-1]
             programs.append(
-                lp.make_program(objective, base.constraints + tuple(added), bounds, extends=base)
+                lp.make_program(objective, programs[-1].constraints + tuple(added), bounds, holder)
             )
         yield programs, rng.choice(["min", "max"])
 
@@ -1145,10 +1117,11 @@ def _extension_chains(seed, count):
 @pytest.mark.parametrize("kept", [lp._KEPT, 1])
 @pytest.mark.parametrize("stall_limit", [lp._STALL_LIMIT, 0])
 def test_extended_programs_resume_the_cold_path(monkeypatch, stall_limit, kept):
-    # A program that extends a solved one by appending rows resumes that
-    # solve's phase-1 pivot path: it replays the recorded steps against
-    # the appended rows alone and restores the last checkpoint at or before
-    # the step where one of them first wins a ratio test.  Each outcome
+    # A program that appends rows to the last program solved with its
+    # ``lp.Resume`` holder resumes that solve's phase-1 pivot path: it
+    # replays the recorded steps against the appended rows alone and
+    # restores the last checkpoint at or before the step where one of them
+    # first wins a ratio test.  Each outcome
     # must be a cold solve's of the whole program, field for field, under
     # Dantzig's rule with its Bland switch and under Bland's rule from the
     # first degenerate pivot, with checkpoints kept as usual and as sparse
@@ -1166,14 +1139,70 @@ def test_extended_programs_resume_the_cold_path(monkeypatch, stall_limit, kept):
     monkeypatch.setattr(lp, "_replay", counting_replay)
     statuses, extensions = Counter(), 0
     for programs, sense in _extension_chains(31, 600):
-        for program in programs:
+        for i, program in enumerate(programs):
             out = lp.solve(program, sense)
-            cold = lp.solve(replace(program, extends=None), sense)
+            cold = lp.solve(replace(program, resume=None), sense)
             assert repr(out) == repr(cold) and out == cold, program
-            statuses[out.status, program.extends is None] += 1
+            statuses[out.status, i == 0] += 1
         extensions += len(programs) - 1
     assert statuses[("infeasible", False)] > 200 and statuses[("optimal", False)] > 200, statuses
     assert statuses[("unbounded", False)] > 20, statuses
     # most extensions resumed past the base's first step; the rest had an
     # appended row that needs an artificial, box rows, or no phase 1
     assert sum(k > 0 for k in replayed) > extensions / 2, (len(replayed), extensions)
+
+
+def _other_bounds(rng, bounds):
+    """``bounds`` with one variable's bound drawn anew until it differs."""
+    j = rng.randrange(len(bounds))
+    bound = bounds[j]
+    while bound == bounds[j]:
+        bound = _random_bound(rng)
+    return bounds[:j] + (bound,) + bounds[j + 1:]
+
+
+def test_resume_holder_falls_back_to_a_cold_solve(monkeypatch):
+    # A program whose first rows are not the rows last solved with its
+    # holder, or whose bounds are not that program's, must not resume the
+    # recorded path: its outcome must be a cold solve's, field for field.
+    # Each chain's first program is solved with the holder, so a path is
+    # recorded, and the next round is handed the same holder with one of
+    # the first program's rows replaced (not appended to), or with one
+    # variable's bound changed.
+    replayed = []
+    real_replay = lp._replay
+
+    def counting_replay(path, *args):
+        replayed.append(path)
+        return real_replay(path, *args)
+
+    monkeypatch.setattr(lp, "_replay", counting_replay)
+    rng = random.Random(32)
+    recorded, statuses = Counter(), Counter()
+    for programs, sense in _extension_chains(33, 400):
+        first, after = programs[0], programs[1]
+        holder = first.resume
+        rows = list(after.constraints)
+        i = rng.randrange(len(first.constraints))
+        while rows[i] == first.constraints[i]:
+            nums = tuple(rng.randint(-3, 3) for _ in range(first.n_vars + 1))
+            rows[i] = lp.Constraint(nums, 1, rows[i].rel)
+        cases = {
+            "replaced": lp.make_program(first.objective, rows, first.bounds, holder),
+            "bounds": lp.make_program(
+                first.objective, after.constraints, _other_bounds(rng, first.bounds), holder
+            ),
+        }
+        for kind, program in cases.items():
+            lp.solve(first, sense)
+            recorded[kind] += holder.last is not None
+            out = lp.solve(program, sense)
+            cold = lp.solve(replace(program, resume=None), sense)
+            assert repr(out) == repr(cold) and out == cold, (kind, program)
+            statuses[kind, out.status] += 1
+    assert not replayed
+    # most first programs recorded a path that the next round could have
+    # resumed; the rest had box rows or no phase 1
+    assert min(recorded.values()) > 300, recorded
+    assert all(statuses[kind, status] > 100 for kind in recorded
+               for status in ("optimal", "infeasible")), statuses
