@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from . import __version__, certify, freespace, interval
 from .lipschitz import LipFunctional
 from .metric import PointedMetricSpace, restrict, serialize_space, space_from_doc
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, parse_rows
 
 CERTIFICATE_KINDS = ("l1-isometry", "linf-isometry", "complementation", "pipeline", "hybrid-embed")
 
@@ -411,11 +411,7 @@ def _parse_space_checked(doc, failures):
 
 
 def _parse_basis(space, rows):
-    return tuple(LipFunctional(space, _rationals(row)) for row in rows)
-
-
-def _rationals(row) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(v) for v in row)
+    return tuple(LipFunctional(space, row) for row in parse_rows(rows))
 
 
 def _witness_pair(space, w, failures):
@@ -500,7 +496,7 @@ def _expect_l1(doc, failures):
 def _expect_complementation(doc, failures):
     """The re-rendered complementation document and its parsed space."""
     space = _parse_space_checked(doc, failures)
-    basis = tuple(freespace.FreeVector(space, _rationals(row)) for row in doc["basis"])
+    basis = tuple(freespace.FreeVector(space, row) for row in parse_rows(doc["basis"]))
     projection = freespace.FreeOperator.from_matrix(space, doc["projection"])
     cert = freespace.verify_one_complemented(space, basis, projection)
     return complementation_document(cert), space
@@ -509,7 +505,8 @@ def _expect_complementation(doc, failures):
 def _expect_hybrid(doc, failures):
     h = interval.hybrid_from_doc(doc["hybrid"])
     f = interval.pwl(doc["pwl"]["breakpoints"], doc["pwl"]["values"])
-    u = interval.HybridFunctional(f, _rationals(doc["extra_values"]))
+    (extra_values,) = parse_rows([doc["extra_values"]])
+    u = interval.HybridFunctional(f, extra_values)
     expected = hybrid_document(h, f, u)
     if u.extra_values != tuple(f.evaluate(parse_rational(t)) for t in expected["retraction"]):
         failures.append("extra values are not f(F(z))")

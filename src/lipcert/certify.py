@@ -51,9 +51,17 @@ def is_sign_class(eps, n: int) -> bool:
 
 
 def quotient_vector(basis, x: int, y: int) -> tuple[Fraction, ...]:
-    """w_{xy} = ((f_k(x) - f_k(y)) / rho(x, y))_k."""
-    rho = basis[0].space.rho(x, y)
-    return tuple((f.values[x] - f.values[y]) / rho for f in basis)
+    """w_{xy} = ((f_k(x) - f_k(y)) / rho(x, y))_k.
+
+    With f_k(x) = a / b, f_k(y) = c / d and rho(x, y) = p / q, coordinate k
+    is the one ``Fraction((a d - c b) q, b d p)``."""
+    p, q = basis[0].space.rho(x, y).as_integer_ratio()
+    out = []
+    for f in basis:
+        a, b = f.values[x].as_integer_ratio()
+        c, d = f.values[y].as_integer_ratio()
+        out.append(Fraction((a * d - c * b) * q, b * d * p))
+    return tuple(out)
 
 
 def _scaled_quotients(basis):

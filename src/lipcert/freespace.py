@@ -29,7 +29,7 @@ from operator import mul
 from . import lp
 from .lipschitz import LipFunctional, closure_add, differences_feasible
 from .metric import PointedMetricSpace
-from .rationals import lcm_scale, lcm_scale_rows, parse_rational, reduce_over
+from .rationals import lcm_scale, lcm_scale_rows, parse_rational, parse_rows, reduce_over
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -391,8 +391,8 @@ class FreeOperator:
     @staticmethod
     def from_matrix(space: PointedMetricSpace, rows) -> "FreeOperator":
         """The operator of a matrix of ints, ``Fraction``s or 'p/q' strings;
-        every entry goes through ``parse_rational``, so no float enters."""
-        return FreeOperator(space, *lcm_scale_rows([[parse_rational(x) for x in r] for r in rows]))
+        every entry goes through ``parse_rows``, so no float enters."""
+        return FreeOperator(space, *lcm_scale_rows(parse_rows(rows)))
 
 
 def operator_norm(op: FreeOperator) -> tuple[Fraction, Molecule | None]:

@@ -6,7 +6,10 @@ retraction transfer.
 
 The interval is never discretized: every supremum reduces to finitely many
 breakpoint evaluations, by piecewise linearity or by monotonicity of ratios
-of linear functions, so all checks are exact.
+of linear functions, so all checks are exact.  Where two functions meet (a
+sum or difference, the extra-pair checks, the extra-interval quotients),
+both are read on the union of their breakpoints in one merge walk over
+integers, ``_joint_grid``; ``evaluate`` reads one function at one point.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import add
 
-from .rationals import lcm_scale_rows, parse_rational
+from .rationals import lcm_scale_rows, parse_rational, parse_rows
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -35,8 +39,36 @@ def _check_grid(breakpoints, values):
             raise ValueError("breakpoints must be strictly increasing")
 
 
-def _refine(bps_a, bps_b):
-    return tuple(sorted(set(bps_a) | set(bps_b)))
+def _joint_grid(f, g):
+    """The union of the breakpoints of ``f`` and ``g``, with both functions
+    read along it in one merge walk, all on integers: ``D``, the lcm of the
+    two ``scaled`` denominators, and in increasing order one
+    ``(x, fn, fd, gn, gd)`` per point, the point being ``x / D``, f there
+    ``fn / fd`` and g there ``gn / gd``, with ``fd, gd > 0``."""
+    tf, vf, df = f.scaled
+    tg, vg, dg = g.scaled
+    D = lcm(df, dg)
+    tf = [t * (D // df) for t in tf]
+    tg = [t * (D // dg) for t in tg]
+    out = []
+    i = j = 0
+    while i < len(tf):  # both grids end at D, so i and j run out together
+        a, b = tf[i], tg[j]
+        x = a if a < b else b
+        if a == x:
+            fn, fd = vf[i], df
+            i += 1
+        else:  # interpolate f on its piece [tf[i - 1], a]
+            a0 = tf[i - 1]
+            fn, fd = vf[i - 1] * (a - x) + vf[i] * (x - a0), (a - a0) * df
+        if b == x:
+            gn, gd = vg[j], dg
+            j += 1
+        else:
+            b0 = tg[j - 1]
+            gn, gd = vg[j - 1] * (b - x) + vg[j] * (x - b0), (b - b0) * dg
+        out.append((x, fn, fd, gn, gd))
+    return D, out
 
 
 @dataclass(frozen=True)
@@ -88,12 +120,18 @@ class PwlFunctional(_PiecewiseLinear):
             raise ValueError(f"f(0) = {self.values[0]}, must be 0")
 
     def __add__(self, other: "PwlFunctional") -> "PwlFunctional":
-        grid = _refine(self.breakpoints, other.breakpoints)
-        return PwlFunctional(grid, tuple(self.evaluate(t) + other.evaluate(t) for t in grid))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "PwlFunctional") -> "PwlFunctional":
-        grid = _refine(self.breakpoints, other.breakpoints)
-        return PwlFunctional(grid, tuple(self.evaluate(t) - other.evaluate(t) for t in grid))
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other on the joint grid."""
+        D, walk = _joint_grid(self, other)
+        return PwlFunctional(
+            tuple(Fraction(x, D) for x, *_ in walk),
+            tuple(Fraction(fn * gd + sign * gn * fd, fd * gd) for _, fn, fd, gn, gd in walk),
+        )
 
     def scale(self, c) -> "PwlFunctional":
         c = parse_rational(c)
@@ -101,9 +139,7 @@ class PwlFunctional(_PiecewiseLinear):
 
 
 def pwl(breakpoints, values) -> PwlFunctional:
-    return PwlFunctional(
-        tuple(parse_rational(b) for b in breakpoints), tuple(parse_rational(v) for v in values)
-    )
+    return PwlFunctional(*parse_rows((breakpoints, values)))
 
 
 def zero_pwl() -> PwlFunctional:
@@ -257,9 +293,7 @@ class DistanceProfile(_PiecewiseLinear):
 
 
 def profile(breakpoints, values) -> DistanceProfile:
-    return DistanceProfile(
-        tuple(parse_rational(b) for b in breakpoints), tuple(parse_rational(v) for v in values)
-    )
+    return DistanceProfile(*parse_rows((breakpoints, values)))
 
 
 @dataclass(frozen=True)
@@ -292,7 +326,7 @@ def hybrid_space(profiles, extra_dist=None) -> HybridSpace:
     profiles = tuple(profiles)
     if extra_dist is None:
         extra_dist = [[_ZERO] * len(profiles) for _ in profiles]
-    matrix = tuple(tuple(parse_rational(x) for x in row) for row in extra_dist)
+    matrix = tuple(parse_rows(extra_dist))
     return HybridSpace(profiles, matrix)
 
 
@@ -300,7 +334,7 @@ def hybrid_from_doc(doc) -> HybridSpace:
     """The hybrid space of a ``{"extras": [{"breakpoints", "values"}, ...],
     "extra_dist": [[...]]}`` document (``extra_dist`` defaults to zeros).
     Raises ``KeyError``, ``TypeError`` or ``ValueError`` on a bad shape or on
-    an entry that ``parse_rational`` rejects."""
+    a row or entry that ``parse_rows`` rejects."""
     profiles = [profile(p["breakpoints"], p["values"]) for p in doc["extras"]]
     return hybrid_space(profiles, doc.get("extra_dist"))
 
@@ -373,18 +407,19 @@ def hybrid_validate(h: HybridSpace) -> list[HybridViolation]:
     for z in range(e):
         for w in range(z + 1, e):
             # d(z,w) = a / b against d_z(t) +- d_w(t) = (pz qw +- pw qz) / (qz qw)
+            # at each point t = x / D of the joint grid
             a, b = h.extra_dist[z][w].as_integer_ratio()
-            grid = _refine(h.profiles[z].breakpoints, h.profiles[w].breakpoints)
-            for t in grid:
-                pz, qz = h.profiles[z].evaluate(t).as_integer_ratio()
-                pw, qw = h.profiles[w].evaluate(t).as_integer_ratio()
+            D, walk = _joint_grid(h.profiles[z], h.profiles[w])
+            for x, pz, qz, pw, qw in walk:
                 if a * qz * qw > (pz * qw + pw * qz) * b:
+                    t = Fraction(x, D)
                     out.append(
                         HybridViolation(
                             "extra-pair-upper", (z, w, t), f"d(z{z},z{w}) > d_z({t}) + d_w({t})"
                         )
                     )
                 if abs(pz * qw - pw * qz) * b > a * qz * qw:
+                    t = Fraction(x, D)
                     out.append(
                         HybridViolation(
                             "extra-pair-lower", (z, w, t), f"|d_z({t}) - d_w({t})| > d(z{z},z{w})"
@@ -488,14 +523,16 @@ def hybrid_norm(u: HybridFunctional, h: HybridSpace):
             if a * best_b > best_a * b:
                 best_a, best_b = a, b
                 witness = HybridWitness("extra-extra", (z, w))
+    at = None  # (z, x, D) of the best extra-interval quotient, at t = x / D
     for z in range(h.extras):
-        prof = h.profiles[z]
         pz, qz = extra[z]
-        for t in _refine(u.pwl.breakpoints, prof.breakpoints):
-            fp, fq = u.pwl.evaluate(t).as_integer_ratio()
-            dp, dq = prof.evaluate(t).as_integer_ratio()
+        D, walk = _joint_grid(u.pwl, h.profiles[z])
+        for x, fp, fq, dp, dq in walk:
             a, b = abs(pz * fq - fp * qz) * dq, qz * fq * dp
             if a * best_b > best_a * b:
                 best_a, best_b = a, b
-                witness = HybridWitness("extra-interval", (z, t))
+                at = (z, x, D)
+    if at is not None:
+        z, x, D = at
+        witness = HybridWitness("extra-interval", (z, Fraction(x, D)))
     return Fraction(best_a, best_b), witness

@@ -14,7 +14,13 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add
 
-from .rationals import RationalFormatError, format_rational, lcm_scale_rows, parse_rational
+from .rationals import (
+    RationalFormatError,
+    format_rational,
+    lcm_scale_rows,
+    parse_rational,
+    parse_rows,
+)
 
 # Grid used by the `range` generator: multiples of 1/64 inside [1, 2], so the
 # triangle inequality is automatic (2 <= 1 + 1) and LP coefficients stay small.
@@ -233,7 +239,7 @@ def _space_fields(doc):
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise SpaceFormatError('"dist" must be a list of rows')
     try:
-        rows = [[parse_rational(x) for x in row] for row in raw]
+        rows = parse_rows(raw)
     except RationalFormatError as exc:
         raise SpaceFormatError(str(exc)) from exc
     labels = doc.get("points")

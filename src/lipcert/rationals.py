@@ -43,6 +43,33 @@ def parse_rational(value) -> Fraction:
     raise RationalFormatError(f"expected rational string, got {type(value).__name__}")
 
 
+def parse_rows(rows) -> list[tuple[Fraction, ...]]:
+    """``parse_rational`` of every entry of every row, as one tuple per row.
+
+    Each distinct string is parsed once per call: a symmetric distance
+    matrix holds about half as many distinct strings as entries.  A row
+    that is a string or a dict is rejected rather than read as its
+    characters or its keys.  The first bad entry in row order raises what
+    ``parse_rational`` raises for it.
+    """
+    seen: dict[str, Fraction] = {}
+    out = []
+    for row in rows:
+        if isinstance(row, (str, dict)):
+            raise RationalFormatError(f"expected a row of rationals, got {row!r}")
+        parsed = []
+        for v in row:
+            if type(v) is str:
+                q = seen.get(v)
+                if q is None:
+                    q = seen[v] = parse_rational(v)
+            else:
+                q = parse_rational(v)
+            parsed.append(q)
+        out.append(tuple(parsed))
+    return out
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical string form: 'p' when integral, else 'p/q' reduced.
 

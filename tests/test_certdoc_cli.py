@@ -316,6 +316,57 @@ def test_cli_rejects_non_ascii_digits(tmp_path):
     assert "malformed" in err
 
 
+@pytest.fixture(scope="module")
+def row_targets(complementation_doc):
+    # the identity PWL, so its breakpoints and values are the rows ["0", "1"]
+    h = random_hybrid(3)
+    f = interval.pwl([0, 1], [0, 1])
+    return {
+        "l1": certdoc.l1_document(construct.four_point_basis(equilateral(4))[2]),
+        "complementation": complementation_doc,
+        "hybrid": certdoc.hybrid_document(h, f, interval.compose_embed(f, h)),
+    }
+
+
+@pytest.mark.parametrize("spell", ["string", "object"])
+@pytest.mark.parametrize(
+    "target, path",
+    [
+        ("l1", ("basis", 1)),
+        ("complementation", ("basis", 0)),
+        ("complementation", ("projection", 0)),
+        ("hybrid", ("extra_values",)),
+        ("hybrid", ("hybrid", "extra_dist", 0)),
+        ("hybrid", ("hybrid", "extras", 0, "values")),
+        ("hybrid", ("pwl", "breakpoints")),
+        ("hybrid", ("pwl", "values")),
+    ],
+    ids=["l1-basis", "basis", "projection", "extra-values", "extra-dist", "profile-values",
+         "breakpoints", "values"],
+)
+def test_verify_rejects_a_string_or_object_row(tmp_path, row_targets, target, path, spell):
+    # a row written as one string, ["1", "0", "0"] as "100", or as an
+    # object, {"0": "1", "1": "0", "2": "0"}, is malformed; read as its
+    # characters or its keys it would be a row again
+    doc = json.loads(certdoc.dumps(row_targets[target]))
+    assert certdoc.verify_document(doc).ok
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    row = node[last]
+    node[last] = "".join(row) if spell == "string" else {str(i): v for i, v in enumerate(row)}
+    report = certdoc.verify_document(doc)
+    assert report.recomputed == "malformed", report.failures
+    named = f"malformed document: expected a row of rationals, got {node[last]!r}"
+    assert named in report.failures, report.failures
+    doc_path = tmp_path / "row.json"
+    doc_path.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", str(doc_path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_hybrid_document_verify():
     h = random_hybrid(3)
     f = random_pwl(5)

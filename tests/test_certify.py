@@ -195,13 +195,17 @@ def test_pinned_diagonal_pair_raises():
 # definitions, one quotient Fraction per ordered pair and no integer scaling.
 
 
+def _oracle_quotients(basis, x, y):
+    return tuple((f.values[x] - f.values[y]) / basis[0].space.rho(x, y) for f in basis)
+
+
 def _oracle_l1(basis, pinned_pairs=None):
     space = basis[0].space
     n = len(basis)
     cube_violation = None
     sign_pairs = {}
     for x, y in space.ordered_pairs():
-        w = certify.quotient_vector(basis, x, y)
+        w = _oracle_quotients(basis, x, y)
         for k, q in enumerate(w):
             if abs(q) > 1:
                 if cube_violation is None:
@@ -218,7 +222,7 @@ def _oracle_l1(basis, pinned_pairs=None):
     for i, eps in enumerate(reps):
         if pinned_pairs is not None:
             pair = pinned_pairs[i]
-            if pair is not None and certify.quotient_vector(basis, *pair) != tuple(map(F, eps)):
+            if pair is not None and _oracle_quotients(basis, *pair) != tuple(map(F, eps)):
                 pair = None
         else:
             pair = sign_pairs.get(eps)
@@ -240,7 +244,7 @@ def _oracle_linf(basis):
     ball_violation = None
     vertex_pair = {}
     for x, y in space.ordered_pairs():
-        w = certify.quotient_vector(basis, x, y)
+        w = _oracle_quotients(basis, x, y)
         total = sum(abs(q) for q in w)
         if total > 1:
             if ball_violation is None:
@@ -344,6 +348,13 @@ def test_integer_checks_agree_with_fraction_oracles():
             linf = basis
         if len({lcm(*(v.denominator for v in f.values)) for f in basis}) > 1:
             seen["unequal_den"] += 1
+        if case % 4 < 2:
+            # quotient_vector's one Fraction of integers per coordinate
+            # against (f(x) - f(y)) / rho(x, y)
+            for x, y in space.ordered_pairs():
+                w = certify.quotient_vector(basis, x, y)
+                assert w == _oracle_quotients(basis, x, y)
+                assert all(type(q) is Fraction for q in w)
         cert = certify.l1_isometry_lip(basis)
         assert cert == _oracle_l1(basis)
         seen["cube"] += cert.cube_violation is not None

@@ -302,6 +302,25 @@ def _interval_pair_oracle(h):
 
 
 def test_interval_pair_check_matches_evaluate_oracle():
+    # the joint grid's merge walk reads both functions on the union of their
+    # breakpoints: each point, value and sum must be what evaluate gives
+    shared = 0
+    for seed in range(200):
+        f = random_pwl(f"walk:{seed}")
+        for g in (random_pwl(f"walk:{seed}:g"), random_hybrid(seed).profiles[0], f):
+            D, walk = iv._joint_grid(f, g)
+            grid = [F(x, D) for x, *_ in walk]
+            assert grid == sorted(set(f.breakpoints) | set(g.breakpoints)), seed
+            assert walk[0][0] == 0 and walk[-1][0] == D
+            for t, (_, fn, fd, gn, gd) in zip(grid, walk):
+                assert fd > 0 and gd > 0
+                assert (F(fn, fd), F(gn, gd)) == (f.evaluate(t), g.evaluate(t)), (seed, t)
+            shared += len(set(f.breakpoints[1:-1]) & set(g.breakpoints[1:-1]))
+            if isinstance(g, iv.PwlFunctional):
+                assert (f + g).breakpoints == (f - g).breakpoints == tuple(grid)
+                assert (f + g).values == tuple(f.evaluate(t) + g.evaluate(t) for t in grid)
+                assert (f - g).values == tuple(f.evaluate(t) - g.evaluate(t) for t in grid)
+    assert shared > 200
     broken = 0
     for seed in range(60):
         h = random_hybrid(seed)
@@ -375,7 +394,11 @@ def test_hybrid_read_path_agrees_with_fraction_oracles():
         # the interval, so an extra-extra quotient can be the norm
         twin = random_hybrid(seed).profiles[0]
         close = iv.HybridSpace((twin, twin), ((0, F(1, 4 + seed % 60)), (F(1, 4 + seed % 60), 0)))
-        for h in (random_hybrid(seed), _broken_hybrid(seed), close):
+        # a constant profile has no interior breakpoint, so an extra-interval
+        # witness inside (0, 1) sits at a breakpoint of f alone
+        level = F(1, 2) + F(seed % 5, 8)
+        flat = iv.HybridSpace((iv.DistanceProfile((0, 1), (level, level)),), ((0,),))
+        for h in (random_hybrid(seed), _broken_hybrid(seed), close, flat):
             expected = fraction_hybrid_validate(h)
             assert iv.hybrid_validate(h) == expected
             kinds.update(v.kind for v in expected)
@@ -388,12 +411,22 @@ def test_hybrid_read_path_agrees_with_fraction_oracles():
             assert iv.retraction(h) == fraction_retraction(h)
             f = random_pwl(f"oracle:{seed}")
             scattered = tuple(F(rng.randint(-16, 16), rng.randint(1, 8)) for _ in range(h.extras))
-            for u in (iv.compose_embed(f, h), iv.HybridFunctional(f, scattered)):
+            # an extra value far from f's range puts the norm on an
+            # extra-interval quotient
+            far = tuple(F(64 * (-1) ** (seed + z)) for z in range(h.extras))
+            for u in (iv.compose_embed(f, h), *(iv.HybridFunctional(f, v) for v in (scattered, far))):
                 norm = iv.hybrid_norm(u, h)
                 assert norm == fraction_hybrid_norm(u, h)
-                witnesses[norm[1] and norm[1].kind] += 1
+                witness = norm[1]
+                witnesses[witness and witness.kind] += 1
+                if witness and witness.kind == "extra-interval":
+                    # is t a breakpoint of f, of the profile, or of both: the
+                    # joint grid interpolates the other function there
+                    z, t = witness.data
+                    witnesses[t in f.breakpoints, t in h.profiles[z].breakpoints] += 1
     assert min(kinds[kind] for kind in HYBRID_KINDS) > 20, kinds
-    assert min(witnesses[kind] for kind in ("interval", "extra-extra", "extra-interval")) > 20, witnesses
+    kinds = ("interval", "extra-extra", "extra-interval", (True, False), (False, True), (True, True))
+    assert min(witnesses[kind] for kind in kinds) > 20, witnesses
 
 
 def test_evaluate_agrees_with_fraction_oracle():

@@ -1,12 +1,19 @@
 """Wire-format rational parsing."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 from lipcert import certify, freespace, interval, lipschitz, lp
 from lipcert.metric import PointedMetricSpace, restrict
-from lipcert.rationals import RationalFormatError, format_rational, lcm_scale_rows, parse_rational
+from lipcert.rationals import (
+    RationalFormatError,
+    format_rational,
+    lcm_scale_rows,
+    parse_rational,
+    parse_rows,
+)
 
 from helpers import equilateral
 
@@ -105,3 +112,34 @@ def test_lcm_scale_rows_keeps_the_shape_and_scales_by_one_lcm():
         assert all(type(v) is int for v in scaled)
     assert lcm_scale_rows([]) == ((), 1)
     assert lcm_scale_rows([[], []]) == (((), ()), 1)
+
+
+def _raised(call, *args):
+    with pytest.raises(RationalFormatError) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+def test_parse_rows_matches_parse_rational():
+    rows = [["0", "1/2", "1/2"], ("1/2", 3, Fraction(1, 3)), [], ["-7/2", "+4/8", " 5 "]]
+    assert parse_rows(rows) == [tuple(parse_rational(v) for v in row) for row in rows]
+    assert all(type(v) is Fraction for row in parse_rows(rows) for v in row)
+    # a repeated string is parsed once per call, into one shared value
+    first, second = parse_rows([["22/7"], ["22/7"]])
+    assert first[0] is second[0]
+    long_digits = "1" * (sys.get_int_max_str_digits() + 1)
+    for bad in (0.5, True, ["1"], None, "1.5", "\u0663", long_digits, "1/0"):
+        expected = _raised(parse_rational, bad)
+        assert _raised(parse_rows, [["1", bad]]) == expected, bad
+        assert _raised(parse_rows, [["1/2"], ["0", bad, 1.5]]) == expected, bad
+    # the first bad entry in row order is the one named
+    assert _raised(parse_rows, [["0", "1"], ["x", 0.5], ["y"]]) == _raised(parse_rational, "x")
+    assert _raised(parse_rows, [["0", 0.5], ["x"]]) == _raised(parse_rational, 0.5)
+
+
+def test_parse_rows_rejects_a_string_or_dict_row():
+    # strings and dicts are iterable, so without the check "100" would read
+    # as the row ["1", "0", "0"], and {"0": "x", "1": "y"} as ["0", "1"]
+    for rows in (["100"], [["1", "0"], "01"], [{"0": "x", "1": "y"}]):
+        with pytest.raises(RationalFormatError, match="expected a row of rationals, got"):
+            parse_rows(rows)
