@@ -366,11 +366,21 @@ def _diff(recorded, expected, path=""):
             elif key not in recorded:
                 out.append((sub, "is missing"))
             else:
-                out += _diff(recorded[key], expected[key], sub)
+                item, want = recorded[key], expected[key]
+                # an equal row of strings needs no frame, as in a list below
+                if not (type(want) is list and type(item) is list and item == want
+                        and all(type(w) is str for w in want)):
+                    out += _diff(item, want, sub)
     else:
         for i, (item, want) in enumerate(zip(recorded, expected)):
-            # an equal leaf, the bulk of a document, needs no path
+            # an equal leaf, the bulk of a document, needs no path; nor does
+            # an equal row of strings, such as a basis or projection row
+            # (only of strings: [True, 0] == [1, 0])
             leaf = type(want)
+            if leaf is list and type(item) is list and item == want and all(
+                type(w) is str for w in want
+            ):
+                continue
             if type(item) is not leaf or leaf is dict or leaf is list or (
                 item is not want and item != want
             ):

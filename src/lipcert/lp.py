@@ -1,74 +1,73 @@
 """Exact rational linear programming with primal and dual certificates.
 
-Two-phase simplex on a sparse integer tableau: each row is a
-``{column: int}`` dict of its nonzero numerators, the rhs under the key -1,
-over one positive denominator, reduced by their gcd after every update (the
-integer pivoting of Bareiss and of Avis's ``lrs``, with a denominator per
-row), so a pivot does arithmetic on stored nonzeros only.  The reduced-cost
-row is such a row too: pricing reads only its nonzero entries.  The simplex
-path is fixed by the pivot rule, not by the storage, so it is the path exact
-rational arithmetic takes.  Pricing is Dantzig's rule until a run
-of degenerate pivots is detected, after which the solve switches to Bland's
-rule permanently, which guarantees termination on every input.
+Two-phase revised simplex that factors the basis, not the tableau.  A solve
+lowers its program's rows from their ``Constraint`` once and keeps them as
+lowered: a sparse ``{column: int}`` dict of a row's nonzero numerators, its
+slack and artificial included and its rhs under the key -1, over one
+positive denominator.  A slack or an artificial is nonzero in its own row
+only, so the basis is an identity on the rows whose slack or artificial is
+basic, plus a block of structural columns, at most one per variable, over
+the other rows.  The kernel stores the tableau rows of that block only (the
+explicit rows): sparse rows over one positive denominator each, reduced by
+their gcd after every update (the integer pivoting of Bareiss and of Avis's
+``lrs``, with a denominator per row).  Any other row is read from its lowered
+row minus the explicit rows of the basic columns in its support, which is
+its row of ``B^-1 [A | b]``.  The ratio test reads one entry and the rhs of
+such a row, and only of the rows that a column index says can be nonzero; a
+pivot rewrites the explicit rows and the reduced-cost row alone, so a row on
+its slack is never rewritten.
 
-The tableau stores only what it cannot derive.  A free variable's minus
-column is minus its plus column in every row and in the reduced-cost row,
-so only the plus column is stored (a mirror column), and column numbers
-stay as they are.  Two adjacent rows that are negations of each other off
-their slacks, both starting slack-basic (the ``+-`` rows of a symmetric
-1-Lipschitz ball), keep that relation, up to their slacks and a constant,
-through every pivot in a third row, so the second is not stored (an
-implicit twin row): the ratio test reads it from the first, and it is
-stored only just before a pivot on either.  After a feasible phase 1 every
-basic artificial sits at zero, so the pivots that drive them out are
-degenerate; with an objective they are made on the whole tableau, but a
-feasibility program (zero objective: zero duals in any basis, and no
-phase-2 pivot) only counts them, on a kernel that takes the artificial rows
-themselves, since nothing reads them afterwards.
+The values the pivot rule compares are the tableau's, so the simplex path is
+the one exact rational arithmetic takes.  Pricing reads the reduced-cost
+row, a sparse row updated by the same elimination, under Dantzig's rule
+until a run of degenerate pivots is detected, and then under Bland's rule
+permanently, which guarantees termination on every input; pricing ties go
+to the lowest column and ratio ties to the lowest basic column.  A free
+variable's minus column is minus its plus column in every row, so only the
+plus column is stored, and the minus column is formed as its negation where
+it enters.  After a feasible phase 1 every basic artificial sits at zero,
+and the drive-out pivots each onto the lowest real column of its row,
+degenerately.
 
-A cut loop's rounds append rows to the last round's program, and each
-round resumes the last round's phase-1 path instead of repeating it.  The
-loop holds that state itself: a ``Resume`` that it hands with every
-round's rows to ``feasible``, and that each round's program carries.  Only
-a program that carries a holder records its phase-1 path: its steps (the
-entering column, the winning ratio and its basic column, the pivot row)
-and checkpoints of its tableau, every step's near the end and sparser
-further back; a checkpoint is a shallow copy, since a stored row is never
-changed in place.  An appended row sits on its slack, which costs nothing,
-so each recorded step prices as it did; the next round replays the steps
-against its appended rows alone, up to the first step where one of them
-would win the ratio test, restores the last checkpoint at or before it
-with the appended rows added, and continues the same pivot loop.
-Artificial columns are numbered past every real column, so the appended
-slacks renumber no column and ties break as in a cold solve.  A cold
-solve is that loop with nothing to replay, and the outcome is the cold
-solve's, pivot count included.  A program whose first rows are not the
-holder's last rows, or whose bounds differ, solves cold; so does one
-whose appended row needs an artificial (it changes the phase-1 cost), and
-one with a bounded variable's box row (it comes after the constraints).
+A cut loop's rounds append rows to the last round's program, and each round
+resumes the last round's phase-1 path instead of repeating its ratio tests.
+The loop holds that state itself: a ``Resume`` that it hands with every
+round's rows to ``feasible``, and that each round's program carries.  Only a
+program that carries a holder records its phase-1 path: per pivot, the
+entering column, the winning ratio with its basic column and position, and
+the pivot row; no tableau.  An appended row sits on its slack, which costs
+nothing, so each recorded step prices as it did, and every other row of the
+tableau is as it was.  The next round lowers its appended rows alone, onto
+the last round's lowered rows, replays the recorded pivot rows onto its
+explicit rows and reduced costs, testing each step's winning ratio against
+its appended rows alone, up to the first step where one of them would win,
+and continues the same pivot loop from there.  Artificial columns are
+numbered past every real column, so the appended slacks renumber no column
+and ties break as in a cold solve.  A cold solve is that loop with nothing
+to replay, and the outcome is the cold solve's, pivot count included.  A
+program whose first rows are not the holder's last rows, or whose bounds
+differ, solves cold; so does one whose appended row needs an artificial (it
+changes the phase-1 cost), and one with a bounded variable's box row (it
+comes after the constraints).
 
-A ``Constraint`` stores its row (coefficients, then rhs) once, as
-integers over one positive denominator in lowest terms; ``make_program``
-scales a rational row to that form once, and every program that shares
-the row reads those integers.  The rows reach the phase-1 tableau in one
-walk, which lowers each row from its nonzero entries and adds its sign,
-rhs, slack and artificial; no lowering is kept between solves.  The cost
-is lowered from the objective's nonzero entries only.  Rationals
-(``Fraction``) appear only at the boundary: the program, and the primal,
-ray, dual and objective values read back from the final tableau, where a
-zero cost, bound offset or tableau entry adds no ``Fraction`` term (a
-zero value is still ``Fraction(0)``).  Every optimal outcome carries the
-pair (primal, dual) as an exact complementary-slackness certificate;
-infeasible outcomes carry a Farkas certificate.  Both are re-checked
-against the original program's rows before being returned.  The re-check
-scales each certificate vector to integers over its lcm once (an
-all-zero one, such as a feasibility program's objective and duals, is
-read over 1 unscaled) and decides every condition in integers, deriving
-the reduced costs ``c - A^T y`` itself; a ``Fraction`` is built only to
-word a violation.  The same integer pivot also gives exact rank and
-linear solves (``rank``, ``solve_linear``): one Gauss-Jordan elimination
-of ``[A | B]`` with the simplex's row operation, so the library has one
-exact elimination.
+A ``Constraint`` stores its row (coefficients, then rhs) once, as integers
+over one positive denominator in lowest terms; ``make_program`` scales a
+rational row to that form once, and every program that shares the row reads
+those integers.  The cost is lowered from the objective's nonzero entries
+only.  Rationals (``Fraction``) appear only at the boundary: the program,
+and the primal, ray, dual and objective values read back from the explicit
+rows and the reduced costs, where a zero cost, bound offset or entry adds no
+``Fraction`` term (a zero value is still ``Fraction(0)``).  Every optimal
+outcome carries the pair (primal, dual) as an exact complementary-slackness
+certificate; infeasible outcomes carry a Farkas certificate.  Both are
+re-checked against the original program's rows before being returned.  The
+re-check scales each certificate vector to integers over its lcm once (an
+all-zero one, such as a feasibility program's objective and duals, is read
+over 1 unscaled) and decides every condition in integers, deriving the
+reduced costs ``c - A^T y`` itself; a ``Fraction`` is built only to word a
+violation.  Exact rank and linear solves (``rank``, ``solve_linear``) are one
+Gauss-Jordan elimination of ``[A | B]`` with the simplex's row operation, so
+the library has one exact elimination.
 """
 
 from __future__ import annotations
@@ -94,13 +93,6 @@ _STALL_LIMIT = 40
 # fits in memory (a real column is a variable's or a row's), so appending
 # rows with slacks shifts no column number.
 _ART = 1 << 30
-
-# How densely a recorded phase-1 path keeps checkpoints: every step of the
-# last 2 * _KEPT, and about _KEPT per doubling of the distance further
-# back, since each keeps alive the rows its pivots replaced.  Criterion
-# 02's rounds leave the last round's path at most 5 steps before its end;
-# the k=3 pipeline's on the equilateral 8-point space, 15 to 32 steps.
-_KEPT = 4
 
 
 class LpFormatError(ValueError):
@@ -132,8 +124,8 @@ class Resume:
     """What a cut loop's next round resumes from, held by the loop across
     its rounds: ``last`` is None, or the rows and bounds of the last
     program solved with this holder, with that solve's recorded phase-1
-    path, its row signs, home columns, column count and first free slack.
-    A solve takes ``last`` (one reader) and leaves its own."""
+    path and its lowered rows (``_Lowering.build_kernel``).  A solve takes
+    ``last`` (one reader) and leaves its own."""
 
     __slots__ = ("last",)
 
@@ -206,8 +198,8 @@ class LpOutcome:
     infeasible: farkas holds multipliers per constraint certifying emptiness.
     unbounded:  primal is a feasible point, ray an improving direction.
 
-    ``pivots`` counts the pivots of the simplex path; for a zero objective
-    the phase-1 drive-out pivots are counted on the artificial rows alone.
+    ``pivots`` counts the pivots of the simplex path, the phase-1
+    drive-out's included.
     """
 
     status: str
@@ -225,8 +217,7 @@ def _eliminate(row, den, f, p, prow):
 
     Only the entries stored in ``prow`` are touched; ``den`` and ``p`` are
     positive.  The result is a new dict and ``row`` is left as it is, so a
-    stored row never changes and a checkpoint of the tableau need only copy
-    its lists.
+    lowered row, or a pivot row a recorded path holds, never changes.
     """
     g = gcd(p, f)
     pg, fg = p // g, f // g
@@ -247,222 +238,267 @@ def _eliminate(row, den, f, p, prow):
 
 
 class _Kernel:
-    """Standard-form simplex state: min cost.x, A x = b, x >= 0, b >= 0.
+    """Standard-form simplex state: min cost.x, A x = b, x >= 0, b >= 0,
+    with the basis factored as its structural block.
 
-    Row ``i`` of the tableau is ``rows[i] / den[i]``: a sparse row, a dict
-    ``{column: int}`` that never stores a zero, with the rhs under the key
-    -1, over one positive denominator, in lowest terms.  The basic column of
-    a row holds ``den[i]``.  A pivot and its eliminations touch only the
-    stored entries.  The reduced-cost row ``reduced / reduced_den`` is a
-    sparse row as well, updated by the same ``_eliminate``.  Every
-    comparison the pivot rule makes reads numerators over a positive
-    denominator, so the path is the one exact rational arithmetic takes.
-    Only columns below ``n_enter`` may enter the basis.
-
-    Two kinds of entries are derived, not stored:
-
-    - **Mirror columns.**  ``mirror[j] = m`` says column ``m`` is minus
-      column ``j`` (a free variable's pair), in every row and in the
-      reduced-cost row, so only ``j`` is stored, and ``m`` is read through
-      it.  ``m > j``, so the lowest nonzero column of a row is stored.
-    - **Implicit twin rows.**  ``twins[i] = (p, q)`` says row ``i + 1`` is
-      not stored (``rows[i + 1]`` is None): the rows started as negations
-      of each other off their slacks ``s``, ``s'``, both basic, so
-      ``R_{i+1} = e_s + e_s' + p/q - R_i``.  That holds while both slacks
-      stay basic: a basic slack has reduced cost 0 and never enters, and a
-      pivot in a third row adds the same multiple of the pivot row to
-      ``R_i`` and ``R_{i+1}``.  The ratio test reads row ``i + 1`` from
-      row ``i``, and a pivot on either row first stores it
-      (``_materialize``).
+    ``lowered[k] / lowered_den[k]`` is row ``k`` of ``[A | b]``, a sparse
+    row as ``_Lowering.build_kernel`` lowers it, never changed; ``terms[k]``
+    holds its structural entries as ``(column, entry)`` pairs, ``home[k]``
+    and ``sign[k]`` its initial basic column and the sign it was scaled by;
+    ``index[j]`` lists the rows nonzero on the structural column ``j``, and
+    ``unit_row`` maps each slack and artificial to its row.  ``basis[i]`` is
+    the basic column of position ``i`` (``home[i]`` at the start).  Where it
+    is structural, ``rows[i] / den[i]`` is the position's tableau row, an
+    explicit row: a sparse row that holds ``den[i]`` on its basic column,
+    over a positive denominator, reduced by their gcd after every update,
+    and ``where`` maps its stored column to ``(i, sign)``, where the basic
+    column is ``sign`` times the stored one.  Elsewhere ``rows[i]`` is None,
+    and the position's row is read from the lowered row of its slack's or
+    artificial's row (``row``); ``on[k]`` is the position of row ``k``'s
+    basic slack or artificial, -1 when neither is basic.  The reduced-cost
+    row ``reduced / reduced_den`` is a sparse row as well, updated by the
+    same ``_eliminate``.  Every comparison the pivot rule makes reads
+    numerators over a positive denominator, so the path is the one exact
+    rational arithmetic takes.  Only columns below ``n_enter`` may enter
+    the basis.  ``mirror`` maps a free variable's plus column to its minus
+    column, which no row stores.
 
     While ``path`` is a list, ``run`` records its pivot path there, one
-    step per pivot and a last step at the optimum: the checkpoint of the
-    state the step starts from, and the choice it makes there (the
-    entering column, the winning ratio ``num / quo``, the winner's basic
-    column, its row, and the pivot row it became over its denominator),
-    None at the optimum.  A checkpoint copies the lists of rows,
-    denominators and basic columns, and the twins, and keeps the
-    reduced-cost row and the pricing state (stall count, Bland flag); it
-    shares the row dicts, since no stored row is ever changed in place.
-    Steps far from the newest keep checkpoints more sparsely
-    (``_checkpoint``); the others hold None.
+    step per pivot: the entering column as ``(t, col, sign)``, the winning
+    ratio ``num / quo``, the winner's basic column and position, and the
+    pivot row over its denominator.
     """
 
-    def __init__(self, rows, den, basis, n_cols, mirror=None, twins=None):
-        self.rows = rows          # list of sparse rows, None for an implicit twin
-        self.den = den
-        self.basis = basis
-        self.n_cols = n_cols
-        self.n_enter = n_cols
-        self.n_real = n_cols  # one past the last real column, as build_kernel counts it
+    def __init__(self, lowering, n_struct, mirror):
+        self.lowering = lowering
+        (self.lowered, self.lowered_den, self.terms, self.home, self.sign, self.unit_row,
+         self.index, _, self.n_cols) = lowering
+        self.n_struct = n_struct
+        self.n_enter = self.n_cols
+        self.mirror = mirror
+        m = len(self.home)
+        self.basis = self.home[:]
+        self.rows: list[dict[int, int] | None] = [None] * m
+        self.den = [0] * m
+        self.where: dict[int, tuple[int, int]] = {}
+        self.on = list(range(m))
         self.pivots = 0
         self.reduced: dict[int, int] = {}
         self.reduced_den = 1
-        self.mirror: dict[int, int] = mirror or {}
-        self.plus_of = {m: j for j, m in self.mirror.items()}
-        self.twins: dict[int, tuple[int, int]] = twins or {}
         self.path: list | None = None
 
-    def stored(self, t):
-        """``(column, sign)``: column ``t`` is ``sign`` times the stored
-        column."""
-        j = self.plus_of.get(t)
-        return (t, 1) if j is None else (j, -1)
-
-    def _materialize(self, i):
-        """Store the implicit row ``i + 1``, ``e_s + e_s' + p/q - R_i``, in
-        lowest terms: over ``q * den[i]``, row ``i``'s slack ``s`` (holding
-        ``den[i]``) cancels and the slack ``s'`` gets ``q * den[i]``."""
-        p, q = self.twins.pop(i)
-        row, d = self.rows[i], self.den[i]
-        s = self.basis[i]
-        twin = {j: -q * a for j, a in row.items() if j != s and j != -1}
-        twin[self.basis[i + 1]] = q * d
-        rhs = p * d - q * row.get(-1, 0)
-        if rhs:
-            twin[-1] = rhs
-        d *= q
-        g = gcd(d, *twin.values())
-        if g > 1:
-            for j in twin:
-                twin[j] //= g
-            d //= g
-        self.rows[i + 1], self.den[i + 1] = twin, d
-
-    def _pivot(self, r, t):
-        """Pivot on row ``r``, column ``t``; returns the pivot row."""
-        twins = self.twins
-        if r in twins:
-            self._materialize(r)
-        elif r - 1 in twins:
-            self._materialize(r - 1)
-        col, sign = self.stored(t)
-        rows, den = self.rows, self.den
-        prow = rows[r]
-        p = sign * prow[col]
-        if p < 0:
-            rows[r] = prow = {j: -x for j, x in prow.items()}
-            p = -p
-        # the row keeps its numerators; the pivot entry becomes its denominator
-        den[r] = p
-        for i, row in enumerate(rows):
-            if row is not None and i != r:
-                f = row.get(col)
-                if f:
-                    rows[i], den[i] = _eliminate(row, den[i], sign * f, p, prow)
-        self.basis[r] = t
-        self.pivots += 1
-        return prow
+    def row(self, i):
+        """Position ``i``'s tableau row, as ``(row, den)``: its explicit row,
+        or the lowered row of its basic slack or artificial ``u`` minus the
+        explicit rows of the basic columns in its support, signed to hold
+        ``den`` on ``u``."""
+        row = self.rows[i]
+        if row is not None:
+            return row, self.den[i]
+        u = self.basis[i]
+        k = self.unit_row[u]
+        row, d = self.lowered[k], self.lowered_den[k]
+        if row[u] < 0:
+            row = {j: -a for j, a in row.items()}
+        where, rows, den = self.where, self.rows, self.den
+        for j, _ in self.terms[k]:
+            hit = where.get(j)
+            if hit:
+                p, s = hit
+                row, d = _eliminate(row, d, s * row[j], den[p], rows[p])
+        return row, d
 
     def _entering(self, red, bland):
         """The column that enters for the reduced-cost row ``red`` under
-        Dantzig's rule, or Bland's when ``bland``, -1 at an optimum.  A
-        column may enter where its reduced cost is negative: each negative
-        stored entry, and the mirror of each positive one."""
+        Dantzig's rule, or Bland's when ``bland``, as ``(t, col, sign)``:
+        column ``t`` is ``sign`` times the stored column ``col``; ``t`` is
+        -1 at an optimum.  A column may enter where its reduced cost is
+        negative: each negative stored entry, and the mirror of each
+        positive one."""
         mirror, n_enter = self.mirror, self.n_enter
-        best, t = 0, -1
+        best, t, col, sign = 0, -1, -1, 1
         for j, d in red.items():
             if d < 0:
                 if j < 0 or j >= n_enter:
                     continue
+                s, c = 1, j
             elif j in mirror:
-                d, j = -d, mirror[j]
+                d, s, c = -d, -1, mirror[j]
             else:
                 continue
-            if t < 0 or (j < t if bland or d == best else d < best):
-                best, t = d, j
-        return t
+            if t < 0 or (c < t if bland or d == best else d < best):
+                best, t, col, sign = d, c, j, s
+        return t, col, sign
 
-    def optimize(self, cost, cost_den):
-        """Run simplex for ``cost / cost_den`` from the current basis; ``cost``
-        is a sparse row with no rhs, on structural or artificial columns,
-        mirror columns included.
+    def _column(self, col, sign):
+        """The entering column, ``sign`` times the stored column ``col``, and
+        the rhs on the explicit rows, over one denominator ``D``: ``(at,
+        rhs, D)``, where ``at[j]`` and ``rhs[j]`` are ``s * D`` times the
+        entry and the rhs of the explicit row whose basic column is ``s``
+        times the stored column ``j``, for the nonzero ones.  ``D`` is the
+        lcm of the explicit rows' denominators, which all divide one
+        determinant: the structural block's, its rows scaled to integers."""
+        rows, den = self.rows, self.den
+        d = lcm(*(den[i] for i, _ in self.where.values()))
+        at, rhs = {}, {}
+        for j, (i, s) in self.where.items():
+            row = rows[i]
+            m = s * (d // den[i])
+            a = row.get(col)
+            if a:
+                at[j] = sign * a * m
+            b = row.get(-1)
+            if b:
+                rhs[j] = b * m
+        return at, rhs, d
 
-        Returns -1 at an optimum, else the entering column of an improving
-        ray.  Either way ``reduced / reduced_den`` is left as the
+    def _ratio(self, col, sign):
+        """The ratio test on the entering column, ``sign`` times the stored
+        column ``col``: ``(position, num, quo)`` of the winning ratio
+        ``rhs_i / a_i = num / quo`` over the positive entries, ties to the
+        lowest basic column, so the row order does not matter; position -1
+        when no entry is positive.  The explicit rows are read from the
+        column; of the others, only those whose lowered row is nonzero on
+        ``col`` or on a basic column whose explicit row is."""
+        basis, where, index = self.basis, self.where, self.index
+        at, rhs, d = self._column(col, sign)
+        leave = low = -1
+        num = quo = 0
+        rows_hit = set(index[col]) if col < self.n_struct else {self.unit_row[col]}
+        for j, a in at.items():
+            rows_hit.update(index[j])
+            i, s = where[j]
+            a *= s
+            if a > 0:
+                b = s * rhs.get(j, 0)
+                if leave < 0 or b * quo < num * a or (b * quo == num * a and basis[i] < low):
+                    num, quo, leave, low = b, a, i, basis[i]
+        return self._derived_ratio(rows_hit, col, sign, (at, rhs, d), (leave, num, quo, low))
+
+    def _derived_ratio(self, rows_hit, col, sign, column, best):
+        """The ratio test of ``_ratio`` continued over those of the rows
+        ``rows_hit`` whose slack or artificial is basic, from the winner
+        ``best``: ``(position, num, quo, basic column)``.  Such a row of the
+        tableau is ``(L - sum_j s_j L_j E_j) / L_u`` for its lowered row
+        ``L``, its basic column ``u`` and the explicit rows ``E_j`` of the
+        basic columns ``s_j`` times ``j``, so its entry and rhs, times ``L_u
+        D``, are read from ``column``, the ``(at, rhs, D)`` of ``_column``.
+        ``L_u D`` cancels in the ratio but for its sign."""
+        at, rhs, d = column
+        leave, num, quo, low = best
+        on, basis, lowered, terms = self.on, self.basis, self.lowered, self.terms
+        for k in rows_hit:
+            i = on[k]
+            if i < 0:
+                continue
+            row = lowered[k]
+            a = sign * row.get(col, 0) * d
+            for j, x in terms[k]:
+                e = at.get(j)
+                if e:
+                    a -= x * e
+            if not a or (a < 0) == (row[basis[i]] > 0):
+                continue
+            b = row.get(-1, 0) * d
+            for j, x in terms[k]:
+                e = rhs.get(j)
+                if e:
+                    b -= x * e
+            if a < 0:
+                a, b = -a, -b
+            if leave < 0 or b * quo < num * a or (b * quo == num * a and basis[i] < low):
+                num, quo, leave, low = b, a, i, basis[i]
+        return leave, num, quo
+
+    def _pivot(self, r, t, col, sign, prow=None):
+        """Pivot on position ``r``, column ``t``, ``sign`` times the stored
+        column ``col``; returns the pivot row and its denominator.  ``prow``
+        is position ``r``'s row when the caller has read it."""
+        if prow is None:
+            prow, _ = self.row(r)
+        p = sign * prow[col]
+        if p < 0:
+            prow = {j: -x for j, x in prow.items()}
+            p = -p
+        # the row keeps its numerators; the pivot entry becomes its denominator
+        self._apply(r, t, col, sign, prow, p)
+        return prow, p
+
+    def _apply(self, r, t, col, sign, prow, p):
+        """Make ``t`` the basic column of position ``r``, whose tableau row
+        is ``prow / p``: eliminate it from the other explicit rows, and keep
+        it as an explicit row iff ``t`` is structural."""
+        rows, den, basis, where, on = self.rows, self.den, self.basis, self.where, self.on
+        for i, _ in where.values():
+            f = rows[i].get(col)
+            if f and i != r:
+                rows[i], den[i] = _eliminate(rows[i], den[i], sign * f, p, prow)
+        if rows[r] is None:
+            on[self.unit_row[basis[r]]] = -1
+        else:
+            del where[next(j for j, (i, _) in where.items() if i == r)]
+        if t < self.n_struct:
+            rows[r], den[r] = prow, p
+            where[col] = r, sign
+        else:
+            rows[r] = None
+            on[self.unit_row[t]] = r
+        basis[r] = t
+        self.pivots += 1
+
+    def price(self, cost, cost_den):
+        """The reduced-cost row of ``cost / cost_den`` at the current basis,
+        as ``(red, rd)``; ``cost`` is a sparse row with no rhs, on stored
+        structural columns and on artificials."""
+        red, rd = cost, cost_den
+        rows, den, basis, on = self.rows, self.den, self.basis, self.on
+        for j, (i, s) in self.where.items():
+            cb = cost.get(j)
+            if cb:
+                # red/rd - (s * cb/cost_den) * row/den[i]
+                red, rd = _eliminate(red, rd, s * cb * rd, cost_den * den[i], rows[i])
+        for u, cb in cost.items():
+            if u >= self.n_struct:
+                i = on[self.unit_row[u]]
+                if i >= 0 and basis[i] == u:
+                    row, d = self.row(i)
+                    red, rd = _eliminate(red, rd, cb * rd, cost_den * d, row)
+        return red, rd
+
+    def run(self, red, rd, stall, bland):
+        """Run simplex from the current basis and its reduced-cost row
+        ``red / rd`` (``price``), ``stall`` degenerate pivots into a run,
+        under Bland's rule if ``bland``: a fresh start, or where a replayed
+        path stopped.  Records each step while ``path`` is a list.
+
+        Returns ``(-1, 1)`` at an optimum, else the entering column of an
+        improving ray as ``(col, sign)``: ``sign`` times the stored column
+        ``col``.  Either way ``reduced / reduced_den`` is left as the
         reduced-cost row against the original columns.  Dantzig's rule
         enters the most negative reduced cost, Bland's the lowest column
         with a negative one; ties go to the lowest column.
         """
-        plus_of, den, basis = self.plus_of, self.den, self.basis
-        red, rd = {j: c for j, c in cost.items() if j not in plus_of}, cost_den
-        for i, row in enumerate(self.rows):
-            # an implicit row's basic slack costs nothing
-            cb = cost.get(basis[i])
-            if cb:
-                # red/rd - (cb/cost_den) * row/den[i]
-                red, rd = _eliminate(red, rd, cb * rd, cost_den * den[i], row)
-        return self.run(red, rd, 0, False)
-
-    def run(self, red, rd, stall, bland):
-        """The pivot loop of ``optimize`` from the reduced-cost row
-        ``red / rd`` of the current basis, ``stall`` degenerate pivots into
-        a run, under Bland's rule if ``bland``: a fresh start, or a restored
-        checkpoint.  Records each step while ``path`` is a list."""
-        rows, den, basis, twins, path = self.rows, self.den, self.basis, self.twins, self.path
+        basis, path = self.basis, self.path
         while True:
-            t = self._entering(red, bland)
+            t, col, sign = self._entering(red, bland)
             if t < 0:
                 self.reduced, self.reduced_den = red, rd
-                if path is not None:
-                    path.append((self._checkpoint(red, rd, stall, bland), None))
-                return -1
-            col, sign = self.stored(t)
-            # ratio rhs_i / a_it: the row denominator cancels; ties go to the
-            # lowest basic column, so the row order does not matter
-            leave = -1
-            num = quo = 0
-            for i, row in enumerate(rows):
-                if row is None:
-                    continue
-                a = row.get(col)
-                if not a:
-                    continue
-                a *= sign
-                if a > 0:
-                    b, k = row.get(-1, 0), i
-                elif i in twins:
-                    # the implicit row i + 1 holds -a, and rhs p/q - rhs_i,
-                    # both over q * den[i]
-                    p, q = twins[i]
-                    b, a, k = p * den[i] - q * row.get(-1, 0), -q * a, i + 1
-                else:
-                    continue
-                if leave < 0 or b * quo < num * a or (
-                    b * quo == num * a and basis[k] < basis[leave]
-                ):
-                    num, quo = b, a
-                    leave = k
+                return -1, 1
+            leave, num, quo = self._ratio(col, sign)
             if leave < 0:
                 self.reduced, self.reduced_den = red, rd
-                return t
+                return col, sign
+            leaving = basis[leave]
+            prow, p = self._pivot(leave, t, col, sign)
             if path is not None:
-                state, leaving = self._checkpoint(red, rd, stall, bland), basis[leave]
-            prow = self._pivot(leave, t)
-            if path is not None:
-                path.append((state, (t, num, quo, leaving, leave, prow, den[leave])))
-            red, rd = _eliminate(red, rd, sign * red[col], den[leave], prow)
+                path.append((t, col, sign, num, quo, leaving, leave, prow, p))
+            red, rd = _eliminate(red, rd, sign * red[col], p, prow)
             if num == 0:  # degenerate pivot
                 stall += 1
                 if stall > _STALL_LIMIT:
                     bland = True
             else:
                 stall = 0
-
-    def _checkpoint(self, red, rd, stall, bland):
-        """The state the next step starts from, after thinning the path: a
-        step ``d >= 2 * _KEPT`` steps back keeps its checkpoint only if its
-        index is a multiple of ``2^j``, ``_KEPT * 2^j <= d``, so about
-        ``_KEPT`` steps keep one per doubling of the distance."""
-        path = self.path
-        i, j = len(path) - 2 * _KEPT, 2
-        while i >= 0:
-            if i % j and path[i][0] is not None:
-                path[i] = None, path[i][1]
-            i -= _KEPT * j
-            j *= 2
-        return (self.rows[:], self.den[:], self.basis[:], self.twins.copy(),
-                red, rd, stall, bland)
 
 
 class _BoundConflict(Exception):
@@ -471,24 +507,18 @@ class _BoundConflict(Exception):
         super().__init__(f"variable {var} has lower bound {lo} > upper bound {hi}")
 
 
-def _negates(con, prev):
-    """Is the coefficient row of ``con`` minus that of ``prev``, as
-    rationals?"""
-    a, da, b, db = con.nums, con.den, prev.nums, prev.den
-    return all(a[k] * db == -b[k] * da for k in range(len(a) - 1))
-
-
 class _Lowering:
     """Original program -> standard form, with maps for pulling answers back.
 
     A free variable becomes the column pair ``(a, -a)``, of which only
-    ``a`` is stored (the kernel's mirror columns), a lower-bounded one the
-    column ``a`` shifted by its bound, an upper-bounded one the column
-    ``-a`` reflected at it.  A boxed variable is shifted and adds a row
-    ``x <= hi - lo`` after the original rows.  The cost is kept as a sparse
-    integer row over one denominator (``cost``, ``cost_den``), built from
-    the nonzero entries of the objective only.  ``build_kernel`` walks the
-    rows once, straight into the phase-1 tableau.
+    ``a`` is stored (``mirror`` maps it to its minus column), a
+    lower-bounded one the column ``a`` shifted by its bound, an
+    upper-bounded one the column ``-a`` reflected at it.  A boxed variable
+    is shifted and adds a row ``x <= hi - lo`` after the original rows.
+    The cost is kept as a sparse integer row over one denominator
+    (``cost``, ``cost_den``) on the stored columns, built from the nonzero
+    entries of the objective only.  ``build_kernel`` walks the rows once,
+    straight into the phase-1 kernel.
     """
 
     def __init__(self, lp: LinearProgram, flip: bool):
@@ -511,8 +541,8 @@ class _Lowering:
                 self.var_map.append((col, col + 1, None))
                 self.mirror[col] = col + 1
                 if cj:
-                    cost_cols += (col, col + 1)
-                    cost_vals += (cj, -cj)
+                    cost_cols.append(col)
+                    cost_vals.append(cj)
                 col += 2
                 continue
             if lo is None:
@@ -550,36 +580,33 @@ class _Lowering:
                 row[c] = -row[c]
         return row
 
-    def build_kernel(self, first=0, slack=None):
-        """The phase-1 tableau in one walk over the rows: (kernel, row
-        signs, first artificial column).
+    def build_kernel(self, kept=None):
+        """The phase-1 kernel in one walk over the rows.
 
         Each row is kept as integers over one denominator ``d``, its lcm
         scale, the bound shifts subtracted from its rhs over their lcm.  A
         row with a negative rhs is negated, so its sign is -1; it keeps a
-        slack (entry ``±d``) as its initial basic column only if that
-        slack's entry is then ``+d``, else it gets an artificial (entry
+        slack (entry ``±d``) as its initial basic column, its home, only if
+        that slack's entry is then ``+d``, else it gets an artificial (entry
         ``d``).  Slacks are numbered from the last structural column on,
         artificials from ``_ART`` on, both in row order: every column below
         ``_ART`` is real, and rows appended to a program shift none of its
-        column numbers as long as they need no artificial.  ``first`` and
-        ``slack`` start the walk at that row, with that slack: the rows a
-        cut loop's round appends to the last round's.
+        column numbers as long as they need no artificial.  Each row is
+        lowered from its nonzero entries (``_lower``), times its sign.
 
-        Each row is lowered from its nonzero entries (``_lower``), times
-        its sign.  A row whose coefficients are minus those of the stored
-        row before it, when both start with a basic slack (the ``+-`` rows
-        of the 1-Lipschitz ball), is neither lowered nor stored: it is that
-        row's implicit twin, and the two signed rhs add up to the twins'
-        ``p/q``.
+        The lowering is the tuple ``(rows, den, terms, home, sign, unit_row,
+        index, slack, art)``: the lowered rows, their denominators, their
+        structural entries as ``(column, entry)`` pairs, their home columns
+        and signs, the row of each slack and artificial, the rows of each
+        structural column, and the next free slack and artificial.
+        ``kept`` is the lowering of a program whose rows are this program's
+        first rows: only the rows after them are lowered, onto its lists.
         """
         shifts, shift_den = self.shifts, self.shift_den
-        if slack is None:
-            slack = self.n_struct
-        art = _ART
-        rows, den, basis, sign, twins = [], [], [], [], {}
-        prev = None  # the constraint before, if its row is stored with a basic slack
-        for c in self.constraints[first:]:
+        if kept is None:
+            kept = [], [], [], [], [], {}, [[] for _ in range(self.n_struct)], self.n_struct, _ART
+        rows, den, terms, home, sign, unit_row, index, slack, art = kept
+        for c in self.constraints[len(rows):]:
             nums, d, rel = c.nums, c.den, c.rel
             b = nums[-1]
             if shifts:
@@ -587,48 +614,43 @@ class _Lowering:
                 b = b * shift_den - sum(nums[j] * o for j, o in shifts)
                 d *= shift_den
             s = -1 if b < 0 else 1
-            sign.append(s)
-            # the slack starts basic iff it is positive once the row is
-            # signed to a nonnegative rhs
-            basic = rel == (LE if s > 0 else GE)
-            if basic and prev is not None and prev.rel == rel and _negates(c, prev):
-                i = len(rows) - 1
-                p, q = rows[i].get(-1, 0) * d + s * b * den[i], den[i] * d
-                g = gcd(p, q)
-                twins[i] = p // g, q // g
-                rows.append(None)
-                den.append(d)
-                basis.append(slack)
-                slack += 1
-                prev = None
-                continue
-            prev = c if basic else None
+            k = len(rows)
             row = self._lower(nums, s * shift_den)
+            terms.append(tuple(row.items()))
+            for j in row:
+                index[j].append(k)
             if b:
                 row[-1] = s * b
             if rel != EQ:
                 row[slack] = s * d if rel == LE else -s * d
+                unit_row[slack] = k
                 slack += 1
-            if basic:
-                basis.append(slack - 1)
+            # the slack starts basic iff it is positive once the row is
+            # signed to a nonnegative rhs
+            if rel == (LE if s > 0 else GE):
+                home.append(slack - 1)
             else:
                 row[art] = d
-                basis.append(art)
+                unit_row[art] = k
+                home.append(art)
                 art += 1
+            sign.append(s)
             rows.append(row)
             den.append(d)
         for col, width in self.box_rows:
             # x <= hi - lo: a nonnegative rhs, so its slack starts basic
             wn, wd = width.as_integer_ratio()
             row = {col: wd, -1: wn, slack: wd} if wn else {col: wd, slack: wd}
-            sign.append(1)
-            basis.append(slack)
+            terms.append(((col, wd),))
+            index[col].append(len(rows))
+            unit_row[slack] = len(rows)
+            home.append(slack)
             slack += 1
+            sign.append(1)
             rows.append(row)
             den.append(wd)
-        kern = _Kernel(rows, den, basis, art, self.mirror, twins)
-        kern.n_real = slack
-        return kern, sign, _ART
+        lowering = rows, den, terms, home, sign, unit_row, index, slack, art
+        return _Kernel(lowering, self.n_struct, self.mirror)
 
 
 def solve(lp: LinearProgram, sense: str = "min") -> LpOutcome:
@@ -650,54 +672,39 @@ def _solve(lp, sense):
     except _BoundConflict:
         return LpOutcome(status="infeasible")
 
-    kern, sign, home, state = _start(lp, low)
+    kern, path, first = _start(lp, low)
+    sign, home = kern.sign, kern.home
     n_total = kern.n_cols
     phase2_cost, cost_den = low.cost, low.cost_den
 
     # Phase 1: minimize the artificial sum.
     if _ART < n_total:
         phase1_cost = dict.fromkeys(range(_ART, n_total), 1)
-        t = kern.optimize(phase1_cost, 1) if state is None else kern.run(*state)
-        if t >= 0:
+        state = *kern.price(phase1_cost, 1), 0, False
+        if path is not None:
+            state = _replay(path, kern, first, state)
+        col, _ = kern.run(*state)
+        if col >= 0:
             raise AssertionError("phase 1 cannot be unbounded")
         if kern.path is not None:
             # what the cut loop's next round resumes from
-            lp.resume.last = (lp.constraints, lp.bounds, kern.path, sign, home,
-                              n_total, kern.n_real)
+            lp.resume.last = (lp.constraints, lp.bounds, kern.path, kern.lowering)
             kern.path = None
         # the reduced-cost row's rhs is minus the artificial sum phase 1 reached
         if kern.reduced.get(-1, 0):
             y = _recover_duals(kern, phase1_cost, 1, sign, home)
             farkas = y[: len(lp.constraints)]
             return LpOutcome(status="infeasible", farkas=farkas, pivots=kern.pivots)
-        if phase2_cost:
-            _drive_out_artificials(kern, _ART)
-            kern.n_enter = _ART
-        else:
-            # a zero objective: every drive-out pivot is degenerate and reads
-            # artificial rows only, and phase 2 makes none, so the pivots are
-            # counted on a kernel of the artificial rows alone; it takes the
-            # rows themselves, since nothing reads them afterwards (a zero
-            # cost's phase 2 reads no row, the primal only rows with a
-            # structural basic column), and the tableau keeps the primal
-            # phase 1 found
-            arts = [i for i, b in enumerate(kern.basis) if b >= _ART]
-            art_kern = _Kernel(
-                [kern.rows[i] for i in arts],
-                [kern.den[i] for i in arts],
-                [kern.basis[i] for i in arts],
-                n_total,
-            )
-            _drive_out_artificials(art_kern, _ART)
-            kern.pivots += art_kern.pivots
+        _drive_out_artificials(kern, _ART)
+        kern.n_enter = _ART
 
-    t = kern.optimize(phase2_cost, cost_den)
+    col, ray_sign = kern.run(*kern.price(phase2_cost, cost_den), 0, False)
 
-    if t >= 0:
+    if col >= 0:
         return LpOutcome(
             status="unbounded",
             primal=_extract_primal(low, kern),
-            ray=_extract_ray(low, kern, t),
+            ray=_extract_ray(low, kern, col, ray_sign),
             pivots=kern.pivots,
         )
 
@@ -712,115 +719,66 @@ def _solve(lp, sense):
 
 
 def _start(lp, low):
-    """Where phase 1 starts: ``(kernel, row signs, home columns, state)``,
-    where a row's home column is its initial basic column, its
-    dual-recovery column, and ``state`` is the ``run`` state a resumed
-    kernel continues from, None for a cold one.
+    """The phase-1 kernel of ``lp``, and the recorded path it resumes:
+    ``(kernel, path, first)``, where ``first`` is its first appended row;
+    ``path`` is None for a cold start.
 
-    A program that carries a ``Resume`` holder resumes the path recorded
-    there when it can (``_resume``); else the tableau is built cold.  Only
-    a program that carries a holder records its phase-1 path, and not one
-    with box rows, whose slacks appended rows would renumber.
-    """
-    resumed = _resume(lp, low)
-    if resumed is not None:
-        return resumed
-    kern, sign, _ = low.build_kernel()
-    if lp.resume is not None and kern.n_cols > _ART and not low.box_rows:
-        kern.path = []
-    return kern, sign, kern.basis[:], None
-
-
-def _resume(lp, low):
-    """The phase-1 kernel of ``lp`` restored where the path recorded in
-    its ``Resume`` holder first changes, or None.
-
-    The rows ``lp`` appends to the holder's last rows are lowered alone,
-    each stored, and the recorded path is replayed against them
-    (``_replay``).  At the first step an appended row would win, or at the
-    phase-1 optimum, or at the last step before it that kept its
-    checkpoint, the kernel is the checkpoint there plus the appended rows
-    as that step found them; it has made that many pivots and continues
-    the same ``run`` from the checkpoint's pricing state.  Its path starts
-    with the recorded steps before that one, each checkpoint joined with
-    the appended rows.  A recorded path serves one solve: it is taken off
-    the holder.  None when there is none, when the last rows are not
-    ``lp``'s first rows or its bounds differ, or when an appended row needs
-    an artificial: that changes the phase-1 cost, and so the path from its
-    first step.
+    A program that carries a ``Resume`` holder records its phase-1 path,
+    unless it has box rows, whose slacks appended rows would renumber.  If
+    the holder keeps the last round's path, and ``lp`` appends rows to that
+    round's rows under the same bounds, only the appended rows are lowered,
+    onto that round's lowering, which is what a cold lowering gives.  The
+    path is replayed (``_replay``) unless an appended row needs an
+    artificial: that changes the phase-1 cost, and so the path from its
+    first step.  A recorded path serves one solve: it is taken off the
+    holder.
     """
     holder = lp.resume
     kept = None if holder is None else holder.last
-    if kept is None:
-        return None
-    holder.last = None
-    shared, bounds, path, sign, home, n_cols, n_real = kept
-    if bounds != lp.bounds or lp.constraints[: len(shared)] != shared:
-        return None
-    added, signs, _ = low.build_kernel(len(shared), n_real)
-    if added.n_cols > _ART:
-        return None
-    for i in list(added.twins):
-        added._materialize(i)
-    slacks = added.basis
-    k, seen = _replay(path, added.rows, added.den, slacks, low.mirror)
-    # the loop repeats the steps from the last kept checkpoint to k; step 0
-    # always keeps its checkpoint
-    while path[k][0] is None:
-        k -= 1
-    prefix = [
-        (None if state is None else
-         (state[0] + at_rows, state[1] + at_den, state[2] + slacks, *state[3:]), step)
-        for (state, step), (at_rows, at_den) in zip(path[:k], seen)
-    ]
-    # no other solve reads the recorded path, so the kernel takes the
-    # checkpoint's lists and twins as they are
-    rows, den, basis, twins, *state = path[k][0]
-    at_rows, at_den = seen[k]
-    rows += at_rows
-    den += at_den
-    basis += slacks
-    kern = _Kernel(rows, den, basis, n_cols, low.mirror, twins)
-    kern.n_real = added.n_real
-    kern.pivots = k
-    kern.path = prefix
-    return kern, sign + signs, home + slacks, state
+    if kept is not None:
+        holder.last = None
+        shared, bounds, path, lowering = kept
+        if bounds == lp.bounds and lp.constraints[: len(shared)] == shared:
+            n_cols = lowering[-1]  # the last round's next free artificial
+            kern = low.build_kernel(lowering)
+            kern.path = []
+            return kern, path if kern.n_cols == n_cols else None, len(shared)
+    kern = low.build_kernel()
+    if holder is not None and not low.box_rows:
+        kern.path = []
+    return kern, None, 0
 
 
-def _replay(path, rows, den, slacks, mirror):
-    """Replay a recorded phase-1 path against appended rows alone: (k,
-    the appended rows and denominators at each step up to ``k``).
+def _replay(path, kern, first, state):
+    """Replay a recorded phase-1 path on ``kern``, whose rows from ``first``
+    on are appended: the ``run`` state where it stops.
 
     An appended row sits on its slack, which costs nothing, so every step
     prices as it did, and the extended program takes the step's pivot
     unless an appended row wins its ratio test: a smaller ratio, or the
-    same one and a lower basic column.  ``k`` is the first step where one
-    does, or the last step, the phase-1 optimum, which every recorded path
-    ends with.  Before each further step the appended rows are eliminated
-    by the step's pivot row.
+    same one and a lower basic column.  Until then each step's recorded
+    pivot row is the tableau row it was, so it is applied as it stands
+    (``_Kernel._apply``) to the explicit rows and the reduced costs, and
+    recorded again.  The replay stops at the first step where an appended
+    row wins, or after the last, the phase-1 optimum.
     """
-    plus_of = {m: j for j, m in mirror.items()}
-    seen = []
-    for k, (_, step) in enumerate(path):
-        seen.append((rows, den))
-        if step is None:
-            return k, seen
-        t, num, quo, leaving, _, prow, p = step
-        col, sign = (t, 1) if t not in plus_of else (plus_of[t], -1)
-        for row, s in zip(rows, slacks):
-            a = sign * row.get(col, 0)
-            if a > 0:
-                b = row.get(-1, 0) * quo
-                if b < num * a or (b == num * a and s < leaving):
-                    return k, seen
-        pivoted, pivoted_den = [], []
-        for row, d in zip(rows, den):
-            f = row.get(col)
-            if f:
-                row, d = _eliminate(row, d, sign * f, p, prow)
-            pivoted.append(row)
-            pivoted_den.append(d)
-        rows, den = pivoted, pivoted_den
+    red, rd, stall, bland = state
+    appended = range(first, len(kern.lowered))
+    for step in path:
+        t, col, sign, num, quo, leaving, leave, prow, p = step
+        column = kern._column(col, sign)
+        if kern._derived_ratio(appended, col, sign, column, (leave, num, quo, leaving))[0] != leave:
+            break
+        kern._apply(leave, t, col, sign, prow, p)
+        kern.path.append(step)
+        red, rd = _eliminate(red, rd, sign * red[col], p, prow)
+        if num == 0:
+            stall += 1
+            if stall > _STALL_LIMIT:
+                bland = True
+        else:
+            stall = 0
+    return red, rd, stall, bland
 
 
 def feasible(constraints, n_vars, bounds=None, resume=None) -> LpOutcome:
@@ -832,33 +790,43 @@ def feasible(constraints, n_vars, bounds=None, resume=None) -> LpOutcome:
 
 
 def _gauss_jordan(matrix, rhs):
-    """Gauss-Jordan elimination of ``[A | B]`` on the simplex's integer pivot.
+    """Gauss-Jordan elimination of ``[A | B]`` on the simplex's integer
+    pivot: ``(rows, den, basis)``.
 
     Each row is scaled to integers over its lcm and stored sparse, the
-    columns of ``B`` after those of ``A`` (no key -1: no simplex runs here),
-    and each column of ``A`` is pivoted on the first not-yet-pivoted row
-    that is nonzero there.  The kernel's ``basis`` then maps each pivot row
-    to its column (-1 for the other rows, which are zero on every column of
-    ``A``), and ``pivots`` is the rank.  Which columns get pivots does not
-    depend on the row order.
+    columns of ``B`` after those of ``A``, and each column of ``A`` is
+    pivoted on the first not-yet-pivoted row that is nonzero there.
+    ``basis`` maps each pivot row to its column (-1 for the other rows,
+    which are zero on every column of ``A``).  Which columns get pivots
+    does not depend on the row order.
     """
     rows, den = [], []
     for a, b in zip(matrix, rhs, strict=True):
         nums, d = lcm_scale([*a, *b])
         rows.append({j: v for j, v in enumerate(nums) if v})
         den.append(d)
-    n = len(matrix[0]) if matrix else 0
-    kern = _Kernel(rows, den, [-1] * len(rows), n)
-    for c in range(n):
-        r = next((i for i, row in enumerate(rows) if c in row and kern.basis[i] < 0), -1)
-        if r >= 0:
-            kern._pivot(r, c)
-    return kern
+    basis = [-1] * len(rows)
+    for c in range(len(matrix[0]) if matrix else 0):
+        r = next((i for i, row in enumerate(rows) if c in row and basis[i] < 0), -1)
+        if r < 0:
+            continue
+        prow = rows[r]
+        p = prow[c]
+        if p < 0:
+            rows[r] = prow = {j: -x for j, x in prow.items()}
+            p = -p
+        den[r] = p
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f and i != r:
+                rows[i], den[i] = _eliminate(row, den[i], f, p, prow)
+        basis[r] = c
+    return rows, den, basis
 
 
 def rank(matrix) -> int:
     """Exact rank of a matrix of rationals or ints: the number of pivots."""
-    return _gauss_jordan(matrix, [()] * len(matrix)).pivots
+    return sum(c >= 0 for c in _gauss_jordan(matrix, [()] * len(matrix))[2])
 
 
 def solve_linear(matrix, rhs):
@@ -868,11 +836,10 @@ def solve_linear(matrix, rhs):
     ``rhs`` holds the rows of ``B``; every column is solved by the same
     elimination, with the free variables set to zero.
     """
-    kern = _gauss_jordan(matrix, rhs)
-    n = kern.n_cols
+    n = len(matrix[0]) if matrix else 0
     width = range(n, n + (len(rhs[0]) if rhs else 0))
     x = [[_ZERO] * len(width) for _ in range(n)]
-    for row, d, c in zip(kern.rows, kern.den, kern.basis):
+    for row, d, c in zip(*_gauss_jordan(matrix, rhs)):
         if c >= 0:
             x[c] = [Fraction(row[j], d) if j in row else _ZERO for j in width]
         elif row:
@@ -881,20 +848,21 @@ def solve_linear(matrix, rhs):
 
 
 def _drive_out_artificials(kern, n_real):
-    """Pivot zero-valued basic artificials onto real columns (below ``n_real``).
+    """Pivot zero-valued basic artificials onto real columns (below
+    ``n_real``), in position order, each onto the lowest real column of its
+    row.
 
     Rows whose tableau row is zero on every real column are redundant; their
     artificial stays basic at zero and is barred from re-entering, which keeps
-    it harmless (no real entering column can change it).  Each choice reads
-    only rows whose basic column is artificial, so a kernel that holds just
-    those rows, in their order, makes the same pivots: for a zero objective
-    ``solve`` counts them there.
+    it harmless (no real entering column can change it).
     """
     for i, b in enumerate(kern.basis):
         if b >= n_real:
-            real = [j for j in kern.rows[i] if 0 <= j < n_real]
+            row, _ = kern.row(i)
+            real = [j for j in row if 0 <= j < n_real]
             if real:
-                kern._pivot(i, min(real))
+                j = min(real)
+                kern._pivot(i, j, j, 1, row)
 
 
 def _recover_duals(kern, cost, cost_den, sign, home):
@@ -935,25 +903,24 @@ def _pull_back(low, v_std, offsets):
 
 
 def _extract_primal(low, kern):
-    # only structural basic columns with a nonzero rhs are pulled back; an
-    # implicit row's basic column is a slack
-    n = low.n_struct
+    # the structural basic columns, each on an explicit row, with a nonzero rhs
     x_std = {
-        b: Fraction(row[-1], d)
-        for row, d, b in zip(kern.rows, kern.den, kern.basis)
-        if b < n and -1 in row
+        kern.basis[i]: Fraction(kern.rows[i][-1], kern.den[i])
+        for i, _ in kern.where.values()
+        if -1 in kern.rows[i]
     }
     return _pull_back(low, x_std, offsets=True)
 
 
-def _extract_ray(low, kern, t):
-    # an implicit row's basic column is a slack, which pulls back to nothing
-    col, sign = kern.stored(t)
-    d_std = {t: _ONE}
-    for row, d, b in zip(kern.rows, kern.den, kern.basis):
-        a = row.get(col) if row is not None else None
+def _extract_ray(low, kern, col, sign):
+    # the entering column is sign times the stored column col, so it adds
+    # sign to col; a slack or artificial pulls back to nothing, so only the
+    # explicit rows are read
+    d_std = {col: _ONE if sign > 0 else -_ONE}
+    for i, _ in kern.where.values():
+        a = kern.rows[i].get(col)
         if a:
-            d_std[b] = Fraction(-sign * a, d)
+            d_std[kern.basis[i]] = Fraction(-sign * a, kern.den[i])
     return _pull_back(low, d_std, offsets=False)
 
 

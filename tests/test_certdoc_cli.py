@@ -255,9 +255,12 @@ def tamper_targets(pipeline_k2_doc, complementation_doc):
         ("complementation", "checks.operator_norm.value", float("nan"),
          "operator norm value does not reproduce"),
         ("pipeline", "verdict", 1.0, "verdict does not reproduce"),
+        ("complementation", "checks.operator_norm.witness_molecule.0", True,
+         "operator norm witness molecule does not reproduce"),
     ],
     ids=["vertices-false", "vertices-deleted", "ball-one", "pieces-empty", "witness-kind",
-         "nested-kind", "rank-float", "combo-value-deleted", "norm-nan", "verdict-float"],
+         "nested-kind", "rank-float", "combo-value-deleted", "norm-nan", "verdict-float",
+         "witness-molecule-bool"],
 )
 def test_verify_names_tampered_field(tamper_targets, target, path, value, name):
     doc = json.loads(certdoc.dumps(tamper_targets[target]))

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -734,21 +735,24 @@ def test_cut_loop_outcomes_pinned_beyond_m2():
 
 
 def test_only_cut_loop_rounds_record_a_phase1_path():
-    # A phase-1 path is recorded, with its checkpoints, only for a program
+    # A phase-1 path is recorded, one step per pivot, only for a program
     # that carries a cut loop's ``lp.Resume`` holder, since nothing else
-    # resumes one.  Checkpoints are counted inside and outside the cut loop
-    # (``_biorthogonal_functionals``): none outside it, over criterion 03's
-    # direct searches on 20 range and 20 euclidean 8-point spaces and over
-    # primal free norms (1,142 and 30 while every phase 1 recorded), and
-    # inside it over criterion 02's 100 k=2 pipelines, as many as when
-    # every phase 1 recorded.
-    counts = Counter()
+    # resumes one.  The recorded steps are counted inside and outside the
+    # cut loop (``_biorthogonal_functionals``): none outside it, over
+    # criterion 03's direct searches on 20 range and 20 euclidean 8-point
+    # spaces and over primal free norms, and inside it over criterion 02's
+    # 100 k=2 pipelines: every phase-1 pivot of their master LPs, replayed
+    # or made (the kernel that kept a tableau counted 1,361 checkpoints, one
+    # per step it made and one per phase-1 optimum).
+    paths = []
     inside = False
-    real_checkpoint, real_loop = lp._Kernel._checkpoint, freespace._biorthogonal_functionals
+    real_start, real_loop = lp._start, freespace._biorthogonal_functionals
 
-    def counting_checkpoint(kern, *args):
-        counts[inside] += 1
-        return real_checkpoint(kern, *args)
+    def watching_start(program, low):
+        kern, path, first = real_start(program, low)
+        if kern.path is not None:
+            paths.append((inside, kern.path))
+        return kern, path, first
 
     def marked_loop(*args):
         nonlocal inside
@@ -759,7 +763,7 @@ def test_only_cut_loop_rounds_record_a_phase1_path():
             inside = False
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp._Kernel, "_checkpoint", counting_checkpoint)
+        mp.setattr(lp, "_start", watching_start)
         mp.setattr(freespace, "_biorthogonal_functionals", marked_loop)
         for seed in range(20):
             for method in ("range", "euclidean"):
@@ -769,12 +773,52 @@ def test_only_cut_loop_rounds_record_a_phase1_path():
             freespace.free_norm_primal(
                 freespace.free_vector(space, random_coeffs(f"primal:{n}", n - 1))
             )
-        assert counts == {}
+        assert paths == []
         for i in range(100):
             construct.theorem_pipeline(
                 random_space(4 + i % 5, i, "euclidean" if i % 3 == 0 else "range"), 2
             )
-    assert counts == {True: 1361}
+    counts = Counter()
+    for where, path in paths:
+        counts[where] += len(path)
+    assert counts == {True: 1706}
+
+
+def test_resumed_master_rounds_keep_no_tableau():
+    # The k=4 master LP: the complementation search's cut loop on
+    # random_space(16, 2, "range") with eight of its molecules, stopped
+    # after its second round.  The second round resumes the first round's
+    # phase-1 path, which holds one pivot row per step and no tableau; the
+    # pivot counts are those of cold solves, and the traced peak stays small
+    # (22.2 MiB while each recorded step kept a checkpoint of the tableau).
+    space = random_space(16, 2, "range")
+    canonical = freespace.canonical_molecules(space)
+    molecules = [canonical[i] for i in (1, 20, 43, 58, 83, 96, 105, 115)]
+    ball = freespace.lipschitz_ball_rows(space, len(molecules))
+    pivots = []
+    real_feasible = lp.feasible
+
+    class Stop(Exception):
+        pass
+
+    def two_rounds(*args, **kwargs):
+        if len(pivots) == 2:
+            raise Stop
+        out = real_feasible(*args, **kwargs)
+        pivots.append(out.pivots)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "feasible", two_rounds)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                freespace._biorthogonal_functionals(space, molecules, ball)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert pivots == [77, 131]
+    assert peak <= 8 << 20, peak
 
 
 def _reference_lowering(low, con):
@@ -851,40 +895,23 @@ def test_direct_search_rows_match_their_oracles():
 def _check_rows(solved):
     """Check every row of the recorded programs against ``lcm_scale`` of its
     rationals (lowest terms) and the column-by-column lowering, as the
-    phase-1 tableau holds it (times the row's sign); count them by whether
-    every variable of their program is free.  A row is left unstored
-    exactly when it is the implicit twin of the stored row before it: minus
-    that row, as rationals, and both start on a basic slack (a <= row with
-    rhs >= 0 or a >= row with rhs < 0).  The recorded programs shift no
-    variable, so each row's rhs is its own."""
+    phase-1 kernel holds it (times the row's sign); count them by whether
+    every variable of their program is free.  The recorded programs shift
+    no variable, so each row's rhs is its own."""
     lowered = {True: 0, False: 0}
     for program, _ in solved:
         low = lp._Lowering(program, False)
         assert not low.shifts
         free = all(b == (None, None) for b in program.bounds)
-        kern, sign, _ = low.build_kernel()
-        prev = None  # the row before, if stored on a basic slack: (con, reference)
+        kern = low.build_kernel()
         for i, con in enumerate(program.constraints):
             nums, den = lcm_scale([F(a, con.den) for a in con.nums])
             assert (con.nums, con.den) == (tuple(nums), den)
-            d, row, b = kern.den[i], kern.rows[i], con.nums[-1]
+            d, row, b = kern.lowered_den[i], kern.lowered[i], con.nums[-1]
             assert d == den
-            assert sign[i] == (-1 if b < 0 else 1)
-            reference = _reference_lowering(low, con)
-            basic = (con.rel, b >= 0) in ((lp.LE, True), (lp.GE, False))
-            twin = basic and prev is not None and prev[0].rel == con.rel and {
-                j: F(a, d) for j, a in reference.items()
-            } == {j: -F(a, prev[0].den) for j, a in prev[1].items()}
-            assert (row is None) == twin
-            if twin:
-                # the two signed rhs add up to the twins' p/q
-                above = F(kern.rows[i - 1].get(-1, 0), kern.den[i - 1])
-                assert F(*kern.twins[i - 1]) == above + F(abs(b), d)
-                prev = None
-            else:
-                struct = {j: sign[i] * a for j, a in row.items() if 0 <= j < low.n_struct}
-                assert list(struct.items()) == list(reference.items())
-                assert sign[i] * row.get(-1, 0) == b
-                prev = (con, reference) if basic else None
+            assert kern.sign[i] == (-1 if b < 0 else 1)
+            struct = {j: kern.sign[i] * a for j, a in row.items() if 0 <= j < low.n_struct}
+            assert list(struct.items()) == list(_reference_lowering(low, con).items())
+            assert kern.sign[i] * row.get(-1, 0) == b
             lowered[free] += 1
     return lowered

@@ -670,21 +670,15 @@ def test_duality_lift_eliminates_once(monkeypatch):
 
 
 def _written_out(kern):
-    """Every row of the tableau as ``{column: Fraction}``, with the mirror
-    columns and the implicit rows written out: an implicit row ``i + 1`` is
-    ``e_s + e_s' + p/q - R_i`` for the basic slacks ``s``, ``s'`` of the
-    two rows and ``twins[i] = (p, q)``."""
+    """Every row of the tableau the kernel implies, position by position,
+    as ``{column: Fraction}``: its explicit rows and the rows it reads from
+    the lowered constraints, with each free variable's minus column written
+    out as minus its plus column."""
     full = []
-    for i, (row, d) in enumerate(zip(kern.rows, kern.den)):
-        if row is None:
-            p, q = kern.twins[i - 1]
-            out = {j: -v for j, v in full[i - 1].items()}
-            for j, v in ((kern.basis[i - 1], 1), (kern.basis[i], 1), (-1, F(p, q))):
-                out[j] = out.get(j, 0) + v
-            out = {j: v for j, v in out.items() if v}
-        else:
-            out = {j: F(a, d) for j, a in row.items()}
-            out.update({kern.mirror[j]: -v for j, v in out.items() if j in kern.mirror})
+    for i in range(len(kern.basis)):
+        row, d = kern.row(i)
+        out = {j: F(a, d) for j, a in row.items()}
+        out.update({kern.mirror[j]: -v for j, v in out.items() if j in kern.mirror})
         full.append(out)
     return full
 
@@ -703,58 +697,68 @@ def _fraction_pivot(full, r, t):
     return out
 
 
+def _assert_sparse(row):
+    assert type(row) is dict
+    assert all(type(v) is int and v for v in row.values()), row
+
+
 def test_tableau_rows_are_sparse_and_never_store_zero(monkeypatch):
-    # every stored tableau row is a {column: int} dict of its nonzeros, the
-    # rhs under -1, with no mirror column, before and after every pivot of
-    # the simplex and of the Gauss-Jordan elimination; and the tableau they
-    # imply, with every mirror column and implicit twin row written out in
-    # Fractions, is the Fraction pivot of the one before
-    pivots = implicit = materialized = 0
-    real = lp._Kernel._pivot
+    # The kernel stores a tableau row only for a position whose basic
+    # column is structural (an explicit row), and reads every other row from
+    # its lowered constraint.  Before and after every pivot, each explicit
+    # row is a {column: int} dict of its nonzeros, the rhs under -1, with
+    # no minus column of a free variable, that holds its denominator on its
+    # basic column, and no other position stores a row; and the tableau the
+    # kernel implies, explicit rows and rows read from the constraints, with
+    # every minus column written out in Fractions, is the Fraction pivot of
+    # the one before.  The Gauss-Jordan elimination's rows are the Fraction
+    # pivots of the system's rows, column by column.
+    pivots = read = dropped = 0
+    real = lp._Kernel._apply
 
-    def assert_sparse(kern):
-        for row in kern.rows:
+    def assert_factored(kern):
+        minus = set(kern.mirror.values())
+        for i, (row, t) in enumerate(zip(kern.rows, kern.basis)):
+            assert (row is None) == (t >= kern.n_struct)
             if row is not None:
-                assert type(row) is dict
-                assert all(type(v) is int and v for v in row.values()), row
-                assert not any(j in kern.plus_of for j in row), row
-        assert all(kern.rows[i] is not None and kern.rows[i + 1] is None for i in kern.twins)
-        assert sum(row is None for row in kern.rows) == len(kern.twins)
+                _assert_sparse(row)
+                assert not minus & row.keys(), row
+                col, sign = next((j, s) for j, (k, s) in kern.where.items() if k == i)
+                assert (col if sign > 0 else kern.mirror[col]) == t
+                assert sign * row[col] == kern.den[i] > 0
+        assert len(kern.where) == sum(row is not None for row in kern.rows)
 
-    def checking(kern, r, t):
-        nonlocal pivots, implicit, materialized
-        assert_sparse(kern)
-        # the first pivot of a kernel starts its written-out copy
-        before = getattr(kern, "written_out", None) or _written_out(kern)
-        twins = len(kern.twins)
-        prow = real(kern, r, t)
-        assert_sparse(kern)
-        col, sign = kern.stored(t)
-        assert prow is kern.rows[r] and sign * prow[col] == kern.den[r]
-        kern.written_out = _written_out(kern)
-        assert kern.written_out == _fraction_pivot(before, r, t)
+    def checking(kern, r, t, col, sign, prow, p):
+        nonlocal pivots, read, dropped
+        assert_factored(kern)
+        before = _written_out(kern)
+        read += kern.rows[r] is None
+        dropped += kern.rows[r] is not None and t >= kern.n_struct
+        real(kern, r, t, col, sign, prow, p)
+        assert_factored(kern)
+        _assert_sparse(prow)
+        assert sign * prow[col] == p > 0
+        assert _written_out(kern) == _fraction_pivot(before, r, t)
         pivots += 1
-        implicit += len(kern.twins)
-        materialized += twins - len(kern.twins)
-        return prow
 
-    # the reduced-cost row too: a sparse row after every optimize, with
-    # its rhs under -1, no mirror column and no key past the last column
-    optimizes = 0
-    real_optimize = lp._Kernel.optimize
+    # the reduced-cost row too: a sparse row after every run of the pivot
+    # loop, with its rhs under -1, no minus column and no key past the last
+    # column
+    runs = 0
+    real_run = lp._Kernel.run
 
-    def checking_optimize(kern, cost, cost_den):
-        nonlocal optimizes
-        t = real_optimize(kern, cost, cost_den)
-        assert type(kern.reduced) is dict
-        assert all(type(v) is int and v for v in kern.reduced.values()), kern.reduced
-        assert all(-1 <= j < kern.n_cols and j not in kern.plus_of for j in kern.reduced)
+    def checking_run(kern, *state):
+        nonlocal runs
+        out = real_run(kern, *state)
+        _assert_sparse(kern.reduced)
+        minus = set(kern.mirror.values())
+        assert all(-1 <= j < kern.n_cols and j not in minus for j in kern.reduced)
         assert kern.reduced_den > 0
-        optimizes += 1
-        return t
+        runs += 1
+        return out
 
-    monkeypatch.setattr(lp._Kernel, "_pivot", checking)
-    monkeypatch.setattr(lp._Kernel, "optimize", checking_optimize)
+    monkeypatch.setattr(lp._Kernel, "_apply", checking)
+    monkeypatch.setattr(lp._Kernel, "run", checking_run)
     batch = [(BEALE, "min"), (PHASE1, "min"), (PHASE1, "max")]
     batch += _random_programs(13, 2000)
     batch += _twin_programs(27, 500)
@@ -767,48 +771,24 @@ def test_tableau_rows_are_sparse_and_never_store_zero(monkeypatch):
     rng = random.Random("sparse-rows")
     for case in range(300):
         a, b = _random_system(rng, case)
-        lp.solve_linear(a, b)
+        rows, den, basis = lp._gauss_jordan(a, b)
+        full = [{j: F(v) for j, v in enumerate([*x, *y]) if v} for x, y in zip(a, b)]
+        pivoted = set()
+        for c in range(len(a[0]) if a else 0):
+            r = next((i for i, row in enumerate(full) if c in row and i not in pivoted), -1)
+            if r >= 0:
+                assert basis[r] == c
+                full = _fraction_pivot(full, r, c)
+                pivoted.add(r)
+                pivots += 1
+        for row, d in zip(rows, den):
+            _assert_sparse(row)
+        assert [{j: F(v, d) for j, v in row.items()} for row, d in zip(rows, den)] == full
     assert pivots > 3000, pivots
-    assert optimizes > 2000, optimizes
-    # implicit rows were carried through pivots, and some were stored
-    assert implicit > 400 and materialized > 100, (implicit, materialized)
-
-
-def _whole_tableau_solve(program, sense, drive_out):
-    """``lp.solve`` with the phase-1 drive-out always made on the whole
-    tableau, the path of a program with an objective: an oracle for a zero
-    objective, whose drive-out ``lp.solve`` counts on the artificial rows
-    alone.  No certificate re-check; the outcomes are compared instead.
-    Adds to the Counter ``drive_out`` the drive-out's pivots (``driven``)
-    and the artificials it leaves basic on rows with no real entry
-    (``left``)."""
-    flip = sense == "max"
-    low = lp._Lowering(program, flip)
-    kern, sign, n_real = low.build_kernel()
-    home = kern.basis[:]
-    m = len(program.constraints)
-    if n_real < kern.n_cols:
-        phase1_cost = dict.fromkeys(range(n_real, kern.n_cols), 1)
-        assert kern.optimize(phase1_cost, 1) < 0
-        if any(row.get(-1, 0) > 0 for row, b in zip(kern.rows, kern.basis) if b >= n_real):
-            farkas = lp._recover_duals(kern, phase1_cost, 1, sign, home)[:m]
-            return lp.LpOutcome("infeasible", farkas=farkas, pivots=kern.pivots)
-        before = kern.pivots
-        lp._drive_out_artificials(kern, n_real)
-        drive_out["driven"] += kern.pivots - before
-        drive_out["left"] += sum(b >= n_real for b in kern.basis)
-        kern.n_enter = n_real
-    cost, cost_den = low.cost, low.cost_den
-    t = kern.optimize(cost, cost_den)
-    primal = lp._extract_primal(low, kern)
-    if t >= 0:
-        ray = lp._extract_ray(low, kern, t)
-        return lp.LpOutcome("unbounded", primal=primal, ray=ray, pivots=kern.pivots)
-    dual = lp._recover_duals(kern, cost, cost_den, sign, home)[:m]
-    if flip:
-        dual = [-v for v in dual]
-    value = sum(c * x for c, x in zip(program.objective, primal))
-    return lp.LpOutcome("optimal", value, primal, dual, pivots=kern.pivots)
+    assert runs > 2000, runs
+    # pivot rows were read from the constraints, and explicit rows were
+    # dropped when a slack or artificial entered in their place
+    assert read > 1000 and dropped > 100, (read, dropped)
 
 
 def _feasibility_programs(seed, count):
@@ -852,11 +832,10 @@ def _feasibility_programs(seed, count):
 @pytest.fixture(scope="module")
 def acceptance_lps():
     """Criterion 02's 100 k=2 pipelines and criterion 03's 20 k=3 direct
-    searches, each run once, as ``{name: (solved, eliminations, handed)}``:
+    searches, each run once, as ``{name: (solved, eliminations, visited)}``:
     every ``(program, outcome)`` of ``lp.solve``, the number of
-    ``_eliminate`` calls, and per ``_drive_out_artificials`` call whether its
-    program's objective is zero and whether every row handed in sits on an
-    artificial."""
+    ``_eliminate`` calls, and the number of rows the ratio tests visit
+    among those whose slack or artificial is basic."""
     runs = {
         "criterion 02": lambda: [
             construct.theorem_pipeline(
@@ -868,16 +847,14 @@ def acceptance_lps():
             construct.direct_search_l1(random_space(8, seed, "range"), 3) for seed in range(20)
         ],
     }
-    real_solve, real_eliminate, real_drive_out = lp.solve, lp._eliminate, lp._drive_out_artificials
+    real_solve, real_eliminate = lp.solve, lp._eliminate
+    real_ratio = lp._Kernel._derived_ratio
     out = {}
     for name, run in runs.items():
-        solved, handed = [], []
-        eliminations = 0
-        zero = None
+        solved = []
+        eliminations = visited = 0
 
         def recording_solve(program, sense="min"):
-            nonlocal zero
-            zero = not any(program.objective)
             outcome = real_solve(program, sense)
             solved.append((program, sense, outcome))
             return outcome
@@ -887,26 +864,30 @@ def acceptance_lps():
             eliminations += 1
             return real_eliminate(*args)
 
-        def checking_drive_out(kern, n_real):
-            handed.append((zero, all(b >= n_real for b in kern.basis)))
-            return real_drive_out(kern, n_real)
+        def counting_ratio(kern, rows_hit, *args):
+            nonlocal visited
+            visited += len(rows_hit)
+            return real_ratio(kern, rows_hit, *args)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lp, "solve", recording_solve)
             mp.setattr(lp, "_eliminate", counting_eliminate)
-            mp.setattr(lp, "_drive_out_artificials", checking_drive_out)
+            mp.setattr(lp._Kernel, "_derived_ratio", counting_ratio)
             run()
-        out[name] = solved, eliminations, handed
+        out[name] = solved, eliminations, visited
     return out
 
 
 def test_zero_objective_solves_match_the_whole_tableau_drive_out(acceptance_lps):
-    # A zero objective counts its drive-out pivots on copies of the
-    # artificial rows and leaves the tableau as phase 1 left it; every
-    # outcome must still be the whole-tableau path's, field for field,
-    # pivots included.  Seeded feasibility programs (repeated and dependent
-    # equalities, bounds and box rows, infeasible ones), the 2003 pinned
-    # programs with their objectives zeroed, and the acceptance LPs.
+    # A zero objective drives its artificials out on the factored basis, as
+    # a program with an objective does; while the kernel kept a tableau it
+    # counted those pivots on its artificial rows alone, and a test checked
+    # that against a drive-out on the whole tableau.  Every outcome must
+    # still be the one both gave, field for field, pivots included: the
+    # digest is of those outcomes, taken from the tableau kernel.  Seeded
+    # feasibility programs (repeated and dependent equalities, bounds and
+    # box rows, infeasible ones), the 2003 pinned programs with their
+    # objectives zeroed, and the acceptance LPs.
     batch = [(program, "min") for program in _feasibility_programs(24, 1500)]
     pinned = [(BEALE, "min"), (PHASE1, "min"), (PHASE1, "max"), *_random_programs(13, 2000)]
     batch += [(replace(program, objective=(F(0),) * program.n_vars), sense)
@@ -914,30 +895,49 @@ def test_zero_objective_solves_match_the_whole_tableau_drive_out(acceptance_lps)
     for name in ("criterion 02", "criterion 03"):
         batch += [(program, sense) for program, sense, _ in acceptance_lps[name][0]]
     statuses, drive_out = Counter(), Counter()
-    for program, sense in batch:
-        out = lp.solve(program, sense)
-        assert out == _whole_tableau_solve(program, sense, drive_out), program
-        statuses[out.status] += 1
-    assert statuses["optimal"] > 1000 and statuses["infeasible"] > 1000, statuses
+    real_drive_out = lp._drive_out_artificials
+
+    def counting_drive_out(kern, n_real):
+        before = kern.pivots
+        real_drive_out(kern, n_real)
+        drive_out["driven"] += kern.pivots - before
+        drive_out["left"] += sum(b >= n_real for b in kern.basis)
+
+    digest = hashlib.sha256()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_drive_out_artificials", counting_drive_out)
+        for program, sense in batch:
+            out = lp.solve(program, sense)
+            statuses[out.status] += 1
+            digest.update(repr(out).encode())
+    assert statuses == {"optimal": 2206, "infeasible": 1639}, statuses
     # drive-out pivots were made, and artificials were left on rows with no
-    # real entry, where none is counted
-    assert drive_out["driven"] > 400 and drive_out["left"] > 500, drive_out
+    # real entry, as many as on the whole tableau
+    assert drive_out == {"driven": 1255, "left": 612}, drive_out
+    assert digest.hexdigest() == (
+        "f2a6b730886030cfdadc451a51df684d3ae8e29fa0c68e52b3e246e4c8bfc3e2"
+    )
 
 
 def test_elimination_work_pinned(acceptance_lps):
-    # The eliminations of criterion 02's 100 pipelines and criterion 03's 20
-    # direct searches: every simplex pivot, reduced-cost update and
-    # Gauss-Jordan step (24,287 and 16,538 while a zero objective drove its
-    # artificials out of the whole tableau, 18,626 and 11,844 while the
-    # tableau stored both rows of a +- pair, 12,767 and 7,429 while each
-    # cut-loop round re-solved from scratch instead of resuming the last
-    # round's pivot path).  A zero objective hands the drive-out its
-    # artificial rows only.
+    # The work of criterion 02's 100 pipelines and criterion 03's 20 direct
+    # searches: the ``_eliminate`` calls (every update of an explicit row
+    # or of the reduced-cost row, every read of a pivot row from its
+    # constraint, and every Gauss-Jordan step), and the rows the ratio
+    # tests visit among those read from their constraints.  While the
+    # kernel kept a tableau, its eliminations were 24,287 and 16,538 with a
+    # zero objective's artificials driven out of the whole tableau, 18,626
+    # and 11,844 with both rows of a +- pair stored, 12,767 and 7,429 with
+    # every cut-loop round solved from scratch, and 8,664 and 7,429 with
+    # each round resuming the last round's pivot path from checkpoints of
+    # its tableau.
     counts = {}
-    for name, (solved, eliminations, handed) in acceptance_lps.items():
-        counts[name] = eliminations, len(solved), sum(out.pivots for _, _, out in solved)
-        assert all(artificial_only for zero, artificial_only in handed if zero), name
-    assert counts == {"criterion 02": (8664, 282, 2270), "criterion 03": (7429, 60, 778)}
+    for name, (solved, eliminations, visited) in acceptance_lps.items():
+        counts[name] = (eliminations, visited, len(solved),
+                        sum(out.pivots for _, _, out in solved))
+    assert counts == {
+        "criterion 02": (6982, 14237, 282, 2270), "criterion 03": (3020, 15296, 60, 778),
+    }
 
 
 def _twin_programs(seed, count):
@@ -1114,27 +1114,23 @@ def _extension_chains(seed, count):
         yield programs, rng.choice(["min", "max"])
 
 
-@pytest.mark.parametrize("kept", [lp._KEPT, 1])
 @pytest.mark.parametrize("stall_limit", [lp._STALL_LIMIT, 0])
-def test_extended_programs_resume_the_cold_path(monkeypatch, stall_limit, kept):
+def test_extended_programs_resume_the_cold_path(monkeypatch, stall_limit):
     # A program that appends rows to the last program solved with its
     # ``lp.Resume`` holder resumes that solve's phase-1 pivot path: it
-    # replays the recorded steps against the appended rows alone and
-    # restores the last checkpoint at or before the step where one of them
-    # first wins a ratio test.  Each outcome
-    # must be a cold solve's of the whole program, field for field, under
-    # Dantzig's rule with its Bland switch and under Bland's rule from the
-    # first degenerate pivot, with checkpoints kept as usual and as sparse
-    # as they go: past the last two steps, one per doubling of the distance.
+    # replays the recorded pivot rows and checks each step's ratio test
+    # against the appended rows alone, up to the step where one of them
+    # first wins.  Each outcome must be a cold solve's of the whole
+    # program, field for field, under Dantzig's rule with its Bland switch
+    # and under Bland's rule from the first degenerate pivot.
     monkeypatch.setattr(lp, "_STALL_LIMIT", stall_limit)
-    monkeypatch.setattr(lp, "_KEPT", kept)
     replayed = []
     real_replay = lp._replay
 
-    def counting_replay(path, *args):
-        k, seen = real_replay(path, *args)
-        replayed.append(k)
-        return k, seen
+    def counting_replay(path, kern, *args):
+        state = real_replay(path, kern, *args)
+        replayed.append(kern.pivots)
+        return state
 
     monkeypatch.setattr(lp, "_replay", counting_replay)
     statuses, extensions = Counter(), 0
